@@ -280,10 +280,6 @@ class LiteralPermutation:
         return f"LiteralPermutation({len(self.mapping)} moved)"
 
 
-def identity_permutation() -> LiteralPermutation:
-    return LiteralPermutation({})
-
-
 def transpose(a: list, b: list) -> LiteralPermutation:
     """Exchange a[i] with b[i]; identity elsewhere.
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cnf import (Formula, LiteralPermutation, fix, is_automorphism,
                   transpose, var_of)
 from .modelgraph import ColoredGraph
@@ -112,20 +110,7 @@ class JohnsonStructure:
 
 
 def _class_members(coloring: Coloring, c: int) -> list:
-    return [int(v) for v in coloring.class_members(c)]
-
-
-def _literal_fragments(report: RefinementReport, sigma: int):
-    """(color id, members) pairs for the fragments of a base class,
-    ascending by refined color id; members in refined partition order."""
-    members = report.base.class_members(sigma)
-    cols = report.coloring.color[members]
-    out = []
-    for c in np.unique(cols):
-        mem = members[cols == c]
-        mem = mem[np.argsort(report.coloring.pos[mem], kind="stable")]
-        out.append((int(c), [int(v) for v in mem]))
-    return out
+    return coloring.class_members(c).tolist()
 
 
 def detect_row(formula: Formula, graph: ColoredGraph, base: RefinementReport,
@@ -145,20 +130,24 @@ def detect_row(formula: Formula, graph: ColoredGraph, base: RefinementReport,
         return DetectionFailure("sigma is not a literal class")
 
     sigma_size = len(members)
+    if collect_blocks:
+        # (class, wanted fragment size) for the literal classes c that can
+        # hold a fragment c' with 1 < |c'| and |c'| * |sigma| = |c|
+        block_classes = [(c, int(pi.clen[c]) // sigma_size)
+                         for c in pi.classes()
+                         if pi.clen[c] > sigma_size
+                         and pi.clen[c] % sigma_size == 0
+                         and pi.order[c] < graph.num_literal_vertices]
     session = IRSession(graph, pi)
     rows = []
     for v in members:
         rep = session.individualize(v)
         row = [u for u in rep.new_singletons if u < graph.num_literal_vertices]
         if collect_blocks:
-            blocks = []
-            for c in (c for c in pi.classes()
-                      if pi.clen[c] > 1 and c != sigma
-                      and pi.order[c] < graph.num_literal_vertices):
-                csize = int(pi.clen[c])
-                for cprime, frag in _literal_fragments(rep, c):
-                    if 1 < len(frag) and len(frag) * sigma_size == csize:
-                        blocks.append((cprime, frag))
+            blocks = [(cprime, frag.tolist())
+                      for c, want in block_classes
+                      for cprime, frag in rep.fragments(c)
+                      if len(frag) == want]
             # merge singletons and blocks into one row, ordered by the
             # refined color of each piece
             pieces = [(int(rep.coloring.color[u]), [u]) for u in row]
@@ -215,14 +204,14 @@ def detect_row_column(formula: Formula, graph: ColoredGraph,
     v = members[0]
     session = IRSession(graph, pi)
     rep_v = session.individualize(v)
-    frags = _literal_fragments(rep_v, sigma)
+    frags = rep_v.fragments(sigma)
     if len(frags) != 4:
         return DetectionFailure(f"fragment count {len(frags)} != 4")
     frags.sort(key=lambda f: (len(f[1]), f[0]))
     if len(frags[0][1]) != 1 or frags[0][1][0] != v:
         return DetectionFailure("pivot is not the singleton fragment")
-    sigma1 = frags[1][1]
-    sigma2 = frags[2][1]
+    sigma1 = frags[1][1].tolist()
+    sigma2 = frags[2][1].tolist()
     if len(sigma1) < 2 or len(sigma2) < 2:
         return DetectionFailure("degenerate row or column fragment")
 
@@ -235,20 +224,15 @@ def detect_row_column(formula: Formula, graph: ColoredGraph,
         col_of[c] = v
         row_of[c] = c
 
-    members_arr = pi.class_members(sigma)
-
     def assign(rep, want_size, target, ref):
-        cols = rep.coloring.color[members_arr]
-        ids, counts = np.unique(cols, return_counts=True)
         # excluding the fragments holding v and ref by color id equals
         # excluding fragments containing them
-        cv = int(rep.coloring.color[v])
-        cref = int(rep.coloring.color[ref])
-        cand = ids[(counts == want_size) & (ids != cv) & (ids != cref)]
+        skip = (int(rep.coloring.color[v]), int(rep.coloring.color[ref]))
+        cand = [frag for c, frag in rep.fragments(sigma)
+                if len(frag) == want_size and c not in skip]
         if len(cand) != 1:
             return False
-        for t in members_arr[cols == cand[0]]:
-            t = int(t)
+        for t in cand[0].tolist():
             if t in target:
                 return False
             target[t] = ref
@@ -340,24 +324,27 @@ def _johnson_labeling(graph: ColoredGraph, base: RefinementReport, sigma: int):
     def adjacency(u):
         if u in ad:
             return ad[u]
-        rep = stabilize(u)
-        frags = _literal_fragments(rep, sigma)
+        frags = stabilize(u).fragments(sigma)
         if len(frags) != 3:
             return None
-        nonsingle = sorted((f for f in frags if len(f[1]) > 1),
-                           key=lambda f: len(f[1]))
-        if len(nonsingle) != 2 or len(nonsingle[0][1]) == len(nonsingle[1][1]):
+        nonsingle = sorted((mem for _, mem in frags if len(mem) > 1),
+                           key=len)
+        if len(nonsingle) != 2 or len(nonsingle[0]) == len(nonsingle[1]):
             return None
-        ad[u] = set(nonsingle[0][1])
+        ad[u] = set(nonsingle[0].tolist())
         return ad[u]
 
     vnr = 1
     max_iters = n + 1
+    # labels only grow, so the first member with at most one label never
+    # moves back
+    first = 0
     for _ in range(max_iters):
-        pending = [u for u in members if len(label[u]) <= 1]
-        if not pending:
+        while first < size and len(label[members[first]]) > 1:
+            first += 1
+        if first == size:
             break
-        v = pending[0]
+        v = members[first]
         ad_v = adjacency(v)
         if ad_v is None:
             return DetectionFailure("wrong fragment structure")
@@ -366,7 +353,7 @@ def _johnson_labeling(graph: ColoredGraph, base: RefinementReport, sigma: int):
         if ad_w is None:
             return DetectionFailure("wrong fragment structure")
         rep_vw = individualize_refine(graph, stabilize(v).coloring, w, base=pi)
-        singles = [mem[0] for _, mem in _literal_fragments(rep_vw, sigma)
+        singles = [int(mem[0]) for _, mem in rep_vw.fragments(sigma)
                    if len(mem) == 1 and mem[0] not in (v, w)]
         if len(singles) != 1:
             return DetectionFailure("no unique third singleton")
@@ -463,11 +450,11 @@ def detect_johnson_row_extension(formula: Formula, graph: ColoredGraph,
             rep = individualize_refine(graph, pi, t, base=pi)
             if rep_u is None:
                 rep_u = rep
-            frags = _literal_fragments(rep, sigma)
+            frags = rep.fragments(sigma)
             if len(frags) != 2:
                 ok = False
                 break
-            small = min((set(mem) for _, mem in frags), key=len)
+            small = set(min((mem for _, mem in frags), key=len).tolist())
             matched = None
             for i in range(1, n + 1):
                 if small == incident[i]:
@@ -602,7 +589,7 @@ def stabilizer_recursion(formula: Formula, graph: ColoredGraph,
     if len(members) < 2:
         return DetectionFailure("size gate: singleton class")
     rep = individualize_refine(graph, pi, members[0], base=pi)
-    frags = _literal_fragments(rep, sigma)
+    frags = rep.fragments(sigma)
     largest_color, largest = max(frags, key=lambda f: (len(f[1]), -f[0]))
     if len(largest) < 2:
         return DetectionFailure("largest fragment is a singleton")

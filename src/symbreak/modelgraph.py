@@ -58,9 +58,6 @@ class ColoredGraph:
     def neighbors_of(self, v: int):
         return self.neighbors[self.indptr[v]:self.indptr[v + 1]]
 
-    def is_literal_vertex(self, v: int) -> bool:
-        return v < self.num_literal_vertices
-
     def edge_count(self) -> int:
         return len(self.neighbors) // 2
 

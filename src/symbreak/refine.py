@@ -327,6 +327,12 @@ def _compiled_kernel() -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        # a build under any other key came from an older source, other
+        # flags or another compiler; loaded copies stay mapped in the
+        # processes using them
+        for old in lib.parent.glob("refine_kernel-*.so"):
+            if old != lib:
+                old.unlink(missing_ok=True)
     return lib
 
 
@@ -413,15 +419,20 @@ def _scratch_pool(graph: ColoredGraph):
 
 
 def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
-                    journal=None):
+                    journal=None, addresses=None):
+    """Refine `coloring` in place from the splitters `initial_classes`,
+    logging every write to `journal` = (jd, jl, jc) when one is given.
+    `addresses` holds the C kernel's addresses of the coloring's four
+    arrays and the journal's three, which a session takes once; without
+    it they are taken here."""
     n = graph.vertex_count
     lib = native_kernel()
     if journal is None:
         ptrs = _check_coloring(coloring, n, lib)
-    elif lib is not None:
+    elif lib is not None and addresses is None:
         # a session's working copy stays valid by construction
-        ptrs = _ptrs(coloring.order, coloring.pos, coloring.color,
-                     coloring.clen)
+        addresses = _ptrs(coloring.order, coloring.pos, coloring.color,
+                          coloring.clen, *journal)
     pool, pool_ptrs = _scratch_pool(graph)
     queue, in_queue = pool[0], pool[1]
     qtail = 0
@@ -438,8 +449,8 @@ def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
                        coloring.clen, queue, in_queue, 0, qtail, *pool[2:],
                        uj, jd, jl, jc)
     elif uj:
-        lib.refine(*pool_ptrs, len(queue), 0, qtail, *ptrs,
-                   1, *_ptrs(jd, jl, jc), jd.shape[1])
+        lib.refine(*pool_ptrs, len(queue), 0, qtail, *addresses[:4],
+                   1, *addresses[4:], jd.shape[1])
     else:
         lib.refine(*pool_ptrs, len(queue), 0, qtail, *ptrs,
                    0, None, None, None, 0)
@@ -458,13 +469,40 @@ class RefinementReport:
     coloring: Coloring
     _new_singletons: object = field(default=None, repr=False)
 
+    def fragments(self, base_color: int) -> list:
+        """(refined color id, members) for each refined class inside the
+        given base class, ascending by color id; members are views of
+        the refined `order`, so in refined partition order, and change
+        with it (a session's next individualization).
+
+        Refinement splits a class only within its own slots, so when the
+        base is an ancestor of the refined coloring the refined classes
+        tile the base class's slot range: a walk over their starts finds
+        them without reading a member's color.  Raises ValueError when
+        they do not tile it, which means the base is no ancestor."""
+        base, refined = self.base, self.coloring
+        sigma = int(base_color)
+        if base.clen[sigma] == 0 or base.color[base.order[sigma]] != sigma:
+            raise KeyError(f"unknown base color {base_color}")
+        order, color, clen = refined.order, refined.color, refined.clen
+        end = sigma + int(base.clen[sigma])
+        out = []
+        s = sigma
+        while s < end:
+            size = int(clen[s])
+            if size < 1 or color[order[s]] != s:
+                break
+            out.append((s, order[s:s + size]))
+            s += size
+        if s != end:
+            raise ValueError(f"refined classes do not tile base class "
+                             f"{sigma}: the base is not an ancestor of "
+                             f"the refined coloring")
+        return out
+
     def fragments_of(self, base_color: int) -> list:
         """Refined color ids partitioning the given base class, ascending."""
-        if self.base.clen[base_color] == 0 or \
-                self.base.color[self.base.order[base_color]] != base_color:
-            raise KeyError(f"unknown base color {base_color}")
-        members = self.base.class_members(base_color)
-        return [int(c) for c in np.unique(self.coloring.color[members])]
+        return [c for c, _ in self.fragments(base_color)]
 
     @property
     def new_singletons(self) -> list:
@@ -477,10 +515,6 @@ class RefinementReport:
             verts = verts[np.argsort(refined.color[verts], kind="stable")]
             self._new_singletons = [int(v) for v in verts]
         return self._new_singletons
-
-
-def fragments_of(report: RefinementReport, base_color: int) -> list:
-    return report.fragments_of(base_color)
 
 
 def refine_stable(graph: ColoredGraph, pi: Coloring) -> RefinementReport:
@@ -547,39 +581,34 @@ class IRSession:
         _check_coloring(base, n, native_kernel())
         self.graph = graph
         self.base = base
-        self.work = base.copy()
+        self.work = work = base.copy()
         self._jd = np.zeros((4, n), dtype=np.int8)
         self._jl = np.empty((4, n), dtype=np.int32)
         self._jc = np.zeros(4, dtype=np.int64)
-        self._slot = np.empty(n, dtype=np.int32)     # _record's scratch
+        self._journal = (self._jd, self._jl, self._jc)
+        self._arrays = (work.order, work.pos, work.color, work.clen,
+                        base.order, base.pos, base.color, base.clen)
+        # none of these arrays is ever replaced, so the C kernels'
+        # addresses are taken once here rather than on every call
+        work_ptrs = _ptrs(*self._arrays[:4])
+        journal_ptrs = _ptrs(*self._journal)
+        self._refine_addresses = (*work_ptrs, *journal_ptrs)
+        self._rollback_args = (*journal_ptrs, n, *work_ptrs,
+                               *_ptrs(*self._arrays[4:]))
 
     def _rollback(self):
-        work, base = self.work, self.base
-        arrays = (work.order, work.pos, work.color, work.clen,
-                  base.order, base.pos, base.color, base.clen)
         lib = native_kernel()
         if lib is None:
-            _rollback_kernel(self._jd, self._jl, self._jc, *arrays)
+            _rollback_kernel(*self._journal, *self._arrays)
         else:
-            lib.rollback(*_ptrs(self._jd, self._jl, self._jc),
-                         self._jd.shape[1], *_ptrs(*arrays))
+            lib.rollback(*self._rollback_args)
 
-    def _record(self, a: int, indices):
-        """Append to journal row a each index it lacks, once."""
-        indices = np.asarray(indices, dtype=np.int32)
-        fresh = indices[self._jd[a, indices] == 0]
-        # the vectorized lookup reads every flag before any is set, so an
-        # index given twice (v already heading its class gives c == p and
-        # v == other) passes it twice; the scatter leaves one position
-        # per index, which keeps exactly one copy.  np.unique does the
-        # same at ten times the cost on a large class.
-        at = np.arange(len(fresh), dtype=np.int32)
-        self._slot[fresh] = at
-        fresh = fresh[self._slot[fresh] == at]
-        self._jd[a, fresh] = 1
-        k = int(self._jc[a])
-        self._jl[a, k:k + len(fresh)] = fresh
-        self._jc[a] = k + len(fresh)
+    def _log(self, a: int, i: int):
+        """Append index i to journal row a unless the row holds it."""
+        if not self._jd[a, i]:
+            self._jd[a, i] = 1
+            self._jl[a, self._jc[a]] = i
+            self._jc[a] += 1
 
     def individualize(self, v: int) -> RefinementReport:
         if not 0 <= v < self.graph.vertex_count:
@@ -593,18 +622,24 @@ class IRSession:
             p = int(refined.pos[v])
             other = int(refined.order[c])
             rest = c + 1
-            self._record(JRN_ORDER, [c, p])
-            self._record(JRN_POS, [v, other])
-            self._record(JRN_CLEN, [c, rest])
+            # v already heading its class gives c == p and v == other;
+            # _log keeps one copy of each
+            for a, i in ((JRN_ORDER, c), (JRN_ORDER, p), (JRN_POS, v),
+                         (JRN_POS, other), (JRN_CLEN, c), (JRN_CLEN, rest)):
+                self._log(a, i)
             refined.order[c], refined.order[p] = v, other
             refined.pos[v], refined.pos[other] = c, p
             refined.clen[c] = 1
             refined.clen[rest] = size - 1
             moved = refined.order[rest:c + size]
-            self._record(JRN_COLOR, moved)
+            # the rollback emptied the journal and moved holds distinct
+            # vertices, so each is logged once, in slot order
+            self._jd[JRN_COLOR, moved] = 1
+            self._jl[JRN_COLOR, :len(moved)] = moved
+            self._jc[JRN_COLOR] = len(moved)
             refined.color[moved] = rest
-        _run_refinement(self.graph, refined, worklist,
-                        journal=(self._jd, self._jl, self._jc))
+        _run_refinement(self.graph, refined, worklist, journal=self._journal,
+                        addresses=self._refine_addresses)
         return RefinementReport(base=self.base, coloring=refined)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cnf import Formula, LiteralPermutation, fix, is_automorphism
 from .modelgraph import ColoredGraph
 from .refine import Coloring, individualize_refine
@@ -27,10 +29,10 @@ class SearchBudget:
 
 
 def _first_nonsingleton(pi: Coloring):
-    for c in pi.classes():
-        if pi.clen[c] > 1:
-            return c
-    return None
+    """Color id of the first non-singleton class in partition order (the
+    smallest id, as ids are slots), or None for a discrete coloring."""
+    cols = pi.color[pi.clen[pi.color] > 1]
+    return int(cols.min()) if len(cols) else None
 
 
 def _dive(graph: ColoredGraph, pi: Coloring, rng: random.Random) -> Coloring:
@@ -39,7 +41,7 @@ def _dive(graph: ColoredGraph, pi: Coloring, rng: random.Random) -> Coloring:
         c = _first_nonsingleton(cur)
         if c is None:
             return cur
-        members = [int(v) for v in cur.class_members(c)]
+        members = cur.class_members(c).tolist()
         cur = individualize_refine(graph, cur, rng.choice(members)).coloring
 
 
@@ -47,13 +49,10 @@ def _pair_leaves(graph: ColoredGraph, d1: Coloring, d2: Coloring):
     """Literal permutation pairing the two discrete leaves slot by slot;
     None when a literal slot faces a clause slot."""
     nlit = graph.num_literal_vertices
-    mapping = {}
-    for s in range(d1.num_vertices):
-        a, b = int(d1.order[s]), int(d2.order[s])
-        if (a < nlit) != (b < nlit):
-            return None
-        if a < nlit:
-            mapping[a] = b
+    lit = d1.order < nlit
+    if not np.array_equal(lit, d2.order < nlit):
+        return None
+    mapping = dict(zip(d1.order[lit].tolist(), d2.order[lit].tolist()))
     try:
         return fix(LiteralPermutation(mapping))
     except ValueError:
@@ -67,7 +66,7 @@ def find_remainder_generators(formula: Formula, graph: ColoredGraph,
     remainder coloring.  Deterministic given the seed; may return an
     empty list (the search is incomplete by design)."""
     nlit = graph.num_literal_vertices
-    if all(pi_rem.clen[int(pi_rem.color[v])] == 1 for v in range(nlit)):
+    if (pi_rem.clen[pi_rem.color[:nlit]] == 1).all():
         return []
     rng = random.Random(budget.seed)
     found = []

@@ -105,6 +105,30 @@ def gen_cliquecolor(n: int, k: int, c: int) -> Formula:
     return Formula(num_edges + k * n + n * c, clauses)
 
 
+def gen_cycle_coloring(n: int, k: int) -> Formula:
+    """Proper k-coloring of the cycle C_n: each vertex takes at least one
+    and at most one color, and no edge is monochromatic.
+
+    Variable x_{v,j} = (v-1)*k + j says vertex v has color j.
+    """
+    if n < 3 or k < 1:
+        raise ValueError("need n >= 3 vertices and k >= 1 colors")
+
+    def x(v, j):
+        return (v - 1) * k + j
+
+    clauses = []
+    for v in range(1, n + 1):
+        clauses.append([pos(x(v, j)) for j in range(1, k + 1)])
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                clauses.append([neg_var(x(v, i)), neg_var(x(v, j))])
+    for v in range(1, n + 1):
+        for j in range(1, k + 1):
+            clauses.append([neg_var(x(v, j)), neg_var(x(v % n + 1, j))])
+    return Formula(n * k, clauses)
+
+
 def brute_force_sat(formula: Formula, var_cap: int = 20) -> bool:
     """Exact satisfiability: bitmask enumeration up to var_cap variables,
     complete DPLL above."""

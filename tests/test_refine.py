@@ -13,10 +13,11 @@ from symbreak import refine
 from symbreak.cnf import emit_dimacs
 from symbreak.modelgraph import ColoredGraph, build_model_graph
 from symbreak.pipeline import PipelineConfig, run
-from symbreak.refine import (Coloring, IRSession, individualize_refine,
-                             initial_coloring, refine_stable)
+from symbreak.refine import (Coloring, IRSession, RefinementReport,
+                             individualize_refine, initial_coloring,
+                             refine_stable)
 from symbreak.testkit import (brute_force_automorphisms, gen_cliquecolor,
-                              gen_php, gen_ramsey)
+                              gen_cycle_coloring, gen_php, gen_ramsey)
 
 
 def graph_from_edges(n, edges, keys=None):
@@ -106,6 +107,15 @@ class TestIndividualizeRefine:
         rep = refine_stable(g, initial_coloring(g))
         with pytest.raises(KeyError):
             rep.fragments_of(1)
+
+    def test_fragments_read_only_refined_class_starts(self):
+        """A class length left at a slot that starts no refined class is
+        not taken for a fragment: this base is no ancestor."""
+        base = Coloring.from_color_map([0, 0, 1, 1])
+        refined = Coloring.uniform(4)
+        refined.clen[2] = 2
+        with pytest.raises(ValueError, match="not an ancestor"):
+            RefinementReport(base=base, coloring=refined).fragments(2)
 
 
 class TestProperties:
@@ -260,8 +270,10 @@ class TestNativeKernel:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("formula", [gen_php(6), gen_ramsey(3, 3, 6),
-                                         gen_cliquecolor(6, 3, 2)],
-                             ids=["php6", "ramsey336", "cliquecolor632"])
+                                         gen_cliquecolor(6, 3, 2),
+                                         gen_cycle_coloring(9, 3)],
+                             ids=["php6", "ramsey336", "cliquecolor632",
+                                  "c9-3coloring"])
     def test_emitted_cnf_matches_python_kernel(self, formula):
         def emitted():
             out = run(formula, PipelineConfig(seed=3))
@@ -289,11 +301,18 @@ class TestNativeKernel:
             IRSession(g, bad)
 
     def test_build_into_private_cache(self, tmp_path, monkeypatch):
+        """A build lands in the private cache and removes the builds of
+        other sources, flags or compilers, and nothing else."""
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "symbreak"
+        cache.mkdir(mode=0o700)
+        (cache / "refine_kernel-0123456789abcdef0123.so").write_bytes(b"")
+        (cache / "notes.txt").write_bytes(b"")
         lib = refine._compiled_kernel()
-        assert lib.parent == tmp_path / "symbreak" and lib.is_file()
+        assert lib.parent == cache and lib.is_file()
         assert stat.S_IMODE(os.stat(lib.parent).st_mode) & 0o077 == 0
-        assert os.listdir(lib.parent) == [lib.name]
+        assert sorted(os.listdir(lib.parent)) == sorted([lib.name,
+                                                         "notes.txt"])
         assert refine._compiled_kernel() == lib
 
     def test_shared_cache_directory_is_refused(self, tmp_path, monkeypatch):
@@ -302,6 +321,54 @@ class TestNativeKernel:
         os.chmod(tmp_path / "symbreak", 0o777)
         with pytest.raises(OSError, match="not a private directory"):
             refine._compiled_kernel()
+
+
+def member_color_fragments(report, sigma):
+    """The fragments of a base class found from its members' refined
+    colors and positions: the definition the slot walk replaces."""
+    members = report.base.class_members(sigma)
+    cols = report.coloring.color[members]
+    out = []
+    for c in np.unique(cols):
+        mem = members[cols == c]
+        mem = mem[np.argsort(report.coloring.pos[mem], kind="stable")]
+        out.append((int(c), mem.tolist()))
+    return out
+
+
+def check_fragments(g, vs):
+    """Slot-walk fragments of every stable class against the member-color
+    definition, after each individualization of vs in a session and in a
+    chain of copies; and a base that is no ancestor is refused."""
+    base = refine_stable(g, initial_coloring(g)).coloring
+    session = IRSession(g, base)
+    chained = base
+    for v in vs:
+        chained = individualize_refine(g, chained, v, base=base).coloring
+        for rep in (session.individualize(v),
+                    RefinementReport(base=base, coloring=chained)):
+            for sigma in base.classes():
+                walked = [(c, m.tolist()) for c, m in rep.fragments(sigma)]
+                assert walked == member_color_fragments(rep, sigma)
+                assert rep.fragments_of(sigma) == [c for c, _ in walked]
+            # swapped roles: the stable coloring is no refinement of the
+            # individualized one, and each class it merges is refused
+            refined = rep.coloring
+            swapped = RefinementReport(base=refined, coloring=base)
+            for c in refined.classes():
+                if refined.clen[c] < base.clen[base.color[refined.order[c]]]:
+                    with pytest.raises(ValueError, match="not an ancestor"):
+                        swapped.fragments(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(), st.lists(st.integers(min_value=0), min_size=1,
+                                 max_size=5))
+def test_slot_walk_fragments_match_member_colors(g, picks):
+    vs = [p % g.vertex_count for p in picks]
+    check_fragments(g, vs)
+    with python_kernel():
+        check_fragments(g, vs)
 
 
 @pytest.mark.parametrize("failure", ["no-compiler", "compiler-error"])

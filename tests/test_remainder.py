@@ -1,10 +1,16 @@
 """Random-dive remainder search."""
 
-from symbreak.cnf import Formula, is_automorphism, neg_var, pos
+import itertools
+import random
+
+from symbreak.cnf import (Formula, LiteralPermutation, fix, is_automorphism,
+                          neg_var, pos)
 from symbreak.modelgraph import build_model_graph
-from symbreak.refine import initial_coloring, refine_stable
-from symbreak.remainder import SearchBudget, find_remainder_generators
-from symbreak.testkit import formula_automorphisms
+from symbreak.refine import (individualize_refine, initial_coloring,
+                             refine_stable)
+from symbreak.remainder import (SearchBudget, _first_nonsingleton,
+                                _pair_leaves, find_remainder_generators)
+from symbreak.testkit import formula_automorphisms, gen_cycle_coloring, gen_php
 
 import pytest
 
@@ -66,3 +72,58 @@ def test_all_results_verified():
     for g in find_remainder_generators(f, graph, pi, SearchBudget(16, seed=2)):
         assert is_automorphism(f, g)
         assert not g.is_identity()
+
+
+def first_nonsingleton_loop(pi):
+    """Reference for the vectorized _first_nonsingleton."""
+    for c in pi.classes():
+        if pi.clen[c] > 1:
+            return c
+    return None
+
+
+def pair_leaves_loop(graph, d1, d2):
+    """Reference for the vectorized _pair_leaves."""
+    nlit = graph.num_literal_vertices
+    mapping = {}
+    for s in range(d1.num_vertices):
+        a, b = int(d1.order[s]), int(d2.order[s])
+        if (a < nlit) != (b < nlit):
+            return None
+        if a < nlit:
+            mapping[a] = b
+    try:
+        return fix(LiteralPermutation(mapping))
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("formula", [
+    gen_cycle_coloring(9, 3), gen_php(4),
+    Formula(4, [[pos(1), pos(2)], [pos(3), pos(4)],
+                [neg_var(1), neg_var(2)], [neg_var(3), neg_var(4)]])],
+    ids=["c9-3coloring", "php4", "two-pairs"])
+def test_vectorized_helpers_match_loops(formula):
+    graph, pi = prepared(formula)
+    rng = random.Random(11)
+    leaves = []
+    for _ in range(5):
+        cur = pi
+        while True:
+            c = _first_nonsingleton(cur)
+            assert c == first_nonsingleton_loop(cur)
+            if c is None:
+                break
+            v = rng.choice(cur.class_members(c).tolist())
+            cur = individualize_refine(graph, cur, v).coloring
+        leaves.append(cur)
+    for d1, d2 in itertools.product(leaves, repeat=2):
+        assert _pair_leaves(graph, d1, d2) == pair_leaves_loop(graph, d1, d2)
+    # a literal slot facing a clause slot
+    mixed = leaves[1].copy()
+    nlit = graph.num_literal_vertices
+    a = int(mixed.pos[0])
+    b = int(mixed.pos[nlit])
+    mixed.order[a], mixed.order[b] = mixed.order[b], mixed.order[a]
+    assert pair_leaves_loop(graph, leaves[0], mixed) is None
+    assert _pair_leaves(graph, leaves[0], mixed) is None
