@@ -7,8 +7,10 @@ a single XOR with 1.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Iterable, Optional
+
+import numpy as np
 
 
 class DimacsError(ValueError):
@@ -59,10 +61,10 @@ class Formula:
     """An immutable CNF formula over literal codes.
 
     ``clauses`` keeps every input clause (canonicalized) in original order
-    for verbatim re-emission.  ``unique_clauses`` drops duplicates and is
-    what symmetry detection works on; ``clause_set`` maps each unique
-    clause to its index and ``occurrence`` maps a literal code to the
-    indices of unique clauses containing it.
+    for verbatim re-emission.  ``unique_clauses`` drops duplicates, keeping
+    first occurrences in order, and is what symmetry detection works on.
+    Its numpy views (``_clause_arrays``, built on first use) are what the
+    model graph and the automorphism check read.
     """
 
     def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
@@ -75,81 +77,28 @@ class Formula:
             raise ValueError(
                 f"clause references variable {max_seen} > num_vars {num_vars}")
         self.num_vars = num_vars
-        self.unique_clauses: list[tuple] = []
-        self.clause_set: dict[tuple, int] = {}
-        for c in self.clauses:
-            if c not in self.clause_set:
-                self.clause_set[c] = len(self.unique_clauses)
-                self.unique_clauses.append(c)
-        self._occurrence = None
+        self.unique_clauses = list(dict.fromkeys(self.clauses))
         self._arrays = None
-        self._flat = None
-
-    @property
-    def occurrence(self) -> dict:
-        """Literal code -> indices of unique clauses containing it (lazy)."""
-        if self._occurrence is None:
-            occurrence: dict[int, list[int]] = defaultdict(list)
-            for idx, c in enumerate(self.unique_clauses):
-                for lit in c:
-                    occurrence[lit].append(idx)
-            self._occurrence = dict(occurrence)
-        return self._occurrence
 
     def _clause_arrays(self):
-        """Flat numpy views of the unique clauses: (lens, flat, owner,
-        starts), lazily built and shared by the vectorized code paths."""
-        if self._flat is None:
-            import numpy as np
-
+        """Numpy views of the unique clauses, built on first use: their
+        lengths, their literals back to back (``flat``), the offset of
+        each clause in ``flat``, and the clauses holding each literal:
+        literal l occurs in clauses ``occ[occ_ptr[l]:occ_ptr[l + 1]]``,
+        in ascending order."""
+        if self._arrays is None:
             unique = self.unique_clauses
+            n2 = 2 * self.num_vars
             lens = np.fromiter(map(len, unique), dtype=np.int32,
                                count=len(unique))
-            total = int(lens.sum())
             flat = np.fromiter((l for c in unique for l in c),
-                               dtype=np.int32, count=total)
+                               dtype=np.int32, count=int(lens.sum()))
+            starts = np.cumsum(lens, dtype=np.int64) - lens
             owner = np.repeat(np.arange(len(unique), dtype=np.int32), lens)
-            starts = np.concatenate(
-                ([0], np.cumsum(lens, dtype=np.int64)[:-1]))
-            self._flat = (lens, flat, owner, starts)
-        return self._flat
-
-    def _verify_arrays(self):
-        """Lazy numpy views used by the vectorized automorphism check on
-        large formulas: an occurrence CSR and packed binary-clause codes."""
-        if self._arrays is None:
-            import numpy as np
-
-            n2 = 2 * self.num_vars
-            lens, flat, owner, starts = self._clause_arrays()
-            by_lit = np.argsort(flat, kind="stable")
-            data = owner[by_lit]
-            counts = np.zeros(n2 + 1, dtype=np.int64)
-            counts[1:] = np.bincount(flat, minlength=n2)
-            indptr = np.cumsum(counts)
-            packed_by_idx = np.full(len(self.unique_clauses), -1,
-                                    dtype=np.int64)
-            binary = np.nonzero(lens == 2)[0]
-            packed_by_idx[binary] = (
-                flat[starts[binary]].astype(np.int64) * n2
-                + flat[starts[binary] + 1])
-            bin_a = np.where(packed_by_idx >= 0,
-                             packed_by_idx // n2, 0).astype(np.int32)
-            bin_b = np.where(packed_by_idx >= 0,
-                             packed_by_idx % n2, 0).astype(np.int32)
-            sorted_packed = np.sort(packed_by_idx[packed_by_idx >= 0])
-            # per-length sorted byte keys of the non-binary clauses; the
-            # byte order need not be numeric order, only shared by both
-            # sides of the membership test
-            long_keys = {}
-            for L in (int(l) for l in np.unique(lens) if l > 2):
-                idxs = np.nonzero(lens == L)[0]
-                rows = np.ascontiguousarray(
-                    flat[starts[idxs][:, None] + np.arange(L)])
-                view = np.dtype((np.void, rows.dtype.itemsize * L))
-                long_keys[L] = np.sort(rows.view(view).ravel())
-            self._arrays = (indptr, data, packed_by_idx, bin_a, bin_b,
-                            sorted_packed, long_keys)
+            occ = owner[np.argsort(flat, kind="stable")]
+            occ_ptr = np.zeros(n2 + 1, dtype=np.int64)
+            np.cumsum(np.bincount(flat, minlength=n2), out=occ_ptr[1:])
+            self._arrays = (lens, flat, starts, occ, occ_ptr)
         return self._arrays
 
     @classmethod
@@ -322,83 +271,59 @@ def apply_permutation(clause: Iterable[int], phi: LiteralPermutation) -> tuple:
     return tuple(sorted(g(l, l) for l in clause))
 
 
+def _row_keys(rows):
+    """One fixed-width key per row of a 2-D array of sorted clauses whose
+    literals fit in int32; two rows have equal keys exactly when they are
+    equal.  Key order is not numeric order."""
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    L = rows.shape[1]
+    if L == 1:
+        return rows.ravel()
+    if L == 2:
+        return rows.view(np.int64).ravel()
+    return rows.view(np.dtype((np.void, 4 * L))).ravel()
+
+
 def automorphism_failure(formula: Formula, phi: LiteralPermutation) -> Optional[str]:
     """None if phi is a symmetry of the formula, else a reason code.
 
-    Only clauses touching the support are checked; the rest are their own
-    images.
+    Only the clauses touching the support are checked; the rest are their
+    own images.  phi is a bijection on its support, so the image of a
+    touched clause touches the support too, and phi is a symmetry exactly
+    when it maps the touched clauses of each length onto themselves.
     """
     if not phi.is_negation_consistent():
         return "negation-inconsistent"
-    if len(formula.unique_clauses) > 2000 and phi.mapping:
-        return _automorphism_failure_vectorized(formula, phi)
-    g = phi.mapping.get
-    occurrence = formula.occurrence
-    clause_set = formula.clause_set
-    unique = formula.unique_clauses
-    seen = set()
-    for lit in phi.mapping:
-        for idx in occurrence.get(lit, ()):
-            if idx in seen:
-                continue
-            seen.add(idx)
-            c = unique[idx]
-            if len(c) == 2:
-                x = g(c[0], c[0])
-                y = g(c[1], c[1])
-                image = (x, y) if x < y else (y, x)
-            else:
-                image = tuple(sorted(g(l, l) for l in c))
-            if image not in clause_set:
-                return "clause-image-missing"
-    return None
-
-
-def _automorphism_failure_vectorized(formula: Formula,
-                                     phi: LiteralPermutation) -> Optional[str]:
-    """Same check as the pure-Python path, with touched binary clauses
-    verified in bulk through a sorted packed-code array."""
-    import numpy as np
-
-    indptr, data, packed_by_idx, bin_a, bin_b, sorted_packed, long_keys = \
-        formula._verify_arrays()
-    n2 = 2 * formula.num_vars
-    img = np.arange(n2, dtype=np.int32)
-    for k, v in phi.mapping.items():
-        img[k] = v
-
-    chunks = [data[indptr[l]:indptr[l + 1]] for l in phi.mapping]
-    if not chunks:
+    m = phi.mapping
+    if not m:
         return None
-    touch = np.unique(np.concatenate(chunks))
-    binary = touch[packed_by_idx[touch] >= 0]
-    a = img[bin_a[binary]]
-    b = img[bin_b[binary]]
-    lo = np.minimum(a, b).astype(np.int64)
-    key = lo * n2 + np.maximum(a, b)
-    at = np.searchsorted(sorted_packed, key)
-    ok = (at < len(sorted_packed)) & (sorted_packed[np.minimum(
-        at, len(sorted_packed) - 1)] == key)
-    if not ok.all():
-        return "clause-image-missing"
-
-    longt = touch[packed_by_idx[touch] < 0]
-    if len(longt):
-        lens, flat, _, starts = formula._clause_arrays()
-        touched_lens = lens[longt]
-        for L in (int(l) for l in np.unique(touched_lens)):
-            idxs = longt[touched_lens == L]
-            rows = np.ascontiguousarray(
-                np.sort(img[flat[starts[idxs][:, None] + np.arange(L)]],
-                        axis=1))
-            view = np.dtype((np.void, rows.dtype.itemsize * L))
-            keys = rows.view(view).ravel()
-            table = long_keys[L]
-            at = np.searchsorted(table, keys)
-            ok = (at < len(table)) & (table[np.minimum(
-                at, len(table) - 1)] == keys)
-            if not ok.all():
-                return "clause-image-missing"
+    lens, flat, starts, occ, occ_ptr = formula._clause_arrays()
+    n2 = 2 * formula.num_vars
+    keys = np.fromiter(m.keys(), dtype=np.int64, count=len(m))
+    values = np.fromiter(m.values(), dtype=np.int32, count=len(m))
+    # literals beyond the formula's variables occur in no clause and need
+    # no image; a clause moved onto one matches no clause
+    inside = keys < n2
+    keys = keys[inside]
+    img = np.arange(n2, dtype=np.int32)
+    img[keys] = values[inside]
+    # the occ ranges of the moved literals, back to back: entry j of range
+    # r sits at position first[r] + j and reads occ[lo[r] + j]
+    lo = occ_ptr[keys]
+    counts = occ_ptr[keys + 1] - lo
+    first = np.cumsum(counts) - counts
+    at = np.repeat(lo - first, counts) + np.arange(counts.sum())
+    hit = np.zeros(len(lens), dtype=bool)
+    hit[occ[at]] = True
+    touched = np.flatnonzero(hit)
+    touched_lens = lens[touched]
+    for L in np.flatnonzero(np.bincount(touched_lens)):
+        idxs = touched[touched_lens == L]
+        rows = flat[starts[idxs][:, None] + np.arange(L)]
+        images = np.sort(img[rows], axis=1)
+        if not np.array_equal(np.sort(_row_keys(rows)),
+                              np.sort(_row_keys(images))):
+            return "clause-image-missing"
     return None
 
 

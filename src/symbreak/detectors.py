@@ -51,34 +51,18 @@ class RowStructure:
         return out
 
 
-@dataclass
-class RowColumnStructure:
-    matrix: list                      # n_rows x n_cols of literal codes
-    generators: list                  # adjacent row and column transpositions
-    covered_colors: list
-    covered_vertices: set
+class RowColumnStructure(RowStructure):
+    """Row-column symmetry: ``matrix`` is n_rows x n_cols of literal codes
+    and ``generators`` are the adjacent row and column transpositions."""
 
     kind = "row-column"
-
-    @property
-    def dims(self):
-        return (len(self.matrix), len(self.matrix[0]))
-
-    def ordered_variables(self) -> list:
-        seen, out = set(), []
-        for row in self.matrix:
-            for lit in row:
-                v = var_of(lit)
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
-        return out
 
 
 @dataclass
 class JohnsonStructure:
     n: int
     label: dict                       # literal -> frozenset({i, j})
+    pair_to_lit: dict                 # label inverted
     generators: list                  # adjacent label transpositions
     covered_colors: list
     covered_vertices: set
@@ -91,11 +75,10 @@ class JohnsonStructure:
         return (self.n,)
 
     def ordered_variables(self) -> list:
-        pair_to_lit = {p: l for l, p in self.label.items()}
         seen, out = set(), []
         for i in range(1, self.n + 1):
             for j in range(i + 1, self.n + 1):
-                v = var_of(pair_to_lit[frozenset((i, j))])
+                v = var_of(self.pair_to_lit[frozenset((i, j))])
                 if v not in seen:
                     seen.add(v)
                     out.append(v)
@@ -394,12 +377,11 @@ def _johnson_labeling(graph: ColoredGraph, base: RefinementReport, sigma: int):
     return n, {u: frozenset(label[u]) for u in members}
 
 
-def _johnson_generator(n: int, label: dict, i: int,
+def _johnson_generator(n: int, pair_to_lit: dict, i: int,
                        block_pairings: list) -> LiteralPermutation:
     """Permutation induced on the labeled literals by the label
     transposition (i, i+1), plus explicit block pairings, closed under
-    negation."""
-    pair_to_lit = {p: l for l, p in label.items()}
+    negation.  ``pair_to_lit`` maps each label pair to its literal."""
     mapping = {}
     for r in range(1, n + 1):
         if r in (i, i + 1):
@@ -427,8 +409,10 @@ def detect_johnson_row_extension(formula: Formula, graph: ColoredGraph,
     unaccepted classes are skipped silently.
     """
     pi = base.coloring
-    incident = {i: frozenset(u for u, p in label.items() if i in p)
-                for i in range(1, n + 1)}
+    incident = {i: set() for i in range(1, n + 1)}
+    for u, p in label.items():
+        for i in p:
+            incident[i].add(u)
     sigma = int(pi.color[next(iter(label))])
     accepted = []
     accepted_colors = set()
@@ -502,6 +486,7 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
     if isinstance(res, DetectionFailure):
         return res
     n, label = res
+    pair_to_lit = {p: l for l, p in label.items()}
 
     def build_generators(extensions):
         gens = []
@@ -514,7 +499,7 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
                 if len(bi) > 1:
                     searchable.append(len(pairings) - 1)
             try:
-                phi = _johnson_generator(n, label, i, pairings)
+                phi = _johnson_generator(n, pair_to_lit, i, pairings)
             except ValueError:
                 phi = None
             if phi is not None and is_automorphism(formula, phi):
@@ -529,7 +514,7 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
                 for k, perm in zip(searchable, combo):
                     trial[k] = (trial[k][0], list(perm))
                 try:
-                    phi = _johnson_generator(n, label, i, trial)
+                    phi = _johnson_generator(n, pair_to_lit, i, trial)
                 except ValueError:
                     continue
                 if is_automorphism(formula, phi):
@@ -572,7 +557,8 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
                 covered.add(t ^ 1)
                 covered_colors.add(int(pi.color[t]))
                 covered_colors.add(int(pi.color[t ^ 1]))
-    return JohnsonStructure(n=n, label=label, generators=generators,
+    return JohnsonStructure(n=n, label=label, pair_to_lit=pair_to_lit,
+                            generators=generators,
                             covered_colors=sorted(covered_colors),
                             covered_vertices=covered, extensions=ext_out)
 

@@ -74,18 +74,14 @@ def build_model_graph(formula: Formula) -> ColoredGraph:
     clauses = formula.unique_clauses
     vertex_count = nlit + len(clauses)
 
-    lens, flat, owner, _ = formula._clause_arrays()
+    lens, flat, _, occ, occ_ptr = formula._clause_arrays()
+    # literal l's row: its negation, then the clauses holding it in
+    # ascending order; a clause's row: its literals
     lits = np.arange(nlit, dtype=np.int32)
-    cls = (nlit + owner).astype(np.int32)
-    mem = flat.astype(np.int32)
-    src = np.concatenate((lits, cls, mem))
-    dst = np.concatenate((lits ^ 1, mem, cls))
-
-    order = np.argsort(src, kind="stable")
-    neighbors = dst[order]
-    counts = np.bincount(src, minlength=vertex_count)
+    neighbors = np.concatenate(
+        (np.insert(nlit + occ, occ_ptr[:-1], lits ^ 1), flat))
     indptr = np.zeros(vertex_count + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.concatenate((np.diff(occ_ptr) + 1, lens)), out=indptr[1:])
 
     color_keys = np.zeros(vertex_count, dtype=np.int64)
     lengths, rank = np.unique(lens, return_inverse=True)

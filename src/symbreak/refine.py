@@ -524,6 +524,31 @@ def refine_stable(graph: ColoredGraph, pi: Coloring) -> RefinementReport:
     return RefinementReport(base=pi, coloring=refined)
 
 
+def _split_off(coloring: Coloring, v: int):
+    """Make v a fresh singleton at the front of its class, in place; the
+    rest of the class takes the next color id.
+
+    Returns the refinement worklist, the (journal row, index) pairs of the
+    order, pos and clen entries written, and the recolored vertices (a
+    view of ``order``, valid until the next refinement)."""
+    c = int(coloring.color[v])
+    size = int(coloring.clen[c])
+    rest = c + 1
+    if size == 1:
+        return [c], (), coloring.order[rest:rest]
+    p = int(coloring.pos[v])
+    other = int(coloring.order[c])
+    coloring.order[c], coloring.order[p] = v, other
+    coloring.pos[v], coloring.pos[other] = c, p
+    coloring.clen[c] = 1
+    coloring.clen[rest] = size - 1
+    moved = coloring.order[rest:c + size]
+    coloring.color[moved] = rest
+    written = ((JRN_ORDER, c), (JRN_ORDER, p), (JRN_POS, v),
+               (JRN_POS, other), (JRN_CLEN, c), (JRN_CLEN, rest))
+    return [c, rest], written, moved
+
+
 def individualize_refine(graph: ColoredGraph, pi: Coloring, v: int,
                          base: Coloring = None) -> RefinementReport:
     """Split v into a fresh singleton at the front of its class, then refine.
@@ -533,19 +558,7 @@ def individualize_refine(graph: ColoredGraph, pi: Coloring, v: int,
     stable coloring.
     """
     refined = pi.copy()
-    c = int(refined.color[v])
-    size = int(refined.clen[c])
-    worklist = [c]
-    if size > 1:
-        p = int(refined.pos[v])
-        other = int(refined.order[c])
-        refined.order[c], refined.order[p] = v, other
-        refined.pos[v], refined.pos[other] = c, p
-        refined.clen[c] = 1
-        rest = c + 1
-        refined.clen[rest] = size - 1
-        refined.color[refined.order[rest:c + size]] = rest
-        worklist.append(rest)
+    worklist, _, _ = _split_off(refined, v)
     _run_refinement(graph, refined, worklist)
     return RefinementReport(base=base if base is not None else pi,
                             coloring=refined)
@@ -615,30 +628,22 @@ class IRSession:
             raise IndexError(f"vertex {v} out of range")
         self._rollback()
         refined = self.work
-        c = int(refined.color[v])
-        size = int(refined.clen[c])
-        worklist = [c]
-        if size > 1:
-            p = int(refined.pos[v])
-            other = int(refined.order[c])
-            rest = c + 1
-            # v already heading its class gives c == p and v == other;
-            # _log keeps one copy of each
-            for a, i in ((JRN_ORDER, c), (JRN_ORDER, p), (JRN_POS, v),
-                         (JRN_POS, other), (JRN_CLEN, c), (JRN_CLEN, rest)):
-                self._log(a, i)
-            refined.order[c], refined.order[p] = v, other
-            refined.pos[v], refined.pos[other] = c, p
-            refined.clen[c] = 1
-            refined.clen[rest] = size - 1
-            moved = refined.order[rest:c + size]
-            # the rollback emptied the journal and moved holds distinct
-            # vertices, so each is logged once, in slot order
-            self._jd[JRN_COLOR, moved] = 1
-            self._jl[JRN_COLOR, :len(moved)] = moved
-            self._jc[JRN_COLOR] = len(moved)
-            refined.color[moved] = rest
-        _run_refinement(self.graph, refined, worklist, journal=self._journal,
+        # rollback copies every logged index back from the base, so the
+        # split may write before its indices are logged
+        worklist, written, moved = _split_off(refined, v)
+        # v already heading its class gives c == p and v == other;
+        # _log keeps one copy of each
+        for a, i in written:
+            self._log(a, i)
+        # the rollback emptied the journal and moved holds distinct
+        # vertices, so each is logged once, in slot order
+        self._jd[JRN_COLOR, moved] = 1
+        self._jl[JRN_COLOR, :len(moved)] = moved
+        self._jc[JRN_COLOR] = len(moved)
+        # the base is equitable, so the new singleton alone is splitter
+        # enough (see the class docstring)
+        _run_refinement(self.graph, refined, worklist[:1],
+                        journal=self._journal,
                         addresses=self._refine_addresses)
         return RefinementReport(base=self.base, coloring=refined)
 

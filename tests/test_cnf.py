@@ -42,11 +42,6 @@ class TestFormula:
         assert len(f.clauses) == 3
         assert len(f.unique_clauses) == 2
 
-    def test_occurrence_indexes_unique_clauses(self):
-        f = Formula(2, [[pos(1), pos(2)], [neg_var(1)]])
-        assert f.occurrence[pos(1)] == [0]
-        assert f.occurrence[neg_var(1)] == [1]
-
     def test_variable_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Formula(1, [[pos(2)]])
@@ -159,6 +154,10 @@ class TestAutomorphism:
         phi = fix(transpose([pos(1)], [pos(2)]))
         assert automorphism_failure(f, phi) == "clause-image-missing"
         assert not clause_multiset_image_check(f, phi)
+        # the unit clauses map onto each other, the ternary one does not
+        g = Formula(4, [[pos(1)], [pos(2)], [pos(1), pos(3), pos(4)]])
+        assert automorphism_failure(g, phi) == "clause-image-missing"
+        assert not clause_multiset_image_check(g, phi)
 
     def test_negation_inconsistent_rejected(self):
         f = Formula(2, [[pos(1), pos(2)]])
@@ -171,8 +170,8 @@ class TestAutomorphism:
             (neg_var(2), pos(3))
 
     def test_fast_path_matches_oracle_on_large_formula(self):
-        # above the vectorization threshold: a big pile of binary clauses
-        # with a clean swap symmetry between variables 1 and 2
+        # a big pile of binary clauses with a clean swap symmetry between
+        # variables 1 and 2
         n = 1200
         clauses = [[pos(1), neg_var(k)] for k in range(3, n)]
         clauses += [[pos(2), neg_var(k)] for k in range(3, n)]
@@ -184,3 +183,72 @@ class TestAutomorphism:
         assert is_automorphism(f, good) == clause_multiset_image_check(f, good)
         assert is_automorphism(f, bad) == clause_multiset_image_check(f, bad)
         assert is_automorphism(f, good) and not is_automorphism(f, bad)
+
+    def test_unit_clauses_among_many_binary_clauses(self):
+        # more than 2000 unique binary clauses plus the unit clauses of
+        # the swapped variables
+        n = 1100
+        binary = [[pos(1), neg_var(k)] for k in range(3, n + 1)]
+        binary += [[pos(2), neg_var(k)] for k in range(3, n + 1)]
+        swap = fix(transpose([pos(1)], [pos(2)]))
+        f = Formula(n, binary + [[pos(1)], [pos(2)]])
+        assert len(f.unique_clauses) > 2000
+        assert automorphism_failure(f, swap) is None
+        assert clause_multiset_image_check(f, swap)
+        g = Formula(n, binary + [[pos(1)]])
+        assert automorphism_failure(g, swap) == "clause-image-missing"
+        assert not clause_multiset_image_check(g, swap)
+
+
+@st.composite
+def formula_and_map(draw):
+    """A small formula (clause lengths 0-4, duplicate clauses, unused
+    variables) and a literal map: a random transposition, a true symmetry
+    or a negation-inconsistent map."""
+    num_vars = draw(st.integers(1, 6))
+    lit = st.integers(0, 2 * num_vars - 1)
+    clauses = draw(st.lists(st.lists(lit, max_size=4), max_size=12))
+    clauses += draw(st.lists(st.sampled_from(clauses), max_size=3)
+                    if clauses else st.just([]))
+    kind = draw(st.sampled_from(["transpose", "symmetry", "inconsistent"]))
+    # one variable past num_vars: literals that occur in no clause
+    variables = draw(st.permutations(range(1, num_vars + 2)))
+    if kind == "inconsistent":
+        a, b = variables[:2]
+        return (Formula(num_vars, clauses),
+                LiteralPermutation({pos(a): pos(b), pos(b): pos(a)}), kind)
+    if kind == "transpose":
+        k = draw(st.integers(1, len(variables) // 2))
+        flips = draw(st.lists(st.integers(0, 1), min_size=2 * k,
+                              max_size=2 * k))
+        side = [2 * (v - 1) + f for v, f in zip(variables[:2 * k], flips)]
+        phi = fix(transpose(side[:k], side[k:]))
+        return Formula(num_vars, clauses), phi, kind
+    # a signed renaming of the variables, and the clauses closed under it
+    image = draw(st.permutations(range(1, num_vars + 1)))
+    signs = draw(st.lists(st.integers(0, 1), min_size=num_vars,
+                          max_size=num_vars))
+    mapping = {}
+    for v, w, sgn in zip(range(1, num_vars + 1), image, signs):
+        mapping[pos(v)] = 2 * (w - 1) + sgn
+        mapping[neg_var(v)] = (2 * (w - 1) + sgn) ^ 1
+    phi = LiteralPermutation(mapping)
+    closed = {canonical_clause(c) for c in clauses}
+    frontier = list(closed)
+    while frontier:
+        c = apply_permutation(frontier.pop(), phi)
+        if c not in closed:
+            closed.add(c)
+            frontier.append(c)
+    return Formula(num_vars, clauses + sorted(closed)), phi, kind
+
+
+@given(formula_and_map())
+def test_verifier_agrees_with_oracle(case):
+    f, phi, kind = case
+    failure = automorphism_failure(f, phi)
+    assert (failure is None) == clause_multiset_image_check(f, phi)
+    if kind == "symmetry":
+        assert failure is None
+    if kind == "inconsistent":
+        assert failure == "negation-inconsistent"

@@ -1,6 +1,7 @@
 """Model graph construction invariants."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from symbreak.cnf import Formula, fix, neg_var, pos, transpose
 from symbreak.modelgraph import ColoredGraph, build_model_graph, dump_debug
@@ -69,6 +70,32 @@ def test_automorphism_extends_to_graph():
         for u in g.neighbors_of(v):
             adj.add((v, int(u)))
     assert all((vperm[a], vperm[b]) in adj for a, b in adj)
+
+
+@st.composite
+def small_formulas(draw):
+    """Clause lengths 0-4, duplicate clauses, unused variables."""
+    num_vars = draw(st.integers(0, 5))
+    lit = st.integers(0, max(2 * num_vars - 1, 0))
+    size = st.integers(0, 4 if num_vars else 0)
+    clauses = draw(st.lists(size.flatmap(
+        lambda k: st.lists(lit, min_size=k, max_size=k)), max_size=10))
+    return Formula(num_vars, clauses + clauses[:draw(st.integers(0, 2))])
+
+
+@given(small_formulas())
+def test_neighbor_order(f):
+    """A literal's row lists its negation, then the clauses holding it by
+    clause index; a clause's row lists its literals in order."""
+    nlit = 2 * f.num_vars
+    rows = [[l ^ 1] for l in range(nlit)]
+    rows += [list(c) for c in f.unique_clauses]
+    for i, c in enumerate(f.unique_clauses):
+        for l in c:
+            rows[l].append(nlit + i)
+    g = build_model_graph(f)
+    assert [g.neighbors_of(v).tolist()
+            for v in range(g.vertex_count)] == rows
 
 
 class TestColoredGraph:
