@@ -101,13 +101,6 @@ class Formula:
             self._arrays = (lens, flat, starts, occ, occ_ptr)
         return self._arrays
 
-    @classmethod
-    def from_dimacs_clauses(cls, num_vars: int,
-                            dimacs_clauses: Iterable[Iterable[int]]) -> "Formula":
-        """Build from clauses given as signed DIMACS integers."""
-        return cls(num_vars,
-                   [[from_dimacs_lit(l) for l in c] for c in dimacs_clauses])
-
     def __repr__(self):
         return f"Formula(num_vars={self.num_vars}, clauses={len(self.clauses)})"
 

@@ -297,17 +297,12 @@ def _johnson_labeling(graph: ColoredGraph, base: RefinementReport, sigma: int):
 
     label = {u: [] for u in members}
     ad: dict = {}
-    rep_cache: dict = {}
-
-    def stabilize(u):
-        if u not in rep_cache:
-            rep_cache[u] = individualize_refine(graph, pi, u, base=pi)
-        return rep_cache[u]
+    session = IRSession(graph, pi)
 
     def adjacency(u):
         if u in ad:
             return ad[u]
-        frags = stabilize(u).fragments(sigma)
+        frags = session.individualize(u).fragments(sigma)
         if len(frags) != 3:
             return None
         nonsingle = sorted((mem for _, mem in frags if len(mem) > 1),
@@ -335,7 +330,8 @@ def _johnson_labeling(graph: ColoredGraph, base: RefinementReport, sigma: int):
         ad_w = adjacency(w)
         if ad_w is None:
             return DetectionFailure("wrong fragment structure")
-        rep_vw = individualize_refine(graph, stabilize(v).coloring, w, base=pi)
+        session.individualize(v)
+        rep_vw = session.push(w)
         singles = [int(mem[0]) for _, mem in rep_vw.fragments(sigma)
                    if len(mem) == 1 and mem[0] not in (v, w)]
         if len(singles) != 1:
@@ -405,8 +401,8 @@ def detect_johnson_row_extension(formula: Formula, graph: ColoredGraph,
     For each candidate class, individualizing any member must split the
     labeled class into the literals carrying one particular label and the
     rest; the class then partitions into equal blocks, one per label.
-    Returns (color id, {label: ordered block}, reference coloring) triples;
-    unaccepted classes are skipped silently.
+    Returns (color id, {label: ordered block}) pairs; unaccepted classes
+    are skipped silently.
     """
     pi = base.coloring
     incident = {i: set() for i in range(1, n + 1)}
@@ -414,6 +410,7 @@ def detect_johnson_row_extension(formula: Formula, graph: ColoredGraph,
         for i in p:
             incident[i].add(u)
     sigma = int(pi.color[next(iter(label))])
+    session = IRSession(graph, pi)
     accepted = []
     accepted_colors = set()
     for tau in other_colors:
@@ -428,12 +425,12 @@ def detect_johnson_row_extension(formula: Formula, graph: ColoredGraph,
             continue
         block_size = len(members) // n
         blocks: dict = {}
-        rep_u = None
+        ref_color = None
         ok = True
         for t in members:
-            rep = individualize_refine(graph, pi, t, base=pi)
-            if rep_u is None:
-                rep_u = rep
+            rep = session.individualize(t)
+            if ref_color is None:
+                ref_color = rep.coloring.color.copy()
             frags = rep.fragments(sigma)
             if len(frags) != 2:
                 ok = False
@@ -452,12 +449,11 @@ def detect_johnson_row_extension(formula: Formula, graph: ColoredGraph,
             continue
         if any(len(b) != block_size for b in blocks.values()):
             continue
-        # order every block by the reference coloring so that positions
-        # correspond across labels
-        ref_color = rep_u.coloring.color
+        # order every block by the first member's refined coloring so
+        # that positions correspond across labels
         for i in blocks:
             blocks[i].sort(key=lambda t: (int(ref_color[t]), t))
-        accepted.append((tau, blocks, rep_u))
+        accepted.append((tau, blocks))
         accepted_colors.add(tau)
     return accepted
 
@@ -493,7 +489,7 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
         for i in range(1, n):
             pairings = []
             searchable = []   # per-extension list of alternative pairings
-            for _, blocks, _ in extensions:
+            for _, blocks in extensions:
                 bi, bj = blocks[i], blocks[i + 1]
                 pairings.append((bi, bj))
                 if len(bi) > 1:
@@ -548,9 +544,7 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
 
     covered = set(members) | set(m ^ 1 for m in members)
     covered_colors = {sigma, neg_color}
-    ext_out = []
-    for tau, blocks, _ in extensions:
-        ext_out.append((tau, blocks))
+    for _, blocks in extensions:
         for i in blocks:
             for t in blocks[i]:
                 covered.add(t)
@@ -560,16 +554,14 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
     return JohnsonStructure(n=n, label=label, pair_to_lit=pair_to_lit,
                             generators=generators,
                             covered_colors=sorted(covered_colors),
-                            covered_vertices=covered, extensions=ext_out)
+                            covered_vertices=covered, extensions=extensions)
 
 
 def stabilizer_recursion(formula: Formula, graph: ColoredGraph,
                          base: RefinementReport, sigma: int,
-                         detectors=None, _depth: int = 0):
+                         detectors=None):
     """After a failed attempt on sigma, retry on the largest fragment of
     sigma under the first individualization.  One recursion level only."""
-    if _depth >= 1:
-        return DetectionFailure("recursion depth exhausted")
     pi = base.coloring
     members = _class_members(pi, sigma)
     if len(members) < 2:

@@ -55,14 +55,17 @@ class Coloring:
         order = np.argsort(keys, kind="stable").astype(np.int32)
         pos = np.empty(n, dtype=np.int32)
         pos[order] = np.arange(n, dtype=np.int32)
+        # a class starts at every slot whose key differs from the slot's
+        # before it
+        sorted_keys = keys[order]
+        head = np.ones(n, dtype=bool)
+        head[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        starts = np.flatnonzero(head)
+        sizes = np.diff(np.append(starts, n))
         color = np.empty(n, dtype=np.int32)
+        color[order] = np.repeat(starts, sizes)
         clen = np.zeros(n, dtype=np.int32)
-        start = 0
-        for i in range(1, n + 1):
-            if i == n or keys[order[i]] != keys[order[start]]:
-                color[order[start:i]] = start
-                clen[start] = i - start
-                start = i
+        clen[starts] = sizes
         return cls(order, pos, color, clen)
 
     @classmethod
@@ -121,18 +124,14 @@ class Coloring:
         return True
 
 
-JRN_ORDER, JRN_POS, JRN_COLOR, JRN_CLEN = 0, 1, 2, 3
-
-# placeholder journal arrays for runs that do not record one
-_NO_JD = np.zeros((4, 1), dtype=np.int8)
-_NO_JL = np.zeros((4, 1), dtype=np.int32)
-_NO_JC = np.zeros(4, dtype=np.int64)
+JRN_ORDER, JRN_COLOR, JRN_CLEN = 0, 1, 2
 
 
 def _refine_kernel(indptr, nbr, order, pos, color, clen,
                    queue, in_queue, qhead, qtail,
                    cnt, touched, scratch, bucket, cls_list, cls_seen, tcnt,
-                   uj, jd, jl, jc):
+                   jd, jl, jc):
+    # jd is None for a run that records no journal
     qcap = queue.shape[0]
     while qhead != qtail:
         s = queue[qhead]
@@ -155,7 +154,7 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                     tcnt[c] += 1
                     p = pos[u]
                     w = order[dest]
-                    if uj == 1:
+                    if jd is not None:
                         if jd[JRN_ORDER, dest] == 0:
                             jd[JRN_ORDER, dest] = 1
                             jl[JRN_ORDER, jc[JRN_ORDER]] = dest
@@ -164,14 +163,6 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                             jd[JRN_ORDER, p] = 1
                             jl[JRN_ORDER, jc[JRN_ORDER]] = p
                             jc[JRN_ORDER] += 1
-                        if jd[JRN_POS, u] == 0:
-                            jd[JRN_POS, u] = 1
-                            jl[JRN_POS, jc[JRN_POS]] = u
-                            jc[JRN_POS] += 1
-                        if jd[JRN_POS, w] == 0:
-                            jd[JRN_POS, w] = 1
-                            jl[JRN_POS, jc[JRN_POS]] = w
-                            jc[JRN_POS] += 1
                     order[dest], order[p] = u, w
                     pos[u], pos[w] = dest, p
                 cnt[u] += 1
@@ -219,15 +210,10 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                 bucket[cnt[v]] += 1
             for k in range(t):
                 v = scratch[k]
-                if uj == 1:
-                    if jd[JRN_ORDER, lo + k] == 0:
-                        jd[JRN_ORDER, lo + k] = 1
-                        jl[JRN_ORDER, jc[JRN_ORDER]] = lo + k
-                        jc[JRN_ORDER] += 1
-                    if jd[JRN_POS, v] == 0:
-                        jd[JRN_POS, v] = 1
-                        jl[JRN_POS, jc[JRN_POS]] = v
-                        jc[JRN_POS] += 1
+                if jd is not None and jd[JRN_ORDER, lo + k] == 0:
+                    jd[JRN_ORDER, lo + k] = 1
+                    jl[JRN_ORDER, jc[JRN_ORDER]] = lo + k
+                    jc[JRN_ORDER] += 1
                 order[lo + k] = v
                 pos[v] = lo + k
 
@@ -235,7 +221,7 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
             largest_start = -1
             largest_size = -1
             if t < csize:
-                if uj == 1 and jd[JRN_CLEN, c] == 0:
+                if jd is not None and jd[JRN_CLEN, c] == 0:
                     jd[JRN_CLEN, c] = 1
                     jl[JRN_CLEN, jc[JRN_CLEN]] = c
                     jc[JRN_CLEN] += 1
@@ -250,14 +236,14 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                     j += 1
                 fstart = lo + k
                 fsize = j - k
-                if uj == 1 and jd[JRN_CLEN, fstart] == 0:
+                if jd is not None and jd[JRN_CLEN, fstart] == 0:
                     jd[JRN_CLEN, fstart] = 1
                     jl[JRN_CLEN, jc[JRN_CLEN]] = fstart
                     jc[JRN_CLEN] += 1
                 clen[fstart] = fsize
                 for q in range(k, j):
                     w = scratch[q]
-                    if uj == 1 and jd[JRN_COLOR, w] == 0:
+                    if jd is not None and jd[JRN_COLOR, w] == 0:
                         jd[JRN_COLOR, w] = 1
                         jl[JRN_COLOR, jc[JRN_COLOR]] = w
                         jc[JRN_COLOR] += 1
@@ -351,10 +337,9 @@ def native_kernel():
                       RuntimeWarning, stacklevel=2)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.refine.argtypes = [ptr] * 11 + [i64] * 3 + [ptr] * 4 + \
-        [i64, ptr, ptr, ptr, i64]
+    lib.refine.argtypes = [ptr] * 11 + [i64] * 3 + [ptr] * 7 + [i64]
     lib.refine.restype = None
-    lib.rollback.argtypes = [ptr, ptr, ptr, i64] + [ptr] * 8
+    lib.rollback.argtypes = [ptr, ptr, ptr, i64] + [ptr] * 7
     lib.rollback.restype = None
     lib.valid_coloring.argtypes = [i64] + [ptr] * 4
     lib.valid_coloring.restype = ctypes.c_int
@@ -420,19 +405,18 @@ def _scratch_pool(graph: ColoredGraph):
 
 def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
                     journal=None, addresses=None):
-    """Refine `coloring` in place from the splitters `initial_classes`,
-    logging every write to `journal` = (jd, jl, jc) when one is given.
-    `addresses` holds the C kernel's addresses of the coloring's four
-    arrays and the journal's three, which a session takes once; without
-    it they are taken here."""
+    """Refine `coloring` in place from the splitters `initial_classes`.
+    A session passes its journal = (jd, jl, jc), which logs every write,
+    and `addresses`, the C kernel's addresses of the coloring's four
+    arrays and the journal's three, which it takes once; a run without a
+    journal checks the coloring and takes its addresses here."""
     n = graph.vertex_count
     lib = native_kernel()
     if journal is None:
+        journal = (None, None, None)
         ptrs = _check_coloring(coloring, n, lib)
-    elif lib is not None and addresses is None:
-        # a session's working copy stays valid by construction
-        addresses = _ptrs(coloring.order, coloring.pos, coloring.color,
-                          coloring.clen, *journal)
+        if lib is not None:
+            addresses = (*ptrs, None, None, None)
     pool, pool_ptrs = _scratch_pool(graph)
     queue, in_queue = pool[0], pool[1]
     qtail = 0
@@ -441,24 +425,19 @@ def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
             queue[qtail] = c
             qtail += 1
             in_queue[c] = 1
-    uj = int(journal is not None)
-    jd, jl, jc = journal if uj else (_NO_JD, _NO_JL, _NO_JC)
     if lib is None:
         _refine_kernel(graph.indptr, graph.neighbors,
                        coloring.order, coloring.pos, coloring.color,
                        coloring.clen, queue, in_queue, 0, qtail, *pool[2:],
-                       uj, jd, jl, jc)
-    elif uj:
-        lib.refine(*pool_ptrs, len(queue), 0, qtail, *addresses[:4],
-                   1, *addresses[4:], jd.shape[1])
+                       *journal)
     else:
-        lib.refine(*pool_ptrs, len(queue), 0, qtail, *ptrs,
-                   0, None, None, None, 0)
+        lib.refine(*pool_ptrs, len(queue), 0, qtail, *addresses, n)
     # each journal row logs an index at most once; more entries than
     # slots means the kernel has already written past the journal
-    if uj and jc.max() > jd.shape[1]:
+    jc = journal[2]
+    if jc is not None and jc.max() > n:
         raise RuntimeError(f"refinement journal overflow: {jc.tolist()} "
-                           f"entries for {jd.shape[1]} slots")
+                           f"entries for {n} slots")
 
 
 @dataclass
@@ -529,8 +508,8 @@ def _split_off(coloring: Coloring, v: int):
     rest of the class takes the next color id.
 
     Returns the refinement worklist, the (journal row, index) pairs of the
-    order, pos and clen entries written, and the recolored vertices (a
-    view of ``order``, valid until the next refinement)."""
+    order and clen entries written, and the recolored vertices (a view of
+    ``order``, valid until the next refinement)."""
     c = int(coloring.color[v])
     size = int(coloring.clen[c])
     rest = c + 1
@@ -544,8 +523,8 @@ def _split_off(coloring: Coloring, v: int):
     coloring.clen[rest] = size - 1
     moved = coloring.order[rest:c + size]
     coloring.color[moved] = rest
-    written = ((JRN_ORDER, c), (JRN_ORDER, p), (JRN_POS, v),
-               (JRN_POS, other), (JRN_CLEN, c), (JRN_CLEN, rest))
+    written = ((JRN_ORDER, c), (JRN_ORDER, p), (JRN_CLEN, c),
+               (JRN_CLEN, rest))
     return [c, rest], written, moved
 
 
@@ -565,28 +544,41 @@ def individualize_refine(graph: ColoredGraph, pi: Coloring, v: int,
 
 
 def _rollback_kernel(jd, jl, jc, w_order, w_pos, w_color, w_clen,
-                     b_order, b_pos, b_color, b_clen):
-    rows = ((w_order, b_order), (w_pos, b_pos), (w_color, b_color),
-            (w_clen, b_clen))
+                     b_order, b_color, b_clen):
+    rows = ((w_order, b_order), (w_color, b_color), (w_clen, b_clen))
     for a, (w, b) in enumerate(rows):
         idx = jl[a, :jc[a]]
         w[idx] = b[idx]
         jd[a, idx] = 0
+    # a vertex whose pos was written has left its base slot, which the
+    # order row logged, so the logged slots give back all of pos
+    slots = jl[JRN_ORDER, :jc[JRN_ORDER]]
+    w_pos[b_order[slots]] = slots
     jc[:] = 0
 
 
 class IRSession:
     """Reusable individualize-refine workspace over a fixed base coloring.
 
-    Each call refines one in-place working copy and first rolls back the
-    previous call's writes through a dirty-index journal, so an
-    individualization costs O(touched) instead of O(vertices).  Only the
-    most recent report is valid; the next call invalidates it.
+    The session refines one in-place working copy and journals, per
+    row, each order slot, color and class length it writes, so that a
+    rollback copies exactly those back from the base; `pos` is rebuilt
+    from the logged order slots.  `push(v)` individualizes v in the
+    current working coloring and refines; pushes stack, each logging
+    against the base, and one rollback undoes them all.
+    `individualize(v)` is a rollback followed by `push(v)`.  Either costs
+    O(touched) instead of O(vertices).
 
-    The base must be equitable: then refining against the new singleton
-    alone suffices (distinguishability against the rest of the split
-    class follows by count subtraction), so the large half of the split
-    is never scanned as a splitter.
+    Every report is taken against the base, so after a chain of pushes
+    its fragments of a base class are those of the whole chain.  Only
+    the most recent report is valid; the next call changes its coloring
+    in place.
+
+    The base must be equitable.  Then so is every working coloring, and
+    refining against the new singleton alone suffices
+    (distinguishability against the rest of the split class follows by
+    count subtraction), so the large half of a split is never scanned as
+    a splitter.
     """
 
     def __init__(self, graph: ColoredGraph, base: Coloring):
@@ -595,12 +587,12 @@ class IRSession:
         self.graph = graph
         self.base = base
         self.work = work = base.copy()
-        self._jd = np.zeros((4, n), dtype=np.int8)
-        self._jl = np.empty((4, n), dtype=np.int32)
-        self._jc = np.zeros(4, dtype=np.int64)
+        self._jd = np.zeros((3, n), dtype=np.int8)
+        self._jl = np.empty((3, n), dtype=np.int32)
+        self._jc = np.zeros(3, dtype=np.int64)
         self._journal = (self._jd, self._jl, self._jc)
         self._arrays = (work.order, work.pos, work.color, work.clen,
-                        base.order, base.pos, base.color, base.clen)
+                        base.order, base.color, base.clen)
         # none of these arrays is ever replaced, so the C kernels'
         # addresses are taken once here rather than on every call
         work_ptrs = _ptrs(*self._arrays[:4])
@@ -624,24 +616,28 @@ class IRSession:
             self._jc[a] += 1
 
     def individualize(self, v: int) -> RefinementReport:
+        self._rollback()
+        return self.push(v)
+
+    def push(self, v: int) -> RefinementReport:
         if not 0 <= v < self.graph.vertex_count:
             raise IndexError(f"vertex {v} out of range")
-        self._rollback()
         refined = self.work
         # rollback copies every logged index back from the base, so the
         # split may write before its indices are logged
         worklist, written, moved = _split_off(refined, v)
-        # v already heading its class gives c == p and v == other;
-        # _log keeps one copy of each
+        # v already heading its class gives c == p; _log keeps one copy
         for a, i in written:
             self._log(a, i)
-        # the rollback emptied the journal and moved holds distinct
-        # vertices, so each is logged once, in slot order
-        self._jd[JRN_COLOR, moved] = 1
-        self._jl[JRN_COLOR, :len(moved)] = moved
-        self._jc[JRN_COLOR] = len(moved)
-        # the base is equitable, so the new singleton alone is splitter
-        # enough (see the class docstring)
+        # moved holds distinct vertices; log those the row lacks, in
+        # slot order
+        fresh = moved[self._jd[JRN_COLOR, moved] == 0]
+        k = int(self._jc[JRN_COLOR])
+        self._jd[JRN_COLOR, fresh] = 1
+        self._jl[JRN_COLOR, k:k + len(fresh)] = fresh
+        self._jc[JRN_COLOR] = k + len(fresh)
+        # the working coloring is equitable, so the new singleton alone
+        # is splitter enough (see the class docstring)
         _run_refinement(self.graph, refined, worklist[:1],
                         journal=self._journal,
                         addresses=self._refine_addresses)

@@ -7,18 +7,21 @@
  * graphs.
  *
  * All arrays are C-contiguous with the dtypes named in the signatures.
- * The journal arrays jd and jl hold 4 rows of `jstride` entries each
- * (order, pos, color, clen), and jc holds the 4 row lengths.  There are
- * no bounds checks in `refine` and `rollback`: the caller validates
- * sizes and, with `valid_coloring`, the coloring's values, and a journal
- * row records each index at most once (jd flags it), so jc[a] <= jstride.
+ * The journal arrays jd and jl hold 3 rows of `jstride` entries each
+ * (order slots, color by vertex, clen by slot), and jc holds the 3 row
+ * lengths.  `pos` is not journaled: a vertex whose pos was written has
+ * left its base slot, which the order row logged, so `rollback` rebuilds
+ * pos from the logged order slots.  There are no bounds checks in
+ * `refine` and `rollback`: the caller validates sizes and, with
+ * `valid_coloring`, the coloring's values, and a journal row records
+ * each index at most once (jd flags it), so jc[a] <= jstride.
  *
  * Built by refine.py with `cc -O2 -shared -fPIC` and loaded with ctypes.
  */
 #include <stdint.h>
 #include <stdlib.h>
 
-enum { JRN_ORDER, JRN_POS, JRN_COLOR, JRN_CLEN };
+enum { JRN_ORDER, JRN_COLOR, JRN_CLEN };
 
 #define LOG(a, idx) do {                                   \
         int64_t i_ = (idx);                                \
@@ -57,15 +60,15 @@ int valid_coloring(int64_t n, const int32_t *order, const int32_t *pos,
 }
 
 /* The graph and workspace come first, as refine.py keeps their
- * addresses per graph; jd, jl and jc may be NULL when uj is 0. */
+ * addresses per graph; jd, jl and jc are NULL for a run that records no
+ * journal. */
 void refine(const int32_t *indptr, const int32_t *nbr,
             int32_t *queue, int8_t *in_queue, int32_t *cnt,
             int32_t *touched, int32_t *scratch, int32_t *bucket,
             int32_t *cls_list, int8_t *cls_seen, int32_t *tcnt,
             int64_t qcap, int64_t qhead, int64_t qtail,
             int32_t *order, int32_t *pos, int32_t *color, int32_t *clen,
-            int64_t uj, int8_t *jd, int32_t *jl, int64_t *jc,
-            int64_t jstride)
+            int8_t *jd, int32_t *jl, int64_t *jc, int64_t jstride)
 {
     while (qhead != qtail) {
         int32_t s = queue[qhead];
@@ -84,11 +87,9 @@ void refine(const int32_t *indptr, const int32_t *nbr,
                     tcnt[c] += 1;
                     int32_t p = pos[u];
                     int32_t w = order[dest];
-                    if (uj == 1) {
+                    if (jd) {
                         LOG(JRN_ORDER, dest);
                         LOG(JRN_ORDER, p);
-                        LOG(JRN_POS, u);
-                        LOG(JRN_POS, w);
                     }
                     order[dest] = u;
                     order[p] = w;
@@ -142,10 +143,8 @@ void refine(const int32_t *indptr, const int32_t *nbr,
             }
             for (int32_t k = 0; k < t; k++) {
                 int32_t v = scratch[k];
-                if (uj == 1) {
+                if (jd)
                     LOG(JRN_ORDER, lo + k);
-                    LOG(JRN_POS, v);
-                }
                 order[lo + k] = v;
                 pos[v] = lo + k;
             }
@@ -154,7 +153,7 @@ void refine(const int32_t *indptr, const int32_t *nbr,
             int32_t largest_start = -1;
             int32_t largest_size = -1;
             if (t < csize) {
-                if (uj == 1)
+                if (jd)
                     LOG(JRN_CLEN, c);
                 clen[c] = csize - t;
                 largest_start = c;
@@ -168,12 +167,12 @@ void refine(const int32_t *indptr, const int32_t *nbr,
                     j++;
                 int32_t fstart = lo + k;
                 int32_t fsize = j - k;
-                if (uj == 1)
+                if (jd)
                     LOG(JRN_CLEN, fstart);
                 clen[fstart] = fsize;
                 for (int32_t q = k; q < j; q++) {
                     int32_t w = scratch[q];
-                    if (uj == 1)
+                    if (jd)
                         LOG(JRN_COLOR, w);
                     color[w] = fstart;
                 }
@@ -204,15 +203,26 @@ void refine(const int32_t *indptr, const int32_t *nbr,
 
 void rollback(int8_t *jd, const int32_t *jl, int64_t *jc, int64_t jstride,
               int32_t *w_order, int32_t *w_pos, int32_t *w_color,
-              int32_t *w_clen, const int32_t *b_order, const int32_t *b_pos,
+              int32_t *w_clen, const int32_t *b_order,
               const int32_t *b_color, const int32_t *b_clen)
 {
-    int32_t *w[4] = {w_order, w_pos, w_color, w_clen};
-    const int32_t *b[4] = {b_order, b_pos, b_color, b_clen};
-    for (int a = 0; a < 4; a++) {
+    /* each logged order slot takes back its base vertex, and that
+     * vertex its base pos */
+    for (int64_t i = 0; i < jc[JRN_ORDER]; i++) {
+        int32_t s = jl[JRN_ORDER * jstride + i];
+        int32_t v = b_order[s];
+        w_order[s] = v;
+        w_pos[v] = s;
+        jd[JRN_ORDER * jstride + s] = 0;
+    }
+    jc[JRN_ORDER] = 0;
+    int32_t *w[2] = {w_color, w_clen};
+    const int32_t *b[2] = {b_color, b_clen};
+    for (int r = 0; r < 2; r++) {
+        int a = JRN_COLOR + r;
         for (int64_t i = 0; i < jc[a]; i++) {
             int32_t idx = jl[a * jstride + i];
-            w[a][idx] = b[a][idx];
+            w[r][idx] = b[r][idx];
             jd[a * jstride + idx] = 0;
         }
         jc[a] = 0;

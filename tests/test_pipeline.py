@@ -1,12 +1,14 @@
 """Pipeline orchestration: detection order, marking, and output assembly."""
 
-from symbreak.cnf import Formula, neg_var, pos
+import hashlib
+
+from symbreak.cnf import Formula, emit_dimacs, neg_var, pos
 from symbreak.modelgraph import build_model_graph
 from symbreak.pipeline import (BreakerOutput, PipelineConfig,
                                negation_class_of, run)
 from symbreak.refine import initial_coloring, refine_stable
 from symbreak.testkit import (brute_force_sat, dpll_count, gen_cliquecolor,
-                              gen_php, gen_ramsey)
+                              gen_cycle_coloring, gen_php, gen_ramsey)
 
 import pytest
 
@@ -14,6 +16,35 @@ import pytest
 def augmented(formula, out):
     return Formula(formula.num_vars + out.aux_count,
                    formula.clauses + [list(c) for c in out.added_clauses])
+
+
+# SHA-256 of the DIMACS emitted under PipelineConfig(seed=3).  The
+# emitted CNF for a fixed input and seed is the program's contract, so a
+# change of digest is a change of behaviour, not of implementation.
+@pytest.mark.parametrize("make, digest", [
+    # row-column
+    (lambda: gen_php(6),
+     "a9ba6ff5457e37ae01c07cc7717debc73f2b6f85d2569e423887f706aad46c14"),
+    # Johnson on the polarity split
+    (lambda: gen_ramsey(3, 3, 8),
+     "ecf6c7a3c702c24aa7f9f209ac99e0b37f68754ef50f0d469cf8094d8f221df1"),
+    # Johnson with two row extensions
+    (lambda: gen_cliquecolor(10, 3, 2),
+     "fb85a90cb098c0510740c1e6e5e155706a0f881c60bee48ea878fd22be7efbaa"),
+    # no detector fits; the remainder dives, whose leaves depend on the
+    # splitters each dive step refines from
+    (lambda: gen_cycle_coloring(9, 3),
+     "4366483733512fb8b531a03cf4bf6fa6cc44a1a1845977f4730e77aeb73e7cce"),
+    (lambda: gen_cycle_coloring(15, 3),
+     "4e862a94bc1cf47d3bb2c99f3e2e05dfe6fcb154cf062feffcec5f048a8f6a0e"),
+], ids=["php6", "ramsey338", "cliquecolor1032", "c9-3coloring",
+        "c15-3coloring"])
+def test_emitted_dimacs_is_pinned(make, digest):
+    formula = make()
+    out = run(formula, PipelineConfig(seed=3))
+    text = emit_dimacs(formula, added=out.added_clauses,
+                       aux_vars=out.aux_count)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestNegationClassOf:

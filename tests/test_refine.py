@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symbreak import refine
 from symbreak.cnf import emit_dimacs
@@ -40,7 +40,39 @@ def random_graphs(draw, max_vertices=64):
     return graph_from_edges(n, edges, keys)
 
 
+def from_color_map_loop(keys):
+    """The per-class loop `Coloring.from_color_map` replaced: the
+    reference its vectorized form is compared against."""
+    keys = np.asarray(keys, dtype=np.int64)
+    n = len(keys)
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    pos = np.empty(n, dtype=np.int32)
+    pos[order] = np.arange(n, dtype=np.int32)
+    color = np.empty(n, dtype=np.int32)
+    clen = np.zeros(n, dtype=np.int32)
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or keys[order[i]] != keys[order[start]]:
+            color[order[start:i]] = start
+            clen[start] = i - start
+            start = i
+    return Coloring(order, pos, color, clen)
+
+
 class TestColoring:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=40)
+           | st.lists(st.integers(min_value=-2 ** 40, max_value=2 ** 40),
+                      max_size=40))
+    @example([])
+    @example([7])
+    @example([5, 5, 5])
+    def test_from_color_map_matches_loop(self, keys):
+        got, want = Coloring.from_color_map(keys), from_color_map_loop(keys)
+        for name in ("order", "pos", "color", "clen"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_from_color_map_orders_classes_by_key(self):
         c = Coloring.from_color_map([2, 0, 0, 1])
         assert c.as_partition() == [frozenset({1, 2}), frozenset({3}),
@@ -190,8 +222,7 @@ class TestIRSession:
             rep = session.individualize(v)
             copied = individualize_refine(g, base, v, base=base)
             assert same_coloring(rep.coloring, copied.coloring)
-            for a in range(4):
-                logged = session._jl[a, :session._jc[a]]
+            for logged in journal_rows(session):
                 assert len(logged) <= n
                 assert len(np.unique(logged)) == len(logged)
         session._rollback()
@@ -206,7 +237,8 @@ class TestIRSession:
         with pytest.raises(RuntimeError, match="journal overflow"):
             refine._run_refinement(g, session.work, [],
                                    journal=(session._jd, session._jl,
-                                            session._jc))
+                                            session._jc),
+                                   addresses=session._refine_addresses)
 
     def test_rejects_arrays_the_c_kernel_cannot_read(self):
         g = cycle(4)
@@ -223,24 +255,49 @@ class TestIRSession:
             refine_stable(g64, good)
         with pytest.raises(IndexError):
             IRSession(g, good).individualize(-1)
+        with pytest.raises(IndexError):
+            IRSession(g, good).push(g.vertex_count)
+
+
+def journal_rows(session):
+    return [session._jl[a, :session._jc[a]].copy()
+            for a in range(len(session._jc))]
 
 
 def kernel_trace(g, vs):
     """Everything the kernels write while refining g, individualizing the
-    vertices vs one by one in a session and chained by copies, and
-    rolling back."""
+    vertices vs one by one in a session and chained by copies, then
+    stacking them in the session (individualize vs[0], push the rest),
+    and rolling back.  The stack must give the copying chain's partition
+    and fragments, and the rollback the base with an empty journal."""
     base = refine_stable(g, initial_coloring(g)).coloring
     out = [base]
     session = IRSession(g, base)
-    chained = base
-    for v in vs:
-        rep = session.individualize(v)
+
+    def record(rep):
         out.append(rep.coloring.copy())
         out.append(session._jc.copy())
-        out.extend(session._jl[a, :session._jc[a]].copy() for a in range(4))
+        out.extend(journal_rows(session))
+
+    chained = base
+    for v in vs:
+        record(session.individualize(v))
         chained = individualize_refine(g, chained, v, base=base).coloring
         out.append(chained)
+    for i, v in enumerate(vs):
+        rep = session.push(v) if i else session.individualize(v)
+        record(rep)
+    if vs:
+        assert set(rep.coloring.as_partition()) == \
+            set(chained.as_partition())
+        copied = RefinementReport(base=base, coloring=chained)
+        for sigma in base.classes():
+            assert {frozenset(m.tolist()) for _, m in rep.fragments(sigma)} \
+                == {frozenset(m.tolist())
+                    for _, m in copied.fragments(sigma)}
     session._rollback()
+    assert same_coloring(session.work, base)
+    assert not session._jc.any() and not session._jd.any()
     out.append(session.work.copy())
     out.append(session._jd.copy())
     return out
