@@ -71,17 +71,20 @@ def lex_leader_encode(phi: LiteralPermutation, order: VariableOrder,
     the aux clauses omitted at the last position.  A phase flip
     p_i = !x_i degenerates the order clause to the unit (!a_{i-1} | x_i)
     and truncates the chain: prefix equality is impossible beyond it.
+    At most ``max_len`` positions are encoded; 0 encodes none.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     support_vars = sorted(
         set(var_of(l) for l in phi.support if var_of(l) in order.rank),
         key=order.rank.__getitem__)
     positions = []
     for x in support_vars:
+        if len(positions) == max_len:
+            break
         p = phi.image(pos(x))
         if p != pos(x):
             positions.append((x, p))
-        if len(positions) == max_len:
-            break
 
     # a phase flip ends the encodable prefix
     for i, (x, p) in enumerate(positions):

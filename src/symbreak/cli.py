@@ -41,16 +41,15 @@ def _build_parser() -> argparse.ArgumentParser:
     br.add_argument("--no-row-column", action="store_true")
     br.add_argument("--no-row", action="store_true")
     br.add_argument("--no-binary", action="store_true")
-    br.add_argument("--no-remainder", action="store_true")
     br.add_argument("--max-len", type=int, default=64,
-                    help="max positions per lex chain (default 64)")
+                    help="max positions per lex chain; 0 emits no chains "
+                         "(default 64)")
     br.add_argument("--dive-pairs", type=int, default=32,
-                    help="remainder search budget (default 32)")
+                    help="remainder search budget; 0 skips the search "
+                         "(default 32)")
     br.add_argument("--seed", type=int, default=0)
     br.add_argument("--stats", metavar="PATH",
                     help="write a stats JSON report")
-    br.add_argument("--verify-level", choices=["structures", "all-emitted"],
-                    default="structures")
 
     gen = sub.add_parser("gen", help="generate a benchmark instance")
     gen.add_argument("family", choices=["php", "ramsey", "cliquecolor"])
@@ -80,11 +79,9 @@ def _cmd_break(args) -> int:
         row_column=not args.no_row_column,
         row=not args.no_row,
         binary=not args.no_binary,
-        remainder=not args.no_remainder,
         max_len=args.max_len,
         dive_pairs=args.dive_pairs,
         seed=args.seed,
-        verify_level=args.verify_level,
     )
     out = run(formula, config)
     comments = ["static symmetry breaking preprocessor"]

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from .cnf import (Formula, LiteralPermutation, fix, is_automorphism,
                   transpose, var_of)
 from .modelgraph import ColoredGraph
-from .refine import (Coloring, IRSession, RefinementReport,
-                     individualize_refine)
+from .refine import Coloring, IRSession, individualize_refine
 
 
 @dataclass
@@ -31,7 +30,6 @@ class DetectionFailure:
 class RowStructure:
     matrix: list                      # rows x cols of literal codes
     generators: list                  # consecutive-row transpositions
-    covered_colors: list
     covered_vertices: set
 
     kind = "row"
@@ -40,15 +38,11 @@ class RowStructure:
     def dims(self):
         return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
 
-    def ordered_variables(self) -> list:
-        seen, out = set(), []
+    def ordered_variables(self):
+        """Variables row-major, repeats included."""
         for row in self.matrix:
             for lit in row:
-                v = var_of(lit)
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
-        return out
+                yield var_of(lit)
 
 
 class RowColumnStructure(RowStructure):
@@ -64,7 +58,6 @@ class JohnsonStructure:
     label: dict                       # literal -> frozenset({i, j})
     pair_to_lit: dict                 # label inverted
     generators: list                  # adjacent label transpositions
-    covered_colors: list
     covered_vertices: set
     extensions: list = field(default_factory=list)  # (color id, {label: block})
 
@@ -74,38 +67,31 @@ class JohnsonStructure:
     def dims(self):
         return (self.n,)
 
-    def ordered_variables(self) -> list:
-        seen, out = set(), []
+    def ordered_variables(self):
+        """Variables label-major, then each extension block by label,
+        repeats included."""
         for i in range(1, self.n + 1):
             for j in range(i + 1, self.n + 1):
-                v = var_of(self.pair_to_lit[frozenset((i, j))])
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
+                yield var_of(self.pair_to_lit[frozenset((i, j))])
         for _, blocks in self.extensions:
             for i in range(1, self.n + 1):
                 for lit in blocks[i]:
-                    v = var_of(lit)
-                    if v not in seen:
-                        seen.add(v)
-                        out.append(v)
-        return out
+                    yield var_of(lit)
 
 
 def _class_members(coloring: Coloring, c: int) -> list:
     return coloring.class_members(c).tolist()
 
 
-def detect_row(formula: Formula, graph: ColoredGraph, base: RefinementReport,
-               sigma: int, collect_blocks: bool = False):
+def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
+                      sigma: int):
     """Row interchangeability on the class `sigma` of the stable coloring.
 
     Each member's individualization determines its purported row: the
-    literals that become singletons, ordered by their refined color.  With
-    ``collect_blocks`` the row additionally absorbs fragments c' of other
-    classes c with |c'| * |sigma| = |c| (symmetric action on blocks).
+    literals that become singletons, plus the fragments c' of other
+    classes c with |c'| * |sigma| = |c| (symmetric action on blocks),
+    ordered by their refined color.
     """
-    pi = base.coloring
     members = _class_members(pi, sigma)
     if len(members) < 3:
         return DetectionFailure("size gate: |sigma| < 3")
@@ -113,31 +99,28 @@ def detect_row(formula: Formula, graph: ColoredGraph, base: RefinementReport,
         return DetectionFailure("sigma is not a literal class")
 
     sigma_size = len(members)
-    if collect_blocks:
-        # (class, wanted fragment size) for the literal classes c that can
-        # hold a fragment c' with 1 < |c'| and |c'| * |sigma| = |c|
-        block_classes = [(c, int(pi.clen[c]) // sigma_size)
-                         for c in pi.classes()
-                         if pi.clen[c] > sigma_size
-                         and pi.clen[c] % sigma_size == 0
-                         and pi.order[c] < graph.num_literal_vertices]
+    # (class, wanted fragment size) for the literal classes c that can
+    # hold a fragment c' with 1 < |c'| and |c'| * |sigma| = |c|
+    block_classes = [(c, int(pi.clen[c]) // sigma_size)
+                     for c in pi.classes()
+                     if pi.clen[c] > sigma_size
+                     and pi.clen[c] % sigma_size == 0
+                     and pi.order[c] < graph.num_literal_vertices]
     session = IRSession(graph, pi)
     rows = []
     for v in members:
         rep = session.individualize(v)
-        row = [u for u in rep.new_singletons if u < graph.num_literal_vertices]
-        if collect_blocks:
-            blocks = [(cprime, frag.tolist())
+        # singletons and blocks merged into one row, ordered by the
+        # refined color of each piece
+        pieces = [(int(rep.coloring.color[u]), [u])
+                  for u in rep.new_singletons
+                  if u < graph.num_literal_vertices]
+        pieces.extend((cprime, frag.tolist())
                       for c, want in block_classes
                       for cprime, frag in rep.fragments(c)
-                      if len(frag) == want]
-            # merge singletons and blocks into one row, ordered by the
-            # refined color of each piece
-            pieces = [(int(rep.coloring.color[u]), [u]) for u in row]
-            pieces.extend(blocks)
-            pieces.sort(key=lambda p: p[0])
-            row = [u for _, piece in pieces for u in piece]
-        rows.append(row)
+                      if len(frag) == want)
+        pieces.sort(key=lambda p: p[0])
+        rows.append([u for _, piece in pieces for u in piece])
 
     flat = [u for row in rows for u in row]
     if len(set(flat)) != len(flat):
@@ -155,20 +138,12 @@ def detect_row(formula: Formula, graph: ColoredGraph, base: RefinementReport,
             return DetectionFailure("verification failed")
         generators.append(phi)
 
-    covered = set(flat)
-    covered_colors = sorted(set(int(pi.color[u]) for u in covered))
     return RowStructure(matrix=rows, generators=generators,
-                        covered_colors=covered_colors,
-                        covered_vertices=covered)
+                        covered_vertices=set(flat))
 
 
-def detect_row_blocks(formula: Formula, graph: ColoredGraph,
-                      base: RefinementReport, sigma: int):
-    return detect_row(formula, graph, base, sigma, collect_blocks=True)
-
-
-def detect_row_column(formula: Formula, graph: ColoredGraph,
-                      base: RefinementReport, sigma: int):
+def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
+                      sigma: int):
     """Row-column symmetry Sym(n) x Sym(m) on the class `sigma`.
 
     A pivot individualization must split sigma into {v}, row remainder,
@@ -176,12 +151,10 @@ def detect_row_column(formula: Formula, graph: ColoredGraph,
     representative assigns matrix coordinates, and the adjacent row and
     column transpositions (negation-expanded) are verified.
     """
-    pi = base.coloring
     members = _class_members(pi, sigma)
     if any(v >= graph.num_literal_vertices for v in members):
         return DetectionFailure("sigma is not a literal class")
-    neg_color = int(pi.color[members[0] ^ 1])
-    if neg_color == sigma:
+    if int(pi.color[members[0] ^ 1]) == sigma:
         return DetectionFailure("self-negating orbit")
 
     v = members[0]
@@ -266,9 +239,7 @@ def detect_row_column(formula: Formula, graph: ColoredGraph,
         generators.append(phi)
 
     covered = set(members) | set(m ^ 1 for m in members)
-    covered_colors = sorted({sigma, neg_color})
     return RowColumnStructure(matrix=matrix, generators=generators,
-                              covered_colors=covered_colors,
                               covered_vertices=covered)
 
 
@@ -280,13 +251,12 @@ def _triangular_n(k: int):
     return None
 
 
-def _johnson_labeling(graph: ColoredGraph, base: RefinementReport, sigma: int):
+def _johnson_labeling(graph: ColoredGraph, pi: Coloring, sigma: int):
     """Label construction for a purported Johnson action on sigma.
 
     Returns (n, label dict) or a DetectionFailure.  Labels are assigned in
     order of first appearance, i.e. determined up to a relabeling.
     """
-    pi = base.coloring
     members = _class_members(pi, sigma)
     size = len(members)
     if size < 28:
@@ -393,9 +363,8 @@ def _johnson_generator(n: int, pair_to_lit: dict, i: int,
     return fix(LiteralPermutation(mapping))
 
 
-def detect_johnson_row_extension(formula: Formula, graph: ColoredGraph,
-                                 base: RefinementReport, n: int, label: dict,
-                                 other_colors) -> list:
+def detect_johnson_row_extension(graph: ColoredGraph, pi: Coloring, n: int,
+                                 label: dict, other_colors) -> list:
     """Orbits whose stabilization splits the Johnson class along one label.
 
     For each candidate class, individualizing any member must split the
@@ -404,7 +373,6 @@ def detect_johnson_row_extension(formula: Formula, graph: ColoredGraph,
     Returns (color id, {label: ordered block}) pairs; unaccepted classes
     are skipped silently.
     """
-    pi = base.coloring
     incident = {i: set() for i in range(1, n + 1)}
     for u, p in label.items():
         for i in p:
@@ -458,9 +426,8 @@ def detect_johnson_row_extension(formula: Formula, graph: ColoredGraph,
     return accepted
 
 
-def detect_johnson(formula: Formula, graph: ColoredGraph,
-                   base: RefinementReport, sigma: int,
-                   other_colors=()):
+def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
+                   sigma: int, other_colors=()):
     """Johnson action J_n on the class `sigma`, optionally extended to
     label-aligned block orbits.
 
@@ -470,15 +437,13 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
     Block pairings that the reference coloring leaves ambiguous are
     resolved by a small search, gated by verification.
     """
-    pi = base.coloring
     members = _class_members(pi, sigma)
     if any(v >= graph.num_literal_vertices for v in members):
         return DetectionFailure("sigma is not a literal class")
-    neg_color = int(pi.color[members[0] ^ 1])
-    if neg_color == sigma:
+    if int(pi.color[members[0] ^ 1]) == sigma:
         return DetectionFailure("self-negating orbit")
 
-    res = _johnson_labeling(graph, base, sigma)
+    res = _johnson_labeling(graph, pi, sigma)
     if isinstance(res, DetectionFailure):
         return res
     n, label = res
@@ -525,7 +490,7 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
     extensions = []
     if generators is None:
         extensions = detect_johnson_row_extension(
-            formula, graph, base, n, label, other_colors)
+            graph, pi, n, label, other_colors)
         if not extensions:
             return DetectionFailure("verification failed")
         generators = build_generators(extensions)
@@ -535,7 +500,7 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
         # bare action verified; extensions only widen coverage, keep them
         # when the extended generators also verify
         ext = detect_johnson_row_extension(
-            formula, graph, base, n, label, other_colors)
+            graph, pi, n, label, other_colors)
         if ext:
             extended = build_generators(ext)
             if extended is not None:
@@ -543,26 +508,20 @@ def detect_johnson(formula: Formula, graph: ColoredGraph,
                 generators = extended
 
     covered = set(members) | set(m ^ 1 for m in members)
-    covered_colors = {sigma, neg_color}
     for _, blocks in extensions:
-        for i in blocks:
-            for t in blocks[i]:
-                covered.add(t)
-                covered.add(t ^ 1)
-                covered_colors.add(int(pi.color[t]))
-                covered_colors.add(int(pi.color[t ^ 1]))
+        for block in blocks.values():
+            covered.update(block)
+            covered.update(t ^ 1 for t in block)
     return JohnsonStructure(n=n, label=label, pair_to_lit=pair_to_lit,
                             generators=generators,
-                            covered_colors=sorted(covered_colors),
                             covered_vertices=covered, extensions=extensions)
 
 
-def stabilizer_recursion(formula: Formula, graph: ColoredGraph,
-                         base: RefinementReport, sigma: int,
-                         detectors=None):
-    """After a failed attempt on sigma, retry on the largest fragment of
-    sigma under the first individualization.  One recursion level only."""
-    pi = base.coloring
+def stabilizer_recursion(formula: Formula, graph: ColoredGraph, pi: Coloring,
+                         sigma: int, detectors):
+    """After a failed attempt on sigma, retry each of `detectors`, in
+    turn, on the largest fragment of sigma under the first
+    individualization.  One recursion level only."""
     members = _class_members(pi, sigma)
     if len(members) < 2:
         return DetectionFailure("size gate: singleton class")
@@ -571,11 +530,8 @@ def stabilizer_recursion(formula: Formula, graph: ColoredGraph,
     largest_color, largest = max(frags, key=lambda f: (len(f[1]), -f[0]))
     if len(largest) < 2:
         return DetectionFailure("largest fragment is a singleton")
-    inner_base = RefinementReport(base=rep.coloring, coloring=rep.coloring)
-    if detectors is None:
-        detectors = (detect_johnson, detect_row_column, detect_row_blocks)
     for det in detectors:
-        result = det(formula, graph, inner_base, largest_color)
+        result = det(formula, graph, rep.coloring, largest_color)
         if not isinstance(result, DetectionFailure):
             return result
     return DetectionFailure("recursion failed")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -20,8 +21,7 @@ from .cnf import Formula
 from .detectors import (DetectionFailure, detect_johnson, detect_row_blocks,
                         detect_row_column, stabilizer_recursion)
 from .modelgraph import build_model_graph
-from .refine import (Coloring, RefinementReport, initial_coloring,
-                     refine_stable)
+from .refine import Coloring, initial_coloring, refine_stable
 from .remainder import SearchBudget, find_remainder_generators
 
 
@@ -31,11 +31,9 @@ class PipelineConfig:
     row_column: bool = True
     row: bool = True
     binary: bool = True
-    remainder: bool = True
-    max_len: int = 64
-    dive_pairs: int = 32
+    max_len: int = 64                  # 0 emits no lex chains
+    dive_pairs: int = 32               # 0 skips the remainder search
     seed: int = 0
-    verify_level: str = "structures"   # or "all-emitted"
 
 
 @dataclass
@@ -49,13 +47,12 @@ class BreakerOutput:
     stats: dict = field(default_factory=dict)
 
 
-def negation_class_of(base: RefinementReport, sigma: int) -> int:
+def negation_class_of(pi: Coloring, sigma: int) -> int:
     """Color id of the class holding the negations of class sigma.
 
     Well-defined because negation edges force negation to map classes to
     classes; equals sigma itself for a self-negating class.
     """
-    pi = base.coloring
     members = pi.class_members(sigma)
     if len(members) == 0:
         raise KeyError(f"empty class {sigma}")
@@ -78,8 +75,8 @@ def _literal_classes(graph, pi: Coloring, covered) -> list:
 
 def _polarity_split_base(graph, pi: Coloring, sigma: int):
     """Attempt base for a self-negating class: split sigma by literal
-    polarity (positive slots first), re-refine, and return the report plus
-    the class now holding sigma's positive literals.
+    polarity (positive slots first), re-refine, and return the stable
+    coloring plus the class now holding sigma's positive literals.
 
     Polarity is not a graph invariant, so this is purely a heuristic seed
     for detection; final verification keeps it sound.
@@ -89,71 +86,55 @@ def _polarity_split_base(graph, pi: Coloring, sigma: int):
     for v in members:
         if v % 2 == 1:
             keys[v] += 1
-    rep = refine_stable(graph, Coloring.from_color_map(keys))
-    new_sigma = int(rep.coloring.color[next(v for v in members if v % 2 == 0)])
-    return RefinementReport(base=rep.coloring, coloring=rep.coloring), new_sigma
+    split = refine_stable(graph, Coloring.from_color_map(keys)).coloring
+    return split, int(split.color[next(v for v in members if v % 2 == 0)])
 
 
-def _detect_structures(formula, graph, base: RefinementReport,
-                       config: PipelineConfig):
+def _enabled_detectors(config: PipelineConfig) -> list:
+    """The enabled detectors in attempt order.  The names are looked up
+    on every call, so a wrapper put in their place is what runs."""
+    return [det for on, det in ((config.johnson, detect_johnson),
+                                (config.row_column, detect_row_column),
+                                (config.row, detect_row_blocks)) if on]
+
+
+def _detect_structures(formula, graph, pi: Coloring, config: PipelineConfig):
     structures = []
     covered: set = set()
-    pi = base.coloring
     split_cache: dict = {}
 
-    detectors = []
-    if config.johnson:
-        detectors.append("johnson")
-    if config.row_column:
-        detectors.append("row-column")
-    if config.row:
-        detectors.append("row")
-
-    def attempt(name, rep, sigma, others):
-        if name == "johnson":
-            return detect_johnson(formula, graph, rep, sigma,
-                                  other_colors=others)
-        if name == "row-column":
-            return detect_row_column(formula, graph, rep, sigma)
-        return detect_row_blocks(formula, graph, rep, sigma)
-
-    for name in detectors:
+    def sweep(attempt):
+        """attempt(sigma) on each unmarked literal class, largest first;
+        a found structure marks the vertices it covers."""
         for sigma in _literal_classes(graph, pi, covered):
             if any(int(v) in covered for v in pi.class_members(sigma)):
                 continue
-            if negation_class_of(base, sigma) == sigma:
-                if sigma not in split_cache:
-                    split_cache[sigma] = _polarity_split_base(graph, pi, sigma)
-                rep, sig = split_cache[sigma]
-            else:
-                rep, sig = base, sigma
-            others = [c for c in _literal_classes(graph, rep.coloring, covered)
-                      if c != sig and c != negation_class_of(rep, sig)]
-            result = attempt(name, rep, sig, others)
-            if isinstance(result, DetectionFailure):
-                continue
-            structures.append(result)
-            covered |= result.covered_vertices
+            result = attempt(sigma)
+            if not isinstance(result, DetectionFailure):
+                structures.append(result)
+                covered.update(result.covered_vertices)
 
+    def direct(det, sigma):
+        if negation_class_of(pi, sigma) == sigma:
+            if sigma not in split_cache:
+                split_cache[sigma] = _polarity_split_base(graph, pi, sigma)
+            coloring, sig = split_cache[sigma]
+        else:
+            coloring, sig = pi, sigma
+        if det is not detect_johnson:
+            return det(formula, graph, coloring, sig)
+        # only Johnson reads the other classes, for its row extension
+        others = [c for c in _literal_classes(graph, coloring, covered)
+                  if c != sig and c != negation_class_of(coloring, sig)]
+        return det(formula, graph, coloring, sig, other_colors=others)
+
+    detectors = _enabled_detectors(config)
+    for det in detectors:
+        sweep(partial(direct, det))
     # last resort: one level of stabilizer recursion on leftover classes
-    sub_detectors = []
-    if config.johnson:
-        sub_detectors.append(
-            lambda F, G, rep, s: detect_johnson(F, G, rep, s))
-    if config.row_column:
-        sub_detectors.append(detect_row_column)
-    if config.row:
-        sub_detectors.append(detect_row_blocks)
-    if sub_detectors:
-        for sigma in _literal_classes(graph, pi, covered):
-            if any(int(v) in covered for v in pi.class_members(sigma)):
-                continue
-            result = stabilizer_recursion(formula, graph, base, sigma,
-                                          detectors=sub_detectors)
-            if isinstance(result, DetectionFailure):
-                continue
-            structures.append(result)
-            covered |= result.covered_vertices
+    if detectors:
+        sweep(lambda sigma: stabilizer_recursion(formula, graph, pi, sigma,
+                                                 detectors))
     return structures, covered
 
 
@@ -175,25 +156,55 @@ def _count_by_color(pi: Coloring, vertices) -> list:
     return list(counts.values())
 
 
+def _output(formula, structures, rem_gens, added, aux, binary_count,
+            times, pi) -> BreakerOutput:
+    stats = {
+        "structures": [
+            {
+                "kind": s.kind,
+                "dims": list(s.dims),
+                "generators": len(s.generators),
+                "orbit_sizes": sorted(
+                    _count_by_color(pi, s.covered_vertices), reverse=True),
+            }
+            for s in structures
+        ],
+        "remainder": {
+            "generators": len(rem_gens),
+            "binary_clauses": binary_count,
+        },
+        "clauses_added": len(added),
+        "aux_vars": aux,
+        "phase_times_ms": times,
+    }
+    return BreakerOutput(formula=formula, added_clauses=added, aux_count=aux,
+                         structures=structures,
+                         remainder_generators=rem_gens,
+                         binary_clauses=binary_count, stats=stats)
+
+
 def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
     if config is None:
         config = PipelineConfig()
-    times = {}
+    times = dict.fromkeys(("graph_ms", "detect_ms", "remainder_ms",
+                           "encode_ms"), 0.0)
+    if any(not c for c in formula.unique_clauses):
+        # an empty clause already makes the formula unsatisfiable
+        return _output(formula, [], [], [], 0, 0, times, None)
 
     t0 = time.perf_counter()
     graph = build_model_graph(formula)
-    base = refine_stable(graph, initial_coloring(graph))
+    pi = refine_stable(graph, initial_coloring(graph)).coloring
     times["graph_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    structures, covered = _detect_structures(formula, graph, base, config)
+    structures, covered = _detect_structures(formula, graph, pi, config)
     times["detect_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
     rem_gens = []
-    if config.remainder and config.dive_pairs > 0 \
-            and len(covered) < graph.num_literal_vertices:
-        rem_pi = _remainder_coloring(graph, base.coloring, covered)
+    if config.dive_pairs > 0 and len(covered) < graph.num_literal_vertices:
+        rem_pi = _remainder_coloring(graph, pi, covered)
         rem_pi = refine_stable(graph, rem_pi).coloring
         rem_gens = find_remainder_generators(
             formula, graph, rem_pi,
@@ -219,35 +230,5 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
         added.extend(chain.clauses)
         aux += chain.aux_count
     times["encode_ms"] = (time.perf_counter() - t0) * 1000.0
-
-    if config.verify_level == "all-emitted":
-        from .cnf import clause_multiset_image_check
-        for phi in chain_gens:
-            if not clause_multiset_image_check(formula, phi):
-                raise AssertionError("emitted generator failed the full "
-                                     "clause-multiset check")
-
-    pi = base.coloring
-    stats = {
-        "structures": [
-            {
-                "kind": s.kind,
-                "dims": list(s.dims),
-                "generators": len(s.generators),
-                "orbit_sizes": sorted(
-                    _count_by_color(pi, s.covered_vertices), reverse=True),
-            }
-            for s in structures
-        ],
-        "remainder": {
-            "generators": len(rem_gens),
-            "binary_clauses": binary_count,
-        },
-        "clauses_added": len(added),
-        "aux_vars": aux,
-        "phase_times_ms": times,
-    }
-    return BreakerOutput(formula=formula, added_clauses=added, aux_count=aux,
-                         structures=structures,
-                         remainder_generators=rem_gens,
-                         binary_clauses=binary_count, stats=stats)
+    return _output(formula, structures, rem_gens, added, aux, binary_count,
+                   times, pi)

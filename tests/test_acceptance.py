@@ -128,10 +128,9 @@ def test_acceptance_4_fragment_size_oracles():
         graph = build_model_graph(gen_ramsey(3, 3, n))
         stable = refine_stable(graph, initial_coloring(graph)).coloring
         whole = int(stable.color[pos(1)])
-        rep0, sigma = _polarity_split_base(graph, stable, whole)
-        pivot = int(rep0.coloring.class_members(sigma)[0])
-        rep = individualize_refine(graph, rep0.coloring, pivot,
-                                   base=rep0.coloring)
+        split, sigma = _polarity_split_base(graph, stable, whole)
+        pivot = int(split.class_members(sigma)[0])
+        rep = individualize_refine(graph, split, pivot, base=split)
         sizes = sorted(rep.coloring.class_size(c)
                        for c in rep.fragments_of(sigma))
         expect = sorted([1, 2 * (n - 2), math.comb(n - 2, 2)])

@@ -71,8 +71,7 @@ class TestBuildOrder:
     def test_matrix_row_major(self):
         f = Formula(5, [[pos(1)]])
         s = RowStructure(matrix=[[pos(3), pos(1)], [pos(4), pos(2)]],
-                         generators=[], covered_colors=[],
-                         covered_vertices=set())
+                         generators=[], covered_vertices=set())
         order = build_order([s], f)
         assert order.variables == [3, 1, 4, 2, 5]
         assert order.structured_count == 4
@@ -80,8 +79,7 @@ class TestBuildOrder:
     def test_negative_cells_enter_at_first_occurrence(self):
         f = Formula(3, [[pos(1)]])
         s = RowStructure(matrix=[[neg_var(2), pos(2), pos(1)]],
-                         generators=[], covered_colors=[],
-                         covered_vertices=set())
+                         generators=[], covered_vertices=set())
         order = build_order([s], f)
         assert order.variables == [2, 1, 3]
 
@@ -143,6 +141,16 @@ class TestLexLeaderEncode:
         expected = {bits for bits in theta_all
                     if lex_ok({v + 1: bits[v] for v in range(6)}, prefix)}
         assert models == expected
+
+    def test_max_len_zero_encodes_nothing(self):
+        phi = fix(transpose([pos(1)], [pos(2)]))
+        out = lex_leader_encode(phi, make_order([1, 2]), 3, max_len=0)
+        assert out.clauses == [] and out.aux_count == 0
+
+    def test_negative_max_len_rejected(self):
+        phi = fix(transpose([pos(1)], [pos(2)]))
+        with pytest.raises(ValueError):
+            lex_leader_encode(phi, make_order([1, 2]), 3, max_len=-1)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_permutation_exactness(self, seed):
@@ -207,6 +215,6 @@ def test_structure_generator_counts():
 
     f = gen_php(5)
     g = build_model_graph(f)
-    base = refine_stable(g, initial_coloring(g))
-    s = detect_row_column(f, g, base, int(base.coloring.color[0]))
+    pi = refine_stable(g, initial_coloring(g)).coloring
+    s = detect_row_column(f, g, pi, int(pi.color[0]))
     assert len(structure_generators(s)) == 7

@@ -64,7 +64,7 @@ class TestBreak:
         run_cli(["gen", "php", "4", "-o", str(src)], capsys)
         code, out, _ = run_cli(
             ["break", str(src), "--no-johnson", "--no-row-column",
-             "--no-row", "--no-binary", "--no-remainder"], capsys)
+             "--no-row", "--no-binary", "--dive-pairs", "0"], capsys)
         assert code == 0
         body = [l for l in out.splitlines() if not l.startswith("c")]
         assert body == src.read_text().strip().splitlines()
@@ -125,6 +125,12 @@ class TestExitCodes:
         src.write_text("p cnf 1 1\n1 0\n")
         code, _, _ = run_cli(["break", str(src), "--max-len", "-1"], capsys)
         assert code == 1
+
+    def test_removed_flags_rejected(self, tmp_path, capsys):
+        src = tmp_path / "a.cnf"
+        src.write_text("p cnf 1 1\n1 0\n")
+        for flag in (["--no-remainder"], ["--verify-level", "all-emitted"]):
+            assert run_cli(["break", str(src)] + flag, capsys)[0] == 1
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0

@@ -4,8 +4,8 @@ import pytest
 
 from symbreak.cnf import Formula, is_automorphism, neg_var, pos
 from symbreak.detectors import (DetectionFailure, detect_johnson,
-                                detect_row, detect_row_blocks,
-                                detect_row_column, stabilizer_recursion)
+                                detect_row_blocks, detect_row_column,
+                                stabilizer_recursion)
 from symbreak.modelgraph import build_model_graph
 from symbreak.pipeline import _polarity_split_base, negation_class_of
 from symbreak.refine import initial_coloring, refine_stable
@@ -14,17 +14,16 @@ from symbreak.testkit import gen_cliquecolor, gen_php, gen_ramsey
 
 def stable_base(formula):
     graph = build_model_graph(formula)
-    return graph, refine_stable(graph, initial_coloring(graph))
+    return graph, refine_stable(graph, initial_coloring(graph)).coloring
 
 
-def literal_classes(graph, rep):
-    pi = rep.coloring
+def literal_classes(graph, pi):
     return [c for c in pi.classes()
             if pi.clen[c] > 1 and pi.order[c] < graph.num_literal_vertices]
 
 
-def class_of(rep, lit):
-    return int(rep.coloring.color[lit])
+def class_of(pi, lit):
+    return int(pi.color[lit])
 
 
 def row_instance(rows):
@@ -33,6 +32,35 @@ def row_instance(rows):
     clauses = [[pos(2 * i + 1), pos(2 * i + 2)] for i in range(rows)]
     clauses.append([pos(2 * i + 1) for i in range(rows)])
     return Formula(2 * rows, clauses)
+
+
+def attached_blocks_instance(rows=4):
+    """Per row i a var r_i and a symmetric pair s_i1, s_i2, with clauses
+    (r_i | s_i1 | s_i2) and one long clause over all r_i."""
+    clauses = [[pos(i + 1), pos(rows + 2 * i + 1), pos(rows + 2 * i + 2)]
+               for i in range(rows)]
+    clauses.append([pos(i + 1) for i in range(rows)])
+    return Formula(3 * rows, clauses)
+
+
+def two_copy_instance(rows=3):
+    """Two disjoint copies of a row-symmetric instance; refinement
+    merges the copies into one class but whole-class row detection
+    fails verification, so recursion on a fragment is needed."""
+    n = 2 * rows  # a variables per copy pair; b after
+
+    def a(copy, i):
+        return copy * rows + i + 1
+
+    def b(copy, i):
+        return n + copy * rows + i + 1
+
+    clauses = []
+    for copy in (0, 1):
+        for i in range(rows):
+            clauses.append([pos(a(copy, i)), pos(b(copy, i))])
+        clauses.append([pos(a(copy, i)) for i in range(rows)])
+    return Formula(2 * n, clauses)
 
 
 def test_detection_failure_is_falsy():
@@ -44,7 +72,7 @@ class TestDetectRow:
         f = row_instance(4)
         graph, base = stable_base(f)
         sigma = class_of(base, pos(1))
-        s = detect_row(f, graph, base, sigma)
+        s = detect_row_blocks(f, graph, base, sigma)
         assert not isinstance(s, DetectionFailure)
         assert s.kind == "row"
         assert s.dims == (4, 4)
@@ -57,7 +85,7 @@ class TestDetectRow:
         f = row_instance(2)
         graph, base = stable_base(f)
         sigma = class_of(base, pos(1))
-        s = detect_row(f, graph, base, sigma)
+        s = detect_row_blocks(f, graph, base, sigma)
         assert isinstance(s, DetectionFailure)
         assert "size gate" in s.reason
 
@@ -66,27 +94,20 @@ class TestDetectRow:
                         [neg_var(1)]])
         graph, base = stable_base(f)
         for sigma in literal_classes(graph, base):
-            assert isinstance(detect_row(f, graph, base, sigma),
+            assert isinstance(detect_row_blocks(f, graph, base, sigma),
                               DetectionFailure)
 
 
 class TestDetectRowBlocks:
     def test_rows_with_attached_blocks(self):
-        # per row i: var r_i and a symmetric pair s_i1, s_i2
         rows = 4
-
-        def r(i):
-            return i + 1
 
         def s(i, j):
             return rows + 2 * i + j + 1
 
-        clauses = [[pos(r(i)), pos(s(i, 0)), pos(s(i, 1))]
-                   for i in range(rows)]
-        clauses.append([pos(r(i)) for i in range(rows)])
-        f = Formula(3 * rows, clauses)
+        f = attached_blocks_instance(rows)
         graph, base = stable_base(f)
-        sigma = class_of(base, pos(r(1)))
+        sigma = class_of(base, pos(2))
         st = detect_row_blocks(f, graph, base, sigma)
         assert not isinstance(st, DetectionFailure)
         assert len(st.matrix) == rows
@@ -96,14 +117,6 @@ class TestDetectRowBlocks:
             vars_in_row = set(l // 2 + 1 for l in row)
             assert any(s(k, 0) in vars_in_row and s(k, 1) in vars_in_row
                        for k in range(rows))
-
-    def test_without_blocks_behaves_as_detect_row(self):
-        f = row_instance(4)
-        graph, base = stable_base(f)
-        sigma = class_of(base, pos(1))
-        a = detect_row(f, graph, base, sigma)
-        b = detect_row_blocks(f, graph, base, sigma)
-        assert a.matrix == b.matrix
 
 
 class TestDetectRowColumn:
@@ -149,8 +162,8 @@ class TestDetectJohnson:
         graph, base = stable_base(f)
         sigma = literal_classes(graph, base)[0]
         assert negation_class_of(base, sigma) == sigma  # self-negating
-        rep, sig = _polarity_split_base(graph, base.coloring, sigma)
-        s = detect_johnson(f, graph, rep, sig)
+        split, sig = _polarity_split_base(graph, base, sigma)
+        s = detect_johnson(f, graph, split, sig)
         assert not isinstance(s, DetectionFailure)
         assert s.n == 8
         assert len(s.generators) == 7
@@ -163,8 +176,8 @@ class TestDetectJohnson:
         f = gen_ramsey(3, 3, 7)  # C(7,2) = 21
         graph, base = stable_base(f)
         sigma = literal_classes(graph, base)[0]
-        rep, sig = _polarity_split_base(graph, base.coloring, sigma)
-        s = detect_johnson(f, graph, rep, sig)
+        split, sig = _polarity_split_base(graph, base, sigma)
+        s = detect_johnson(f, graph, split, sig)
         assert isinstance(s, DetectionFailure)
         assert "size gate" in s.reason
 
@@ -179,8 +192,7 @@ class TestDetectJohnson:
         f = gen_cliquecolor(8, 3, 2)
         graph, base = stable_base(f)
         classes = literal_classes(graph, base)
-        pi = base.coloring
-        sigma = max(classes, key=lambda c: pi.class_size(c))
+        sigma = max(classes, key=lambda c: base.class_size(c))
         others = [c for c in classes if c != sigma]
         s = detect_johnson(f, graph, base, sigma, other_colors=others)
         assert not isinstance(s, DetectionFailure)
@@ -196,40 +208,22 @@ class TestDetectJohnson:
         f = gen_cliquecolor(8, 3, 2)
         graph, base = stable_base(f)
         classes = literal_classes(graph, base)
-        pi = base.coloring
-        sigma = max(classes, key=lambda c: pi.class_size(c))
+        sigma = max(classes, key=lambda c: base.class_size(c))
         s = detect_johnson(f, graph, base, sigma, other_colors=())
         assert isinstance(s, DetectionFailure)
 
 
 class TestStabilizerRecursion:
-    def two_copy_instance(self, rows=3):
-        """Two disjoint copies of a row-symmetric instance; refinement
-        merges the copies into one class but whole-class row detection
-        fails verification, so recursion on a fragment is needed."""
-        n = 2 * rows  # a variables per copy pair; b after
-
-        def a(copy, i):
-            return copy * rows + i + 1
-
-        def b(copy, i):
-            return n + copy * rows + i + 1
-
-        clauses = []
-        for copy in (0, 1):
-            for i in range(rows):
-                clauses.append([pos(a(copy, i)), pos(b(copy, i))])
-            clauses.append([pos(a(copy, i)) for i in range(rows)])
-        return Formula(2 * n, clauses)
-
     def test_recursion_recovers_row_symmetry(self):
-        f = self.two_copy_instance()
+        f = two_copy_instance()
         graph, base = stable_base(f)
         sigma = class_of(base, pos(1))
-        assert base.coloring.class_size(sigma) == 6
-        direct = detect_row(f, graph, base, sigma)
+        assert base.class_size(sigma) == 6
+        direct = detect_row_blocks(f, graph, base, sigma)
         assert isinstance(direct, DetectionFailure)
-        s = stabilizer_recursion(f, graph, base, sigma)
+        s = stabilizer_recursion(f, graph, base, sigma,
+                                 [detect_johnson, detect_row_column,
+                                  detect_row_blocks])
         assert not isinstance(s, DetectionFailure)
         assert len(s.matrix) == 3
         assert all(is_automorphism(f, g) for g in s.generators)
@@ -238,5 +232,5 @@ class TestStabilizerRecursion:
         f = Formula(2, [[pos(1), pos(2)]])
         graph, base = stable_base(f)
         sigma = class_of(base, pos(1))
-        s = stabilizer_recursion(f, graph, base, sigma)
+        s = stabilizer_recursion(f, graph, base, sigma, [detect_row_blocks])
         assert isinstance(s, DetectionFailure)

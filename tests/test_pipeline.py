@@ -2,15 +2,16 @@
 
 import hashlib
 
-from symbreak.cnf import Formula, emit_dimacs, neg_var, pos
+from symbreak.cnf import (Formula, clause_multiset_image_check, emit_dimacs,
+                          neg_var, pos)
 from symbreak.modelgraph import build_model_graph
-from symbreak.pipeline import (BreakerOutput, PipelineConfig,
-                               negation_class_of, run)
+from symbreak.pipeline import PipelineConfig, negation_class_of, run
 from symbreak.refine import initial_coloring, refine_stable
 from symbreak.testkit import (brute_force_sat, dpll_count, gen_cliquecolor,
                               gen_cycle_coloring, gen_php, gen_ramsey)
 
 import pytest
+from test_detectors import attached_blocks_instance, two_copy_instance
 
 
 def augmented(formula, out):
@@ -37,8 +38,14 @@ def augmented(formula, out):
      "4366483733512fb8b531a03cf4bf6fa6cc44a1a1845977f4730e77aeb73e7cce"),
     (lambda: gen_cycle_coloring(15, 3),
      "4e862a94bc1cf47d3bb2c99f3e2e05dfe6fcb154cf062feffcec5f048a8f6a0e"),
+    # row structure found only by stabilizer recursion
+    (lambda: two_copy_instance(3),
+     "e2887b6caa3fe981c739dc1d52efb97962109a49cd2e6c61abef930a06f0c8b4"),
+    # rows that absorb block fragments of another class
+    (lambda: attached_blocks_instance(4),
+     "fa21ac729817d3b8a10b476652567137f842d469b02eca0d34a63120fafc5495"),
 ], ids=["php6", "ramsey338", "cliquecolor1032", "c9-3coloring",
-        "c15-3coloring"])
+        "c15-3coloring", "two-copy-rows", "row-blocks"])
 def test_emitted_dimacs_is_pinned(make, digest):
     formula = make()
     out = run(formula, PipelineConfig(seed=3))
@@ -51,20 +58,18 @@ class TestNegationClassOf:
     def test_pairs_and_singletons(self):
         f = Formula(2, [[pos(1), pos(2)]])
         g = build_model_graph(f)
-        base = refine_stable(g, initial_coloring(g))
-        pi = base.coloring
+        pi = refine_stable(g, initial_coloring(g)).coloring
         pos_class = int(pi.color[pos(1)])
         neg_class = int(pi.color[neg_var(1)])
-        assert negation_class_of(base, pos_class) == neg_class
-        assert negation_class_of(base, neg_class) == pos_class
+        assert negation_class_of(pi, pos_class) == neg_class
+        assert negation_class_of(pi, neg_class) == pos_class
 
     def test_self_negating_detected(self):
         f = gen_ramsey(3, 3, 6)
         g = build_model_graph(f)
-        base = refine_stable(g, initial_coloring(g))
-        pi = base.coloring
+        pi = refine_stable(g, initial_coloring(g)).coloring
         sigma = int(pi.color[pos(1)])
-        assert negation_class_of(base, sigma) == sigma
+        assert negation_class_of(pi, sigma) == sigma
 
 
 class TestRun:
@@ -116,7 +121,7 @@ class TestRun:
         f = gen_php(4)
         out = run(f, PipelineConfig(johnson=False, row_column=False,
                                     row=False, binary=False,
-                                    remainder=False))
+                                    dive_pairs=0))
         assert out.added_clauses == [] and out.structures == []
 
     def test_remainder_only_config(self):
@@ -145,13 +150,40 @@ class TestRun:
         limit = 2 * (f.num_vars + out.aux_count)
         assert all(0 <= l < limit for c in out.added_clauses for l in c)
 
-    def test_verify_level_all_emitted(self):
-        out = run(gen_php(4), PipelineConfig(verify_level="all-emitted"))
-        assert isinstance(out, BreakerOutput)
+    def test_emitted_generators_pass_multiset_oracle(self):
+        for f in (gen_php(4), gen_cycle_coloring(9, 3)):
+            out = run(f)
+            gens = [g for s in out.structures for g in s.generators]
+            gens += out.remainder_generators
+            assert gens
+            assert all(clause_multiset_image_check(f, g) for g in gens)
 
     def test_empty_formula(self):
         out = run(Formula(0, []))
         assert out.added_clauses == []
+
+    def test_empty_clause_adds_nothing(self):
+        for f in (Formula(2, [[]]),
+                  Formula(6, gen_php(3).clauses + [[]])):
+            out = run(f)
+            assert out.added_clauses == [] and out.aux_count == 0
+            assert out.structures == [] and out.remainder_generators == []
+            assert out.stats == {
+                "structures": [],
+                "remainder": {"generators": 0, "binary_clauses": 0},
+                "clauses_added": 0,
+                "aux_vars": 0,
+                "phase_times_ms": dict.fromkeys(
+                    ("graph_ms", "detect_ms", "remainder_ms", "encode_ms"),
+                    0.0),
+            }
+
+    def test_max_len_zero_emits_no_chains(self):
+        f = gen_php(5)
+        assert len(run(f).added_clauses) == 172
+        out = run(f, PipelineConfig(max_len=0))
+        assert len(out.structures) == 1
+        assert out.added_clauses == [] and out.aux_count == 0
 
     def test_max_len_respected(self):
         f = gen_php(6)
