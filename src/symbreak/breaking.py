@@ -9,8 +9,11 @@ threaded through every encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .cnf import Formula, LiteralPermutation, is_positive, negate, pos, var_of
+import numpy as np
+
+from .cnf import Formula, LiteralPermutation, negate, pos, var_of
 
 
 @dataclass
@@ -113,30 +116,26 @@ def lex_leader_encode(phi: LiteralPermutation, order: VariableOrder,
     return BreakingClauses(clauses, aux, source="lex")
 
 
-def _literal_orbits(gens: list) -> dict:
-    """Union-find closure of literal orbits under the generators; maps
-    each moved literal to its orbit representative."""
-    parent: dict = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    for g in gens:
-        for a, b in g.mapping.items():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict = {}
-    for l in parent:
-        groups.setdefault(find(l), set()).add(l)
-    for root, members in groups.items():
-        members.add(root)
-    return {l: members for members in groups.values() for l in members}
+def _component_roots(size: int, a, b):
+    """Per node of the graph on range(size) with edges (a[i], b[i]), the
+    least node of its connected component: roots hook onto the least
+    root across each edge, then every label jumps to its root, until no
+    edge joins two roots."""
+    label = np.arange(size)
+    while True:
+        la, lb = label[a], label[b]
+        low = np.minimum(la, lb)
+        hooked = label.copy()
+        np.minimum.at(hooked, la, low)
+        np.minimum.at(hooked, lb, low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
 
 
 def binary_clause_heuristic(gens: list, order: VariableOrder):
@@ -153,24 +152,44 @@ def binary_clause_heuristic(gens: list, order: VariableOrder):
     permutation mapping pos(x) to y under an order starting at x, hence
     individually sound; a phase-flip orbit member y = !x degenerates to
     the unit (pos(x)).
+
+    The generators' moves are numbered once as edges (a -> b, owner)
+    between the moved literals; each round takes the orbits from the
+    edges of the surviving generators.
     """
     gens = list(gens)
     clauses = []
     stabilized = []
-    while gens:
-        orbits = _literal_orbits(gens)
-        candidates = [l for l, orb in orbits.items()
-                      if is_positive(l) and len(orb) > 1]
-        if not candidates:
+    sizes = [len(g.mapping) for g in gens]
+    moves = sum(sizes)
+    src = np.fromiter(chain.from_iterable(g.mapping for g in gens),
+                      dtype=np.int64, count=moves)
+    dst = np.fromiter(chain.from_iterable(g.mapping.values() for g in gens),
+                      dtype=np.int64, count=moves)
+    owner = np.repeat(np.arange(len(gens)), sizes)
+    lits, ends = np.unique(np.concatenate((src, dst)), return_inverse=True)
+    a, b = ends[:moves], ends[moves:]
+    positive = lits % 2 == 0
+    rank = np.full(len(lits), len(order.rank))
+    rank[positive] = [order.rank[var_of(l)] for l in lits[positive].tolist()]
+    alive = np.ones(len(gens), dtype=bool)
+    while True:
+        live = alive[owner]
+        moved = np.zeros(len(lits), dtype=bool)
+        moved[a[live]] = True
+        candidates = np.flatnonzero(moved & positive)
+        if not len(candidates):
             break
-        x = min(candidates, key=lambda l: order.rank[var_of(l)])
-        for y in sorted(orbits[x] - {x}):
-            if y == negate(x):
-                clauses.append((x,))
-            else:
-                clauses.append((x, negate(y)))
-        stabilized.append(var_of(x))
-        gens = [g for g in gens if g.image(x) == x]
+        x = candidates[np.argmin(rank[candidates])]
+        roots = _component_roots(len(lits), a[live], b[live])
+        xl = int(lits[x])
+        for y in lits[roots == roots[x]].tolist():
+            if y == negate(xl):
+                clauses.append((xl,))
+            elif y != xl:
+                clauses.append((xl, negate(y)))
+        stabilized.append(var_of(xl))
+        alive[owner[a == x]] = False
 
     if stabilized:
         head = order.variables[:order.structured_count]

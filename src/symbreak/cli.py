@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .cnf import DimacsError, emit_dimacs, parse_dimacs
 from .pipeline import PipelineConfig, run
@@ -15,7 +16,7 @@ from .testkit import gen_cliquecolor, gen_php, gen_ramsey
 def _read_input(path: str):
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r") as fh:
+    with open(path, "rb") as fh:
         return fh.read()
 
 
@@ -69,11 +70,14 @@ def _cmd_break(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    t0 = time.perf_counter()
     try:
         formula = parse_dimacs(text)
     except DimacsError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    del text
+    parse_ms = (time.perf_counter() - t0) * 1000.0
     config = PipelineConfig(
         johnson=not args.no_johnson,
         row_column=not args.no_row_column,
@@ -94,11 +98,22 @@ def _cmd_break(args) -> int:
         .format(**out.stats["remainder"]))
     comments.append(f"added {out.stats['clauses_added']} clauses, "
                     f"{out.aux_count} auxiliary variables, seed {args.seed}")
+    t0 = time.perf_counter()
     text = emit_dimacs(formula, added=out.added_clauses,
                        aux_vars=out.aux_count, comments=comments)
+    emit_ms = (time.perf_counter() - t0) * 1000.0
     _write_output(args.output, text)
     if args.stats:
-        _write_output(args.stats, json.dumps(out.stats, indent=2) + "\n")
+        declared_vars, declared_clauses = formula.declared
+        stats = dict(out.stats, phase_times_ms={
+            "parse_ms": parse_ms, **out.stats["phase_times_ms"],
+            "emit_ms": emit_ms})
+        # the header's counts are not checked against the body
+        stats["input"] = {"declared_clauses": declared_clauses,
+                          "clauses": formula.num_clauses,
+                          "declared_vars": declared_vars,
+                          "num_vars": formula.num_vars}
+        _write_output(args.stats, json.dumps(stats, indent=2) + "\n")
     return 0
 
 

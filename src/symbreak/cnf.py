@@ -8,6 +8,8 @@ a single XOR with 1.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -52,49 +54,74 @@ def to_dimacs_lit(code: int) -> int:
     return v if code % 2 == 0 else -v
 
 
-def canonical_clause(lits: Iterable[int]) -> tuple:
-    """Sorted, duplicate-free clause over literal codes."""
-    return tuple(sorted(set(lits)))
+# literal codes are int32, so a variable is at most 2**30
+MAX_VAR = 1 << 30
 
 
 class Formula:
-    """An immutable CNF formula over literal codes.
+    """An immutable CNF formula over literal codes, stored once as CSR.
 
-    ``clauses`` keeps every input clause (canonicalized) in original order
-    for verbatim re-emission.  ``unique_clauses`` drops duplicates, keeping
-    first occurrences in order, and is what symmetry detection works on.
-    Its numpy views (``_clause_arrays``, built on first use) are what the
-    model graph and the automorphism check read.
+    ``lens``, ``lits`` and ``starts`` hold every input clause in input
+    order, canonicalized (literals ascending, repeats dropped): clause i
+    is ``lits[starts[i]:starts[i] + lens[i]]``.  They are what
+    :func:`emit_dimacs` writes back.  Symmetry detection works on the
+    unique clauses, first occurrences kept in input order; their numpy
+    views (``_clause_arrays``, built on first use) are what the model
+    graph and the automorphism check read.  ``clauses`` and
+    ``unique_clauses`` are the same two clause lists as tuples, built on
+    first use for callers that want Python values.
+
+    The clauses come either as an iterable of literal-code iterables or,
+    as :func:`parse_dimacs` passes them, as ``lens`` and ``lits`` arrays
+    in any literal order.  ``declared`` is the ``(variables, clauses)``
+    pair of a DIMACS header, None for a formula built in code.
     """
 
-    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
-        self.clauses = [canonical_clause(c) for c in clauses]
-        max_seen = 0
-        for c in self.clauses:
-            if c:
-                max_seen = max(max_seen, c[-1] // 2 + 1)
-        if max_seen > num_vars:
-            raise ValueError(
-                f"clause references variable {max_seen} > num_vars {num_vars}")
+    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]] = (),
+                 *, lens=None, lits=None, declared=None):
+        if lens is None:
+            clauses = list(map(tuple, clauses))
+            lens = np.fromiter(map(len, clauses), dtype=np.int64,
+                               count=len(clauses))
+            lits = np.fromiter(chain.from_iterable(clauses), dtype=np.int64,
+                               count=int(lens.sum()))
         self.num_vars = num_vars
-        self.unique_clauses = list(dict.fromkeys(self.clauses))
+        self.declared = declared
+        self.lens, self.lits = _canonical_clauses(
+            np.asarray(lens, dtype=np.int64), np.asarray(lits, dtype=np.int64),
+            num_vars)
+        self.starts = np.cumsum(self.lens, dtype=np.int64) - self.lens
         self._arrays = None
+
+    @property
+    def num_clauses(self) -> int:
+        return len(self.lens)
+
+    @cached_property
+    def clauses(self) -> list:
+        return _clause_tuples(self.lens, self.lits)
+
+    @cached_property
+    def unique_clauses(self) -> list:
+        lens, flat = self._clause_arrays()[:2]
+        return _clause_tuples(lens, flat)
 
     def _clause_arrays(self):
         """Numpy views of the unique clauses, built on first use: their
         lengths, their literals back to back (``flat``), the offset of
         each clause in ``flat``, and the clauses holding each literal:
         literal l occurs in clauses ``occ[occ_ptr[l]:occ_ptr[l + 1]]``,
-        in ascending order."""
+        in ascending order.  Without repeated clauses the first three
+        are the input arrays themselves."""
         if self._arrays is None:
-            unique = self.unique_clauses
+            lens, flat, starts = self.lens, self.lits, self.starts
+            first = _first_occurrences(lens, flat, starts)
+            if not first.all():
+                flat = flat[np.repeat(first, lens)]
+                lens = lens[first]
+                starts = np.cumsum(lens, dtype=np.int64) - lens
             n2 = 2 * self.num_vars
-            lens = np.fromiter(map(len, unique), dtype=np.int32,
-                               count=len(unique))
-            flat = np.fromiter((l for c in unique for l in c),
-                               dtype=np.int32, count=int(lens.sum()))
-            starts = np.cumsum(lens, dtype=np.int64) - lens
-            owner = np.repeat(np.arange(len(unique), dtype=np.int32), lens)
+            owner = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
             occ = owner[np.argsort(flat, kind="stable")]
             occ_ptr = np.zeros(n2 + 1, dtype=np.int64)
             np.cumsum(np.bincount(flat, minlength=n2), out=occ_ptr[1:])
@@ -102,57 +129,215 @@ class Formula:
         return self._arrays
 
     def __repr__(self):
-        return f"Formula(num_vars={self.num_vars}, clauses={len(self.clauses)})"
+        return f"Formula(num_vars={self.num_vars}, clauses={self.num_clauses})"
+
+
+def _canonical_clauses(lens, lits, num_vars: int):
+    """int32 (lens, lits) of the clauses with each one's literals sorted
+    and repeats dropped, by one sort of (clause, literal) keys."""
+    if int(lens.sum()) != len(lits):
+        raise ValueError("clause lengths do not add up to the literal count")
+    top = 0
+    if len(lits):
+        low, top = int(lits.min()), int(lits.max())
+        if low < 0:
+            raise ValueError(f"negative literal code {low}")
+        if top // 2 + 1 > num_vars:
+            raise ValueError(f"clause references variable {top // 2 + 1} "
+                             f"> num_vars {num_vars}")
+        if top // 2 + 1 > MAX_VAR:
+            raise ValueError(f"variable {top // 2 + 1} beyond {MAX_VAR}")
+    clause = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    shift = clause * (top + 1)
+    key = shift + lits
+    key.sort(kind="stable")
+    fresh = np.empty(len(key), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    key -= shift
+    if not fresh.all():
+        key = key[fresh]
+        lens = np.bincount(clause[fresh], minlength=len(lens))
+    return lens.astype(np.int32), key.astype(np.int32)
+
+
+def _first_occurrences(lens, lits, starts):
+    """Mask of the clauses equal to no earlier clause.  Clauses are
+    compared one length at a time, each as a single key, by sorting."""
+    first = np.ones(len(lens), dtype=bool)
+    bits = int(lits.max()).bit_length() if len(lits) else 0
+    by_len = np.argsort(lens, kind="stable")
+    cut = np.cumsum(np.bincount(lens)).tolist()
+    for L, (lo, hi) in enumerate(zip([0] + cut, cut)):
+        if hi - lo < 2:
+            continue
+        idx = by_len[lo:hi]
+        if L == 0:
+            first[idx[1:]] = False
+            continue
+        keys = _row_keys(lits[starts[idx][:, None] + np.arange(L)], bits)
+        perm = np.argsort(keys)
+        ordered = keys[perm]
+        run = np.empty(len(keys), dtype=bool)
+        run[0] = True
+        run[1:] = ordered[1:] != ordered[:-1]
+        # each run of equal keys keeps its lowest clause index
+        keep = np.zeros(len(keys), dtype=bool)
+        keep[np.minimum.reduceat(perm, np.flatnonzero(run))] = True
+        first[idx] = keep
+    return first
+
+
+def _clause_tuples(lens, lits) -> list:
+    flat = lits.tolist()
+    out = []
+    at = 0
+    for n in lens.tolist():
+        out.append(tuple(flat[at:at + n]))
+        at += n
+    return out
+
+
+# str.split() whitespace and str.splitlines() line breaks: a table for
+# the first 256 code points, and the wider code points of each set
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0]] = True
+_BREAK = np.zeros(256, dtype=bool)
+_BREAK[[10, 11, 12, 13, 28, 29, 30, 0x85]] = True
+_WIDE_SPACE = (0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
+               0x205F, 0x3000)
+_WIDE_BREAK = (0x2028, 0x2029)
+
+
+def _code_points(data):
+    """The input as an array of code points (uint8 when it is ASCII,
+    else uint32) and a function giving the text between two offsets."""
+    if hasattr(data, "read"):
+        data = data.read()
+    if isinstance(data, (bytes, bytearray)):
+        if data.isascii():
+            raw = bytes(data)
+            return (np.frombuffer(raw, dtype=np.uint8),
+                    lambda s, e: raw[s:e].decode("ascii"))
+        data = data.decode("ascii", errors="replace")
+    if data.isascii():
+        codes = np.frombuffer(data.encode("ascii"), dtype=np.uint8)
+    else:
+        codes = np.frombuffer(data.encode("utf-32-le", "surrogatepass"),
+                              dtype=np.uint32)
+    return codes, lambda s, e: data[s:e]
+
+
+def _space_and_breaks(codes):
+    if codes.dtype == np.uint8:
+        return _SPACE[codes], np.flatnonzero(_BREAK[codes])
+    low = np.minimum(codes, 255)
+    return (_SPACE[low] | np.isin(codes, _WIDE_SPACE),
+            np.flatnonzero(_BREAK[low] | np.isin(codes, _WIDE_BREAK)))
+
+
+def _token_values(codes, starts, ends, text):
+    """int() of each token.  Plain ASCII integers of up to 10 characters
+    are converted in bulk, one pass per length; the rest go through
+    int() one by one, in order, and the first that fails raises."""
+    width = np.minimum(ends - starts, 11).astype(np.int16)
+    vals = np.zeros(len(starts), dtype=np.int64)
+    odd = width > 10
+    by_width = np.argsort(width, kind="stable")
+    cut = np.cumsum(np.bincount(width, minlength=11)).tolist()
+    for L in range(1, 11):
+        idx = by_width[cut[L - 1]:cut[L]]
+        if not len(idx):
+            continue
+        at = starts[idx]
+        lead = codes[at]
+        signed = (lead == 45) | (lead == 43)
+        digit = lead - 48          # unsigned: a non-digit is 10 or more
+        ok = (digit < 10) | (signed & (L > 1))
+        val = np.where(signed, 0, digit).astype(np.int64)
+        for j in range(1, L):
+            digit = codes[at + j] - 48
+            ok &= digit < 10
+            val = val * 10 + digit
+        val[lead == 45] *= -1
+        vals[idx] = val
+        odd[idx] = ~ok
+    for i in np.flatnonzero(odd).tolist():
+        tok = text(int(starts[i]), int(ends[i]))
+        try:
+            v = int(tok)
+        except ValueError:
+            raise DimacsError(f"non-integer token {tok!r}") from None
+        # out-of-range values only need to stay out of range
+        vals[i] = max(-MAX_VAR - 1, min(v, MAX_VAR + 1))
+    return vals
 
 
 def parse_dimacs(data) -> Formula:
-    """Parse DIMACS CNF from bytes, text, or a file-like object."""
-    if hasattr(data, "read"):
-        data = data.read()
-    if isinstance(data, bytes):
-        data = data.decode("ascii", errors="replace")
+    """Parse DIMACS CNF from bytes, text, or a file-like object.
 
-    tokens: list[str] = []
+    Lines and tokens split as ``str.splitlines`` and ``str.split`` split
+    them.  Blank lines and lines starting with ``c`` are skipped.  The
+    header's clause count is not checked against the body; the header
+    is kept as ``Formula.declared``.
+    """
+    codes, text = _code_points(data)
+    space, breaks = _space_and_breaks(codes)
+    bounds = np.flatnonzero(np.diff(space, prepend=True, append=True))
+    del space
+    starts, ends = bounds[0::2], bounds[1::2]
+
+    # lines whose first token starts with c or p: comments and headers
+    lead = codes[starts]
+    cand = np.flatnonzero((lead == 99) | (lead == 112))
+    above = np.searchsorted(breaks, starts[cand])
+    heads = (cand == 0) | (above > np.searchsorted(
+        breaks, ends[np.maximum(cand - 1, 0)]))
+    cand, above = cand[heads], above[heads]
+    stop = np.searchsorted(starts, np.append(breaks, len(codes))[above])
+    skip = np.zeros(len(starts) + 1, dtype=np.int32)
+    skip[cand] += 1
+    skip[stop] -= 1
+    is_data = np.cumsum(skip[:-1]) == 0
+    first_data = int(np.argmax(is_data)) if is_data.any() else len(starts)
+
     header = None
-    for line in data.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
+    for k0, k1 in zip(cand.tolist(), stop.tolist()):
+        if lead[k0] != 112:
             continue
-        if line.startswith("p"):
-            if header is not None:
-                raise DimacsError("duplicate header line")
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"malformed header: {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise DimacsError(f"non-integer header field: {line!r}")
-            continue
-        if header is None:
-            raise DimacsError("clause data before 'p cnf' header")
-        tokens.extend(line.split())
+        if header is not None:
+            raise DimacsError("duplicate header line")
+        if first_data < k0:
+            break
+        line = text(int(starts[k0]), int(ends[k1 - 1]))
+        parts = line.split()
+        if len(parts) != 4 or parts[1] != "cnf":
+            raise DimacsError(f"malformed header: {line!r}")
+        try:
+            header = (int(parts[2]), int(parts[3]))
+        except ValueError:
+            raise DimacsError(f"non-integer header field: {line!r}")
     if header is None:
+        if first_data < len(starts):
+            raise DimacsError("clause data before 'p cnf' header")
         raise DimacsError("missing 'p cnf' header")
 
-    clauses = []
-    current: list[int] = []
-    for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise DimacsError(f"non-integer token {tok!r}")
-        if lit == 0:
-            clauses.append(current)
-            current = []
-        else:
-            current.append(from_dimacs_lit(lit))
-    if current:
-        raise DimacsError("end of input inside a clause (missing terminating 0)")
-
-    max_seen = max((max(c) // 2 + 1 for c in clauses if c), default=0)
-    num_vars = max(header[0], max_seen)
-    return Formula(num_vars, clauses)
+    starts, ends = starts[is_data], ends[is_data]
+    vals = _token_values(codes, starts, ends, text)
+    big = np.flatnonzero(np.abs(vals) > MAX_VAR)
+    if len(big):
+        tok = text(int(starts[big[0]]), int(ends[big[0]]))
+        raise DimacsError(f"literal {tok!r} beyond variable {MAX_VAR}")
+    is_end = vals == 0
+    if len(vals) and not is_end[-1]:
+        raise DimacsError(
+            "end of input inside a clause (missing terminating 0)")
+    lens = np.diff(np.flatnonzero(is_end), prepend=-1) - 1
+    lits = vals[~is_end]
+    lits = 2 * np.abs(lits) - 2 + (lits < 0)
+    max_seen = int(lits.max()) // 2 + 1 if len(lits) else 0
+    return Formula(max(header[0], max_seen), lens=lens, lits=lits,
+                   declared=header)
 
 
 def emit_dimacs(formula: Formula, added: Iterable[tuple] = (),
@@ -164,19 +349,60 @@ def emit_dimacs(formula: Formula, added: Iterable[tuple] = (),
     """
     added = list(added)
     num_vars = formula.num_vars + aux_vars
-    for c in added:
-        for lit in c:
-            if lit // 2 + 1 > num_vars:
-                raise ValueError("added clause exceeds declared variable range")
-    out = []
-    for line in comments:
-        out.append(f"c symbreak: {line}")
-    out.append(f"p cnf {num_vars} {len(formula.clauses) + len(added)}")
-    for c in formula.clauses:
-        out.append(" ".join(str(to_dimacs_lit(l)) for l in c) + " 0")
-    for c in added:
-        out.append(" ".join(str(to_dimacs_lit(l)) for l in c) + " 0")
-    return "\n".join(out) + "\n"
+    add_lens = np.fromiter(map(len, added), dtype=np.int64, count=len(added))
+    add_lits = np.fromiter(chain.from_iterable(added), dtype=np.int64,
+                           count=int(add_lens.sum()))
+    if len(add_lits) and (add_lits.min() < 0
+                          or add_lits.max() // 2 + 1 > num_vars):
+        raise ValueError("added clause exceeds declared variable range")
+    return "".join([
+        *(f"c symbreak: {line}\n" for line in comments),
+        f"p cnf {num_vars} {formula.num_clauses + len(added)}\n",
+        _clause_lines(formula.lens, formula.lits),
+        _clause_lines(add_lens, add_lits)])
+
+
+def _clause_lines(lens, lits) -> str:
+    """DIMACS lines of the clauses: each literal signed and followed by a
+    space, then ``0``; an empty clause is `` 0``.  The text of each
+    distinct literal is written once, as a zero-padded row of a table;
+    the body is the table's rows gathered in clause order, interleaved
+    with the two clause-end rows, with the padding dropped."""
+    if not len(lens):
+        return ""
+    top = int(lits.max()) + 1 if len(lits) else 0
+    if top <= 2 * len(lits) + 256:
+        codes, items = np.arange(top), lits
+    else:
+        codes, items = np.unique(lits, return_inverse=True)
+    var = codes // 2 + 1
+    neg = codes & 1
+    ndig = np.ones(len(codes), dtype=np.int64)
+    p = 10
+    while len(var) and p <= var[-1]:
+        ndig += var >= p
+        p *= 10
+    width = -(-int((neg + ndig).max(initial=2) + 1) // 8) * 8
+    table = np.zeros((len(codes) + 2, width), dtype=np.uint8)
+    rows = np.arange(len(codes))
+    rest = var.copy()
+    for j in range(int(ndig.max(initial=0))):
+        live = ndig > j
+        table[rows[live], (neg + ndig - 1 - j)[live]] = 48 + rest[live] % 10
+        rest //= 10
+    table[rows[neg == 1], 0] = 45
+    table[rows, neg + ndig] = 32
+    table[-2, :2] = (48, 10)          # "0\n" ends a clause
+    table[-1, :3] = (32, 48, 10)      # " 0\n" is an empty clause
+
+    ends = np.cumsum(lens + 1) - 1
+    seq = np.empty(len(lits) + len(lens), dtype=np.int32)
+    is_lit = np.ones(len(seq), dtype=bool)
+    is_lit[ends] = False
+    seq[is_lit] = items
+    seq[ends] = np.where(lens == 0, len(codes) + 1, len(codes))
+    cells = table.view(np.uint64)[seq].view(np.uint8).ravel()
+    return str(cells[cells != 0], "ascii")
 
 
 class LiteralPermutation:
@@ -264,16 +490,22 @@ def apply_permutation(clause: Iterable[int], phi: LiteralPermutation) -> tuple:
     return tuple(sorted(g(l, l) for l in clause))
 
 
-def _row_keys(rows):
+def _row_keys(rows, bits: int = 31):
     """One fixed-width key per row of a 2-D array of sorted clauses whose
-    literals fit in int32; two rows have equal keys exactly when they are
-    equal.  Key order is not numeric order."""
+    literals are below ``2**bits``; two rows have equal keys exactly when
+    they are equal.  Key order is not numeric order."""
     rows = np.ascontiguousarray(rows, dtype=np.int32)
     L = rows.shape[1]
     if L == 1:
         return rows.ravel()
     if L == 2:
         return rows.view(np.int64).ravel()
+    if L * bits <= 63:
+        keys = rows[:, 0].astype(np.int64)
+        for j in range(1, L):
+            keys <<= bits
+            keys |= rows[:, j]
+        return keys
     return rows.view(np.dtype((np.void, 4 * L))).ravel()
 
 

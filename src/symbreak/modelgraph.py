@@ -69,12 +69,9 @@ def build_model_graph(formula: Formula) -> ColoredGraph:
     length; lengths are invariant under any formula symmetry so this only
     refines the coloring the detectors would compute anyway.
     """
-    n = formula.num_vars
-    nlit = 2 * n
-    clauses = formula.unique_clauses
-    vertex_count = nlit + len(clauses)
-
+    nlit = 2 * formula.num_vars
     lens, flat, _, occ, occ_ptr = formula._clause_arrays()
+    vertex_count = nlit + len(lens)
     # literal l's row: its negation, then the clauses holding it in
     # ascending order; a clause's row: its literals
     lits = np.arange(nlit, dtype=np.int32)

@@ -188,7 +188,7 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
         config = PipelineConfig()
     times = dict.fromkeys(("graph_ms", "detect_ms", "remainder_ms",
                            "encode_ms"), 0.0)
-    if any(not c for c in formula.unique_clauses):
+    if not formula.lens.all():
         # an empty clause already makes the formula unsatisfiable
         return _output(formula, [], [], [], 0, 0, times, None)
 

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from symbreak.breaking import (VariableOrder, binary_clause_heuristic,
                                build_order, lex_leader_encode,
@@ -205,6 +206,87 @@ class TestBinaryClauseHeuristic:
         phi = fix(transpose([pos(1)], [pos(2)]))
         out, _ = binary_clause_heuristic([phi], make_order([2, 1]))
         assert out.clauses == [(pos(2), neg_var(1))]
+
+
+def ref_binary_clause_heuristic(gens, order):
+    """The dict union-find implementation the array version replaced,
+    kept as its reference."""
+    def literal_orbits(gens):
+        parent = {}
+
+        def find(x):
+            root = x
+            while parent.get(root, root) != root:
+                root = parent[root]
+            while parent.get(x, x) != x:
+                parent[x], x = root, parent[x]
+            return root
+
+        for g in gens:
+            for a, b in g.mapping.items():
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        groups = {}
+        for l in parent:
+            groups.setdefault(find(l), set()).add(l)
+        for root, members in groups.items():
+            members.add(root)
+        return {l: members for members in groups.values() for l in members}
+
+    gens = list(gens)
+    clauses = []
+    stabilized = []
+    while gens:
+        orbits = literal_orbits(gens)
+        candidates = [l for l, orb in orbits.items()
+                      if l % 2 == 0 and len(orb) > 1]
+        if not candidates:
+            break
+        x = min(candidates, key=lambda l: order.rank[var_of(l)])
+        for y in sorted(orbits[x] - {x}):
+            clauses.append((x,) if y == negate(x) else (x, negate(y)))
+        stabilized.append(var_of(x))
+        gens = [g for g in gens if g.image(x) == x]
+    head = order.variables[:order.structured_count]
+    moved = set(stabilized) - set(head)
+    tail = [v for v in order.variables[order.structured_count:]
+            if v not in moved]
+    return clauses, head + [v for v in stabilized if v in moved] + tail
+
+
+@st.composite
+def generator_sets(draw):
+    """Negation-consistent permutations of a few variables (signed
+    cycles, so orbits chain across generators and phase flips occur) and
+    a variable order with a structured head."""
+    n = draw(st.integers(1, 9))
+    gens = []
+    for _ in range(draw(st.integers(0, 5))):
+        cycle = draw(st.lists(st.integers(1, n), min_size=1, max_size=n,
+                              unique=True))
+        signs = draw(st.lists(st.integers(0, 1), min_size=len(cycle),
+                              max_size=len(cycle)))
+        mapping = {}
+        for i, v in enumerate(cycle):
+            w = cycle[(i + 1) % len(cycle)]
+            mapping[pos(v)] = pos(w) ^ signs[i]
+            mapping[neg_var(v)] = pos(w) ^ signs[i] ^ 1
+        phi = LiteralPermutation(mapping)
+        if not phi.is_identity():
+            gens.append(phi)
+    variables = draw(st.permutations(range(1, n + 1)))
+    return gens, make_order(variables, draw(st.integers(0, n)))
+
+
+@given(generator_sets())
+def test_binary_heuristic_matches_reference(case):
+    gens, order = case
+    out, new_order = binary_clause_heuristic(gens, order)
+    clauses, variables = ref_binary_clause_heuristic(gens, order)
+    assert out.clauses == clauses
+    assert new_order.variables == variables
+    assert new_order.structured_count == order.structured_count
 
 
 def test_structure_generator_counts():

@@ -80,6 +80,53 @@ class TestBreak:
         assert data["structures"][0]["kind"] == "row-column"
         assert "phase_times_ms" in data
 
+    def test_stats_schema(self, tmp_path, capsys):
+        src = tmp_path / "php4.cnf"
+        stats = tmp_path / "stats.json"
+        run_cli(["gen", "php", "4", "-o", str(src)], capsys)
+        code, _, _ = run_cli(["break", str(src), "--stats", str(stats)],
+                             capsys)
+        assert code == 0
+        data = json.loads(stats.read_text())
+        assert list(data) == ["structures", "remainder", "clauses_added",
+                              "aux_vars", "phase_times_ms", "input"]
+        assert list(data["phase_times_ms"]) == [
+            "parse_ms", "graph_ms", "detect_ms", "remainder_ms",
+            "encode_ms", "emit_ms"]
+        assert all(isinstance(v, float) and v >= 0
+                   for v in data["phase_times_ms"].values())
+        assert list(data["remainder"]) == ["generators", "binary_clauses"]
+        assert list(data["structures"][0]) == ["kind", "dims", "generators",
+                                               "orbit_sizes"]
+        assert data["input"] == {"declared_clauses": 22, "clauses": 22,
+                                 "declared_vars": 12, "num_vars": 12}
+
+    @pytest.mark.parametrize("text, header, report", [
+        # the header's clause count disagrees with the body: accepted, and
+        # the output header counts the clauses actually there
+        ("p cnf 3 5\n1 0\n", "p cnf 3 1",
+         {"declared_clauses": 5, "clauses": 1, "declared_vars": 3,
+          "num_vars": 3}),
+        ("p cnf 3 2\n1 -2 0\n2 3 0\n", "p cnf 3 2",
+         {"declared_clauses": 2, "clauses": 2, "declared_vars": 3,
+          "num_vars": 3}),
+        # a variable beyond the header widens the variable range
+        ("p cnf 2 1\n1 4 0\n", "p cnf 4 1",
+         {"declared_clauses": 1, "clauses": 1, "declared_vars": 2,
+          "num_vars": 4}),
+    ], ids=["count-mismatch", "count-match", "vars-beyond-header"])
+    def test_header_counts_reported(self, tmp_path, capsys, text, header,
+                                    report):
+        src = tmp_path / "in.cnf"
+        stats = tmp_path / "stats.json"
+        src.write_text(text)
+        code, out, _ = run_cli(
+            ["break", str(src), "--stats", str(stats), "--no-johnson",
+             "--no-row-column", "--no-row", "--dive-pairs", "0"], capsys)
+        assert code == 0
+        assert [l for l in out.splitlines() if l.startswith("p ")] == [header]
+        assert json.loads(stats.read_text())["input"] == report
+
     def test_byte_determinism(self, tmp_path, capsys):
         src = tmp_path / "php5.cnf"
         run_cli(["gen", "php", "5", "-o", str(src)], capsys)

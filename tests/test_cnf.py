@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from symbreak.cnf import (DimacsError, Formula, LiteralPermutation,
                           apply_permutation, automorphism_failure,
-                          canonical_clause, clause_multiset_image_check,
+                          clause_multiset_image_check,
                           emit_dimacs, fix, from_dimacs_lit, is_automorphism,
                           is_positive, neg_var, negate, parse_dimacs, pos,
                           to_dimacs_lit, transpose, var_of)
@@ -32,8 +32,9 @@ def test_from_dimacs_lit_zero_rejected():
         from_dimacs_lit(0)
 
 
-def test_canonical_clause_sorts_and_dedups():
-    assert canonical_clause([5, 1, 5, 3]) == (1, 3, 5)
+def test_formula_clauses_sort_and_dedup():
+    f = Formula(3, [[5, 1, 5, 3], [], [2, 2]])
+    assert f.clauses == [(1, 3, 5), (), (2,)]
 
 
 class TestFormula:
@@ -73,6 +74,7 @@ class TestParseDimacs:
         "p cnf 2 1\n1 x 0\n",             # non-integer token
         "p cnf 2 1\n1 2\n",               # missing terminator
         "",                               # no header at all
+        "p cnf 2 1\n1073741825 0\n",      # beyond the int32 literal codes
     ])
     def test_malformed_inputs(self, text):
         with pytest.raises(DimacsError):
@@ -233,7 +235,7 @@ def formula_and_map(draw):
         mapping[pos(v)] = 2 * (w - 1) + sgn
         mapping[neg_var(v)] = (2 * (w - 1) + sgn) ^ 1
     phi = LiteralPermutation(mapping)
-    closed = {canonical_clause(c) for c in clauses}
+    closed = {tuple(sorted(set(c))) for c in clauses}
     frontier = list(closed)
     while frontier:
         c = apply_permutation(frontier.pop(), phi)

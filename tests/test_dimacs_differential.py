@@ -1,0 +1,347 @@
+"""Differential tests of DIMACS parsing, clause canonicalization and
+emission: the array-based implementations in `symbreak.cnf` against the
+per-literal Python implementations they replaced, kept here verbatim as
+references.  Every generated input must give the same error or the same
+formula (variables, clause lists, every `_clause_arrays` array with its
+dtype) and the same emitted text."""
+
+import io
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from symbreak.cnf import DimacsError, Formula, emit_dimacs, parse_dimacs
+
+
+# ---- references ----------------------------------------------------------
+
+def ref_from_dimacs_lit(lit: int) -> int:
+    if lit > 0:
+        return 2 * (lit - 1)
+    if lit < 0:
+        return 2 * (-lit - 1) + 1
+    raise ValueError("literal 0 is the clause terminator, not a literal")
+
+
+def ref_to_dimacs_lit(code: int) -> int:
+    v = code // 2 + 1
+    return v if code % 2 == 0 else -v
+
+
+def ref_canonical_clause(lits) -> tuple:
+    return tuple(sorted(set(lits)))
+
+
+class RefFormula:
+    def __init__(self, num_vars, clauses):
+        self.clauses = [ref_canonical_clause(c) for c in clauses]
+        max_seen = 0
+        for c in self.clauses:
+            if c:
+                max_seen = max(max_seen, c[-1] // 2 + 1)
+        if max_seen > num_vars:
+            raise ValueError(
+                f"clause references variable {max_seen} > num_vars {num_vars}")
+        self.num_vars = num_vars
+        self.unique_clauses = list(dict.fromkeys(self.clauses))
+        self._arrays = None
+
+    def _clause_arrays(self):
+        if self._arrays is None:
+            unique = self.unique_clauses
+            n2 = 2 * self.num_vars
+            lens = np.fromiter(map(len, unique), dtype=np.int32,
+                               count=len(unique))
+            flat = np.fromiter((l for c in unique for l in c),
+                               dtype=np.int32, count=int(lens.sum()))
+            starts = np.cumsum(lens, dtype=np.int64) - lens
+            owner = np.repeat(np.arange(len(unique), dtype=np.int32), lens)
+            occ = owner[np.argsort(flat, kind="stable")]
+            occ_ptr = np.zeros(n2 + 1, dtype=np.int64)
+            np.cumsum(np.bincount(flat, minlength=n2), out=occ_ptr[1:])
+            self._arrays = (lens, flat, starts, occ, occ_ptr)
+        return self._arrays
+
+
+def ref_parse_dimacs(data) -> RefFormula:
+    if hasattr(data, "read"):
+        data = data.read()
+    if isinstance(data, bytes):
+        data = data.decode("ascii", errors="replace")
+
+    tokens = []
+    header = None
+    for line in data.splitlines():
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if header is not None:
+                raise DimacsError("duplicate header line")
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsError(f"malformed header: {line!r}")
+            try:
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError:
+                raise DimacsError(f"non-integer header field: {line!r}")
+            continue
+        if header is None:
+            raise DimacsError("clause data before 'p cnf' header")
+        tokens.extend(line.split())
+    if header is None:
+        raise DimacsError("missing 'p cnf' header")
+
+    clauses = []
+    current = []
+    for tok in tokens:
+        try:
+            lit = int(tok)
+        except ValueError:
+            raise DimacsError(f"non-integer token {tok!r}")
+        if lit == 0:
+            clauses.append(current)
+            current = []
+        else:
+            current.append(ref_from_dimacs_lit(lit))
+    if current:
+        raise DimacsError("end of input inside a clause (missing terminating 0)")
+
+    max_seen = max((max(c) // 2 + 1 for c in clauses if c), default=0)
+    num_vars = max(header[0], max_seen)
+    return RefFormula(num_vars, clauses)
+
+
+def ref_emit_dimacs(formula, added=(), aux_vars=0, comments=()) -> str:
+    added = list(added)
+    num_vars = formula.num_vars + aux_vars
+    for c in added:
+        for lit in c:
+            if lit // 2 + 1 > num_vars:
+                raise ValueError("added clause exceeds declared variable range")
+    out = []
+    for line in comments:
+        out.append(f"c symbreak: {line}")
+    out.append(f"p cnf {num_vars} {len(formula.clauses) + len(added)}")
+    for c in formula.clauses:
+        out.append(" ".join(str(ref_to_dimacs_lit(l)) for l in c) + " 0")
+    for c in added:
+        out.append(" ".join(str(ref_to_dimacs_lit(l)) for l in c) + " 0")
+    return "\n".join(out) + "\n"
+
+
+# ---- generated inputs ----------------------------------------------------
+
+SPACES = [" "] * 8 + ["  ", "\t", "\x1f", "\xa0", "\u3000"]
+BREAKS = (["\n"] * 10 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+                        "\u2028", " "])
+# int() accepts these, the bulk converter does not
+ODD_INTEGERS = ["+1", "+2", "1_0", "-1_1", "-0", "+0", "00", "007",
+                "\u0661", "\uff12", "00000000000000000000003"]
+NOT_INTEGERS = ["x", "1.5", "--1", "1__0", "_1", "1_", "-", "+", "0x1",
+                "1e3", "%", "c", "p", "1-", "\ufffd"]
+
+
+def _separator(draw):
+    return "".join(draw(st.lists(st.sampled_from(SPACES), min_size=1,
+                                 max_size=2)))
+
+
+@st.composite
+def header_line(draw, nv, nc):
+    return draw(st.sampled_from([f"p cnf {nv} {nc}"] * 24 + [
+        f"p  cnf\t{nv} {nc}", f" p cnf {nv} {nc} ", f"p cnf {nv}",
+        f"p dnf {nv} {nc}", f"p cnf x {nc}", f"p cnf +{nv} {nc}",
+        f"pcnf {nv} {nc}", f"p cnf {nv} {nc} 9", "p", f"p cnf -{nv} {nc}"]))
+
+
+@st.composite
+def dimacs_inputs(draw):
+    """DIMACS-like text, mostly valid: comments anywhere, clauses split
+    across lines, duplicate literals and clauses, tautologies, empty
+    clauses, variables beyond the header, odd and malformed tokens,
+    unusual whitespace and line breaks; given as str, bytes or a file."""
+    nv = draw(st.integers(0, 6))
+    lit = st.integers(1, nv + 3).flatmap(
+        lambda v: st.sampled_from([str(v), str(-v)]))
+    clauses = draw(st.lists(st.lists(lit, max_size=5), max_size=10))
+    if clauses and draw(st.booleans()):
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=3))
+    tokens = []
+    for c in clauses:
+        tokens += c + ["0"]
+    if tokens and draw(st.integers(0, 9)) == 0:
+        tokens.pop()                        # unterminated last clause
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(st.sampled_from(
+            ODD_INTEGERS + NOT_INTEGERS if draw(st.booleans())
+            else ODD_INTEGERS))
+        tokens.insert(draw(st.integers(0, len(tokens))), odd)
+
+    # the token stream cut into lines
+    lines = []
+    at = 0
+    while at < len(tokens):
+        step = draw(st.integers(1, 6))
+        lines.append(_separator(draw).join(tokens[at:at + step]))
+        at += step
+    comment = st.sampled_from(["c", "c comment", "c p cnf 1 1", "cx 1 0",
+                               "c\t9 0", "c caf\xe9"])
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.one_of(comment, st.just(""), st.just("  "))))
+    nc = draw(st.integers(0, len(clauses) + 2))
+    where = draw(st.sampled_from(["top"] * 12 + ["late", "missing", "twice"]))
+    if where != "missing":
+        head = draw(header_line(nv, nc))
+        pos = 0 if where != "late" else draw(st.integers(0, len(lines)))
+        lines.insert(pos, head)
+        if where == "twice":
+            lines.insert(draw(st.integers(pos + 1, len(lines))), head)
+    if draw(st.booleans()):
+        lines.insert(0, draw(comment))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(BREAKS))
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")          # no final line break
+
+    kind = draw(st.sampled_from(["str", "bytes", "text file", "byte file"]))
+    if kind == "str":
+        return text
+    if kind == "text file":
+        return io.StringIO(text)
+    raw = text.encode("utf-8")
+    return raw if kind == "bytes" else io.BytesIO(raw)
+
+
+def _rewind(data):
+    if hasattr(data, "seek"):
+        data.seek(0)
+    return data
+
+
+def _outcome(parse, data):
+    try:
+        return parse(_rewind(data)), None
+    except DimacsError as exc:
+        return None, str(exc)
+
+
+def assert_same_formula(new, ref):
+    assert new.num_vars == ref.num_vars
+    assert new.clauses == ref.clauses
+    assert new.unique_clauses == ref.unique_clauses
+    for got, want in zip(new._clause_arrays(), ref._clause_arrays(),
+                         strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def added_clauses(draw, num_vars):
+    aux = draw(st.integers(0, 3))
+    top = 2 * (num_vars + aux)
+    if not top:
+        return [], aux
+    lit = st.integers(0, top - 1)
+    return draw(st.lists(st.lists(lit, max_size=4).map(tuple),
+                         max_size=6)), aux
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dimacs_inputs(), st.data())
+def test_parse_and_emit_match_reference(data, draw):
+    new, err = _outcome(parse_dimacs, data)
+    ref, ref_err = _outcome(ref_parse_dimacs, data)
+    assert err == ref_err
+    if err is not None:
+        return
+    assert_same_formula(new, ref)
+    assert emit_dimacs(new) == ref_emit_dimacs(ref)
+    added, aux = draw.draw(added_clauses(new.num_vars))
+    comments = ["static", "structure row 3x2"]
+    assert (emit_dimacs(new, added, aux, comments)
+            == ref_emit_dimacs(ref, added, aux, comments))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda nv: st.tuples(
+    st.just(nv),
+    st.lists(st.lists(st.integers(0, 2 * nv + 1), max_size=5),
+             max_size=12))))
+def test_formula_from_clause_lists_matches_reference(case):
+    nv, clauses = case
+    try:
+        ref = RefFormula(nv, clauses)
+    except ValueError:
+        with pytest.raises(ValueError):
+            Formula(nv, clauses)
+        return
+    assert_same_formula(Formula(nv, clauses), ref)
+
+
+def test_added_clause_out_of_range_matches_reference():
+    f = Formula(2, [[0]])
+    for added in ([(4,)], [(0, 2), (5,)]):
+        with pytest.raises(ValueError):
+            ref_emit_dimacs(f, added)
+        with pytest.raises(ValueError):
+            emit_dimacs(f, added)
+
+
+def test_whitespace_tables_match_str_methods():
+    """The tokenizer's whitespace and line-break sets are those of
+    str.split and str.splitlines."""
+    from symbreak import cnf
+
+    space = {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    breaks = {c for c in range(sys.maxunicode + 1)
+              if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert space == (set(np.flatnonzero(cnf._SPACE).tolist())
+                     | set(cnf._WIDE_SPACE))
+    assert breaks == (set(np.flatnonzero(cnf._BREAK).tolist())
+                      | set(cnf._WIDE_BREAK))
+
+
+def test_large_formula_matches_reference():
+    """Many clauses of mixed lengths, with repeats: the bulk paths (one
+    key per clause, the literal text table) at a size the generated
+    inputs do not reach."""
+    rng = np.random.default_rng(7)
+    nv = 300
+    lines = [f"p cnf {nv} 0"]
+    for _ in range(3000):
+        k = int(rng.integers(0, 7))
+        lits = rng.integers(1, nv + 1, size=k) * rng.choice([-1, 1], size=k)
+        lines.append(" ".join(map(str, lits)) + " 0")
+    lines += lines[1:200]
+    text = "\n".join(lines) + "\n"
+    new, ref = parse_dimacs(text), ref_parse_dimacs(text)
+    assert_same_formula(new, ref)
+    added = [tuple(int(x) for x in rng.integers(0, 2 * nv, size=3))
+             for _ in range(100)]
+    assert emit_dimacs(new, added) == ref_emit_dimacs(ref, added)
+    assert Counter(new.unique_clauses) == Counter(set(new.clauses))
+
+
+def test_sparse_wide_variables_match_reference():
+    """Few literals over variables far apart: the literal text table
+    covers only the codes that occur, with rows wider than eight
+    characters."""
+    text = "p cnf 3 3\n1 -1234567 0\n-3 1000000 0\n1 -1234567 0\n"
+    new, ref = parse_dimacs(text), ref_parse_dimacs(text)
+    assert_same_formula(new, ref)
+    assert emit_dimacs(new) == ref_emit_dimacs(ref)
+    # the largest variable a literal code holds; its clause index would
+    # take gigabytes, so only the text is compared
+    text = "p cnf 3 2\n1073741824 -3 0\n-1073741824 2 0\n"
+    new, ref = parse_dimacs(text), ref_parse_dimacs(text)
+    added = [(2 * 1073741824 - 1, 0)]
+    assert emit_dimacs(new, added) == ref_emit_dimacs(ref, added)
+    assert emit_dimacs(new) == ("p cnf 1073741824 2\n-3 1073741824 0\n"
+                                "2 -1073741824 0\n")
