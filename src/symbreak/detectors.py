@@ -107,8 +107,14 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
                      and pi.clen[c] % sigma_size == 0
                      and pi.order[c] < graph.num_literal_vertices]
     session = IRSession(graph, pi)
+    # each row is checked and its transposition with the previous row
+    # verified as soon as it is built, so a refuted attempt stops at its
+    # first refuting row; a row depends only on its member, so a found
+    # structure is the same as if every member were probed first
     rows = []
-    for v in members:
+    seen = set()
+    generators = []
+    for i, v in enumerate(members):
         rep = session.individualize(v)
         # singletons and blocks merged into one row, ordered by the
         # refined color of each piece
@@ -120,26 +126,24 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
                       for cprime, frag in rep.fragments(c)
                       if len(frag) == want)
         pieces.sort(key=lambda p: p[0])
-        rows.append([u for _, piece in pieces for u in piece])
-
-    flat = [u for row in rows for u in row]
-    if len(set(flat)) != len(flat):
-        return DetectionFailure("overlapping rows")
-    if len(set(len(r) for r in rows)) != 1:
-        return DetectionFailure("unequal row lengths")
-
-    generators = []
-    for i in range(1, len(rows)):
-        try:
-            phi = fix(transpose(rows[i - 1], rows[i]))
-        except ValueError:
-            return DetectionFailure("verification failed")
-        if not is_automorphism(formula, phi):
-            return DetectionFailure("verification failed")
-        generators.append(phi)
+        row = [u for _, piece in pieces for u in piece]
+        if rows and len(row) != len(rows[0]):
+            return DetectionFailure(f"unequal row lengths at row {i}")
+        seen.update(row)
+        if len(seen) != len(row) * (i + 1):
+            return DetectionFailure(f"overlapping rows at row {i}")
+        if rows:
+            try:
+                phi = fix(transpose(rows[-1], row))
+            except ValueError:
+                return DetectionFailure(f"verification failed at row {i}")
+            if not is_automorphism(formula, phi):
+                return DetectionFailure(f"verification failed at row {i}")
+            generators.append(phi)
+        rows.append(row)
 
     return RowStructure(matrix=rows, generators=generators,
-                        covered_vertices=set(flat))
+                        covered_vertices=seen)
 
 
 def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,

@@ -91,26 +91,39 @@ def _polarity_split_base(graph, pi: Coloring, sigma: int):
 
 
 def _enabled_detectors(config: PipelineConfig) -> list:
-    """The enabled detectors in attempt order.  The names are looked up
-    on every call, so a wrapper put in their place is what runs."""
-    return [det for on, det in ((config.johnson, detect_johnson),
-                                (config.row_column, detect_row_column),
-                                (config.row, detect_row_blocks)) if on]
+    """(name, detector) for the enabled detectors in attempt order.  The
+    detectors are looked up on every call, so a wrapper put in their
+    place is what runs."""
+    return [(name, det) for on, name, det in (
+        (config.johnson, "johnson", detect_johnson),
+        (config.row_column, "row-column", detect_row_column),
+        (config.row, "row", detect_row_blocks)) if on]
 
 
 def _detect_structures(formula, graph, pi: Coloring, config: PipelineConfig):
+    """(structures, covered vertices, attempt log)."""
     structures = []
     covered: set = set()
+    attempts = []
     split_cache: dict = {}
 
-    def sweep(attempt):
+    def sweep(name, attempt):
         """attempt(sigma) on each unmarked literal class, largest first;
-        a found structure marks the vertices it covers."""
+        a found structure marks the vertices it covers.  Every attempt is
+        logged under `name`."""
         for sigma in _literal_classes(graph, pi, covered):
             if any(int(v) in covered for v in pi.class_members(sigma)):
                 continue
+            t0 = time.perf_counter()
             result = attempt(sigma)
-            if not isinstance(result, DetectionFailure):
+            ms = (time.perf_counter() - t0) * 1000.0
+            failed = isinstance(result, DetectionFailure)
+            attempts.append({"detector": name, "class": int(sigma),
+                             "size": int(pi.clen[sigma]),
+                             "outcome": "failed" if failed else "found",
+                             "reason": result.reason if failed else None,
+                             "ms": ms})
+            if not failed:
                 structures.append(result)
                 covered.update(result.covered_vertices)
 
@@ -128,14 +141,15 @@ def _detect_structures(formula, graph, pi: Coloring, config: PipelineConfig):
                   if c != sig and c != negation_class_of(coloring, sig)]
         return det(formula, graph, coloring, sig, other_colors=others)
 
-    detectors = _enabled_detectors(config)
-    for det in detectors:
-        sweep(partial(direct, det))
+    enabled = _enabled_detectors(config)
+    for name, det in enabled:
+        sweep(name, partial(direct, det))
     # last resort: one level of stabilizer recursion on leftover classes
-    if detectors:
-        sweep(lambda sigma: stabilizer_recursion(formula, graph, pi, sigma,
-                                                 detectors))
-    return structures, covered
+    if enabled:
+        detectors = [det for _, det in enabled]
+        sweep("recursion", lambda sigma: stabilizer_recursion(
+            formula, graph, pi, sigma, detectors))
+    return structures, covered, attempts
 
 
 def _remainder_coloring(graph, pi: Coloring, covered) -> Coloring:
@@ -156,8 +170,8 @@ def _count_by_color(pi: Coloring, vertices) -> list:
     return list(counts.values())
 
 
-def _output(formula, structures, rem_gens, added, aux, binary_count,
-            times, pi) -> BreakerOutput:
+def _output(formula, structures, attempts, rem_gens, added, aux,
+            binary_count, times, pi) -> BreakerOutput:
     stats = {
         "structures": [
             {
@@ -169,6 +183,7 @@ def _output(formula, structures, rem_gens, added, aux, binary_count,
             }
             for s in structures
         ],
+        "attempts": attempts,
         "remainder": {
             "generators": len(rem_gens),
             "binary_clauses": binary_count,
@@ -190,7 +205,7 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
                            "encode_ms"), 0.0)
     if not formula.lens.all():
         # an empty clause already makes the formula unsatisfiable
-        return _output(formula, [], [], [], 0, 0, times, None)
+        return _output(formula, [], [], [], [], 0, 0, times, None)
 
     t0 = time.perf_counter()
     graph = build_model_graph(formula)
@@ -198,7 +213,8 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
     times["graph_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    structures, covered = _detect_structures(formula, graph, pi, config)
+    structures, covered, attempts = _detect_structures(formula, graph, pi,
+                                                       config)
     times["detect_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
@@ -230,5 +246,5 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
         added.extend(chain.clauses)
         aux += chain.aux_count
     times["encode_ms"] = (time.perf_counter() - t0) * 1000.0
-    return _output(formula, structures, rem_gens, added, aux, binary_count,
-                   times, pi)
+    return _output(formula, structures, attempts, rem_gens, added, aux,
+                   binary_count, times, pi)

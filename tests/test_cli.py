@@ -88,8 +88,9 @@ class TestBreak:
                              capsys)
         assert code == 0
         data = json.loads(stats.read_text())
-        assert list(data) == ["structures", "remainder", "clauses_added",
-                              "aux_vars", "phase_times_ms", "input"]
+        assert list(data) == ["structures", "attempts", "remainder",
+                              "clauses_added", "aux_vars", "phase_times_ms",
+                              "input"]
         assert list(data["phase_times_ms"]) == [
             "parse_ms", "graph_ms", "detect_ms", "remainder_ms",
             "encode_ms", "emit_ms"]
@@ -98,6 +99,17 @@ class TestBreak:
         assert list(data["remainder"]) == ["generators", "binary_clauses"]
         assert list(data["structures"][0]) == ["kind", "dims", "generators",
                                                "orbit_sizes"]
+        assert data["attempts"]
+        for a in data["attempts"]:
+            assert list(a) == ["detector", "class", "size", "outcome",
+                               "reason", "ms"]
+            assert a["detector"] in ("johnson", "row-column", "row",
+                                     "recursion")
+            assert isinstance(a["class"], int) and a["size"] >= 2
+            assert (a["outcome"], a["reason"] is None) in (
+                ("found", True), ("failed", False))
+            assert isinstance(a["ms"], float) and a["ms"] >= 0
+        assert data["attempts"][-1]["outcome"] == "found"
         assert data["input"] == {"declared_clauses": 22, "clauses": 22,
                                  "declared_vars": 12, "num_vars": 12}
 

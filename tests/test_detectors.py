@@ -1,15 +1,18 @@
 """Structure detectors: row, row-column, Johnson, and the fallbacks."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symbreak.cnf import Formula, is_automorphism, neg_var, pos
-from symbreak.detectors import (DetectionFailure, detect_johnson,
-                                detect_row_blocks, detect_row_column,
-                                stabilizer_recursion)
+from symbreak.cnf import (Formula, fix, is_automorphism, neg_var, pos,
+                          transpose)
+from symbreak.detectors import (DetectionFailure, RowStructure,
+                                detect_johnson, detect_row_blocks,
+                                detect_row_column, stabilizer_recursion)
 from symbreak.modelgraph import build_model_graph
 from symbreak.pipeline import _polarity_split_base, negation_class_of
-from symbreak.refine import initial_coloring, refine_stable
-from symbreak.testkit import gen_cliquecolor, gen_php, gen_ramsey
+from symbreak.refine import IRSession, initial_coloring, refine_stable
+from symbreak.testkit import (gen_cliquecolor, gen_cycle_coloring, gen_php,
+                              gen_ramsey)
 
 
 def stable_base(formula):
@@ -117,6 +120,160 @@ class TestDetectRowBlocks:
             vars_in_row = set(l // 2 + 1 for l in row)
             assert any(s(k, 0) in vars_in_row and s(k, 1) in vars_in_row
                        for k in range(rows))
+
+
+def ref_detect_row_blocks(formula, graph, pi, sigma):
+    """The row detector as it was before rows were checked one at a
+    time: probe every member of sigma, then check overlap and lengths,
+    then verify the consecutive-row transpositions.  Kept, comments
+    aside, as the reference for the differential tests below."""
+    members = pi.class_members(sigma).tolist()
+    if len(members) < 3:
+        return DetectionFailure("size gate: |sigma| < 3")
+    if any(v >= graph.num_literal_vertices for v in members):
+        return DetectionFailure("sigma is not a literal class")
+
+    sigma_size = len(members)
+    block_classes = [(c, int(pi.clen[c]) // sigma_size)
+                     for c in pi.classes()
+                     if pi.clen[c] > sigma_size
+                     and pi.clen[c] % sigma_size == 0
+                     and pi.order[c] < graph.num_literal_vertices]
+    session = IRSession(graph, pi)
+    rows = []
+    for v in members:
+        rep = session.individualize(v)
+        pieces = [(int(rep.coloring.color[u]), [u])
+                  for u in rep.new_singletons
+                  if u < graph.num_literal_vertices]
+        pieces.extend((cprime, frag.tolist())
+                      for c, want in block_classes
+                      for cprime, frag in rep.fragments(c)
+                      if len(frag) == want)
+        pieces.sort(key=lambda p: p[0])
+        rows.append([u for _, piece in pieces for u in piece])
+
+    flat = [u for row in rows for u in row]
+    if len(set(flat)) != len(flat):
+        return DetectionFailure("overlapping rows")
+    if len(set(len(r) for r in rows)) != 1:
+        return DetectionFailure("unequal row lengths")
+
+    generators = []
+    for i in range(1, len(rows)):
+        try:
+            phi = fix(transpose(rows[i - 1], rows[i]))
+        except ValueError:
+            return DetectionFailure("verification failed")
+        if not is_automorphism(formula, phi):
+            return DetectionFailure("verification failed")
+        generators.append(phi)
+
+    return RowStructure(matrix=rows, generators=generators,
+                        covered_vertices=set(flat))
+
+
+def assert_same_rows(got, want):
+    if isinstance(want, DetectionFailure):
+        assert isinstance(got, DetectionFailure), got
+        return
+    assert not isinstance(got, DetectionFailure), got.reason
+    assert got.matrix == want.matrix
+    assert ([g.mapping for g in got.generators]
+            == [g.mapping for g in want.generators])
+    assert got.covered_vertices == want.covered_vertices
+
+
+def assert_rows_match_reference(formula):
+    """Both row detectors on every literal class of the stable
+    coloring; returns how many attempts found a structure."""
+    graph, base = stable_base(formula)
+    found = 0
+    for sigma in literal_classes(graph, base):
+        want = ref_detect_row_blocks(formula, graph, base, sigma)
+        assert_same_rows(detect_row_blocks(formula, graph, base, sigma),
+                         want)
+        found += not isinstance(want, DetectionFailure)
+    return found
+
+
+@st.composite
+def row_like_formulas(draw):
+    """Copies of one clause template over rows of `width` variables,
+    optionally a clause over each row's first variable, and a few stray
+    clauses that may break the row symmetry."""
+    rows = draw(st.integers(3, 5))
+    width = draw(st.integers(1, 3))
+    num_vars = rows * width
+    local = st.integers(0, 2 * width - 1)
+    template = draw(st.lists(st.lists(local, min_size=1, max_size=3),
+                             min_size=1, max_size=3))
+    clauses = [[2 * r * width + l for l in c]
+               for r in range(rows) for c in template]
+    if draw(st.booleans()):
+        clauses.append([2 * r * width for r in range(rows)])
+    lit = st.integers(0, 2 * num_vars - 1)
+    clauses += draw(st.lists(st.lists(lit, min_size=1, max_size=3),
+                             max_size=2))
+    return Formula(num_vars, clauses)
+
+
+class TestRowBlocksMatchReference:
+    @pytest.mark.parametrize("make, found", [
+        (lambda: row_instance(4), 4),
+        (lambda: row_instance(6), 4),
+        (lambda: attached_blocks_instance(4), 2),
+        (lambda: gen_php(4), 0),
+        (lambda: gen_php(5), 0),
+    ] + [(lambda n=n, k=k: gen_cycle_coloring(n, k), 0)
+         for n in (9, 20, 41) for k in (3, 4)],
+        ids=["row4", "row6", "attached-blocks", "php4", "php5"]
+        + [f"c{n}-{k}coloring" for n in (9, 20, 41) for k in (3, 4)])
+    def test_structured(self, make, found):
+        assert assert_rows_match_reference(make()) == found
+
+    def test_via_stabilizer_recursion(self):
+        f = two_copy_instance(3)
+        graph, base = stable_base(f)
+        for sigma in literal_classes(graph, base):
+            want = stabilizer_recursion(f, graph, base, sigma,
+                                        [ref_detect_row_blocks])
+            got = stabilizer_recursion(f, graph, base, sigma,
+                                       [detect_row_blocks])
+            assert_same_rows(got, want)
+        sigma = class_of(base, pos(1))
+        assert not isinstance(
+            stabilizer_recursion(f, graph, base, sigma, [detect_row_blocks]),
+            DetectionFailure)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(row_like_formulas())
+    def test_drawn_formulas(self, f):
+        assert_rows_match_reference(f)
+
+
+def test_refuted_row_attempt_stops_after_two_probes(monkeypatch):
+    """C41 4-coloring's 164-member literal classes fit no row shape;
+    each attempt is refuted by its second row."""
+    calls = []
+    individualize = IRSession.individualize
+
+    def counted(self, v):
+        calls.append(v)
+        return individualize(self, v)
+
+    monkeypatch.setattr(IRSession, "individualize", counted)
+    f = gen_cycle_coloring(41, 4)
+    graph, base = stable_base(f)
+    big = [c for c in literal_classes(graph, base) if base.clen[c] == 164]
+    assert big
+    for sigma in big:
+        calls.clear()
+        res = detect_row_blocks(f, graph, base, sigma)
+        assert isinstance(res, DetectionFailure)
+        assert res.reason.endswith("at row 1")
+        assert len(calls) <= 2
 
 
 class TestDetectRowColumn:

@@ -38,6 +38,12 @@ def augmented(formula, out):
      "4366483733512fb8b531a03cf4bf6fa6cc44a1a1845977f4730e77aeb73e7cce"),
     (lambda: gen_cycle_coloring(15, 3),
      "4e862a94bc1cf47d3bb2c99f3e2e05dfe6fcb154cf062feffcec5f048a8f6a0e"),
+    # row attempts on the large classes refuted by verification (C41)
+    # and by overlapping rows (C20)
+    (lambda: gen_cycle_coloring(41, 4),
+     "d2e3c0be47a1c75e0338918e45f3395304edbe2021c5c6139799ce6c572ccaa6"),
+    (lambda: gen_cycle_coloring(20, 4),
+     "7a4b9d4cc98aca96920ae2517f36f2253414fc462c87572d4abf1a9a8301e09b"),
     # row structure found only by stabilizer recursion
     (lambda: two_copy_instance(3),
      "e2887b6caa3fe981c739dc1d52efb97962109a49cd2e6c61abef930a06f0c8b4"),
@@ -45,7 +51,8 @@ def augmented(formula, out):
     (lambda: attached_blocks_instance(4),
      "fa21ac729817d3b8a10b476652567137f842d469b02eca0d34a63120fafc5495"),
 ], ids=["php6", "ramsey338", "cliquecolor1032", "c9-3coloring",
-        "c15-3coloring", "two-copy-rows", "row-blocks"])
+        "c15-3coloring", "c41-4coloring", "c20-4coloring", "two-copy-rows",
+        "row-blocks"])
 def test_emitted_dimacs_is_pinned(make, digest):
     formula = make()
     out = run(formula, PipelineConfig(seed=3))
@@ -136,13 +143,35 @@ class TestRun:
     def test_stats_schema(self):
         out = run(gen_php(4))
         stats = out.stats
-        assert set(stats) == {"structures", "remainder", "clauses_added",
-                              "aux_vars", "phase_times_ms"}
+        assert set(stats) == {"structures", "attempts", "remainder",
+                              "clauses_added", "aux_vars", "phase_times_ms"}
         s = stats["structures"][0]
         assert set(s) == {"kind", "dims", "generators", "orbit_sizes"}
         assert set(stats["remainder"]) == {"generators", "binary_clauses"}
         assert stats["clauses_added"] == len(out.added_clauses)
         assert stats["aux_vars"] == out.aux_count
+
+    def test_attempt_log(self):
+        f = gen_cycle_coloring(20, 4)
+        graph = build_model_graph(f)
+        pi = refine_stable(graph, initial_coloring(graph)).coloring
+        log = run(f).stats["attempts"]
+        # every detector, then the recursion, on both 80-member classes
+        assert [(a["detector"], a["size"]) for a in log] == [
+            (d, 80) for d in ("johnson", "row-column", "row", "recursion")
+            for _ in range(2)]
+        for a in log:
+            assert a["size"] == int(pi.clen[a["class"]])
+            assert a["outcome"] == "failed" and a["reason"]
+            assert a["ms"] >= 0
+        assert [a["reason"] for a in log if a["detector"] == "row"] == [
+            "verification failed at row 1"] * 2
+
+    def test_attempt_log_found(self):
+        log = run(gen_php(4)).stats["attempts"]
+        assert log[-1]["detector"] == "row-column"
+        assert log[-1]["outcome"] == "found" and log[-1]["reason"] is None
+        assert all(a["outcome"] == "failed" for a in log[:-1])
 
     def test_clauses_stay_in_declared_range(self):
         f = gen_php(5)
@@ -170,6 +199,7 @@ class TestRun:
             assert out.structures == [] and out.remainder_generators == []
             assert out.stats == {
                 "structures": [],
+                "attempts": [],
                 "remainder": {"generators": 0, "binary_clauses": 0},
                 "clauses_added": 0,
                 "aux_vars": 0,
