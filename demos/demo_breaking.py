@@ -13,7 +13,7 @@ Run:  python3 demos/demo_breaking.py
 from itertools import product
 
 from symbreak.breaking import build_order, lex_leader_encode
-from symbreak.cnf import (Formula, fix, is_automorphism, pos, to_dimacs_lit,
+from symbreak.cnf import (Formula, is_automorphism, pos, to_dimacs_lit,
                           transpose)
 
 
@@ -34,7 +34,7 @@ def main():
     # set to itself.
     formula = Formula(3, [[pos(1), pos(2), pos(3)],
                           [pos(1) ^ 1, pos(2) ^ 1]])
-    phi = fix(transpose([pos(1)], [pos(2)]))   # close over negations
+    phi = transpose([pos(1)], [pos(2)])   # closed over negations
     assert is_automorphism(formula, phi)
     print("phi = (x1 x2) verified as a symmetry")
 

@@ -9,7 +9,6 @@ threaded through every encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -18,16 +17,19 @@ from .cnf import Formula, LiteralPermutation, negate, pos, var_of
 
 @dataclass
 class VariableOrder:
-    """A total order on the variables; structure-owned variables first."""
+    """A total order on the variables; structure-owned variables first.
+    ``rank[v]`` is variable v's position in it, -1 for a variable not in
+    it."""
 
     variables: list
     structured_count: int = 0
-    rank: dict = field(default=None)
+    rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.rank is None:
-            self.rank = {v: i for i, v in enumerate(self.variables)}
-        if len(self.rank) != len(self.variables):
+        variables = np.asarray(self.variables, dtype=np.int64)
+        self.rank = np.full(int(variables.max(initial=0)) + 1, -1)
+        self.rank[variables] = np.arange(len(variables))
+        if np.count_nonzero(self.rank >= 0) != len(variables):
             raise ValueError("order contains duplicate variables")
 
 
@@ -78,41 +80,33 @@ def lex_leader_encode(phi: LiteralPermutation, order: VariableOrder,
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
-    support_vars = sorted(
-        set(var_of(l) for l in phi.support if var_of(l) in order.rank),
-        key=order.rank.__getitem__)
-    positions = []
-    for x in support_vars:
-        if len(positions) == max_len:
-            break
-        p = phi.image(pos(x))
-        if p != pos(x):
-            positions.append((x, p))
-
-    # a phase flip ends the encodable prefix
-    for i, (x, p) in enumerate(positions):
-        if p == negate(pos(x)):
-            positions = positions[:i + 1]
-            break
+    # the positions: moved variables in order, those outside it dropped
+    xs = phi.support[0::2] // 2 + 1
+    rank = np.full(len(xs), -1)
+    inside = xs < len(order.rank)
+    rank[inside] = order.rank[xs[inside]]
+    ranked = np.flatnonzero(rank >= 0)
+    by = ranked[np.argsort(rank[ranked])][:max_len]
 
     clauses = []
     aux = 0
-    prev_a = None  # literal code of a_{i-1}, None while a_0 is folded away
-    for i, (x, p) in enumerate(positions):
-        last = i == len(positions) - 1
-        prefix = [] if prev_a is None else [negate(prev_a)]
-        if p == negate(pos(x)):
-            clauses.append(tuple(prefix + [pos(x)]))
+    prefix = ()  # (!a_{i-1},), empty while a_0 is folded away
+    last = len(by) - 1
+    for i, (x, p) in enumerate(zip(xs[by].tolist(),
+                                   phi.images[0::2][by].tolist())):
+        px = pos(x)
+        if p == negate(px):
+            # a phase flip ends the encodable prefix
+            clauses.append(prefix + (px,))
             break
-        if last:
-            clauses.append(tuple(prefix + [negate(p), pos(x)]))
+        clauses.append(prefix + (negate(p), px))
+        if i == last:
             break
         a = pos(next_aux + aux)
         aux += 1
-        clauses.append(tuple(prefix + [negate(p), pos(x)]))
-        clauses.append(tuple(prefix + [pos(x), a]))
-        clauses.append(tuple(prefix + [negate(p), a]))
-        prev_a = a
+        clauses.append(prefix + (px, a))
+        clauses.append(prefix + (negate(p), a))
+        prefix = (negate(a),)
     return BreakingClauses(clauses, aux, source="lex")
 
 
@@ -160,18 +154,15 @@ def binary_clause_heuristic(gens: list, order: VariableOrder):
     gens = list(gens)
     clauses = []
     stabilized = []
-    sizes = [len(g.mapping) for g in gens]
-    moves = sum(sizes)
-    src = np.fromiter(chain.from_iterable(g.mapping for g in gens),
-                      dtype=np.int64, count=moves)
-    dst = np.fromiter(chain.from_iterable(g.mapping.values() for g in gens),
-                      dtype=np.int64, count=moves)
-    owner = np.repeat(np.arange(len(gens)), sizes)
+    none = np.empty(0, dtype=np.int32)
+    src = np.concatenate([none] + [g.support for g in gens])
+    dst = np.concatenate([none] + [g.images for g in gens])
+    owner = np.repeat(np.arange(len(gens)), [len(g) for g in gens])
     lits, ends = np.unique(np.concatenate((src, dst)), return_inverse=True)
-    a, b = ends[:moves], ends[moves:]
+    a, b = ends[:len(src)], ends[len(src):]
     positive = lits % 2 == 0
-    rank = np.full(len(lits), len(order.rank))
-    rank[positive] = [order.rank[var_of(l)] for l in lits[positive].tolist()]
+    rank = np.full(len(lits), len(order.variables))
+    rank[positive] = order.rank[lits[positive] // 2 + 1]
     alive = np.ones(len(gens), dtype=bool)
     while True:
         live = alive[owner]

@@ -3,6 +3,12 @@
 Literals are encoded as non-negative integers: variable v (1-based) with
 positive polarity is 2*(v-1), negative polarity is 2*(v-1)+1.  Negation is
 a single XOR with 1.
+
+A symmetry generator is a :class:`LiteralPermutation`: two int32 arrays,
+the moved literals in ascending order and their images.  It is closed
+under negation when it is built, phi(l ^ 1) == phi(l) ^ 1, so every
+consumer, from the verifier to the lex-leader encoder, reads the arrays
+as they are.
 """
 
 from __future__ import annotations
@@ -317,6 +323,9 @@ def parse_dimacs(data) -> Formula:
             header = (int(parts[2]), int(parts[3]))
         except ValueError:
             raise DimacsError(f"non-integer header field: {line!r}")
+        if header[0] > MAX_VAR:
+            raise DimacsError(f"header declares {header[0]} variables, "
+                              f"more than {MAX_VAR}")
     if header is None:
         if first_data < len(starts):
             raise DimacsError("clause data before 'p cnf' header")
@@ -406,88 +415,74 @@ def _clause_lines(lens, lits) -> str:
 
 
 class LiteralPermutation:
-    """A sparse bijection on literal codes, storing only moved points."""
+    """A permutation of literal codes closed under negation:
+    phi(l ^ 1) == phi(l) ^ 1 for every literal l.  ``support`` holds the
+    moved literals in ascending order and ``images`` their images, both
+    read-only int32 arrays.  Closure puts both literals of each moved
+    variable in the support, side by side, so ``support[0::2]`` are the
+    positive ones and ``images[0::2]`` their images.
 
-    __slots__ = ("mapping",)
+    Built from parallel arrays ``src`` -> ``dst`` of distinct literals.
+    Fixed points are dropped; the rest must be a bijection on the moved
+    literals, and a literal given with its negation must go to the
+    negation of the negation's image, else ValueError.  A literal not
+    given whose negation is moved goes to the negation of that image.
+    Two permutations are equal when their arrays are.
+    """
 
-    def __init__(self, mapping: dict):
-        m = {k: v for k, v in mapping.items() if k != v}
-        if set(m.values()) != set(m.keys()):
+    __slots__ = ("support", "images")
+
+    def __init__(self, src=(), dst=()):
+        src = np.asarray(src, dtype=np.int32)
+        dst = np.asarray(dst, dtype=np.int32)
+        moved = src != dst
+        src, dst = src[moved], dst[moved]
+        by = np.argsort(src)
+        src, dst = src[by], dst[by]
+        if not np.array_equal(src, np.sort(dst)):
             raise ValueError("mapping is not a bijection on its support")
-        self.mapping = m
+        # per moved literal, its variable and the image that closure
+        # gives the variable's positive literal; a literal and its
+        # negation both given are adjacent in src and must agree
+        var = src >> 1
+        pos_image = dst ^ (src & 1)
+        pair = var[1:] == var[:-1]
+        if (pos_image[1:][pair] != pos_image[:-1][pair]).any():
+            raise ValueError(
+                "conflicting images for a literal and its negation")
+        var, first = np.unique(var, return_index=True)
+        pos_image = pos_image[first]
+        self.support = np.stack((2 * var, 2 * var + 1), axis=1).ravel()
+        self.images = np.stack((pos_image, pos_image ^ 1), axis=1).ravel()
+        self.support.flags.writeable = False
+        self.images.flags.writeable = False
 
-    @property
-    def support(self):
-        return self.mapping.keys()
+    def __len__(self):
+        return len(self.support)
 
-    def image(self, lit: int) -> int:
-        return self.mapping.get(lit, lit)
-
-    def is_identity(self) -> bool:
-        return not self.mapping
-
-    def is_negation_consistent(self) -> bool:
-        m = self.mapping
-        return all(m.get(l ^ 1, l ^ 1) == m[l] ^ 1 for l in m)
-
-    def inverse(self) -> "LiteralPermutation":
-        return LiteralPermutation({v: k for k, v in self.mapping.items()})
-
-    def compose(self, other: "LiteralPermutation") -> "LiteralPermutation":
-        """Permutation applying self first, then other."""
-        keys = set(self.mapping) | set(other.mapping)
-        return LiteralPermutation({k: other.image(self.image(k)) for k in keys})
+    def _key(self) -> bytes:
+        return self.support.tobytes() + self.images.tobytes()
 
     def __eq__(self, other):
-        return isinstance(other, LiteralPermutation) and self.mapping == other.mapping
+        return (isinstance(other, LiteralPermutation)
+                and self._key() == other._key())
 
     def __hash__(self):
-        return hash(frozenset(self.mapping.items()))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"LiteralPermutation({len(self.mapping)} moved)"
+        return f"LiteralPermutation({len(self)} moved)"
 
 
 def transpose(a: list, b: list) -> LiteralPermutation:
-    """Exchange a[i] with b[i]; identity elsewhere.
-
-    The result is not necessarily negation-consistent; apply :func:`fix`
-    to close it under negation.
-    """
+    """Exchange a[i] with b[i], identity elsewhere, closed under
+    negation."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    sa, sb = set(a), set(b)
-    if len(sa) != len(a) or len(sb) != len(b) or sa & sb:
+    if len(set(a) | set(b)) != 2 * len(a):
         raise ValueError("lists must be duplicate-free and pairwise disjoint")
-    mapping = {}
-    for x, y in zip(a, b):
-        mapping[x] = y
-        mapping[y] = x
-    return LiteralPermutation(mapping)
-
-
-def fix(phi: LiteralPermutation) -> LiteralPermutation:
-    """Negation-consistent closure of a permutation.
-
-    Literals in the support keep their image; a literal whose negation is
-    in the support is mapped to the negation of that image.
-    """
-    m = dict(phi.mapping)
-    for l, img in phi.mapping.items():
-        nl = l ^ 1
-        if nl in phi.mapping:
-            if phi.mapping[nl] != img ^ 1:
-                raise ValueError(
-                    f"conflicting images for literal {l} and its negation")
-        else:
-            m[nl] = img ^ 1
-    return LiteralPermutation(m)
-
-
-def apply_permutation(clause: Iterable[int], phi: LiteralPermutation) -> tuple:
-    """Canonical image of a clause under a literal permutation."""
-    g = phi.mapping.get
-    return tuple(sorted(g(l, l) for l in clause))
+    return LiteralPermutation(np.concatenate((a, b)),
+                              np.concatenate((b, a)))
 
 
 def _row_keys(rows, bits: int = 31):
@@ -517,21 +512,16 @@ def automorphism_failure(formula: Formula, phi: LiteralPermutation) -> Optional[
     touched clause touches the support too, and phi is a symmetry exactly
     when it maps the touched clauses of each length onto themselves.
     """
-    if not phi.is_negation_consistent():
-        return "negation-inconsistent"
-    m = phi.mapping
-    if not m:
+    if not len(phi):
         return None
     lens, flat, starts, occ, occ_ptr = formula._clause_arrays()
     n2 = 2 * formula.num_vars
-    keys = np.fromiter(m.keys(), dtype=np.int64, count=len(m))
-    values = np.fromiter(m.values(), dtype=np.int32, count=len(m))
     # literals beyond the formula's variables occur in no clause and need
     # no image; a clause moved onto one matches no clause
-    inside = keys < n2
-    keys = keys[inside]
+    inside = phi.support < n2
+    keys = phi.support[inside]
     img = np.arange(n2, dtype=np.int32)
-    img[keys] = values[inside]
+    img[keys] = phi.images[inside]
     # the occ ranges of the moved literals, back to back: entry j of range
     # r sits at position first[r] + j and reads occ[lo[r] + j]
     lo = occ_ptr[keys]
@@ -558,7 +548,7 @@ def is_automorphism(formula: Formula, phi: LiteralPermutation) -> bool:
 
 def clause_multiset_image_check(formula: Formula, phi: LiteralPermutation) -> bool:
     """Full oracle: image multiset of the unique clause set equals itself."""
-    if not phi.is_negation_consistent():
-        return False
-    images = Counter(apply_permutation(c, phi) for c in formula.unique_clauses)
+    image = dict(zip(phi.support.tolist(), phi.images.tolist()))
+    images = Counter(tuple(sorted(image.get(l, l) for l in c))
+                     for c in formula.unique_clauses)
     return images == Counter(formula.unique_clauses)

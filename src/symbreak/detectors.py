@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cnf import (Formula, LiteralPermutation, fix, is_automorphism,
-                  transpose, var_of)
+from .cnf import (Formula, LiteralPermutation, is_automorphism, transpose,
+                  var_of)
 from .modelgraph import ColoredGraph
 from .refine import Coloring, IRSession, individualize_refine
 
@@ -134,7 +134,7 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
             return DetectionFailure(f"overlapping rows at row {i}")
         if rows:
             try:
-                phi = fix(transpose(rows[-1], row))
+                phi = transpose(rows[-1], row)
             except ValueError:
                 return DetectionFailure(f"verification failed at row {i}")
             if not is_automorphism(formula, phi):
@@ -232,12 +232,12 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     # row-major order, so they are what the structure carries
     generators = []
     for ci in range(len(col_labels) - 1):
-        phi = fix(transpose(column(ci), column(ci + 1)))
+        phi = transpose(column(ci), column(ci + 1))
         if not is_automorphism(formula, phi):
             return DetectionFailure("verification failed")
         generators.append(phi)
     for ri in range(len(row_labels) - 1):
-        phi = fix(transpose(matrix[ri], matrix[ri + 1]))
+        phi = transpose(matrix[ri], matrix[ri + 1])
         if not is_automorphism(formula, phi):
             return DetectionFailure("verification failed")
         generators.append(phi)
@@ -352,19 +352,13 @@ def _johnson_generator(n: int, pair_to_lit: dict, i: int,
     """Permutation induced on the labeled literals by the label
     transposition (i, i+1), plus explicit block pairings, closed under
     negation.  ``pair_to_lit`` maps each label pair to its literal."""
-    mapping = {}
-    for r in range(1, n + 1):
-        if r in (i, i + 1):
-            continue
-        a = pair_to_lit[frozenset((i, r))]
-        b = pair_to_lit[frozenset((i + 1, r))]
-        mapping[a] = b
-        mapping[b] = a
-    for xs, ys in block_pairings:
-        for x, y in zip(xs, ys):
-            mapping[x] = y
-            mapping[y] = x
-    return fix(LiteralPermutation(mapping))
+    others = [r for r in range(1, n + 1) if r not in (i, i + 1)]
+    xs = [pair_to_lit[frozenset((i, r))] for r in others]
+    ys = [pair_to_lit[frozenset((i + 1, r))] for r in others]
+    for bx, by in block_pairings:
+        xs.extend(bx)
+        ys.extend(by)
+    return LiteralPermutation(xs + ys, ys + xs)
 
 
 def detect_johnson_row_extension(graph: ColoredGraph, pi: Coloring, n: int,
@@ -390,8 +384,8 @@ def detect_johnson_row_extension(graph: ColoredGraph, pi: Coloring, n: int,
         if not members:
             continue
         if int(pi.color[members[0] ^ 1]) in accepted_colors:
-            # negation class of an accepted orbit: fix() already closes the
-            # generators over it, a second block map would conflict
+            # negation class of an accepted orbit: the generators' negation
+            # closure already moves it, a second block map would conflict
             continue
         if len(members) % n != 0 or len(members) < n:
             continue
@@ -523,9 +517,10 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
 
 def stabilizer_recursion(formula: Formula, graph: ColoredGraph, pi: Coloring,
                          sigma: int, detectors):
-    """After a failed attempt on sigma, retry each of `detectors`, in
-    turn, on the largest fragment of sigma under the first
-    individualization.  One recursion level only."""
+    """After a failed attempt on sigma, retry each of `detectors`, (name,
+    detector) pairs, in turn, on the largest fragment of sigma under the
+    first individualization.  One recursion level only; the failure
+    names each detector's reason."""
     members = _class_members(pi, sigma)
     if len(members) < 2:
         return DetectionFailure("size gate: singleton class")
@@ -534,8 +529,10 @@ def stabilizer_recursion(formula: Formula, graph: ColoredGraph, pi: Coloring,
     largest_color, largest = max(frags, key=lambda f: (len(f[1]), -f[0]))
     if len(largest) < 2:
         return DetectionFailure("largest fragment is a singleton")
-    for det in detectors:
+    reasons = []
+    for name, det in detectors:
         result = det(formula, graph, rep.coloring, largest_color)
         if not isinstance(result, DetectionFailure):
             return result
-    return DetectionFailure("recursion failed")
+        reasons.append(f"{name}: {result.reason}")
+    return DetectionFailure("recursion failed: " + "; ".join(reasons))

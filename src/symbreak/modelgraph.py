@@ -85,15 +85,3 @@ def build_model_graph(formula: Formula) -> ColoredGraph:
     color_keys[nlit:] = 1 + rank
 
     return ColoredGraph(vertex_count, indptr, neighbors, color_keys, nlit)
-
-
-def dump_debug(graph: ColoredGraph) -> str:
-    """DIMACS-graph style dump (`p edge`, `e`, `n` lines) for cross-checks."""
-    lines = [f"p edge {graph.vertex_count} {graph.edge_count()}"]
-    for v in range(graph.vertex_count):
-        for u in graph.neighbors_of(v):
-            if v < u:
-                lines.append(f"e {v + 1} {u + 1}")
-    for v in range(graph.vertex_count):
-        lines.append(f"n {v + 1} {int(graph.color_keys[v])}")
-    return "\n".join(lines) + "\n"

@@ -146,9 +146,8 @@ def _detect_structures(formula, graph, pi: Coloring, config: PipelineConfig):
         sweep(name, partial(direct, det))
     # last resort: one level of stabilizer recursion on leftover classes
     if enabled:
-        detectors = [det for _, det in enabled]
         sweep("recursion", lambda sigma: stabilizer_recursion(
-            formula, graph, pi, sigma, detectors))
+            formula, graph, pi, sigma, enabled))
     return structures, covered, attempts
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import Formula, LiteralPermutation, fix, is_automorphism
+from .cnf import Formula, LiteralPermutation, is_automorphism
 from .modelgraph import ColoredGraph
 from .refine import Coloring, individualize_refine
 
@@ -47,14 +47,14 @@ def _dive(graph: ColoredGraph, pi: Coloring, rng: random.Random) -> Coloring:
 
 def _pair_leaves(graph: ColoredGraph, d1: Coloring, d2: Coloring):
     """Literal permutation pairing the two discrete leaves slot by slot;
-    None when a literal slot faces a clause slot."""
+    None when a literal slot faces a clause slot or the pairing cannot
+    be closed under negation."""
     nlit = graph.num_literal_vertices
     lit = d1.order < nlit
     if not np.array_equal(lit, d2.order < nlit):
         return None
-    mapping = dict(zip(d1.order[lit].tolist(), d2.order[lit].tolist()))
     try:
-        return fix(LiteralPermutation(mapping))
+        return LiteralPermutation(d1.order[lit], d2.order[lit])
     except ValueError:
         return None
 
@@ -75,7 +75,7 @@ def find_remainder_generators(formula: Formula, graph: ColoredGraph,
         d1 = _dive(graph, pi_rem, rng)
         d2 = _dive(graph, pi_rem, rng)
         phi = _pair_leaves(graph, d1, d2)
-        if phi is None or phi.is_identity() or phi in seen:
+        if phi is None or not len(phi) or phi in seen:
             continue
         if is_automorphism(formula, phi):
             seen.add(phi)

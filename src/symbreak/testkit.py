@@ -320,13 +320,12 @@ def formula_automorphisms(formula: Formula, var_cap: int = 6) -> list:
     if n > var_cap:
         raise ValueError(f"variable count {n} exceeds cap {var_cap}")
     out = []
+    lits = range(2 * n)
     for vperm in itertools.permutations(range(n)):
         for signs in itertools.product((0, 1), repeat=n):
-            mapping = {}
-            for v in range(n):
-                mapping[2 * v] = 2 * vperm[v] + signs[v]
-                mapping[2 * v + 1] = 2 * vperm[v] + (signs[v] ^ 1)
-            phi = LiteralPermutation(mapping)
+            phi = LiteralPermutation(lits, [2 * w + (sign ^ neg)
+                                            for w, sign in zip(vperm, signs)
+                                            for neg in (0, 1)])
             if is_automorphism(formula, phi):
                 out.append(phi)
     return out

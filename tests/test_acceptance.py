@@ -151,13 +151,14 @@ def test_acceptance_5_empty_remainder():
           "instances")
 
 
-def _encoded_prefix(phi, order_vars, max_len=64):
+def _encoded_prefix(mapping, order_vars, max_len=64):
+    """The encoder's positions, from a negation-closed literal dict."""
     rank = {v: i for i, v in enumerate(order_vars)}
-    support = sorted(set(var_of(l) for l in phi.support if var_of(l) in rank),
+    support = sorted(set(var_of(l) for l in mapping if var_of(l) in rank),
                      key=rank.__getitem__)
     out = []
     for x in support:
-        p = phi.image(pos(x))
+        p = mapping.get(pos(x), pos(x))
         if p == pos(x):
             continue
         out.append((x, p))
@@ -199,10 +200,10 @@ def test_acceptance_6_lex_leader_exactness():
             flip = rng.random() < 0.25
             mapping[pos(v)] = 2 * (vperm[v - 1] - 1) + flip
             mapping[2 * (v - 1) + 1] = 2 * (vperm[v - 1] - 1) + (not flip)
-        phi = LiteralPermutation(mapping)
+        phi = LiteralPermutation(list(mapping), list(mapping.values()))
         order = VariableOrder(list(range(1, n + 1)))
         out = lex_leader_encode(phi, order, n + 1)
-        prefix = _encoded_prefix(phi, order.variables)
+        prefix = _encoded_prefix(mapping, order.variables)
         for bits in itertools.product((False, True), repeat=n):
             theta = {v + 1: bits[v] for v in range(n)}
             want = True

@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 from symbreak.breaking import (VariableOrder, binary_clause_heuristic,
                                build_order, lex_leader_encode,
                                structure_generators)
-from symbreak.cnf import (Formula, LiteralPermutation, fix, neg_var, negate,
-                          pos, transpose, var_of)
+from symbreak.cnf import (Formula, LiteralPermutation, neg_var, negate, pos,
+                          transpose, var_of)
 from symbreak.detectors import RowStructure
+from test_generator_differential import as_dict
 
 
 def make_order(vars_, structured=0):
@@ -21,12 +22,13 @@ def make_order(vars_, structured=0):
 def encoded_prefix(phi, order, max_len=64):
     """The (x_i, p_i) positions the encoder commits to, reimplemented
     independently for the exactness oracle."""
-    support = sorted(set(var_of(l) for l in phi.support
-                         if var_of(l) in order.rank),
-                     key=order.rank.__getitem__)
+    mapping = as_dict(phi)
+    rank = {v: i for i, v in enumerate(order.variables)}
+    support = sorted(set(var_of(l) for l in mapping if var_of(l) in rank),
+                     key=rank.__getitem__)
     out = []
     for x in support:
-        p = phi.image(pos(x))
+        p = mapping.get(pos(x), pos(x))
         if p == pos(x):
             continue
         out.append((x, p))
@@ -91,11 +93,11 @@ class TestBuildOrder:
 
 class TestLexLeaderEncode:
     def test_identity_empty(self):
-        out = lex_leader_encode(LiteralPermutation({}), make_order([1, 2]), 3)
+        out = lex_leader_encode(LiteralPermutation(), make_order([1, 2]), 3)
         assert out.clauses == [] and out.aux_count == 0
 
     def test_swap_two_vars_exact_clauses(self):
-        phi = fix(transpose([pos(1)], [pos(2)]))
+        phi = transpose([pos(1)], [pos(2)])
         out = lex_leader_encode(phi, make_order([1, 2]), 3)
         a = pos(3)
         expected = [
@@ -109,21 +111,20 @@ class TestLexLeaderEncode:
         assert out.aux_count == 1
 
     def test_swap_models_match_lex_predicate(self):
-        phi = fix(transpose([pos(1)], [pos(2)]))
+        phi = transpose([pos(1)], [pos(2)])
         out = lex_leader_encode(phi, make_order([1, 2]), 3)
         models = clause_models(2, out.aux_count, out.clauses)
         assert models == {(False, False), (True, False), (True, True)}
 
     def test_phase_flip_is_unit(self):
-        phi = LiteralPermutation({pos(1): neg_var(1), neg_var(1): pos(1)})
+        phi = LiteralPermutation([pos(1), neg_var(1)], [neg_var(1), pos(1)])
         out = lex_leader_encode(phi, make_order([1]), 2)
         assert out.clauses == [(pos(1),)]
         assert out.aux_count == 0
 
     def test_phase_flip_truncates_chain(self):
-        phi = fix(LiteralPermutation({
-            pos(1): neg_var(1), neg_var(1): pos(1),
-            pos(2): pos(3), pos(3): pos(2)}))
+        phi = LiteralPermutation([pos(1), neg_var(1), pos(2), pos(3)],
+                                 [neg_var(1), pos(1), pos(3), pos(2)])
         out = lex_leader_encode(phi, make_order([1, 2, 3]), 4)
         # position 1 flips phase: single unit clause, nothing after
         assert out.clauses == [(pos(1),)]
@@ -133,7 +134,7 @@ class TestLexLeaderEncode:
         for v in range(1, 7, 2):
             mapping[pos(v)] = pos(v + 1)
             mapping[pos(v + 1)] = pos(v)
-        phi = fix(LiteralPermutation(mapping))
+        phi = LiteralPermutation(list(mapping), list(mapping.values()))
         out = lex_leader_encode(phi, make_order(range(1, 7)), 7, max_len=2)
         prefix = encoded_prefix(phi, make_order(range(1, 7)), max_len=2)
         assert len(prefix) == 2
@@ -144,12 +145,12 @@ class TestLexLeaderEncode:
         assert models == expected
 
     def test_max_len_zero_encodes_nothing(self):
-        phi = fix(transpose([pos(1)], [pos(2)]))
+        phi = transpose([pos(1)], [pos(2)])
         out = lex_leader_encode(phi, make_order([1, 2]), 3, max_len=0)
         assert out.clauses == [] and out.aux_count == 0
 
     def test_negative_max_len_rejected(self):
-        phi = fix(transpose([pos(1)], [pos(2)]))
+        phi = transpose([pos(1)], [pos(2)])
         with pytest.raises(ValueError):
             lex_leader_encode(phi, make_order([1, 2]), 3, max_len=-1)
 
@@ -164,7 +165,7 @@ class TestLexLeaderEncode:
             flip = rng.random() < 0.3
             mapping[pos(v)] = 2 * (vperm[v - 1] - 1) + flip
             mapping[neg_var(v)] = 2 * (vperm[v - 1] - 1) + (not flip)
-        phi = LiteralPermutation(mapping)
+        phi = LiteralPermutation(list(mapping), list(mapping.values()))
         order = make_order(range(1, n + 1))
         out = lex_leader_encode(phi, order, n + 1)
         prefix = encoded_prefix(phi, order)
@@ -177,8 +178,8 @@ class TestLexLeaderEncode:
 
 class TestBinaryClauseHeuristic:
     def test_three_cycle(self):
-        phi = fix(LiteralPermutation({
-            pos(1): pos(2), pos(2): pos(3), pos(3): pos(1)}))
+        phi = LiteralPermutation([pos(1), pos(2), pos(3)],
+                                 [pos(2), pos(3), pos(1)])
         out, order = binary_clause_heuristic([phi], make_order([1, 2, 3]))
         assert sorted(out.clauses) == [(pos(1), neg_var(2)),
                                        (pos(1), neg_var(3))]
@@ -189,21 +190,21 @@ class TestBinaryClauseHeuristic:
         assert out.clauses == []
 
     def test_phase_flip_orbit_gives_unit(self):
-        phi = LiteralPermutation({pos(1): neg_var(1), neg_var(1): pos(1)})
+        phi = LiteralPermutation([pos(1), neg_var(1)], [neg_var(1), pos(1)])
         out, _ = binary_clause_heuristic([phi], make_order([1]))
         assert out.clauses == [(pos(1),)]
 
     def test_stabilized_vars_head_remainder_segment(self):
         # two independent swaps; var 2 and var 4 orbits
-        g1 = fix(transpose([pos(2)], [pos(3)]))
-        g2 = fix(transpose([pos(4)], [pos(5)]))
+        g1 = transpose([pos(2)], [pos(3)])
+        g2 = transpose([pos(4)], [pos(5)])
         order = make_order([1, 2, 3, 4, 5], structured=1)
         out, new_order = binary_clause_heuristic([g1, g2], order)
         assert new_order.variables[:3] == [1, 2, 4]
         assert len(out.clauses) == 2
 
     def test_respects_order_minimality(self):
-        phi = fix(transpose([pos(1)], [pos(2)]))
+        phi = transpose([pos(1)], [pos(2)])
         out, _ = binary_clause_heuristic([phi], make_order([2, 1]))
         assert out.clauses == [(pos(2), neg_var(1))]
 
@@ -223,7 +224,7 @@ def ref_binary_clause_heuristic(gens, order):
             return root
 
         for g in gens:
-            for a, b in g.mapping.items():
+            for a, b in g.items():
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
@@ -234,7 +235,8 @@ def ref_binary_clause_heuristic(gens, order):
             members.add(root)
         return {l: members for members in groups.values() for l in members}
 
-    gens = list(gens)
+    gens = [as_dict(g) for g in gens]
+    rank = {v: i for i, v in enumerate(order.variables)}
     clauses = []
     stabilized = []
     while gens:
@@ -243,11 +245,11 @@ def ref_binary_clause_heuristic(gens, order):
                       if l % 2 == 0 and len(orb) > 1]
         if not candidates:
             break
-        x = min(candidates, key=lambda l: order.rank[var_of(l)])
+        x = min(candidates, key=lambda l: rank[var_of(l)])
         for y in sorted(orbits[x] - {x}):
             clauses.append((x,) if y == negate(x) else (x, negate(y)))
         stabilized.append(var_of(x))
-        gens = [g for g in gens if g.image(x) == x]
+        gens = [g for g in gens if g.get(x, x) == x]
     head = order.variables[:order.structured_count]
     moved = set(stabilized) - set(head)
     tail = [v for v in order.variables[order.structured_count:]
@@ -272,8 +274,8 @@ def generator_sets(draw):
             w = cycle[(i + 1) % len(cycle)]
             mapping[pos(v)] = pos(w) ^ signs[i]
             mapping[neg_var(v)] = pos(w) ^ signs[i] ^ 1
-        phi = LiteralPermutation(mapping)
-        if not phi.is_identity():
+        phi = LiteralPermutation(list(mapping), list(mapping.values()))
+        if len(phi):
             gens.append(phi)
     variables = draw(st.permutations(range(1, n + 1)))
     return gens, make_order(variables, draw(st.integers(0, n)))

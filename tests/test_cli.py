@@ -6,8 +6,9 @@ import json
 import pytest
 
 from symbreak.cli import main
-from symbreak.cnf import parse_dimacs
-from symbreak.testkit import brute_force_sat, dpll_count, gen_php
+from symbreak.cnf import emit_dimacs, parse_dimacs
+from symbreak.testkit import (brute_force_sat, dpll_count, gen_cycle_coloring,
+                              gen_php)
 
 
 def run_cli(argv, capsys):
@@ -113,6 +114,28 @@ class TestBreak:
         assert data["input"] == {"declared_clauses": 22, "clauses": 22,
                                  "declared_vars": 12, "num_vars": 12}
 
+    def test_recursion_reasons_in_stats(self, tmp_path, capsys):
+        # no detector fits a cycle coloring, and the stabilizer retry
+        # names why each detector failed on the fragment
+        src = tmp_path / "c20.cnf"
+        stats = tmp_path / "stats.json"
+        src.write_text(emit_dimacs(gen_cycle_coloring(20, 4)))
+        code, _, _ = run_cli(["break", str(src), "-o", str(tmp_path / "o"),
+                              "--stats", str(stats)], capsys)
+        assert code == 0
+        recursion = [a for a in json.loads(stats.read_text())["attempts"]
+                     if a["detector"] == "recursion"]
+        assert len(recursion) == 2
+        for a in recursion:
+            head, _, inner = a["reason"].partition(": ")
+            assert head == "recursion failed"
+            parts = inner.split("; ")
+            assert [p.split(": ")[0] for p in parts] == [
+                "johnson", "row-column", "row"]
+            assert all(p.split(": ", 1)[1] for p in parts)
+        assert recursion[0]["reason"].endswith(
+            "; row: overlapping rows at row 1")
+
     @pytest.mark.parametrize("text, header, report", [
         # the header's clause count disagrees with the body: accepted, and
         # the output header counts the clauses actually there
@@ -176,6 +199,13 @@ class TestExitCodes:
     def test_malformed_dimacs(self, tmp_path, capsys):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 2 1\n1 x 0\n")
+        code, _, err = run_cli(["break", str(bad)], capsys)
+        assert code == 2 and "parse error" in err
+
+    def test_header_variable_count_beyond_bound(self, tmp_path, capsys):
+        # rejected before anything is sized for the declared count
+        bad = tmp_path / "huge.cnf"
+        bad.write_text("p cnf 99999999999 1\n1 0\n")
         code, _, err = run_cli(["break", str(bad)], capsys)
         assert code == 2 and "parse error" in err
 

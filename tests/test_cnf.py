@@ -2,15 +2,16 @@
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from symbreak.cnf import (DimacsError, Formula, LiteralPermutation,
-                          apply_permutation, automorphism_failure,
-                          clause_multiset_image_check,
-                          emit_dimacs, fix, from_dimacs_lit, is_automorphism,
+                          automorphism_failure, clause_multiset_image_check,
+                          emit_dimacs, from_dimacs_lit, is_automorphism,
                           is_positive, neg_var, negate, parse_dimacs, pos,
                           to_dimacs_lit, transpose, var_of)
+from test_generator_differential import as_dict, formula_and_generator
 
 
 def test_literal_codes():
@@ -75,6 +76,8 @@ class TestParseDimacs:
         "p cnf 2 1\n1 2\n",               # missing terminator
         "",                               # no header at all
         "p cnf 2 1\n1073741825 0\n",      # beyond the int32 literal codes
+        "p cnf 1073741825 1\n1 0\n",      # header beyond them
+        "p cnf 99999999999 1\n1 0\n",
     ])
     def test_malformed_inputs(self, text):
         with pytest.raises(DimacsError):
@@ -103,28 +106,39 @@ class TestEmitDimacs:
 
 class TestLiteralPermutation:
     def test_drops_fixed_points_and_checks_bijection(self):
-        phi = LiteralPermutation({0: 0, 2: 4, 4: 2})
-        assert set(phi.support) == {2, 4}
+        phi = LiteralPermutation([0, 2, 4], [0, 4, 2])
+        assert phi.support.tolist() == [2, 3, 4, 5]
+        assert phi.images.tolist() == [4, 5, 2, 3]
+        assert len(LiteralPermutation([0, 2], [0, 2])) == 0
         with pytest.raises(ValueError):
-            LiteralPermutation({0: 2})
-
-    def test_inverse_and_compose(self):
-        phi = LiteralPermutation({0: 2, 2: 4, 4: 0})
-        assert phi.compose(phi.inverse()).is_identity()
-        assert phi.inverse().image(2) == 0
+            LiteralPermutation([0], [2])
 
     def test_negation_consistency(self):
-        swap12 = fix(transpose([pos(1)], [pos(2)]))
-        assert swap12.is_negation_consistent()
-        assert not LiteralPermutation({0: 2, 2: 0}).is_negation_consistent()
+        # closed when built: every literal's negation goes to the
+        # negation of its image
+        phi = transpose([pos(1), pos(3)], [neg_var(2), neg_var(4)])
+        assert (phi.support[1::2] == phi.support[0::2] + 1).all()
+        assert (phi.images[1::2] == phi.images[0::2] ^ 1).all()
+        assert as_dict(LiteralPermutation([0, 2], [2, 0])) == \
+            {0: 2, 1: 3, 2: 0, 3: 1}
+
+    def test_arrays_are_read_only_int32(self):
+        phi = transpose([pos(1)], [pos(2)])
+        assert phi.support.dtype == phi.images.dtype == np.int32
+        with pytest.raises(ValueError):
+            phi.images[0] = 0
 
     def test_hash_eq(self):
-        a = fix(transpose([pos(1)], [pos(2)]))
-        b = fix(transpose([pos(2)], [pos(1)]))
+        a = transpose([pos(1)], [pos(2)])
+        b = transpose([pos(2)], [pos(1)])
         assert a == b and hash(a) == hash(b)
+        assert a != transpose([pos(1)], [neg_var(2)])
 
 
 class TestTransposeFix:
+    """transpose, and the negation closure (the paper's fix) that every
+    generator gets when it is built."""
+
     def test_transpose_length_mismatch(self):
         with pytest.raises(ValueError):
             transpose([0], [2, 4])
@@ -134,26 +148,26 @@ class TestTransposeFix:
             transpose([0, 2], [2, 4])
 
     def test_fix_closes_negations(self):
-        phi = fix(transpose([pos(1)], [pos(2)]))
-        assert phi.image(neg_var(1)) == neg_var(2)
+        phi = transpose([pos(1)], [pos(2)])
+        assert as_dict(phi)[neg_var(1)] == neg_var(2)
 
     def test_fix_conflict(self):
         # 1 -> 2 but ¬1 -> 3 contradicts closure
         with pytest.raises(ValueError):
-            fix(LiteralPermutation({pos(1): pos(2), pos(2): pos(1),
-                                    neg_var(1): pos(3), pos(3): neg_var(1)}))
+            LiteralPermutation([pos(1), pos(2), neg_var(1), pos(3)],
+                               [pos(2), pos(1), pos(3), neg_var(1)])
 
 
 class TestAutomorphism:
     def test_swap_symmetry(self):
         f = Formula(2, [[pos(1), pos(2)], [neg_var(1)], [neg_var(2)]])
-        phi = fix(transpose([pos(1)], [pos(2)]))
+        phi = transpose([pos(1)], [pos(2)])
         assert is_automorphism(f, phi)
         assert clause_multiset_image_check(f, phi)
 
     def test_non_symmetry_detected(self):
         f = Formula(2, [[pos(1)], [pos(1), pos(2)]])
-        phi = fix(transpose([pos(1)], [pos(2)]))
+        phi = transpose([pos(1)], [pos(2)])
         assert automorphism_failure(f, phi) == "clause-image-missing"
         assert not clause_multiset_image_check(f, phi)
         # the unit clauses map onto each other, the ternary one does not
@@ -162,14 +176,11 @@ class TestAutomorphism:
         assert not clause_multiset_image_check(g, phi)
 
     def test_negation_inconsistent_rejected(self):
-        f = Formula(2, [[pos(1), pos(2)]])
-        phi = LiteralPermutation({pos(1): pos(2), pos(2): pos(1)})
-        assert automorphism_failure(f, phi) == "negation-inconsistent"
-
-    def test_apply_permutation(self):
-        phi = fix(transpose([pos(1)], [pos(3)]))
-        assert apply_permutation((pos(1), neg_var(2)), phi) == \
-            (neg_var(2), pos(3))
+        # x1 -> x2 with !x1 -> !x3 is no literal permutation the verifier
+        # can be given: it is refused when built
+        with pytest.raises(ValueError):
+            LiteralPermutation([pos(1), neg_var(1), pos(2), neg_var(3)],
+                               [pos(2), neg_var(3), pos(1), neg_var(1)])
 
     def test_fast_path_matches_oracle_on_large_formula(self):
         # a big pile of binary clauses with a clean swap symmetry between
@@ -180,8 +191,8 @@ class TestAutomorphism:
         clauses += [[pos(1), pos(2), pos(n)]]
         f = Formula(n, clauses)
         assert len(f.unique_clauses) > 2000
-        good = fix(transpose([pos(1)], [pos(2)]))
-        bad = fix(transpose([pos(1)], [pos(3)]))
+        good = transpose([pos(1)], [pos(2)])
+        bad = transpose([pos(1)], [pos(3)])
         assert is_automorphism(f, good) == clause_multiset_image_check(f, good)
         assert is_automorphism(f, bad) == clause_multiset_image_check(f, bad)
         assert is_automorphism(f, good) and not is_automorphism(f, bad)
@@ -192,7 +203,7 @@ class TestAutomorphism:
         n = 1100
         binary = [[pos(1), neg_var(k)] for k in range(3, n + 1)]
         binary += [[pos(2), neg_var(k)] for k in range(3, n + 1)]
-        swap = fix(transpose([pos(1)], [pos(2)]))
+        swap = transpose([pos(1)], [pos(2)])
         f = Formula(n, binary + [[pos(1)], [pos(2)]])
         assert len(f.unique_clauses) > 2000
         assert automorphism_failure(f, swap) is None
@@ -202,55 +213,10 @@ class TestAutomorphism:
         assert not clause_multiset_image_check(g, swap)
 
 
-@st.composite
-def formula_and_map(draw):
-    """A small formula (clause lengths 0-4, duplicate clauses, unused
-    variables) and a literal map: a random transposition, a true symmetry
-    or a negation-inconsistent map."""
-    num_vars = draw(st.integers(1, 6))
-    lit = st.integers(0, 2 * num_vars - 1)
-    clauses = draw(st.lists(st.lists(lit, max_size=4), max_size=12))
-    clauses += draw(st.lists(st.sampled_from(clauses), max_size=3)
-                    if clauses else st.just([]))
-    kind = draw(st.sampled_from(["transpose", "symmetry", "inconsistent"]))
-    # one variable past num_vars: literals that occur in no clause
-    variables = draw(st.permutations(range(1, num_vars + 2)))
-    if kind == "inconsistent":
-        a, b = variables[:2]
-        return (Formula(num_vars, clauses),
-                LiteralPermutation({pos(a): pos(b), pos(b): pos(a)}), kind)
-    if kind == "transpose":
-        k = draw(st.integers(1, len(variables) // 2))
-        flips = draw(st.lists(st.integers(0, 1), min_size=2 * k,
-                              max_size=2 * k))
-        side = [2 * (v - 1) + f for v, f in zip(variables[:2 * k], flips)]
-        phi = fix(transpose(side[:k], side[k:]))
-        return Formula(num_vars, clauses), phi, kind
-    # a signed renaming of the variables, and the clauses closed under it
-    image = draw(st.permutations(range(1, num_vars + 1)))
-    signs = draw(st.lists(st.integers(0, 1), min_size=num_vars,
-                          max_size=num_vars))
-    mapping = {}
-    for v, w, sgn in zip(range(1, num_vars + 1), image, signs):
-        mapping[pos(v)] = 2 * (w - 1) + sgn
-        mapping[neg_var(v)] = (2 * (w - 1) + sgn) ^ 1
-    phi = LiteralPermutation(mapping)
-    closed = {tuple(sorted(set(c))) for c in clauses}
-    frontier = list(closed)
-    while frontier:
-        c = apply_permutation(frontier.pop(), phi)
-        if c not in closed:
-            closed.add(c)
-            frontier.append(c)
-    return Formula(num_vars, clauses + sorted(closed)), phi, kind
-
-
-@given(formula_and_map())
+@given(formula_and_generator())
 def test_verifier_agrees_with_oracle(case):
     f, phi, kind = case
     failure = automorphism_failure(f, phi)
     assert (failure is None) == clause_multiset_image_check(f, phi)
     if kind == "symmetry":
         assert failure is None
-    if kind == "inconsistent":
-        assert failure == "negation-inconsistent"

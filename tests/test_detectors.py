@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symbreak.cnf import (Formula, fix, is_automorphism, neg_var, pos,
-                          transpose)
+from symbreak.cnf import Formula, is_automorphism, neg_var, pos, transpose
 from symbreak.detectors import (DetectionFailure, RowStructure,
                                 detect_johnson, detect_row_blocks,
                                 detect_row_column, stabilizer_recursion)
@@ -162,7 +161,7 @@ def ref_detect_row_blocks(formula, graph, pi, sigma):
     generators = []
     for i in range(1, len(rows)):
         try:
-            phi = fix(transpose(rows[i - 1], rows[i]))
+            phi = transpose(rows[i - 1], rows[i])
         except ValueError:
             return DetectionFailure("verification failed")
         if not is_automorphism(formula, phi):
@@ -179,8 +178,7 @@ def assert_same_rows(got, want):
         return
     assert not isinstance(got, DetectionFailure), got.reason
     assert got.matrix == want.matrix
-    assert ([g.mapping for g in got.generators]
-            == [g.mapping for g in want.generators])
+    assert got.generators == want.generators
     assert got.covered_vertices == want.covered_vertices
 
 
@@ -237,13 +235,14 @@ class TestRowBlocksMatchReference:
         graph, base = stable_base(f)
         for sigma in literal_classes(graph, base):
             want = stabilizer_recursion(f, graph, base, sigma,
-                                        [ref_detect_row_blocks])
+                                        [("row", ref_detect_row_blocks)])
             got = stabilizer_recursion(f, graph, base, sigma,
-                                       [detect_row_blocks])
+                                       [("row", detect_row_blocks)])
             assert_same_rows(got, want)
         sigma = class_of(base, pos(1))
         assert not isinstance(
-            stabilizer_recursion(f, graph, base, sigma, [detect_row_blocks]),
+            stabilizer_recursion(f, graph, base, sigma,
+                                 [("row", detect_row_blocks)]),
             DetectionFailure)
 
     @settings(max_examples=150, deadline=None,
@@ -379,8 +378,9 @@ class TestStabilizerRecursion:
         direct = detect_row_blocks(f, graph, base, sigma)
         assert isinstance(direct, DetectionFailure)
         s = stabilizer_recursion(f, graph, base, sigma,
-                                 [detect_johnson, detect_row_column,
-                                  detect_row_blocks])
+                                 [("johnson", detect_johnson),
+                                  ("row-column", detect_row_column),
+                                  ("row", detect_row_blocks)])
         assert not isinstance(s, DetectionFailure)
         assert len(s.matrix) == 3
         assert all(is_automorphism(f, g) for g in s.generators)
@@ -389,5 +389,6 @@ class TestStabilizerRecursion:
         f = Formula(2, [[pos(1), pos(2)]])
         graph, base = stable_base(f)
         sigma = class_of(base, pos(1))
-        s = stabilizer_recursion(f, graph, base, sigma, [detect_row_blocks])
+        s = stabilizer_recursion(f, graph, base, sigma,
+                                 [("row", detect_row_blocks)])
         assert isinstance(s, DetectionFailure)

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from symbreak.cnf import Formula, fix, neg_var, pos, transpose
-from symbreak.modelgraph import ColoredGraph, build_model_graph, dump_debug
+from symbreak.cnf import Formula, neg_var, pos, transpose
+from symbreak.modelgraph import ColoredGraph, build_model_graph
+from test_generator_differential import as_dict
 from symbreak.testkit import gen_php
 
 
@@ -59,11 +60,11 @@ def test_automorphism_extends_to_graph():
     vertex onto the vertex of the image clause."""
     f = Formula(2, [[pos(1), pos(2)], [neg_var(1)], [neg_var(2)]])
     g = build_model_graph(f)
-    phi = fix(transpose([pos(1)], [pos(2)]))
+    phi = as_dict(transpose([pos(1)], [pos(2)]))
     clause_of = {c: 4 + i for i, c in enumerate(f.unique_clauses)}
-    vperm = {l: phi.image(l) for l in range(4)}
+    vperm = {l: phi.get(l, l) for l in range(4)}
     for c, v in clause_of.items():
-        image = tuple(sorted(phi.image(l) for l in c))
+        image = tuple(sorted(phi.get(l, l) for l in c))
         vperm[v] = clause_of[image]
     adj = set()
     for v in range(g.vertex_count):
@@ -112,11 +113,3 @@ class TestColoredGraph:
         assert sorted(g.neighbors_of(0).tolist()) == [1, 2, 3]
         assert g.degree(0) == 3
 
-
-def test_dump_debug_format():
-    f = Formula(1, [[pos(1)]])
-    text = dump_debug(build_model_graph(f))
-    lines = text.strip().splitlines()
-    assert lines[0] == "p edge 3 2"
-    assert sum(1 for l in lines if l.startswith("e ")) == 2
-    assert sum(1 for l in lines if l.startswith("n ")) == 3

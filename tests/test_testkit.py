@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from symbreak.cnf import Formula, neg_var, pos
+from symbreak.cnf import Formula, LiteralPermutation, neg_var, pos
 from symbreak.modelgraph import ColoredGraph
 from symbreak.testkit import (brute_force_automorphisms, brute_force_sat,
                               dpll_count, edge_index, formula_automorphisms,
                               gen_cliquecolor, gen_php, gen_ramsey)
+from test_generator_differential import as_dict
 
 
 def test_edge_index_lexicographic():
@@ -171,4 +172,7 @@ class TestFormulaAutomorphisms:
         group = formula_automorphisms(f)
         members = set(group)
         for a, b in itertools.product(group, repeat=2):
-            assert a.compose(b) in members
+            a, b = as_dict(a), as_dict(b)
+            lits = sorted(set(a) | set(b))
+            ab = [b.get(a.get(l, l), a.get(l, l)) for l in lits]
+            assert LiteralPermutation(lits, ab) in members
