@@ -35,11 +35,10 @@ class VariableOrder:
 
 @dataclass
 class BreakingClauses:
-    """Clauses over original + auxiliary variables, with attribution."""
+    """Clauses over original + auxiliary variables."""
 
     clauses: list
     aux_count: int
-    source: str
 
 
 def build_order(structures: list, formula: Formula) -> VariableOrder:
@@ -107,7 +106,7 @@ def lex_leader_encode(phi: LiteralPermutation, order: VariableOrder,
         clauses.append(prefix + (px, a))
         clauses.append(prefix + (negate(p), a))
         prefix = (negate(a),)
-    return BreakingClauses(clauses, aux, source="lex")
+    return BreakingClauses(clauses, aux)
 
 
 def _component_roots(size: int, a, b):
@@ -190,4 +189,4 @@ def binary_clause_heuristic(gens: list, order: VariableOrder):
         mid = [v for v in stabilized if v in moved]
         order = VariableOrder(head + mid + tail,
                               structured_count=order.structured_count)
-    return BreakingClauses(clauses, 0, source="binary"), order
+    return BreakingClauses(clauses, 0), order

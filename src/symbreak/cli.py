@@ -20,12 +20,19 @@ def _read_input(path: str):
         return fh.read()
 
 
-def _write_output(path: str, text: str):
+def _write_output(path: str, text: str) -> int:
+    """Exit code: 0, or 1 after reporting a `path` that cannot be
+    written."""
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,7 +109,8 @@ def _cmd_break(args) -> int:
     text = emit_dimacs(formula, added=out.added_clauses,
                        aux_vars=out.aux_count, comments=comments)
     emit_ms = (time.perf_counter() - t0) * 1000.0
-    _write_output(args.output, text)
+    if _write_output(args.output, text):
+        return 1
     if args.stats:
         declared_vars, declared_clauses = formula.declared
         stats = dict(out.stats, phase_times_ms={
@@ -113,7 +121,7 @@ def _cmd_break(args) -> int:
                           "clauses": formula.num_clauses,
                           "declared_vars": declared_vars,
                           "num_vars": formula.num_vars}
-        _write_output(args.stats, json.dumps(stats, indent=2) + "\n")
+        return _write_output(args.stats, json.dumps(stats, indent=2) + "\n")
     return 0
 
 
@@ -135,8 +143,7 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_output(args.output, emit_dimacs(formula))
-    return 0
+    return _write_output(args.output, emit_dimacs(formula))
 
 
 def main(argv=None) -> int:

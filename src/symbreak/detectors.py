@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cnf import (Formula, LiteralPermutation, is_automorphism, transpose,
-                  var_of)
+from .cnf import Formula, is_automorphism, transpose, var_of
 from .modelgraph import ColoredGraph
 from .refine import Coloring, IRSession, individualize_refine
 
@@ -83,6 +82,17 @@ def _class_members(coloring: Coloring, c: int) -> list:
     return coloring.class_members(c).tolist()
 
 
+def _verified_swap(formula: Formula, a, b):
+    """``transpose(a, b)`` if it is an automorphism of `formula`, else
+    None; also None when a and b cannot be exchanged."""
+    try:
+        phi = transpose(a, b)
+    except ValueError:
+        return None
+    # looked up at call time, so a wrapper put in its place is what runs
+    return phi if is_automorphism(formula, phi) else None
+
+
 def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
                       sigma: int):
     """Row interchangeability on the class `sigma` of the stable coloring.
@@ -133,11 +143,8 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
         if len(seen) != len(row) * (i + 1):
             return DetectionFailure(f"overlapping rows at row {i}")
         if rows:
-            try:
-                phi = transpose(rows[-1], row)
-            except ValueError:
-                return DetectionFailure(f"verification failed at row {i}")
-            if not is_automorphism(formula, phi):
+            phi = _verified_swap(formula, rows[-1], row)
+            if phi is None:
                 return DetectionFailure(f"verification failed at row {i}")
             generators.append(phi)
         rows.append(row)
@@ -231,14 +238,13 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     # ones and make much stronger lex-leader constraints under the
     # row-major order, so they are what the structure carries
     generators = []
-    for ci in range(len(col_labels) - 1):
-        phi = transpose(column(ci), column(ci + 1))
-        if not is_automorphism(formula, phi):
-            return DetectionFailure("verification failed")
-        generators.append(phi)
-    for ri in range(len(row_labels) - 1):
-        phi = transpose(matrix[ri], matrix[ri + 1])
-        if not is_automorphism(formula, phi):
+    swaps = ([(column(ci), column(ci + 1))
+              for ci in range(len(col_labels) - 1)]
+             + [(matrix[ri], matrix[ri + 1])
+                for ri in range(len(row_labels) - 1)])
+    for a, b in swaps:
+        phi = _verified_swap(formula, a, b)
+        if phi is None:
             return DetectionFailure("verification failed")
         generators.append(phi)
 
@@ -255,13 +261,14 @@ def _triangular_n(k: int):
     return None
 
 
-def _johnson_labeling(graph: ColoredGraph, pi: Coloring, sigma: int):
-    """Label construction for a purported Johnson action on sigma.
+def _johnson_labeling(session: IRSession, sigma: int):
+    """Label construction for a purported Johnson action on the class
+    sigma of the session's base coloring.
 
     Returns (n, label dict) or a DetectionFailure.  Labels are assigned in
     order of first appearance, i.e. determined up to a relabeling.
     """
-    members = _class_members(pi, sigma)
+    members = _class_members(session.base, sigma)
     size = len(members)
     if size < 28:
         return DetectionFailure("size gate: |sigma| < 28")
@@ -271,7 +278,6 @@ def _johnson_labeling(graph: ColoredGraph, pi: Coloring, sigma: int):
 
     label = {u: [] for u in members}
     ad: dict = {}
-    session = IRSession(graph, pi)
 
     def adjacency(u):
         if u in ad:
@@ -348,35 +354,37 @@ def _johnson_labeling(graph: ColoredGraph, pi: Coloring, sigma: int):
 
 
 def _johnson_generator(n: int, pair_to_lit: dict, i: int,
-                       block_pairings: list) -> LiteralPermutation:
-    """Permutation induced on the labeled literals by the label
-    transposition (i, i+1), plus explicit block pairings, closed under
-    negation.  ``pair_to_lit`` maps each label pair to its literal."""
+                       block_pairings) -> tuple:
+    """The two literal lists that the label transposition (i, i+1)
+    exchanges, plus explicit block pairings.  ``pair_to_lit`` maps each
+    label pair to its literal."""
     others = [r for r in range(1, n + 1) if r not in (i, i + 1)]
     xs = [pair_to_lit[frozenset((i, r))] for r in others]
     ys = [pair_to_lit[frozenset((i + 1, r))] for r in others]
     for bx, by in block_pairings:
         xs.extend(bx)
         ys.extend(by)
-    return LiteralPermutation(xs + ys, ys + xs)
+    return xs, ys
 
 
-def detect_johnson_row_extension(graph: ColoredGraph, pi: Coloring, n: int,
-                                 label: dict, other_colors) -> list:
+def detect_johnson_row_extension(session: IRSession, n: int, label: dict,
+                                 other_colors) -> list:
     """Orbits whose stabilization splits the Johnson class along one label.
 
-    For each candidate class, individualizing any member must split the
-    labeled class into the literals carrying one particular label and the
-    rest; the class then partitions into equal blocks, one per label.
-    Returns (color id, {label: ordered block}) pairs; unaccepted classes
-    are skipped silently.
+    For each candidate class of the session's base coloring,
+    individualizing any member must split the labeled class into the
+    literals carrying one particular label and the rest; the class then
+    partitions into equal blocks, one per label.  Returns (color id,
+    {label: ordered block}) pairs; unaccepted classes are skipped
+    silently.
     """
     incident = {i: set() for i in range(1, n + 1)}
     for u, p in label.items():
         for i in p:
             incident[i].add(u)
+    label_of = {frozenset(us): i for i, us in incident.items()}
+    pi = session.base
     sigma = int(pi.color[next(iter(label))])
-    session = IRSession(graph, pi)
     accepted = []
     accepted_colors = set()
     for tau in other_colors:
@@ -401,12 +409,8 @@ def detect_johnson_row_extension(graph: ColoredGraph, pi: Coloring, n: int,
             if len(frags) != 2:
                 ok = False
                 break
-            small = set(min((mem for _, mem in frags), key=len).tolist())
-            matched = None
-            for i in range(1, n + 1):
-                if small == incident[i]:
-                    matched = i
-                    break
+            small = min((mem for _, mem in frags), key=len)
+            matched = label_of.get(frozenset(small.tolist()))
             if matched is None:
                 ok = False
                 break
@@ -429,11 +433,12 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
     """Johnson action J_n on the class `sigma`, optionally extended to
     label-aligned block orbits.
 
-    Plain generators are tried first; when they fail verification, the
-    action usually has to move label-aligned companion orbits too, so the
-    row-extension blocks are folded into the generators before verifying.
-    Block pairings that the reference coloring leaves ambiguous are
-    resolved by a small search, gated by verification.
+    The action usually has to move label-aligned companion orbits too,
+    so the row-extension blocks are folded into the generators first;
+    the plain generators are tried only when there are no blocks or the
+    extended generators fail verification.  Block pairings that the
+    reference coloring leaves ambiguous are resolved by a small search,
+    gated by verification.
     """
     members = _class_members(pi, sigma)
     if any(v >= graph.num_literal_vertices for v in members):
@@ -441,69 +446,43 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
     if int(pi.color[members[0] ^ 1]) == sigma:
         return DetectionFailure("self-negating orbit")
 
-    res = _johnson_labeling(graph, pi, sigma)
+    session = IRSession(graph, pi)
+    res = _johnson_labeling(session, sigma)
     if isinstance(res, DetectionFailure):
         return res
     n, label = res
     pair_to_lit = {p: l for l, p in label.items()}
 
     def build_generators(extensions):
+        """One verified generator per label transposition (i, i+1), or
+        None.  Each extension's block i is paired with a permutation of
+        its block i+1; the first 64 combinations are tried in turn, the
+        first being the reference pairing.  None of them reaches past a
+        block's 64th permutation, so no more are generated."""
         gens = []
         for i in range(1, n):
-            pairings = []
-            searchable = []   # per-extension list of alternative pairings
-            for _, blocks in extensions:
-                bi, bj = blocks[i], blocks[i + 1]
-                pairings.append((bi, bj))
-                if len(bi) > 1:
-                    searchable.append(len(pairings) - 1)
-            try:
-                phi = _johnson_generator(n, pair_to_lit, i, pairings)
-            except ValueError:
-                phi = None
-            if phi is not None and is_automorphism(formula, phi):
-                gens.append(phi)
-                continue
-            # pairing search over permutations of the ambiguous blocks
-            found = None
-            options = [list(itertools.permutations(pairings[k][1]))
-                       for k in searchable]
-            for combo in itertools.islice(itertools.product(*options), 64):
-                trial = list(pairings)
-                for k, perm in zip(searchable, combo):
-                    trial[k] = (trial[k][0], list(perm))
-                try:
-                    phi = _johnson_generator(n, pair_to_lit, i, trial)
-                except ValueError:
-                    continue
-                if is_automorphism(formula, phi):
-                    found = phi
+            sources = [blocks[i] for _, blocks in extensions]
+            targets = [itertools.islice(
+                itertools.permutations(blocks[i + 1]), 64)
+                for _, blocks in extensions]
+            for combo in itertools.islice(itertools.product(*targets), 64):
+                phi = _verified_swap(formula, *_johnson_generator(
+                    n, pair_to_lit, i, zip(sources, combo)))
+                if phi is not None:
+                    gens.append(phi)
                     break
-            if found is None:
+            else:
                 return None
-            gens.append(found)
         return gens
 
-    generators = build_generators([])
-    extensions = []
+    extensions = detect_johnson_row_extension(session, n, label,
+                                              other_colors)
+    generators = build_generators(extensions)
+    if generators is None and extensions:
+        extensions = []
+        generators = build_generators([])
     if generators is None:
-        extensions = detect_johnson_row_extension(
-            graph, pi, n, label, other_colors)
-        if not extensions:
-            return DetectionFailure("verification failed")
-        generators = build_generators(extensions)
-        if generators is None:
-            return DetectionFailure("verification failed")
-    else:
-        # bare action verified; extensions only widen coverage, keep them
-        # when the extended generators also verify
-        ext = detect_johnson_row_extension(
-            graph, pi, n, label, other_colors)
-        if ext:
-            extended = build_generators(ext)
-            if extended is not None:
-                extensions = ext
-                generators = extended
+        return DetectionFailure("verification failed")
 
     covered = set(members) | set(m ^ 1 for m in members)
     for _, blocks in extensions:

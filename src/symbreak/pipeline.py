@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .breaking import (BreakingClauses, binary_clause_heuristic, build_order,
+from .breaking import (binary_clause_heuristic, build_order,
                        lex_leader_encode, structure_generators)
 from .cnf import Formula
 from .detectors import (DetectionFailure, detect_johnson, detect_row_blocks,
@@ -60,15 +60,11 @@ def negation_class_of(pi: Coloring, sigma: int) -> int:
 
 
 def _literal_classes(graph, pi: Coloring, covered) -> list:
-    """Non-singleton literal classes with no covered member, largest
-    first (ties by ascending color id)."""
-    out = []
-    for c in pi.classes():
-        if pi.clen[c] < 2 or pi.order[c] >= graph.num_literal_vertices:
-            continue
-        if any(int(v) in covered for v in pi.class_members(c)):
-            continue
-        out.append(c)
+    """Non-singleton literal classes with no member in the boolean
+    vertex mask `covered`, largest first (ties by ascending color id)."""
+    out = [c for c in pi.classes()
+           if pi.clen[c] >= 2 and pi.order[c] < graph.num_literal_vertices
+           and not covered[pi.class_members(c)].any()]
     out.sort(key=lambda c: (-int(pi.clen[c]), c))
     return out
 
@@ -101,9 +97,9 @@ def _enabled_detectors(config: PipelineConfig) -> list:
 
 
 def _detect_structures(formula, graph, pi: Coloring, config: PipelineConfig):
-    """(structures, covered vertices, attempt log)."""
+    """(structures, boolean mask of the covered vertices, attempt log)."""
     structures = []
-    covered: set = set()
+    covered = np.zeros(graph.vertex_count, dtype=bool)
     attempts = []
     split_cache: dict = {}
 
@@ -112,7 +108,7 @@ def _detect_structures(formula, graph, pi: Coloring, config: PipelineConfig):
         a found structure marks the vertices it covers.  Every attempt is
         logged under `name`."""
         for sigma in _literal_classes(graph, pi, covered):
-            if any(int(v) in covered for v in pi.class_members(sigma)):
+            if covered[pi.class_members(sigma)].any():
                 continue
             t0 = time.perf_counter()
             result = attempt(sigma)
@@ -125,7 +121,7 @@ def _detect_structures(formula, graph, pi: Coloring, config: PipelineConfig):
                              "ms": ms})
             if not failed:
                 structures.append(result)
-                covered.update(result.covered_vertices)
+                covered[list(result.covered_vertices)] = True
 
     def direct(det, sigma):
         if negation_class_of(pi, sigma) == sigma:
@@ -152,21 +148,11 @@ def _detect_structures(formula, graph, pi: Coloring, config: PipelineConfig):
 
 
 def _remainder_coloring(graph, pi: Coloring, covered) -> Coloring:
-    """Discretize every covered vertex (fresh singleton per vertex),
-    keeping the stable coloring elsewhere."""
+    """Discretize every vertex of the mask `covered` (fresh singleton per
+    vertex, in id order), keeping the stable coloring elsewhere."""
     keys = pi.color.astype(np.int64)
-    bump = graph.vertex_count
-    for i, v in enumerate(sorted(covered)):
-        keys[v] = bump + i
+    keys[covered] = graph.vertex_count + np.arange(np.count_nonzero(covered))
     return Coloring.from_color_map(keys)
-
-
-def _count_by_color(pi: Coloring, vertices) -> list:
-    counts: dict = {}
-    for v in vertices:
-        c = int(pi.color[v])
-        counts[c] = counts.get(c, 0) + 1
-    return list(counts.values())
 
 
 def _output(formula, structures, attempts, rem_gens, added, aux,
@@ -177,8 +163,9 @@ def _output(formula, structures, attempts, rem_gens, added, aux,
                 "kind": s.kind,
                 "dims": list(s.dims),
                 "generators": len(s.generators),
-                "orbit_sizes": sorted(
-                    _count_by_color(pi, s.covered_vertices), reverse=True),
+                "orbit_sizes": sorted(np.unique(
+                    pi.color[list(s.covered_vertices)],
+                    return_counts=True)[1].tolist(), reverse=True),
             }
             for s in structures
         ],
@@ -218,7 +205,8 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
 
     t0 = time.perf_counter()
     rem_gens = []
-    if config.dive_pairs > 0 and len(covered) < graph.num_literal_vertices:
+    if (config.dive_pairs > 0
+            and np.count_nonzero(covered) < graph.num_literal_vertices):
         rem_pi = _remainder_coloring(graph, pi, covered)
         rem_pi = refine_stable(graph, rem_pi).coloring
         rem_gens = find_remainder_generators(

@@ -196,6 +196,18 @@ class TestExitCodes:
         code, _, err = run_cli(["break", str(tmp_path / "nope.cnf")], capsys)
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("target", ["-o", "--stats", "gen -o"])
+    def test_unwritable_output(self, target, tmp_path, capsys):
+        src = tmp_path / "a.cnf"
+        src.write_text("p cnf 1 1\n1 0\n")
+        bad = str(tmp_path / "missing" / "out")
+        argv = {"-o": ["break", str(src), "-o", bad],
+                "--stats": ["break", str(src), "-o", str(tmp_path / "b.cnf"),
+                            "--stats", bad],
+                "gen -o": ["gen", "php", "3", "-o", bad]}[target]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1 and err.startswith("error: ")
+
     def test_malformed_dimacs(self, tmp_path, capsys):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 2 1\n1 x 0\n")

@@ -137,7 +137,7 @@ def ref_lex_leader_encode(phi: RefLiteralPermutation, order: VariableOrder,
         clauses.append(tuple(prefix + [pos(x), a]))
         clauses.append(tuple(prefix + [negate(p), a]))
         prev_a = a
-    return BreakingClauses(clauses, aux, source="lex")
+    return BreakingClauses(clauses, aux)
 
 
 def built(mapping: dict):

@@ -61,6 +61,27 @@ def test_emitted_dimacs_is_pinned(make, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_cliquecolor(10, 3, 2),
+    lambda: gen_ramsey(3, 3, 8),
+    lambda: gen_php(6),
+], ids=["cliquecolor1032", "ramsey338", "php6"])
+def test_no_generator_verified_twice(make, monkeypatch):
+    """Each candidate generator of a run's detectors is verified once."""
+    import symbreak.detectors as detectors
+    verify = detectors.is_automorphism
+    checked = []
+
+    def recorded(formula, phi):
+        checked.append(phi)
+        return verify(formula, phi)
+
+    monkeypatch.setattr(detectors, "is_automorphism", recorded)
+    run(make())
+    assert checked
+    assert len(set(checked)) == len(checked)
+
+
 class TestNegationClassOf:
     def test_pairs_and_singletons(self):
         f = Formula(2, [[pos(1), pos(2)]])
