@@ -25,7 +25,7 @@ def main():
 
     out = run(formula)
     s = out.structures[0]
-    print(f"detected: {s.kind} structure on {s.n} points, "
+    print(f"detected: {s.kind} structure on {s.dims[0]} points, "
           f"{len(s.generators)} generators")
     assert all(is_automorphism(formula, g) for g in s.generators)
     print("all generators verified as formula automorphisms")

@@ -42,13 +42,13 @@ class BreakingClauses:
 
 
 def build_order(structures: list, formula: Formula) -> VariableOrder:
-    """Global order: per structure in detection order (matrices row-major,
-    Johnson structures label-major), then all remaining variables
-    ascending by id.  A variable enters at its first occurrence."""
+    """Global order: the variables of each structure's literals, in
+    detection order, then all remaining variables ascending by id.  A
+    variable enters at its first occurrence."""
     ordered = []
     seen = set()
     for s in structures:
-        for v in s.ordered_variables():
+        for v in map(var_of, s.literals):
             if v not in seen:
                 seen.add(v)
                 ordered.append(v)

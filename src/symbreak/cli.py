@@ -13,9 +13,9 @@ from .pipeline import PipelineConfig, run
 from .testkit import gen_cliquecolor, gen_php, gen_ramsey
 
 
-def _read_input(path: str):
+def _read_input(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
 

@@ -10,9 +10,12 @@ graph can only cause a miss, never a wrong answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-from .cnf import Formula, is_automorphism, transpose, var_of
+import numpy as np
+
+from .cnf import Formula, is_automorphism, transpose
 from .modelgraph import ColoredGraph
 from .refine import Coloring, IRSession, individualize_refine
 
@@ -26,56 +29,19 @@ class DetectionFailure:
 
 
 @dataclass
-class RowStructure:
-    matrix: list                      # rows x cols of literal codes
-    generators: list                  # consecutive-row transpositions
-    covered_vertices: set
+class Structure:
+    """A detected symmetry.  ``kind`` is "row", "row-column" or "johnson";
+    ``dims`` is (rows, cols) for a matrix and (n,) for J_n.  ``literals``
+    lists the literals in the order the lex-leader chains rank them:
+    matrices row-major, Johnson label-major ({i, j}, i < j) and then each
+    extension block by label.  ``generators`` are the verified adjacent
+    transpositions.  What a structure covers is its literals and their
+    negations."""
 
-    kind = "row"
-
-    @property
-    def dims(self):
-        return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
-
-    def ordered_variables(self):
-        """Variables row-major, repeats included."""
-        for row in self.matrix:
-            for lit in row:
-                yield var_of(lit)
-
-
-class RowColumnStructure(RowStructure):
-    """Row-column symmetry: ``matrix`` is n_rows x n_cols of literal codes
-    and ``generators`` are the adjacent row and column transpositions."""
-
-    kind = "row-column"
-
-
-@dataclass
-class JohnsonStructure:
-    n: int
-    label: dict                       # literal -> frozenset({i, j})
-    pair_to_lit: dict                 # label inverted
-    generators: list                  # adjacent label transpositions
-    covered_vertices: set
-    extensions: list = field(default_factory=list)  # (color id, {label: block})
-
-    kind = "johnson"
-
-    @property
-    def dims(self):
-        return (self.n,)
-
-    def ordered_variables(self):
-        """Variables label-major, then each extension block by label,
-        repeats included."""
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                yield var_of(self.pair_to_lit[frozenset((i, j))])
-        for _, blocks in self.extensions:
-            for i in range(1, self.n + 1):
-                for lit in blocks[i]:
-                    yield var_of(lit)
+    kind: str
+    dims: tuple
+    literals: list
+    generators: list
 
 
 def _class_members(coloring: Coloring, c: int) -> list:
@@ -149,8 +115,8 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
             generators.append(phi)
         rows.append(row)
 
-    return RowStructure(matrix=rows, generators=generators,
-                        covered_vertices=seen)
+    return Structure("row", (len(rows), len(rows[0])),
+                     [u for row in rows for u in row], generators)
 
 
 def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
@@ -248,25 +214,25 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
             return DetectionFailure("verification failed")
         generators.append(phi)
 
-    covered = set(members) | set(m ^ 1 for m in members)
-    return RowColumnStructure(matrix=matrix, generators=generators,
-                              covered_vertices=covered)
+    return Structure("row-column", (len(row_labels), len(col_labels)),
+                     [t for row in matrix for t in row], generators)
 
 
 def _triangular_n(k: int):
-    n = int((1 + (1 + 8 * k) ** 0.5) / 2)
-    for cand in (n - 1, n, n + 1):
-        if cand * (cand - 1) // 2 == k:
-            return cand
-    return None
+    """n with binomial(n, 2) == k, or None."""
+    n = (1 + math.isqrt(1 + 8 * k)) // 2
+    return n if n * (n - 1) // 2 == k else None
 
 
 def _johnson_labeling(session: IRSession, sigma: int):
     """Label construction for a purported Johnson action on the class
     sigma of the session's base coloring.
 
-    Returns (n, label dict) or a DetectionFailure.  Labels are assigned in
-    order of first appearance, i.e. determined up to a relabeling.
+    Returns the (n+1) x (n+1) label matrix ``pair_lit``, whose cells
+    [i, j] and [j, i] hold the literal labeled {i, j} and whose diagonal,
+    row 0 and column 0 hold -1, or a DetectionFailure.  Labels 1..n are
+    assigned in order of first appearance, i.e. determined up to a
+    relabeling.
     """
     members = _class_members(session.base, sigma)
     size = len(members)
@@ -343,31 +309,19 @@ def _johnson_labeling(session: IRSession, sigma: int):
 
     if vnr - 1 != n:
         return DetectionFailure("label count mismatch")
-    pairs = set()
+    pair_lit = np.full((n + 1, n + 1), -1, dtype=np.int64)
     for u in members:
         if len(label[u]) != 2:
             return DetectionFailure("incomplete labels")
-        pairs.add(frozenset(label[u]))
-    if len(pairs) != size:
+        i, j = label[u]
+        pair_lit[i, j] = pair_lit[j, i] = u
+    # a pair labeling two members leaves its cells filled only once
+    if np.count_nonzero(pair_lit >= 0) != 2 * size:
         return DetectionFailure("labels are not a bijection")
-    return n, {u: frozenset(label[u]) for u in members}
+    return pair_lit
 
 
-def _johnson_generator(n: int, pair_to_lit: dict, i: int,
-                       block_pairings) -> tuple:
-    """The two literal lists that the label transposition (i, i+1)
-    exchanges, plus explicit block pairings.  ``pair_to_lit`` maps each
-    label pair to its literal."""
-    others = [r for r in range(1, n + 1) if r not in (i, i + 1)]
-    xs = [pair_to_lit[frozenset((i, r))] for r in others]
-    ys = [pair_to_lit[frozenset((i + 1, r))] for r in others]
-    for bx, by in block_pairings:
-        xs.extend(bx)
-        ys.extend(by)
-    return xs, ys
-
-
-def detect_johnson_row_extension(session: IRSession, n: int, label: dict,
+def detect_johnson_row_extension(session: IRSession, pair_lit,
                                  other_colors) -> list:
     """Orbits whose stabilization splits the Johnson class along one label.
 
@@ -378,13 +332,12 @@ def detect_johnson_row_extension(session: IRSession, n: int, label: dict,
     {label: ordered block}) pairs; unaccepted classes are skipped
     silently.
     """
-    incident = {i: set() for i in range(1, n + 1)}
-    for u, p in label.items():
-        for i in p:
-            incident[i].add(u)
-    label_of = {frozenset(us): i for i, us in incident.items()}
+    n = len(pair_lit) - 1
+    # label i's literals are the filled cells of row i
+    label_of = {frozenset(row[row >= 0].tolist()): i
+                for i, row in enumerate(pair_lit) if i}
     pi = session.base
-    sigma = int(pi.color[next(iter(label))])
+    sigma = int(pi.color[pair_lit[1, 2]])
     accepted = []
     accepted_colors = set()
     for tau in other_colors:
@@ -447,11 +400,10 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
         return DetectionFailure("self-negating orbit")
 
     session = IRSession(graph, pi)
-    res = _johnson_labeling(session, sigma)
-    if isinstance(res, DetectionFailure):
-        return res
-    n, label = res
-    pair_to_lit = {p: l for l, p in label.items()}
+    pair_lit = _johnson_labeling(session, sigma)
+    if isinstance(pair_lit, DetectionFailure):
+        return pair_lit
+    n = len(pair_lit) - 1
 
     def build_generators(extensions):
         """One verified generator per label transposition (i, i+1), or
@@ -461,13 +413,16 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
         block's 64th permutation, so no more are generated."""
         gens = []
         for i in range(1, n):
-            sources = [blocks[i] for _, blocks in extensions]
+            others = [r for r in range(1, n + 1) if r not in (i, i + 1)]
+            xs = pair_lit[i, others].tolist()
+            xs.extend(t for _, blocks in extensions for t in blocks[i])
+            ys = pair_lit[i + 1, others].tolist()
             targets = [itertools.islice(
                 itertools.permutations(blocks[i + 1]), 64)
                 for _, blocks in extensions]
             for combo in itertools.islice(itertools.product(*targets), 64):
-                phi = _verified_swap(formula, *_johnson_generator(
-                    n, pair_to_lit, i, zip(sources, combo)))
+                phi = _verified_swap(formula, xs,
+                                     ys + [t for b in combo for t in b])
                 if phi is not None:
                     gens.append(phi)
                     break
@@ -475,7 +430,7 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
                 return None
         return gens
 
-    extensions = detect_johnson_row_extension(session, n, label,
+    extensions = detect_johnson_row_extension(session, pair_lit,
                                               other_colors)
     generators = build_generators(extensions)
     if generators is None and extensions:
@@ -484,14 +439,11 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
     if generators is None:
         return DetectionFailure("verification failed")
 
-    covered = set(members) | set(m ^ 1 for m in members)
-    for _, blocks in extensions:
-        for block in blocks.values():
-            covered.update(block)
-            covered.update(t ^ 1 for t in block)
-    return JohnsonStructure(n=n, label=label, pair_to_lit=pair_to_lit,
-                            generators=generators,
-                            covered_vertices=covered, extensions=extensions)
+    literals = [t for i in range(1, n + 1)
+                for t in pair_lit[i, i + 1:].tolist()]
+    literals.extend(t for _, blocks in extensions
+                    for i in range(1, n + 1) for t in blocks[i])
+    return Structure("johnson", (n,), literals, generators)
 
 
 def stabilizer_recursion(formula: Formula, graph: ColoredGraph, pi: Coloring,

@@ -78,11 +78,11 @@ def test_acceptance_2_detection_completeness():
     for n in range(8, 13):
         _, out = pipe("ramsey", 3, 3, n)
         assert [s.kind for s in out.structures] == ["johnson"], f"ram {n}"
-        assert out.structures[0].n == n, f"ramsey(3,3,{n})"
+        assert out.structures[0].dims == (n,), f"ramsey(3,3,{n})"
     for n in range(8, 13):
         _, out = pipe("cliquecolor", n, 3, 2)
         assert [s.kind for s in out.structures] == ["johnson"], f"cc {n}"
-        assert out.structures[0].n == n, f"cliquecolor({n},3,2)"
+        assert out.structures[0].dims == (n,), f"cliquecolor({n},3,2)"
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 2: PASS — detection completeness on 19 instances "
@@ -284,7 +284,7 @@ def test_acceptance_8_overhead_scaling():
     out = run(formula)
     tcc = time.monotonic() - start
     gc.enable()
-    assert out.structures[0].n == 150
+    assert out.structures[0].dims == (150,)
     assert tcc <= 60.0, f"cliquecolor(150,3,2) took {tcc:.1f}s"
     print(f"\nACCEPTANCE 8: PASS — php(50) {t50:.1f}s, php(100) {t100:.1f}s "
           f"(x{t100 / t50:.1f}), cliquecolor(150,3,2) {tcc:.1f}s")

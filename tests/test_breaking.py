@@ -11,7 +11,7 @@ from symbreak.breaking import (VariableOrder, binary_clause_heuristic,
                                structure_generators)
 from symbreak.cnf import (Formula, LiteralPermutation, neg_var, negate, pos,
                           transpose, var_of)
-from symbreak.detectors import RowStructure
+from symbreak.detectors import Structure
 from test_generator_differential import as_dict
 
 
@@ -73,16 +73,14 @@ class TestBuildOrder:
 
     def test_matrix_row_major(self):
         f = Formula(5, [[pos(1)]])
-        s = RowStructure(matrix=[[pos(3), pos(1)], [pos(4), pos(2)]],
-                         generators=[], covered_vertices=set())
+        s = Structure("row", (2, 2), [pos(3), pos(1), pos(4), pos(2)], [])
         order = build_order([s], f)
         assert order.variables == [3, 1, 4, 2, 5]
         assert order.structured_count == 4
 
     def test_negative_cells_enter_at_first_occurrence(self):
         f = Formula(3, [[pos(1)]])
-        s = RowStructure(matrix=[[neg_var(2), pos(2), pos(1)]],
-                         generators=[], covered_vertices=set())
+        s = Structure("row", (1, 3), [neg_var(2), pos(2), pos(1)], [])
         order = build_order([s], f)
         assert order.variables == [2, 1, 3]
 

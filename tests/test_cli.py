@@ -170,8 +170,8 @@ class TestBreak:
         assert out1 == out2
 
     def test_stdin_stdout(self, monkeypatch, capsys):
-        text = "p cnf 2 1\n1 2 0\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        text = b"p cnf 2 1\n1 2 0\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
         code, out, _ = run_cli(["break", "-"], capsys)
         assert code == 0
         assert parse_dimacs(out).num_vars >= 2
@@ -212,6 +212,14 @@ class TestExitCodes:
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 2 1\n1 x 0\n")
         code, _, err = run_cli(["break", str(bad)], capsys)
+        assert code == 2 and "parse error" in err
+
+    def test_undecodable_stdin(self, monkeypatch, capsys):
+        # stdin takes the same bytes path as a file: a parse error, not a
+        # decoding traceback
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"p cnf 1 1\n1 \xff 0\n"), encoding="utf-8"))
+        code, _, err = run_cli(["break", "-"], capsys)
         assert code == 2 and "parse error" in err
 
     def test_header_variable_count_beyond_bound(self, tmp_path, capsys):

@@ -1,14 +1,17 @@
 """Structure detectors: row, row-column, Johnson, and the fallbacks."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symbreak.cnf import Formula, is_automorphism, neg_var, pos, transpose
-from symbreak.detectors import (DetectionFailure, RowStructure,
+from symbreak.detectors import (DetectionFailure, Structure, _triangular_n,
                                 detect_johnson, detect_row_blocks,
                                 detect_row_column, stabilizer_recursion)
 from symbreak.modelgraph import build_model_graph
-from symbreak.pipeline import _polarity_split_base, negation_class_of
+from symbreak.pipeline import _polarity_split_base, negation_class_of, run
 from symbreak.refine import IRSession, initial_coloring, refine_stable
 from symbreak.testkit import (gen_cliquecolor, gen_cycle_coloring, gen_php,
                               gen_ramsey)
@@ -26,6 +29,13 @@ def literal_classes(graph, pi):
 
 def class_of(pi, lit):
     return int(pi.color[lit])
+
+
+def covered_orbit_sizes(pi, s):
+    """Sizes of the classes of `pi` that the literals of `s` and their
+    negations cover, ascending."""
+    covered = set(s.literals) | {l ^ 1 for l in s.literals}
+    return sorted(Counter(int(pi.color[u]) for u in covered).values())
 
 
 def row_instance(rows):
@@ -80,8 +90,7 @@ class TestDetectRow:
         assert s.dims == (4, 4)
         assert len(s.generators) == 3
         assert all(is_automorphism(f, g) for g in s.generators)
-        flat = [l for row in s.matrix for l in row]
-        assert len(set(flat)) == 16
+        assert len(set(s.literals)) == 16
 
     def test_size_gate(self):
         f = row_instance(2)
@@ -112,10 +121,12 @@ class TestDetectRowBlocks:
         sigma = class_of(base, pos(2))
         st = detect_row_blocks(f, graph, base, sigma)
         assert not isinstance(st, DetectionFailure)
-        assert len(st.matrix) == rows
+        assert st.dims[0] == rows
         assert all(is_automorphism(f, g) for g in st.generators)
         # each row carries its own block of 2 (both polarities)
-        for i, row in enumerate(st.matrix):
+        width = st.dims[1]
+        for i in range(rows):
+            row = st.literals[i * width:(i + 1) * width]
             vars_in_row = set(l // 2 + 1 for l in row)
             assert any(s(k, 0) in vars_in_row and s(k, 1) in vars_in_row
                        for k in range(rows))
@@ -168,8 +179,7 @@ def ref_detect_row_blocks(formula, graph, pi, sigma):
             return DetectionFailure("verification failed")
         generators.append(phi)
 
-    return RowStructure(matrix=rows, generators=generators,
-                        covered_vertices=set(flat))
+    return Structure("row", (len(rows), len(rows[0])), flat, generators)
 
 
 def assert_same_rows(got, want):
@@ -177,9 +187,9 @@ def assert_same_rows(got, want):
         assert isinstance(got, DetectionFailure), got
         return
     assert not isinstance(got, DetectionFailure), got.reason
-    assert got.matrix == want.matrix
+    assert got.dims == want.dims
+    assert got.literals == want.literals
     assert got.generators == want.generators
-    assert got.covered_vertices == want.covered_vertices
 
 
 def assert_rows_match_reference(formula):
@@ -252,6 +262,24 @@ class TestRowBlocksMatchReference:
         assert_rows_match_reference(f)
 
 
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(row_like_formulas())
+def test_row_literals_closed_under_negation(f):
+    """The pipeline covers a structure's literals and their negations;
+    for a row structure that adds nothing, because an individualized
+    literal singles out its negation and the negation of a size-matched
+    fragment is a size-matched fragment of the negation class."""
+    graph, base = stable_base(f)
+    for sigma in literal_classes(graph, base):
+        for s in (detect_row_blocks(f, graph, base, sigma),
+                  stabilizer_recursion(f, graph, base, sigma,
+                                       [("row", detect_row_blocks)])):
+            if not isinstance(s, DetectionFailure):
+                lits = set(s.literals)
+                assert {l ^ 1 for l in lits} == lits
+
+
 def test_refuted_row_attempt_stops_after_two_probes(monkeypatch):
     """C41 4-coloring's 164-member literal classes fit no row shape;
     each attempt is refuted by its second row."""
@@ -285,8 +313,7 @@ class TestDetectRowColumn:
         assert sorted(s.dims) == [4, 5]
         assert len(s.generators) == 7
         assert all(is_automorphism(f, g) for g in s.generators)
-        flat = [l for row in s.matrix for l in row]
-        assert len(set(flat)) == 20
+        assert len(set(s.literals)) == 20
 
     def test_degenerate_dimensions_fail(self):
         # php(3) is a 3x2 matrix: fewer than three columns
@@ -312,6 +339,15 @@ class TestDetectRowColumn:
         assert sorted(s.dims) == [4, 5]
 
 
+def test_triangular_n_inverts_binomial():
+    for n in range(2, 20_000):
+        k = n * (n - 1) // 2
+        assert _triangular_n(k) == n
+        assert _triangular_n(k + 1) is None
+        if n > 2:
+            assert _triangular_n(k - 1) is None
+
+
 class TestDetectJohnson:
     def test_ramsey8_after_polarity_split(self):
         f = gen_ramsey(3, 3, 8)
@@ -321,12 +357,11 @@ class TestDetectJohnson:
         split, sig = _polarity_split_base(graph, base, sigma)
         s = detect_johnson(f, graph, split, sig)
         assert not isinstance(s, DetectionFailure)
-        assert s.n == 8
+        assert s.dims == (8,)
         assert len(s.generators) == 7
         assert all(is_automorphism(f, g) for g in s.generators)
-        pairs = set(s.label.values())
-        assert len(pairs) == 28
-        assert all(len(p) == 2 for p in pairs)
+        # one literal per label pair, every member of the class labeled
+        assert sorted(s.literals) == sorted(split.class_members(sig).tolist())
 
     def test_size_gate_below_28(self):
         f = gen_ramsey(3, 3, 7)  # C(7,2) = 21
@@ -352,13 +387,12 @@ class TestDetectJohnson:
         others = [c for c in classes if c != sigma]
         s = detect_johnson(f, graph, base, sigma, other_colors=others)
         assert not isinstance(s, DetectionFailure)
-        assert s.n == 8
+        assert s.dims == (8,)
         assert len(s.generators) == 7
         assert all(is_automorphism(f, g) for g in s.generators)
-        kinds = sorted(len(next(iter(b.values()))) for _, b in s.extensions)
-        assert kinds == [2, 3]  # color blocks and clique-slot blocks
-        for _, blocks in s.extensions:
-            assert set(blocks) == set(range(1, 9))
+        # the 28 edges plus color blocks (8 x 2) and clique-slot blocks
+        # (8 x 3), each orbit with its negation orbit
+        assert covered_orbit_sizes(base, s) == [16, 16, 24, 24, 28, 28]
 
     def test_bare_generators_fail_without_extension(self):
         f = gen_cliquecolor(8, 3, 2)
@@ -382,7 +416,7 @@ class TestStabilizerRecursion:
                                   ("row-column", detect_row_column),
                                   ("row", detect_row_blocks)])
         assert not isinstance(s, DetectionFailure)
-        assert len(s.matrix) == 3
+        assert s.dims[0] == 3
         assert all(is_automorphism(f, g) for g in s.generators)
 
     def test_singleton_fragment_fails(self):
@@ -392,3 +426,40 @@ class TestStabilizerRecursion:
         s = stabilizer_recursion(f, graph, base, sigma,
                                  [("row", detect_row_blocks)])
         assert isinstance(s, DetectionFailure)
+
+
+def scrambled(f, seed):
+    """`f` with its variables renamed at random and its clauses and
+    their literals shuffled."""
+    rng = random.Random(seed)
+    perm = list(range(f.num_vars))
+    rng.shuffle(perm)
+    clauses = [[2 * perm[l // 2] + l % 2 for l in c] for c in f.clauses]
+    for c in clauses:
+        rng.shuffle(c)
+    rng.shuffle(clauses)
+    return Formula(f.num_vars, clauses)
+
+
+def structure_shapes(f):
+    return sorted((s.kind, sorted(s.dims)) for s in run(f).structures)
+
+
+@pytest.mark.parametrize("make, shapes", [
+    (lambda: gen_php(6), [("row-column", [5, 6])]),
+    (lambda: gen_ramsey(3, 3, 8), [("johnson", [8])]),
+    (lambda: gen_cliquecolor(10, 3, 2), [("johnson", [10])]),
+    (lambda: two_copy_instance(3), [("row", [3, 4])]),
+    (lambda: attached_blocks_instance(4), [("row", [4, 6])]),
+    (lambda: gen_cycle_coloring(9, 3), []),
+], ids=["php6", "ramsey338", "cliquecolor1032", "two-copy", "attached-blocks",
+        "c9-3coloring"])
+def test_renaming_keeps_structure_shapes(make, shapes):
+    """Metamorphic: renaming variables and reordering clauses and
+    literals keeps the kinds and sorted dims of the found structures.
+    Polarity flips are left out: they can make Johnson miss ramsey
+    instances, whose self-negating class is split by literal parity."""
+    f = make()
+    assert structure_shapes(f) == shapes
+    for seed in range(8):
+        assert structure_shapes(scrambled(f, seed)) == shapes

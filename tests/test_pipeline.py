@@ -122,7 +122,9 @@ class TestRun:
     def test_cliquecolor_covers_all_orbits(self):
         out = run(gen_cliquecolor(8, 3, 2))
         assert [s.kind for s in out.structures] == ["johnson"]
-        assert len(out.structures[0].extensions) == 2
+        # edges plus both extension orbits, each with its negations
+        assert sorted(out.stats["structures"][0]["orbit_sizes"]) == [
+            16, 16, 24, 24, 28, 28]
         assert out.remainder_generators == []
 
     def test_asymmetric_formula_adds_nothing(self):
