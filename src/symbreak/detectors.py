@@ -2,9 +2,11 @@
 
 Detection treats the color classes of the stable coloring as purported
 orbits.  Each detector builds candidate permutations from the effect of
-individualization-refinement and only returns a structure once every
-generator has been verified against the formula, so a non-Tinhofer model
-graph can only cause a miss, never a wrong answer.
+individualization-refinement and only returns a structure once the
+verifier has proved every generator an automorphism of the formula,
+directly or, for the transpositions of a symmetric factor, through two
+of them and their array relations; so a non-Tinhofer model graph can
+only cause a miss, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import Formula, is_automorphism, transpose
+from .cnf import Formula, LiteralPermutation, is_automorphism, transpose
 from .modelgraph import ColoredGraph
 from .refine import Coloring, IRSession, individualize_refine
 
@@ -59,6 +61,66 @@ def _verified_swap(formula: Formula, a, b):
     return phi if is_automorphism(formula, phi) else None
 
 
+def _conjugating_product(swaps):
+    """The product c = t_0 t_1 ... t_{m-2} of `swaps` (t_{m-2} applied
+    first) if c t_i c^-1 = t_{i+1} for every i < m - 2, else None.
+    Checked on the image arrays alone.  When t_i exchanges the disjoint
+    lines i and i + 1, c sends line i to line i + 1 mod m."""
+    size = max(int(t.support[-1]) for t in swaps) + 1
+    c = np.arange(size, dtype=np.int32)
+    for t in swaps:
+        c[t.support] = c[t.images]
+    for t, u in zip(swaps, swaps[1:]):
+        # c t c^-1 moves c(x) to c(t(x)) for each x that t moves
+        moved = c[t.support]
+        by = np.argsort(moved)
+        if not (np.array_equal(moved[by], u.support)
+                and np.array_equal(c[t.images][by], u.images)):
+            return None
+    changed = np.flatnonzero(c != np.arange(size))
+    return LiteralPermutation(changed, c[changed])
+
+
+def _verified_factor(formula: Formula, lines, t0=None):
+    """The adjacent transpositions t_i = transpose(lines[i], lines[i+1])
+    of the m >= 2 equal-length lines of one symmetric factor, if every
+    one is an automorphism of `formula`; else the index i of the first
+    that is not or cannot be built.  `t0`, if given, is t_0 verified
+    already.
+
+    When c = t_0 ... t_{m-2} conjugates each t_i to t_{i+1}, every t_i
+    is c^i t_0 c^-i, so all are automorphisms exactly when t_0 and c
+    are, and only those two are verified (one when m = 2, where c is
+    t_0).  A failed c is located by verifying t_1, t_2, ... in turn,
+    which is also the fallback when the relations do not hold or a t_i
+    cannot be built; so a failure costs at most one call more than
+    verifying each t_i in turn.
+    """
+    verified = [] if t0 is None else [t0]
+    k = len(verified)
+    try:
+        swaps = verified + [transpose(a, b)
+                            for a, b in zip(lines[k:], lines[k + 1:])]
+    except ValueError:
+        swaps = None
+    cycle = None if swaps is None else _conjugating_product(swaps)
+    if cycle is not None:
+        if not verified:
+            # looked up at call time, so a wrapper put in its place is
+            # what runs
+            if not is_automorphism(formula, swaps[0]):
+                return 0
+            verified = swaps[:1]
+        if len(swaps) == 1 or is_automorphism(formula, cycle):
+            return swaps
+    for i in range(len(verified), len(lines) - 1):
+        phi = _verified_swap(formula, lines[i], lines[i + 1])
+        if phi is None:
+            return i
+        verified.append(phi)
+    return verified
+
+
 def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
                       sigma: int):
     """Row interchangeability on the class `sigma` of the stable coloring.
@@ -83,13 +145,15 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
                      and pi.clen[c] % sigma_size == 0
                      and pi.order[c] < graph.num_literal_vertices]
     session = IRSession(graph, pi)
-    # each row is checked and its transposition with the previous row
-    # verified as soon as it is built, so a refuted attempt stops at its
-    # first refuting row; a row depends only on its member, so a found
-    # structure is the same as if every member were probed first
+    # each row is checked against the rows before it as soon as it is
+    # built, and the swap of rows 0 and 1 verified at once, so a refuted
+    # attempt usually stops after two probes; the rest of the row factor
+    # is verified after the last row.  A row depends only on its member,
+    # so a found structure is the same as if every member were probed
+    # first
     rows = []
     seen = set()
-    generators = []
+    first_swap = None
     for i, v in enumerate(members):
         rep = session.individualize(v)
         # singletons and blocks merged into one row, ordered by the
@@ -108,13 +172,16 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
         seen.update(row)
         if len(seen) != len(row) * (i + 1):
             return DetectionFailure(f"overlapping rows at row {i}")
-        if rows:
-            phi = _verified_swap(formula, rows[-1], row)
-            if phi is None:
-                return DetectionFailure(f"verification failed at row {i}")
-            generators.append(phi)
+        if i == 1:
+            first_swap = _verified_swap(formula, rows[0], row)
+            if first_swap is None:
+                return DetectionFailure("verification failed at row 1")
         rows.append(row)
 
+    generators = _verified_factor(formula, rows, first_swap)
+    if isinstance(generators, int):
+        return DetectionFailure(
+            f"verification failed at row {generators + 1}")
     return Structure("row", (len(rows), len(rows[0])),
                      [u for row in rows for u in row], generators)
 
@@ -197,22 +264,16 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     except KeyError:
         return DetectionFailure("malformed matrix: missing cell")
 
-    def column(ci):
-        return [matrix[ri][ci] for ri in range(len(row_labels))]
-
     # adjacent transpositions generate the same group as the pivot-star
     # ones and make much stronger lex-leader constraints under the
     # row-major order, so they are what the structure carries
+    columns = list(zip(*matrix))
     generators = []
-    swaps = ([(column(ci), column(ci + 1))
-              for ci in range(len(col_labels) - 1)]
-             + [(matrix[ri], matrix[ri + 1])
-                for ri in range(len(row_labels) - 1)])
-    for a, b in swaps:
-        phi = _verified_swap(formula, a, b)
-        if phi is None:
+    for lines in (columns, matrix):
+        swaps = _verified_factor(formula, lines)
+        if isinstance(swaps, int):
             return DetectionFailure("verification failed")
-        generators.append(phi)
+        generators.extend(swaps)
 
     return Structure("row-column", (len(row_labels), len(col_labels)),
                      [t for row in matrix for t in row], generators)

@@ -6,10 +6,12 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import symbreak.detectors as detectors
 from symbreak.cnf import Formula, is_automorphism, neg_var, pos, transpose
 from symbreak.detectors import (DetectionFailure, Structure, _triangular_n,
-                                detect_johnson, detect_row_blocks,
-                                detect_row_column, stabilizer_recursion)
+                                _verified_factor, detect_johnson,
+                                detect_row_blocks, detect_row_column,
+                                stabilizer_recursion)
 from symbreak.modelgraph import build_model_graph
 from symbreak.pipeline import _polarity_split_base, negation_class_of, run
 from symbreak.refine import IRSession, initial_coloring, refine_stable
@@ -301,6 +303,227 @@ def test_refuted_row_attempt_stops_after_two_probes(monkeypatch):
         assert isinstance(res, DetectionFailure)
         assert res.reason.endswith("at row 1")
         assert len(calls) <= 2
+
+
+def recorded_verifications(monkeypatch):
+    """The generators passed to the detectors' verifier, as it runs."""
+    verify = detectors.is_automorphism
+    checked = []
+
+    def recorded(formula, phi):
+        checked.append(phi)
+        return verify(formula, phi)
+
+    monkeypatch.setattr(detectors, "is_automorphism", recorded)
+    return checked
+
+
+def ref_verified_factor(formula, lines, t0=None):
+    """Each adjacent transposition of a factor built and verified in
+    turn, as the detectors did before a factor was verified through its
+    first swap and its cycle.  Kept as the reference for the
+    differential tests below; `t0` is ignored and verified again."""
+    generators = []
+    for i, (a, b) in enumerate(zip(lines, lines[1:])):
+        try:
+            phi = transpose(a, b)
+        except ValueError:
+            return i
+        if not is_automorphism(formula, phi):
+            return i
+        generators.append(phi)
+    return generators
+
+
+def with_reference_factor(detect):
+    """`detect` with each factor verified by ref_verified_factor."""
+    def reference(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detectors, "_verified_factor", ref_verified_factor)
+            return detect(*args)
+    return reference
+
+
+def assert_same_result(got, want):
+    """Same decision, reason, shape and generator arrays."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, DetectionFailure):
+        assert got.reason == want.reason
+        return
+    assert (got.kind, got.dims) == (want.kind, want.dims)
+    assert got.literals == want.literals
+    assert got.generators == want.generators
+
+
+def assert_factors_match_reference(formula):
+    """The row-column and row detectors, with factors verified through
+    their cycle and by the reference, on every literal class of the
+    stable coloring, directly and through stabilizer recursion;
+    returns how many attempts found a structure."""
+    graph, base = stable_base(formula)
+    found = 0
+    for sigma in literal_classes(graph, base):
+        for detect in (detect_row_column, detect_row_blocks):
+            want = with_reference_factor(detect)(formula, graph, base, sigma)
+            assert_same_result(detect(formula, graph, base, sigma), want)
+            found += not isinstance(want, DetectionFailure)
+        pairs = [("row-column", detect_row_column), ("row", detect_row_blocks)]
+        want = with_reference_factor(stabilizer_recursion)(
+            formula, graph, base, sigma, pairs)
+        assert_same_result(
+            stabilizer_recursion(formula, graph, base, sigma, pairs), want)
+        found += not isinstance(want, DetectionFailure)
+    return found
+
+
+@st.composite
+def row_column_formulas(draw):
+    """php-like formulas over a rows x cols matrix of variables: any of
+    a clause per row over its cells, pairwise exclusion within each
+    column, and pairwise exclusion within each row."""
+    rows = draw(st.integers(3, 6))
+    cols = draw(st.integers(3, 6))
+
+    def cell(r, c):
+        return 2 * (r * cols + c)
+
+    kinds = draw(st.sets(st.sampled_from(["row-or", "col-amo", "row-amo"]),
+                         min_size=1))
+    clauses = []
+    if "row-or" in kinds:
+        clauses += [[cell(r, c) for c in range(cols)] for r in range(rows)]
+    if "col-amo" in kinds:
+        clauses += [[cell(r, c) ^ 1, cell(s, c) ^ 1] for c in range(cols)
+                    for r in range(rows) for s in range(r + 1, rows)]
+    if "row-amo" in kinds:
+        clauses += [[cell(r, c) ^ 1, cell(r, d) ^ 1] for r in range(rows)
+                    for c in range(cols) for d in range(c + 1, cols)]
+    return Formula(rows * cols, clauses)
+
+
+@st.composite
+def perturbed(draw, formulas):
+    """A drawn formula as it is, with one clause dropped, or with the
+    polarity of one literal occurrence flipped."""
+    f = draw(formulas)
+    clauses = [list(c) for c in f.clauses]
+    how = draw(st.sampled_from(["keep", "drop", "flip"]))
+    if how != "keep" and clauses:
+        i = draw(st.integers(0, len(clauses) - 1))
+        if how == "drop":
+            del clauses[i]
+        else:
+            j = draw(st.integers(0, len(clauses[i]) - 1))
+            clauses[i][j] ^= 1
+    return Formula(f.num_vars, clauses)
+
+
+class TestFactorsMatchReference:
+    """Verifying a symmetric factor through t_0 and its cycle decides as
+    verifying each adjacent transposition does, with the same reason
+    and the same generator arrays."""
+
+    @pytest.mark.parametrize("make, found", [
+        (lambda: gen_php(3), 0),
+        (lambda: gen_php(4), 2),
+        (lambda: gen_php(5), 2),
+        (lambda: gen_php(6), 2),
+        (lambda: gen_php(7), 2),
+        (lambda: row_instance(4), 8),
+        (lambda: row_instance(6), 8),
+        (lambda: attached_blocks_instance(4), 4),
+        (lambda: two_copy_instance(3), 4),
+    ], ids=["php3", "php4", "php5", "php6", "php7", "row4", "row6",
+            "attached-blocks", "two-copy"])
+    def test_structured(self, make, found):
+        assert assert_factors_match_reference(make()) == found
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(perturbed(row_column_formulas()))
+    def test_drawn_row_column_formulas(self, f):
+        assert_factors_match_reference(f)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(perturbed(row_like_formulas()))
+    def test_drawn_row_formulas(self, f):
+        assert_factors_match_reference(f)
+
+
+def rows_of(f, width):
+    """The positive literals of `f`'s variables, `width` to a row."""
+    return [[2 * (r * width + j) for j in range(width)]
+            for r in range(f.num_vars // width)]
+
+
+class TestVerifiedFactor:
+    def spied(self, monkeypatch):
+        """The results of _conjugating_product, as they are made."""
+        seen = []
+        product = detectors._conjugating_product
+
+        def recorded(swaps):
+            seen.append(product(swaps))
+            return seen[-1]
+
+        monkeypatch.setattr(detectors, "_conjugating_product", recorded)
+        return seen
+
+    def test_two_verifications_for_a_symmetric_factor(self, monkeypatch):
+        f = row_instance(5)
+        checked = recorded_verifications(monkeypatch)
+        lines = rows_of(f, 2)
+        got = _verified_factor(f, lines)
+        assert got == ref_verified_factor(f, lines) and len(got) == 4
+        assert checked[0] == got[0] and len(checked) == 2
+        # the second is the row cycle
+        cycle = dict(zip(checked[1].support.tolist(),
+                         checked[1].images.tolist()))
+        assert [cycle[row[0]] for row in lines] == [
+            row[0] for row in lines[1:] + lines[:1]]
+
+    def test_refuted_row_is_located(self, monkeypatch):
+        """A unit clause on the last row leaves t_0 an automorphism but
+        not the cycle; the first refuted swap is found by verifying the
+        others in turn."""
+        f = row_instance(4)
+        f = Formula(f.num_vars, f.clauses + [[pos(7)]])
+        seen = self.spied(monkeypatch)
+        lines = rows_of(f, 2)
+        assert _verified_factor(f, lines) == ref_verified_factor(f, lines) == 2
+        assert seen[0] is not None
+
+    def test_broken_relations_fall_back(self, monkeypatch):
+        """With row 1 repeated after a reversed row 2, t_1 t_2 is the
+        identity, so the product is t_0, an automorphism; the relations
+        fail, and verifying each swap finds t_1 refuted."""
+        f = row_instance(3)
+        rows = rows_of(f, 2)
+        lines = [rows[0], rows[1], rows[2][::-1], rows[1]]
+        seen = self.spied(monkeypatch)
+        assert _verified_factor(f, lines) == ref_verified_factor(f, lines) == 1
+        assert seen == [None]
+
+    def test_unbuildable_swap_falls_back(self, monkeypatch):
+        """Lines that hold a literal and its negation at positions whose
+        partners disagree cannot be exchanged; the index is the first
+        swap that fails, whether by verification or by construction."""
+        f = row_instance(4)
+        rows = rows_of(f, 2)
+        lines = [rows[0], rows[1], [rows[2][0], rows[2][0] ^ 1],
+                 rows[3]]
+        seen = self.spied(monkeypatch)
+        assert _verified_factor(f, lines) == ref_verified_factor(f, lines) == 1
+        assert seen == []
+
+    def test_given_first_swap_is_not_verified_again(self, monkeypatch):
+        f = row_instance(4)
+        lines = rows_of(f, 2)
+        t0 = transpose(lines[0], lines[1])
+        checked = recorded_verifications(monkeypatch)
+        assert _verified_factor(f, lines, t0) == ref_verified_factor(f, lines)
+        assert t0 not in checked and len(checked) == 1
 
 
 class TestDetectRowColumn:

@@ -2,8 +2,9 @@
 
 import hashlib
 
+import symbreak.detectors as detectors
 from symbreak.cnf import (Formula, clause_multiset_image_check, emit_dimacs,
-                          neg_var, pos)
+                          neg_var, pos, transpose)
 from symbreak.modelgraph import build_model_graph
 from symbreak.pipeline import PipelineConfig, negation_class_of, run
 from symbreak.refine import initial_coloring, refine_stable
@@ -11,7 +12,8 @@ from symbreak.testkit import (brute_force_sat, dpll_count, gen_cliquecolor,
                               gen_cycle_coloring, gen_php, gen_ramsey)
 
 import pytest
-from test_detectors import attached_blocks_instance, two_copy_instance
+from test_detectors import (attached_blocks_instance,
+                            recorded_verifications, two_copy_instance)
 
 
 def augmented(formula, out):
@@ -65,21 +67,39 @@ def test_emitted_dimacs_is_pinned(make, digest):
     lambda: gen_cliquecolor(10, 3, 2),
     lambda: gen_ramsey(3, 3, 8),
     lambda: gen_php(6),
-], ids=["cliquecolor1032", "ramsey338", "php6"])
+    lambda: attached_blocks_instance(4),
+], ids=["cliquecolor1032", "ramsey338", "php6", "row-blocks"])
 def test_no_generator_verified_twice(make, monkeypatch):
-    """Each candidate generator of a run's detectors is verified once."""
-    import symbreak.detectors as detectors
-    verify = detectors.is_automorphism
-    checked = []
-
-    def recorded(formula, phi):
-        checked.append(phi)
-        return verify(formula, phi)
-
-    monkeypatch.setattr(detectors, "is_automorphism", recorded)
+    """Each candidate generator of a run's detectors is verified once;
+    for rows, the swap of rows 0 and 1, verified as soon as row 1 is
+    built, is not verified again with the rest of the factor."""
+    checked = recorded_verifications(monkeypatch)
     run(make())
     assert checked
     assert len(set(checked)) == len(checked)
+
+
+def test_two_line_factor_verified_once(monkeypatch):
+    """php(3)'s two hole columns form a factor whose cycle is its one
+    swap, so one verification decides it.  (The pipeline refuses
+    php(3)'s 3 x 2 matrix before verification: a pivot's row and column
+    fragments must each hold two literals.)"""
+    f = gen_php(3)
+    holes = [[pos(2 * i + j + 1) for i in range(3)] for j in range(2)]
+    checked = recorded_verifications(monkeypatch)
+    swaps = detectors._verified_factor(f, holes)
+    assert swaps == [transpose(*holes)] and checked == swaps
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_row_column_structure_verified_by_four_calls(n, monkeypatch):
+    """A found row-column structure costs four verifications whatever
+    its size: the first swap and the cycle of its columns and rows."""
+    checked = recorded_verifications(monkeypatch)
+    out = run(gen_php(n))
+    assert [(s.kind, s.dims) for s in out.structures] == [
+        ("row-column", (n, n - 1))]
+    assert len(checked) == 4
 
 
 class TestNegationClassOf:
