@@ -46,8 +46,16 @@ class Structure:
     generators: list
 
 
-def _class_members(coloring: Coloring, c: int) -> list:
-    return coloring.class_members(c).tolist()
+def negation_class_of(pi: Coloring, sigma: int) -> int:
+    """Color id of the class holding the negations of class sigma.
+
+    Well-defined because negation edges force negation to map classes to
+    classes; equals sigma itself for a self-negating class.
+    """
+    members = pi.class_members(sigma)
+    if len(members) == 0:
+        raise KeyError(f"empty class {sigma}")
+    return int(pi.color[int(members[0]) ^ 1])
 
 
 def _verified_swap(formula: Formula, a, b):
@@ -130,7 +138,7 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
     classes c with |c'| * |sigma| = |c| (symmetric action on blocks),
     ordered by their refined color.
     """
-    members = _class_members(pi, sigma)
+    members = pi.class_members(sigma).tolist()
     if len(members) < 3:
         return DetectionFailure("size gate: |sigma| < 3")
     if any(v >= graph.num_literal_vertices for v in members):
@@ -195,74 +203,60 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     representative assigns matrix coordinates, and the adjacent row and
     column transpositions (negation-expanded) are verified.
     """
-    members = _class_members(pi, sigma)
-    if any(v >= graph.num_literal_vertices for v in members):
+    members = pi.class_members(sigma)
+    if (members >= graph.num_literal_vertices).any():
         return DetectionFailure("sigma is not a literal class")
-    if int(pi.color[members[0] ^ 1]) == sigma:
+    if negation_class_of(pi, sigma) == sigma:
         return DetectionFailure("self-negating orbit")
 
-    v = members[0]
+    v = int(members[0])
     session = IRSession(graph, pi)
-    rep_v = session.individualize(v)
-    frags = rep_v.fragments(sigma)
+    frags = session.individualize(v).fragments(sigma)
     if len(frags) != 4:
         return DetectionFailure(f"fragment count {len(frags)} != 4")
     frags.sort(key=lambda f: (len(f[1]), f[0]))
     if len(frags[0][1]) != 1 or frags[0][1][0] != v:
         return DetectionFailure("pivot is not the singleton fragment")
-    sigma1 = frags[1][1].tolist()
-    sigma2 = frags[2][1].tolist()
-    if len(sigma1) < 2 or len(sigma2) < 2:
+    # v's row holds the heads of the other columns, v's column those of
+    # the other rows
+    col_heads = frags[1][1].tolist()
+    row_heads = frags[2][1].tolist()
+    if len(col_heads) < 2 or len(row_heads) < 2:
         return DetectionFailure("degenerate row or column fragment")
 
-    col_of = {v: v}
-    row_of = {v: v}
-    for r in sigma1:
-        row_of[r] = v
-        col_of[r] = r
-    for c in sigma2:
-        col_of[c] = v
-        row_of[c] = c
+    # each member's row and column label by its slot in sigma, -1 while
+    # unassigned: the line through v is 0, the one through head k is k
+    rows, cols = len(row_heads) + 1, len(col_heads) + 1
+    row, col = np.full((2, len(members)), -1)
+    slot = pi.pos[[v] + col_heads + row_heads] - sigma
+    row[slot] = [0] * cols + list(range(1, rows))
+    col[slot] = list(range(cols)) + [0] * (rows - 1)
+    for heads, label, want in ((col_heads, col, rows - 1),
+                               (row_heads, row, cols - 1)):
+        for k, h in enumerate(heads, 1):
+            rep = session.individualize(h)
+            # excluding the fragments holding v and h by color id equals
+            # excluding fragments containing them
+            skip = (rep.coloring.color[v], rep.coloring.color[h])
+            cand = [pi.pos[frag] - sigma for c, frag in rep.fragments(sigma)
+                    if len(frag) == want and c not in skip]
+            if len(cand) != 1 or (label[cand[0]] >= 0).any():
+                return DetectionFailure("missing size-matched fragment")
+            label[cand[0]] = k
 
-    def assign(rep, want_size, target, ref):
-        # excluding the fragments holding v and ref by color id equals
-        # excluding fragments containing them
-        skip = (int(rep.coloring.color[v]), int(rep.coloring.color[ref]))
-        cand = [frag for c, frag in rep.fragments(sigma)
-                if len(frag) == want_size and c not in skip]
-        if len(cand) != 1:
-            return False
-        for t in cand[0].tolist():
-            if t in target:
-                return False
-            target[t] = ref
-        return True
-
-    for r in sigma1:
-        rep_r = session.individualize(r)
-        if not assign(rep_r, len(sigma2), col_of, r):
-            return DetectionFailure("missing size-matched fragment")
-    for c in sigma2:
-        rep_c = session.individualize(c)
-        if not assign(rep_c, len(sigma1), row_of, c):
-            return DetectionFailure("missing size-matched fragment")
-
-    row_labels = [v] + sigma2
-    col_labels = [v] + sigma1
-    if set(row_of) != set(members) or set(col_of) != set(members):
+    if (row < 0).any() or (col < 0).any():
         return DetectionFailure("malformed matrix: unassigned cells")
-    cells = {}
-    for t in members:
-        key = (row_of[t], col_of[t])
-        if key in cells:
-            return DetectionFailure("malformed matrix: duplicate label pair")
-        cells[key] = t
-    if len(cells) != len(row_labels) * len(col_labels):
+    cells = row * cols + col
+    # counted with bincount: the first call of a plain np.unique raised
+    # peak RSS on php instances by about 0.9 MB
+    if np.bincount(cells).max() > 1:
+        return DetectionFailure("malformed matrix: duplicate label pair")
+    if len(cells) != rows * cols:
         return DetectionFailure("malformed matrix: wrong cell count")
-    try:
-        matrix = [[cells[(r, c)] for c in col_labels] for r in row_labels]
-    except KeyError:
-        return DetectionFailure("malformed matrix: missing cell")
+    # rows * cols distinct cells below rows * cols: every one is filled
+    grid = np.empty(rows * cols, dtype=members.dtype)
+    grid[cells] = members
+    matrix = grid.reshape(rows, cols).tolist()
 
     # adjacent transpositions generate the same group as the pivot-star
     # ones and make much stronger lex-leader constraints under the
@@ -275,8 +269,7 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
             return DetectionFailure("verification failed")
         generators.extend(swaps)
 
-    return Structure("row-column", (len(row_labels), len(col_labels)),
-                     [t for row in matrix for t in row], generators)
+    return Structure("row-column", (rows, cols), grid.tolist(), generators)
 
 
 def _triangular_n(k: int):
@@ -295,7 +288,7 @@ def _johnson_labeling(session: IRSession, sigma: int):
     assigned in order of first appearance, i.e. determined up to a
     relabeling.
     """
-    members = _class_members(session.base, sigma)
+    members = session.base.class_members(sigma).tolist()
     size = len(members)
     if size < 28:
         return DetectionFailure("size gate: |sigma| < 28")
@@ -389,75 +382,67 @@ def detect_johnson_row_extension(session: IRSession, pair_lit,
     For each candidate class of the session's base coloring,
     individualizing any member must split the labeled class into the
     literals carrying one particular label and the rest; the class then
-    partitions into equal blocks, one per label.  Returns (color id,
-    {label: ordered block}) pairs; unaccepted classes are skipped
-    silently.
+    partitions into equal blocks, one per label.  Returns one n x
+    block-size matrix per accepted class, whose row i - 1 is label i's
+    block ordered by the coloring refined from the class's first member
+    (ties by id), so that positions correspond across labels;
+    unaccepted classes are skipped silently.
     """
     n = len(pair_lit) - 1
-    # label i's literals are the filled cells of row i
-    label_of = {frozenset(row[row >= 0].tolist()): i
-                for i, row in enumerate(pair_lit) if i}
     pi = session.base
     sigma = int(pi.color[pair_lit[1, 2]])
+    # label i's literals, ascending, as bytes: row i's two -1 cells
+    # (column 0 and the diagonal) sort before them
+    label_of = {row.tobytes(): i for i, row in enumerate(
+        np.sort(pair_lit[1:], axis=1)[:, 2:].astype(pi.order.dtype), 1)}
     accepted = []
     accepted_colors = set()
     for tau in other_colors:
-        members = _class_members(pi, tau)
-        if not members:
+        members = pi.class_members(tau)
+        size = len(members)
+        if size < n or size % n:
             continue
-        if int(pi.color[members[0] ^ 1]) in accepted_colors:
+        if negation_class_of(pi, tau) in accepted_colors:
             # negation class of an accepted orbit: the generators' negation
             # closure already moves it, a second block map would conflict
             continue
-        if len(members) % n != 0 or len(members) < n:
-            continue
-        block_size = len(members) // n
-        blocks: dict = {}
-        ref_color = None
-        ok = True
-        for t in members:
+        labels = np.zeros(size, dtype=np.int64)
+        for k, t in enumerate(members.tolist()):
             rep = session.individualize(t)
-            if ref_color is None:
-                ref_color = rep.coloring.color.copy()
+            if k == 0:
+                ref_color = rep.coloring.color[members]
             frags = rep.fragments(sigma)
             if len(frags) != 2:
-                ok = False
                 break
             small = min((mem for _, mem in frags), key=len)
-            matched = label_of.get(frozenset(small.tolist()))
-            if matched is None:
-                ok = False
+            labels[k] = label_of.get(np.sort(small).tobytes(), 0)
+            if not labels[k]:
                 break
-            blocks.setdefault(matched, []).append(t)
-        if not ok or len(blocks) != n:
-            continue
-        if any(len(b) != block_size for b in blocks.values()):
-            continue
-        # order every block by the first member's refined coloring so
-        # that positions correspond across labels
-        for i in blocks:
-            blocks[i].sort(key=lambda t: (int(ref_color[t]), t))
-        accepted.append((tau, blocks))
-        accepted_colors.add(tau)
+        # a member left unlabeled keeps label 0, so the n labels then
+        # cannot share all members equally
+        if (np.bincount(labels, minlength=n + 1)[1:] == size // n).all():
+            by = np.lexsort((members, ref_color, labels))
+            accepted.append(members[by].reshape(n, size // n))
+            accepted_colors.add(tau)
     return accepted
 
 
 def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
                    sigma: int, other_colors=()):
-    """Johnson action J_n on the class `sigma`, optionally extended to
-    label-aligned block orbits.
+    """Johnson action J_n on the class `sigma`, extended to the
+    label-aligned block orbits among `other_colors`.
 
-    The action usually has to move label-aligned companion orbits too,
-    so the row-extension blocks are folded into the generators first;
-    the plain generators are tried only when there are no blocks or the
-    extended generators fail verification.  Block pairings that the
-    reference coloring leaves ambiguous are resolved by a small search,
-    gated by verification.
+    Each label transposition carries the blocks of its two labels along;
+    once an orbit is accepted the bare one can never verify, as it fixes
+    a member of label 1's block, whose individualization splits off
+    label 1's literals, yet maps those onto label 2's.  Block pairings
+    that the reference coloring leaves ambiguous are resolved by a small
+    search, gated by verification.
     """
-    members = _class_members(pi, sigma)
-    if any(v >= graph.num_literal_vertices for v in members):
+    members = pi.class_members(sigma)
+    if (members >= graph.num_literal_vertices).any():
         return DetectionFailure("sigma is not a literal class")
-    if int(pi.color[members[0] ^ 1]) == sigma:
+    if negation_class_of(pi, sigma) == sigma:
         return DetectionFailure("self-negating orbit")
 
     session = IRSession(graph, pi)
@@ -465,45 +450,37 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
     if isinstance(pair_lit, DetectionFailure):
         return pair_lit
     n = len(pair_lit) - 1
-
-    def build_generators(extensions):
-        """One verified generator per label transposition (i, i+1), or
-        None.  Each extension's block i is paired with a permutation of
-        its block i+1; the first 64 combinations are tried in turn, the
-        first being the reference pairing.  None of them reaches past a
-        block's 64th permutation, so no more are generated."""
-        gens = []
-        for i in range(1, n):
-            others = [r for r in range(1, n + 1) if r not in (i, i + 1)]
-            xs = pair_lit[i, others].tolist()
-            xs.extend(t for _, blocks in extensions for t in blocks[i])
-            ys = pair_lit[i + 1, others].tolist()
-            targets = [itertools.islice(
-                itertools.permutations(blocks[i + 1]), 64)
-                for _, blocks in extensions]
-            for combo in itertools.islice(itertools.product(*targets), 64):
-                phi = _verified_swap(formula, xs,
-                                     ys + [t for b in combo for t in b])
-                if phi is not None:
-                    gens.append(phi)
-                    break
-            else:
-                return None
-        return gens
-
     extensions = detect_johnson_row_extension(session, pair_lit,
                                               other_colors)
-    generators = build_generators(extensions)
-    if generators is None and extensions:
-        extensions = []
-        generators = build_generators([])
-    if generators is None:
-        return DetectionFailure("verification failed")
+
+    # one verified generator per label transposition (i, i+1).  Each
+    # extension's block i is paired with a permutation of its block i+1;
+    # the first 64 combinations are tried in turn, the first being the
+    # reference pairing.  None of them reaches past a block's 64th
+    # permutation, so no more are generated
+    generators = []
+    for i in range(1, n):
+        others = [r for r in range(1, n + 1) if r not in (i, i + 1)]
+        xs = pair_lit[i, others].tolist()
+        ys = pair_lit[i + 1, others].tolist()
+        for blocks in extensions:
+            xs.extend(blocks[i - 1].tolist())
+        targets = [itertools.islice(
+            itertools.permutations(blocks[i].tolist()), 64)
+            for blocks in extensions]
+        for combo in itertools.islice(itertools.product(*targets), 64):
+            phi = _verified_swap(formula, xs,
+                                 ys + [t for b in combo for t in b])
+            if phi is not None:
+                generators.append(phi)
+                break
+        else:
+            return DetectionFailure("verification failed")
 
     literals = [t for i in range(1, n + 1)
                 for t in pair_lit[i, i + 1:].tolist()]
-    literals.extend(t for _, blocks in extensions
-                    for i in range(1, n + 1) for t in blocks[i])
+    for blocks in extensions:
+        literals.extend(blocks.ravel().tolist())
     return Structure("johnson", (n,), literals, generators)
 
 
@@ -513,7 +490,7 @@ def stabilizer_recursion(formula: Formula, graph: ColoredGraph, pi: Coloring,
     detector) pairs, in turn, on the largest fragment of sigma under the
     first individualization.  One recursion level only; the failure
     names each detector's reason."""
-    members = _class_members(pi, sigma)
+    members = pi.class_members(sigma).tolist()
     if len(members) < 2:
         return DetectionFailure("size gate: singleton class")
     rep = individualize_refine(graph, pi, members[0], base=pi)

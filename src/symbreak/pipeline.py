@@ -19,7 +19,8 @@ from .breaking import (binary_clause_heuristic, build_order,
                        lex_leader_encode, structure_generators)
 from .cnf import Formula
 from .detectors import (DetectionFailure, detect_johnson, detect_row_blocks,
-                        detect_row_column, stabilizer_recursion)
+                        detect_row_column, negation_class_of,
+                        stabilizer_recursion)
 from .modelgraph import build_model_graph
 from .refine import Coloring, initial_coloring, refine_stable
 from .remainder import SearchBudget, find_remainder_generators
@@ -43,18 +44,6 @@ class BreakerOutput:
     structures: list
     remainder_generators: list
     stats: dict = field(default_factory=dict)
-
-
-def negation_class_of(pi: Coloring, sigma: int) -> int:
-    """Color id of the class holding the negations of class sigma.
-
-    Well-defined because negation edges force negation to map classes to
-    classes; equals sigma itself for a self-negating class.
-    """
-    members = pi.class_members(sigma)
-    if len(members) == 0:
-        raise KeyError(f"empty class {sigma}")
-    return int(pi.color[int(members[0]) ^ 1])
 
 
 def _literal_classes(graph, pi: Coloring, covered) -> list:

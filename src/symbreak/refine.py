@@ -208,12 +208,10 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                 v = order[idx]
                 scratch[bucket[cnt[v]]] = v
                 bucket[cnt[v]] += 1
+            # the count pass logged every slot of [lo, c + csize) as a
+            # swap destination
             for k in range(t):
                 v = scratch[k]
-                if jd is not None and jd[JRN_ORDER, lo + k] == 0:
-                    jd[JRN_ORDER, lo + k] = 1
-                    jl[JRN_ORDER, jc[JRN_ORDER]] = lo + k
-                    jc[JRN_ORDER] += 1
                 order[lo + k] = v
                 pos[v] = lo + k
 

@@ -141,10 +141,10 @@ void refine(const int32_t *indptr, const int32_t *nbr,
                 int32_t v = order[idx];
                 scratch[bucket[cnt[v]]++] = v;
             }
+            /* the count pass logged every slot of [lo, c + csize) as a
+             * swap destination */
             for (int32_t k = 0; k < t; k++) {
                 int32_t v = scratch[k];
-                if (jd)
-                    LOG(JRN_ORDER, lo + k);
                 order[lo + k] = v;
                 pos[v] = lo + k;
             }

@@ -562,6 +562,147 @@ class TestDetectRowColumn:
         assert sorted(s.dims) == [4, 5]
 
 
+def ref_detect_row_column(formula, graph, pi, sigma):
+    """The row-column detector as it was before its labels were kept in
+    slot-indexed arrays: coordinates in per-vertex dicts, cells in a
+    dict keyed by label pair.  Kept, comments aside, as the reference
+    for the differential tests below."""
+    members = pi.class_members(sigma).tolist()
+    if any(v >= graph.num_literal_vertices for v in members):
+        return DetectionFailure("sigma is not a literal class")
+    if int(pi.color[members[0] ^ 1]) == sigma:
+        return DetectionFailure("self-negating orbit")
+
+    v = members[0]
+    session = IRSession(graph, pi)
+    rep_v = session.individualize(v)
+    frags = rep_v.fragments(sigma)
+    if len(frags) != 4:
+        return DetectionFailure(f"fragment count {len(frags)} != 4")
+    frags.sort(key=lambda f: (len(f[1]), f[0]))
+    if len(frags[0][1]) != 1 or frags[0][1][0] != v:
+        return DetectionFailure("pivot is not the singleton fragment")
+    sigma1 = frags[1][1].tolist()
+    sigma2 = frags[2][1].tolist()
+    if len(sigma1) < 2 or len(sigma2) < 2:
+        return DetectionFailure("degenerate row or column fragment")
+
+    col_of = {v: v}
+    row_of = {v: v}
+    for r in sigma1:
+        row_of[r] = v
+        col_of[r] = r
+    for c in sigma2:
+        col_of[c] = v
+        row_of[c] = c
+
+    def assign(rep, want_size, target, ref):
+        skip = (int(rep.coloring.color[v]), int(rep.coloring.color[ref]))
+        cand = [frag for c, frag in rep.fragments(sigma)
+                if len(frag) == want_size and c not in skip]
+        if len(cand) != 1:
+            return False
+        for t in cand[0].tolist():
+            if t in target:
+                return False
+            target[t] = ref
+        return True
+
+    for r in sigma1:
+        rep_r = session.individualize(r)
+        if not assign(rep_r, len(sigma2), col_of, r):
+            return DetectionFailure("missing size-matched fragment")
+    for c in sigma2:
+        rep_c = session.individualize(c)
+        if not assign(rep_c, len(sigma1), row_of, c):
+            return DetectionFailure("missing size-matched fragment")
+
+    row_labels = [v] + sigma2
+    col_labels = [v] + sigma1
+    if set(row_of) != set(members) or set(col_of) != set(members):
+        return DetectionFailure("malformed matrix: unassigned cells")
+    cells = {}
+    for t in members:
+        key = (row_of[t], col_of[t])
+        if key in cells:
+            return DetectionFailure("malformed matrix: duplicate label pair")
+        cells[key] = t
+    if len(cells) != len(row_labels) * len(col_labels):
+        return DetectionFailure("malformed matrix: wrong cell count")
+    try:
+        matrix = [[cells[(r, c)] for c in col_labels] for r in row_labels]
+    except KeyError:
+        return DetectionFailure("malformed matrix: missing cell")
+
+    columns = list(zip(*matrix))
+    generators = []
+    for lines in (columns, matrix):
+        swaps = _verified_factor(formula, lines)
+        if isinstance(swaps, int):
+            return DetectionFailure("verification failed")
+        generators.extend(swaps)
+
+    return Structure("row-column", (len(row_labels), len(col_labels)),
+                     [t for row in matrix for t in row], generators)
+
+
+def assert_row_column_matches_reference(formula):
+    """Both row-column detectors on every literal class of the stable
+    coloring, directly and through stabilizer recursion; returns the
+    reasons of the reference's attempts, None for a found structure."""
+    graph, base = stable_base(formula)
+    reasons = []
+    for sigma in literal_classes(graph, base):
+        want = ref_detect_row_column(formula, graph, base, sigma)
+        assert_same_result(detect_row_column(formula, graph, base, sigma),
+                           want)
+        reasons.append(getattr(want, "reason", None))
+        want = stabilizer_recursion(formula, graph, base, sigma,
+                                    [("row-column", ref_detect_row_column)])
+        assert_same_result(
+            stabilizer_recursion(formula, graph, base, sigma,
+                                 [("row-column", detect_row_column)]), want)
+        reasons.append(getattr(want, "reason", None))
+    return reasons
+
+
+class TestRowColumnMatchesReference:
+    """The slot-indexed row-column detector decides as the dict-based
+    one does, with the same reason, dims, literals and generators."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_php(self, n):
+        reasons = assert_row_column_matches_reference(gen_php(n))
+        assert reasons.count(None) == (0 if n == 3 else 2)
+
+    @pytest.mark.parametrize("n, m", [(4, 3), (5, 3), (6, 4), (3, 5),
+                                      (4, 6), (7, 5)])
+    def test_rectangular_php(self, n, m):
+        assert_row_column_matches_reference(gen_php(n, m))
+
+    @pytest.mark.parametrize("n, steps, reason", [
+        (7, (1,), "missing size-matched fragment"),
+        (14, (2,), "recursion failed: row-column: "
+                   "missing size-matched fragment"),
+        (6, (1,), "degenerate row or column fragment"),
+        (12, (1, 2, 5), None),
+    ])
+    def test_circulants(self, n, steps, reason):
+        """(x_u | x_w) for each edge of the circulant graph on n vertices
+        with the given steps.  In the 7-cycle a pivot splits off three
+        pairs, and a head finds two pairs of the wanted size away from
+        the pivot."""
+        f = Formula(n, [[2 * u, 2 * ((u + s) % n)]
+                        for u in range(n) for s in steps])
+        assert reason in assert_row_column_matches_reference(f)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(perturbed(row_column_formulas()))
+    def test_drawn_row_column_formulas(self, f):
+        assert_row_column_matches_reference(f)
+
+
 def test_triangular_n_inverts_binomial():
     for n in range(2, 20_000):
         k = n * (n - 1) // 2
@@ -616,6 +757,39 @@ class TestDetectJohnson:
         # the 28 edges plus color blocks (8 x 2) and clique-slot blocks
         # (8 x 3), each orbit with its negation orbit
         assert covered_orbit_sizes(base, s) == [16, 16, 24, 24, 28, 28]
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_cliquecolor(8, 3, 2),
+        lambda: gen_cliquecolor(10, 3, 2),
+        lambda: gen_cliquecolor(12, 4, 3),
+    ], ids=["cliquecolor832", "cliquecolor1032", "cliquecolor1243"])
+    def test_bare_label_swap_fails_once_blocks_exist(self, make):
+        """Each accepted orbit comes back as an n x block-size matrix.
+        Individualizing a member of label 1's block splits off label 1's
+        literals, and the bare swap of labels 1 and 2 fixes that member
+        but maps them onto label 2's, so it is no automorphism."""
+        f = make()
+        graph, base = stable_base(f)
+        classes = literal_classes(graph, base)
+        sigma = max(classes, key=lambda c: base.class_size(c))
+        session = IRSession(graph, base)
+        pair_lit = detectors._johnson_labeling(session, sigma)
+        n = len(pair_lit) - 1
+        extensions = detectors.detect_johnson_row_extension(
+            session, pair_lit, [c for c in classes if c != sigma])
+        assert extensions
+        for blocks in extensions:
+            tau = class_of(base, blocks[0, 0])
+            assert blocks.shape == (n, base.class_size(tau) // n)
+            assert sorted(blocks.ravel().tolist()) == sorted(
+                base.class_members(tau).tolist())
+        label_1 = pair_lit[1][pair_lit[1] >= 0]
+        frags = session.individualize(extensions[0][0, 0]).fragments(sigma)
+        assert sorted(min((m for _, m in frags), key=len).tolist()) == \
+            sorted(label_1.tolist())
+        others = list(range(3, n + 1))
+        assert not is_automorphism(
+            f, transpose(pair_lit[1, others], pair_lit[2, others]))
 
     def test_bare_generators_fail_without_extension(self):
         f = gen_cliquecolor(8, 3, 2)

@@ -1,6 +1,7 @@
 """Pipeline orchestration: detection order, marking, and output assembly."""
 
 import hashlib
+import json
 
 import symbreak.detectors as detectors
 from symbreak.cnf import (Formula, clause_multiset_image_check, emit_dimacs,
@@ -60,6 +61,43 @@ def test_emitted_dimacs_is_pinned(make, digest):
     out = run(formula, PipelineConfig(seed=3))
     text = emit_dimacs(formula, added=out.added_clauses,
                        aux_vars=out.aux_count)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 of the attempt log (every field but "ms") and the structure
+# stats under PipelineConfig(seed=3), on the instances above plus php(3),
+# whose row-column attempts fail on a degenerate row or column fragment.
+# Every attempt's detector, class, size, outcome and reason is pinned.
+@pytest.mark.parametrize("make, digest", [
+    (lambda: gen_php(3),
+     "8b261f5b40cab7fbbe4911e6a8c18d251a095f57ea675badddcbc8efc5f978c0"),
+    (lambda: gen_php(6),
+     "0c62a0eeb1252ce07cafde26acd07c32d354d81eb28c6ac2eddab369b0f6867e"),
+    (lambda: gen_ramsey(3, 3, 8),
+     "47b518ec44925dc3ff233fbbb46c83ed4a2bbd55f336c4bd362fdb6e05995e11"),
+    (lambda: gen_cliquecolor(10, 3, 2),
+     "401cf77ebe13068bcc6b4c9e2f9bd741fd8c7b2f0e09defca97e4e6ca5adb16e"),
+    (lambda: gen_cycle_coloring(9, 3),
+     "3e0b43309d961d739a8e45b14e26b5b62e5f57ce648f943e496ad1650dc1bdcc"),
+    (lambda: gen_cycle_coloring(15, 3),
+     "b3d9031e8006b903194461fc3b2abd1ee873a8089cfa5e70dbc9ebe8d64c21dd"),
+    (lambda: gen_cycle_coloring(41, 4),
+     "ceef685f8c9af7ae6ff3abf38bf169258e0081c2b7824b4043420519e660437f"),
+    (lambda: gen_cycle_coloring(20, 4),
+     "0b407b762277b3b3d104a3377e326ce3b7e833d236b638beb195a42775a90870"),
+    (lambda: two_copy_instance(3),
+     "ccb1ef731f749e06ae4715ffcc400ce4d1d607db8c33b2d2c4845e821c33a1ee"),
+    (lambda: attached_blocks_instance(4),
+     "7b16857407eeffde81b6185190c4a92f1b078aec53d519fa279053e30e30b411"),
+], ids=["php3", "php6", "ramsey338", "cliquecolor1032", "c9-3coloring",
+        "c15-3coloring", "c41-4coloring", "c20-4coloring", "two-copy-rows",
+        "row-blocks"])
+def test_attempt_log_is_pinned(make, digest):
+    stats = run(make(), PipelineConfig(seed=3)).stats
+    log = {"attempts": [{k: v for k, v in a.items() if k != "ms"}
+                        for a in stats["attempts"]],
+           "structures": stats["structures"]}
+    text = json.dumps(log, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
