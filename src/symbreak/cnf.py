@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -204,42 +204,12 @@ def _clause_tuples(lens, lits) -> list:
     return out
 
 
-# str.split() whitespace and str.splitlines() line breaks: a table for
-# the first 256 code points, and the wider code points of each set
+# the bytes that str.split() and str.splitlines() take for whitespace and
+# line breaks in ASCII text; a byte above 127 is neither
 _SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0]] = True
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 _BREAK = np.zeros(256, dtype=bool)
-_BREAK[[10, 11, 12, 13, 28, 29, 30, 0x85]] = True
-_WIDE_SPACE = (0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
-               0x205F, 0x3000)
-_WIDE_BREAK = (0x2028, 0x2029)
-
-
-def _code_points(data):
-    """The input as an array of code points (uint8 when it is ASCII,
-    else uint32) and a function giving the text between two offsets."""
-    if hasattr(data, "read"):
-        data = data.read()
-    if isinstance(data, (bytes, bytearray)):
-        if data.isascii():
-            raw = bytes(data)
-            return (np.frombuffer(raw, dtype=np.uint8),
-                    lambda s, e: raw[s:e].decode("ascii"))
-        data = data.decode("ascii", errors="replace")
-    if data.isascii():
-        codes = np.frombuffer(data.encode("ascii"), dtype=np.uint8)
-    else:
-        codes = np.frombuffer(data.encode("utf-32-le", "surrogatepass"),
-                              dtype=np.uint32)
-    return codes, lambda s, e: data[s:e]
-
-
-def _space_and_breaks(codes):
-    if codes.dtype == np.uint8:
-        return _SPACE[codes], np.flatnonzero(_BREAK[codes])
-    low = np.minimum(codes, 255)
-    return (_SPACE[low] | np.isin(codes, _WIDE_SPACE),
-            np.flatnonzero(_BREAK[low] | np.isin(codes, _WIDE_BREAK)))
+_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
 
 
 def _token_values(codes, starts, ends, text):
@@ -282,13 +252,28 @@ def _token_values(codes, starts, ends, text):
 def parse_dimacs(data) -> Formula:
     """Parse DIMACS CNF from bytes, text, or a file-like object.
 
-    Lines and tokens split as ``str.splitlines`` and ``str.split`` split
-    them.  Blank lines and lines starting with ``c`` are skipped.  The
-    header's clause count is not checked against the body; the header
-    is kept as ``Formula.declared``.
+    The input is read as bytes: bytes, bytearray and binary files as
+    they are, str and text files encoded as UTF-8.  Lines and tokens
+    split as ``str.splitlines`` and ``str.split`` split the input's
+    ASCII decoding, in which each byte above 127 is a replacement
+    character: no whitespace, line break or digit.  Blank lines and
+    lines starting with ``c`` are skipped.  The header's clause count is
+    not checked against the body; the header is kept as
+    ``Formula.declared``.
     """
-    codes, text = _code_points(data)
-    space, breaks = _space_and_breaks(codes)
+    if hasattr(data, "read"):
+        data = data.read()
+    # surrogatepass: a text file read with surrogateescape holds lone
+    # surrogates, which become bytes above 127 like any non-ASCII text
+    raw = (data.encode("utf-8", "surrogatepass") if isinstance(data, str)
+           else bytes(data))
+    codes = np.frombuffer(raw, dtype=np.uint8)
+
+    def text(s: int, e: int) -> str:
+        return raw[s:e].decode("ascii", "replace")
+
+    space = _SPACE[codes]
+    breaks = np.flatnonzero(_BREAK[codes])
     bounds = np.flatnonzero(np.diff(space, prepend=True, append=True))
     del space
     starts, ends = bounds[0::2], bounds[1::2]
@@ -504,8 +489,8 @@ def _row_keys(rows, bits: int = 31):
     return rows.view(np.dtype((np.void, 4 * L))).ravel()
 
 
-def automorphism_failure(formula: Formula, phi: LiteralPermutation) -> Optional[str]:
-    """None if phi is a symmetry of the formula, else a reason code.
+def is_automorphism(formula: Formula, phi: LiteralPermutation) -> bool:
+    """Whether phi is a symmetry of the formula.
 
     Only the clauses touching the support are checked; the rest are their
     own images.  phi is a bijection on its support, so the image of a
@@ -513,7 +498,7 @@ def automorphism_failure(formula: Formula, phi: LiteralPermutation) -> Optional[
     when it maps the touched clauses of each length onto themselves.
     """
     if not len(phi):
-        return None
+        return True
     lens, flat, starts, occ, occ_ptr = formula._clause_arrays()
     n2 = 2 * formula.num_vars
     # literals beyond the formula's variables occur in no clause and need
@@ -538,12 +523,8 @@ def automorphism_failure(formula: Formula, phi: LiteralPermutation) -> Optional[
         images = np.sort(img[rows], axis=1)
         if not np.array_equal(np.sort(_row_keys(rows)),
                               np.sort(_row_keys(images))):
-            return "clause-image-missing"
-    return None
-
-
-def is_automorphism(formula: Formula, phi: LiteralPermutation) -> bool:
-    return automorphism_failure(formula, phi) is None
+            return False
+    return True
 
 
 def clause_multiset_image_check(formula: Formula, phi: LiteralPermutation) -> bool:

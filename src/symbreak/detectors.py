@@ -251,9 +251,7 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     # peak RSS on php instances by about 0.9 MB
     if np.bincount(cells).max() > 1:
         return DetectionFailure("malformed matrix: duplicate label pair")
-    if len(cells) != rows * cols:
-        return DetectionFailure("malformed matrix: wrong cell count")
-    # rows * cols distinct cells below rows * cols: every one is filled
+    # the column loop labels rows * cols slots once each: every cell is filled
     grid = np.empty(rows * cols, dtype=members.dtype)
     grid[cells] = members
     matrix = grid.reshape(rows, cols).tolist()

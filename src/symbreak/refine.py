@@ -311,12 +311,6 @@ def _compiled_kernel() -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        # a build under any other key came from an older source, other
-        # flags or another compiler; loaded copies stay mapped in the
-        # processes using them
-        for old in lib.parent.glob("refine_kernel-*.so"):
-            if old != lib:
-                old.unlink(missing_ok=True)
     return lib
 
 

@@ -169,6 +169,30 @@ class TestBreak:
         _, out2, _ = run_cli(["break", str(src), "--seed", "7"], capsys)
         assert out1 == out2
 
+    def test_utf8_comment_changes_nothing(self, tmp_path, capsys):
+        """A leading UTF-8 comment line leaves the output bytes and the
+        stats, apart from their times, as they are without it."""
+        plain = tmp_path / "php5.cnf"
+        run_cli(["gen", "php", "5", "-o", str(plain)], capsys)
+        commented = tmp_path / "php5-utf8.cnf"
+        commented.write_bytes("c généré ©\n".encode("utf-8")
+                              + plain.read_bytes())
+        outs, stats = [], []
+        for src in (plain, commented):
+            dst = tmp_path / f"{src.stem}.out.cnf"
+            report = tmp_path / f"{src.stem}.json"
+            code, _, _ = run_cli(["break", str(src), "-o", str(dst),
+                                  "--stats", str(report)], capsys)
+            assert code == 0
+            outs.append(dst.read_bytes())
+            data = json.loads(report.read_text())
+            del data["phase_times_ms"]
+            for a in data["attempts"]:
+                del a["ms"]
+            stats.append(data)
+        assert outs[0] == outs[1]
+        assert stats[0] == stats[1]
+
     def test_stdin_stdout(self, monkeypatch, capsys):
         text = b"p cnf 2 1\n1 2 0\n"
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
@@ -221,6 +245,15 @@ class TestExitCodes:
             io.BytesIO(b"p cnf 1 1\n1 \xff 0\n"), encoding="utf-8"))
         code, _, err = run_cli(["break", "-"], capsys)
         assert code == 2 and "parse error" in err
+
+    def test_non_ascii_byte_in_clause(self, tmp_path, capsys):
+        # a byte above 127 reads as a replacement character, never as a
+        # separator or digit
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(b"p cnf 2 1\n1 -2\xa00\n")
+        code, _, err = run_cli(["break", str(bad)], capsys)
+        assert code == 2
+        assert err == "parse error: non-integer token '-2\ufffd0'\n"
 
     def test_header_variable_count_beyond_bound(self, tmp_path, capsys):
         # rejected before anything is sized for the declared count

@@ -3,10 +3,10 @@ emission: the array-based implementations in `symbreak.cnf` against the
 per-literal Python implementations they replaced, kept here verbatim as
 references.  Every generated input must give the same error or the same
 formula (variables, clause lists, every `_clause_arrays` array with its
-dtype) and the same emitted text."""
+dtype) and the same emitted text.  The parser reads a str or text file
+as its UTF-8 bytes, so the reference is given those bytes."""
 
 import io
-import sys
 from collections import Counter
 
 import numpy as np
@@ -135,10 +135,13 @@ def ref_emit_dimacs(formula, added=(), aux_vars=0, comments=()) -> str:
 
 # ---- generated inputs ----------------------------------------------------
 
+# the non-ASCII separators split a str, but not its UTF-8 bytes, which
+# are what the parser reads
 SPACES = [" "] * 8 + ["  ", "\t", "\x1f", "\xa0", "\u3000"]
 BREAKS = (["\n"] * 10 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
                         "\u2028", " "])
-# int() accepts these, the bulk converter does not
+# int() accepts these as str, the bulk converter does not; the parser
+# reads the non-ASCII digits' bytes, which are no integer
 ODD_INTEGERS = ["+1", "+2", "1_0", "-1_1", "-0", "+0", "00", "007",
                 "\u0661", "\uff12", "00000000000000000000003"]
 NOT_INTEGERS = ["x", "1.5", "--1", "1__0", "_1", "1_", "-", "+", "0x1",
@@ -231,6 +234,22 @@ def _outcome(parse, data):
         return None, str(exc)
 
 
+def _as_bytes(data):
+    """The input with a str or text file replaced by its UTF-8 bytes,
+    given the same way."""
+    if isinstance(data, str):
+        return data.encode("utf-8")
+    if isinstance(data, io.StringIO):
+        return io.BytesIO(data.getvalue().encode("utf-8"))
+    return data
+
+
+def _as_text(data) -> str:
+    if hasattr(data, "getvalue"):
+        data = data.getvalue()
+    return data if isinstance(data, str) else data.decode("utf-8")
+
+
 def assert_same_formula(new, ref):
     assert new.num_vars == ref.num_vars
     assert new.clauses == ref.clauses
@@ -257,7 +276,7 @@ def added_clauses(draw, num_vars):
 @given(dimacs_inputs(), st.data())
 def test_parse_and_emit_match_reference(data, draw):
     new, err = _outcome(parse_dimacs, data)
-    ref, ref_err = _outcome(ref_parse_dimacs, data)
+    ref, ref_err = _outcome(ref_parse_dimacs, _as_bytes(data))
     assert err == ref_err
     if err is not None:
         return
@@ -267,6 +286,19 @@ def test_parse_and_emit_match_reference(data, draw):
     comments = ["static", "structure row 3x2"]
     assert (emit_dimacs(new, added, aux, comments)
             == ref_emit_dimacs(ref, added, aux, comments))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dimacs_inputs())
+def test_str_parses_as_its_utf8_bytes(data):
+    text = _as_text(data)
+    new, err = _outcome(parse_dimacs, text)
+    want, want_err = _outcome(parse_dimacs, text.encode("utf-8"))
+    assert err == want_err
+    if err is None:
+        assert_same_formula(new, want)
+        assert new.declared == want.declared
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,17 +327,16 @@ def test_added_clause_out_of_range_matches_reference():
 
 
 def test_whitespace_tables_match_str_methods():
-    """The tokenizer's whitespace and line-break sets are those of
-    str.split and str.splitlines."""
+    """The tokenizer's whitespace and line-break bytes are those of
+    str.split and str.splitlines below 128; a byte above 127 is
+    neither."""
     from symbreak import cnf
 
-    space = {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
-    breaks = {c for c in range(sys.maxunicode + 1)
-              if len(f"a{chr(c)}b".splitlines()) == 2}
-    assert space == (set(np.flatnonzero(cnf._SPACE).tolist())
-                     | set(cnf._WIDE_SPACE))
-    assert breaks == (set(np.flatnonzero(cnf._BREAK).tolist())
-                      | set(cnf._WIDE_BREAK))
+    space = {c for c in range(128) if chr(c).isspace()}
+    breaks = {c for c in range(128) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert set(np.flatnonzero(cnf._SPACE).tolist()) == space
+    assert set(np.flatnonzero(cnf._BREAK).tolist()) == breaks
+    assert not (cnf._SPACE[128:] | cnf._BREAK[128:]).any()
 
 
 def test_large_formula_matches_reference():

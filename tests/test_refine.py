@@ -358,8 +358,8 @@ class TestNativeKernel:
             IRSession(g, bad)
 
     def test_build_into_private_cache(self, tmp_path, monkeypatch):
-        """A build lands in the private cache and removes the builds of
-        other sources, flags or compilers, and nothing else."""
+        """A build lands in the private cache next to the builds of other
+        sources, flags or compilers, which stay."""
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         cache = tmp_path / "symbreak"
         cache.mkdir(mode=0o700)
@@ -368,8 +368,8 @@ class TestNativeKernel:
         lib = refine._compiled_kernel()
         assert lib.parent == cache and lib.is_file()
         assert stat.S_IMODE(os.stat(lib.parent).st_mode) & 0o077 == 0
-        assert sorted(os.listdir(lib.parent)) == sorted([lib.name,
-                                                         "notes.txt"])
+        assert sorted(os.listdir(lib.parent)) == sorted(
+            [lib.name, "notes.txt", "refine_kernel-0123456789abcdef0123.so"])
         assert refine._compiled_kernel() == lib
 
     def test_shared_cache_directory_is_refused(self, tmp_path, monkeypatch):
