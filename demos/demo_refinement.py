@@ -45,13 +45,13 @@ def main():
     v = pos(1)
     rep = session.individualize(v)
     sigma = int(base.coloring.color[v])
-    frags = rep.fragments_of(sigma)
+    # fragments: (refined color, members) of each piece of the class
+    frags = rep.fragments(sigma)
     print(f"after individualizing variable 1 (class {sigma}):")
-    for c in frags:
-        members = sorted(int(u) // 2 + 1
-                         for u in rep.coloring.class_members(c))
-        print(f"  fragment size {len(members)}: variables {members}")
-    sizes = sorted(len(rep.coloring.class_members(c)) for c in frags)
+    for _, members in frags:
+        variables = sorted(int(u) // 2 + 1 for u in members)
+        print(f"  fragment size {len(variables)}: variables {variables}")
+    sizes = sorted(len(members) for _, members in frags)
     assert sizes == sorted([1, holes - 1, pigeons - 1,
                             (holes - 1) * (pigeons - 1)])
     # Pivot, its row mates (same pigeon), its column mates (same hole),

@@ -68,9 +68,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_break(args) -> int:
-    if args.max_len < 0 or args.dive_pairs < 0:
-        print("error: numeric parameters must be non-negative",
-              file=sys.stderr)
+    try:
+        config = PipelineConfig(
+            johnson=not args.no_johnson,
+            row_column=not args.no_row_column,
+            row=not args.no_row,
+            binary=not args.no_binary,
+            max_len=args.max_len,
+            dive_pairs=args.dive_pairs,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         text = _read_input(args.input)
@@ -85,15 +94,6 @@ def _cmd_break(args) -> int:
         return 2
     del text
     parse_ms = (time.perf_counter() - t0) * 1000.0
-    config = PipelineConfig(
-        johnson=not args.no_johnson,
-        row_column=not args.no_row_column,
-        row=not args.no_row,
-        binary=not args.no_binary,
-        max_len=args.max_len,
-        dive_pairs=args.dive_pairs,
-        seed=args.seed,
-    )
     out = run(formula, config)
     comments = ["static symmetry breaking preprocessor"]
     for s in out.stats["structures"]:

@@ -219,10 +219,8 @@ def _token_values(codes, starts, ends, text):
     width = np.minimum(ends - starts, 11).astype(np.int16)
     vals = np.zeros(len(starts), dtype=np.int64)
     odd = width > 10
-    by_width = np.argsort(width, kind="stable")
-    cut = np.cumsum(np.bincount(width, minlength=11)).tolist()
     for L in range(1, 11):
-        idx = by_width[cut[L - 1]:cut[L]]
+        idx = np.flatnonzero(width == L)
         if not len(idx):
             continue
         at = starts[idx]
@@ -293,9 +291,8 @@ def parse_dimacs(data) -> Formula:
     first_data = int(np.argmax(is_data)) if is_data.any() else len(starts)
 
     header = None
-    for k0, k1 in zip(cand.tolist(), stop.tolist()):
-        if lead[k0] != 112:
-            continue
+    is_p = lead[cand] == 112
+    for k0, k1 in zip(cand[is_p].tolist(), stop[is_p].tolist()):
         if header is not None:
             raise DimacsError("duplicate header line")
         if first_data < k0:

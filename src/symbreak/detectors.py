@@ -141,7 +141,8 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
     members = pi.class_members(sigma).tolist()
     if len(members) < 3:
         return DetectionFailure("size gate: |sigma| < 3")
-    if any(v >= graph.num_literal_vertices for v in members):
+    nlit = graph.num_literal_vertices
+    if any(v >= nlit for v in members):
         return DetectionFailure("sigma is not a literal class")
 
     sigma_size = len(members)
@@ -151,7 +152,10 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
                      for c in pi.classes()
                      if pi.clen[c] > sigma_size
                      and pi.clen[c] % sigma_size == 0
-                     and pi.order[c] < graph.num_literal_vertices]
+                     and pi.order[c] < nlit]
+    # literals in non-singleton classes of pi; those a probe makes
+    # singletons join its row
+    unsettled = pi.clen[pi.color[:nlit]] > 1
     session = IRSession(graph, pi)
     # each row is checked against the rows before it as soon as it is
     # built, and the swap of rows 0 and 1 verified at once, so a refuted
@@ -164,11 +168,11 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
     first_swap = None
     for i, v in enumerate(members):
         rep = session.individualize(v)
+        color = rep.coloring.color[:nlit]
         # singletons and blocks merged into one row, ordered by the
         # refined color of each piece
-        pieces = [(int(rep.coloring.color[u]), [u])
-                  for u in rep.new_singletons
-                  if u < graph.num_literal_vertices]
+        pieces = [(int(color[u]), [int(u)]) for u in np.flatnonzero(
+            unsettled & (rep.coloring.clen[color] == 1))]
         pieces.extend((cprime, frag.tolist())
                       for c, want in block_classes
                       for cprime, frag in rep.fragments(c)
@@ -276,9 +280,10 @@ def _triangular_n(k: int):
     return n if n * (n - 1) // 2 == k else None
 
 
-def _johnson_labeling(session: IRSession, sigma: int):
-    """Label construction for a purported Johnson action on the class
-    sigma of the session's base coloring.
+def _johnson_labeling(session: IRSession, sigma: int, n: int):
+    """Label construction for a purported Johnson action J_n on the class
+    sigma of the session's base coloring, which has binomial(n, 2)
+    members.
 
     Returns the (n+1) x (n+1) label matrix ``pair_lit``, whose cells
     [i, j] and [j, i] hold the literal labeled {i, j} and whose diagonal,
@@ -288,12 +293,6 @@ def _johnson_labeling(session: IRSession, sigma: int):
     """
     members = session.base.class_members(sigma).tolist()
     size = len(members)
-    if size < 28:
-        return DetectionFailure("size gate: |sigma| < 28")
-    n = _triangular_n(size)
-    if n is None:
-        return DetectionFailure("|sigma| is not a binomial(n, 2)")
-
     label = {u: [] for u in members}
     ad: dict = {}
 
@@ -442,12 +441,17 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
         return DetectionFailure("sigma is not a literal class")
     if negation_class_of(pi, sigma) == sigma:
         return DetectionFailure("self-negating orbit")
+    # gated before the session, whose construction costs O(vertices)
+    if len(members) < 28:
+        return DetectionFailure("size gate: |sigma| < 28")
+    n = _triangular_n(len(members))
+    if n is None:
+        return DetectionFailure("|sigma| is not a binomial(n, 2)")
 
     session = IRSession(graph, pi)
-    pair_lit = _johnson_labeling(session, sigma)
+    pair_lit = _johnson_labeling(session, sigma, n)
     if isinstance(pair_lit, DetectionFailure):
         return pair_lit
-    n = len(pair_lit) - 1
     extensions = detect_johnson_row_extension(session, pair_lit,
                                               other_colors)
 
@@ -491,7 +495,7 @@ def stabilizer_recursion(formula: Formula, graph: ColoredGraph, pi: Coloring,
     members = pi.class_members(sigma).tolist()
     if len(members) < 2:
         return DetectionFailure("size gate: singleton class")
-    rep = individualize_refine(graph, pi, members[0], base=pi)
+    rep = individualize_refine(graph, pi, members[0])
     frags = rep.fragments(sigma)
     largest_color, largest = max(frags, key=lambda f: (len(f[1]), -f[0]))
     if len(largest) < 2:

@@ -52,9 +52,6 @@ class ColoredGraph:
         return cls(vertex_count, indptr, neighbors, color_keys,
                    num_literal_vertices)
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def neighbors_of(self, v: int):
         return self.neighbors[self.indptr[v]:self.indptr[v + 1]]
 

@@ -36,6 +36,12 @@ class PipelineConfig:
     dive_pairs: int = 32               # 0 skips the remainder search
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("max_len", "dive_pairs"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+
 
 @dataclass
 class BreakerOutput:

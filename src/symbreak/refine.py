@@ -27,7 +27,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,26 +68,12 @@ class Coloring:
         clen[starts] = sizes
         return cls(order, pos, color, clen)
 
-    @classmethod
-    def uniform(cls, n: int) -> "Coloring":
-        return cls.from_color_map(np.zeros(n, dtype=np.int64))
-
     def copy(self) -> "Coloring":
         return Coloring(self.order.copy(), self.pos.copy(),
                         self.color.copy(), self.clen.copy())
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.order)
-
-    def color_of(self, v: int) -> int:
-        return int(self.color[v])
-
     def class_members(self, c: int) -> np.ndarray:
         return self.order[c:c + self.clen[c]]
-
-    def class_size(self, c: int) -> int:
-        return int(self.clen[c])
 
     def classes(self):
         """Class ids in partition order."""
@@ -96,9 +82,6 @@ class Coloring:
         while c < n:
             yield c
             c += int(self.clen[c])
-
-    def is_discrete(self) -> bool:
-        return all(self.clen[c] == 1 for c in self.classes())
 
     def as_partition(self) -> list:
         """Ordered list of frozensets, one per class."""
@@ -434,11 +417,11 @@ def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
 
 @dataclass
 class RefinementReport:
-    """A refined coloring together with its relation to a base coloring."""
+    """A refined coloring together with the base coloring it was refined
+    from; `fragments` reads how each base class split."""
 
     base: Coloring
     coloring: Coloring
-    _new_singletons: object = field(default=None, repr=False)
 
     def fragments(self, base_color: int) -> list:
         """(refined color id, members) for each refined class inside the
@@ -470,22 +453,6 @@ class RefinementReport:
                              f"{sigma}: the base is not an ancestor of "
                              f"the refined coloring")
         return out
-
-    def fragments_of(self, base_color: int) -> list:
-        """Refined color ids partitioning the given base class, ascending."""
-        return [c for c, _ in self.fragments(base_color)]
-
-    @property
-    def new_singletons(self) -> list:
-        """Vertices singleton in the refined coloring but not in the base,
-        ordered by ascending refined color id."""
-        if self._new_singletons is None:
-            refined, base = self.coloring, self.base
-            mask = (refined.clen[refined.color] == 1) & (base.clen[base.color] > 1)
-            verts = np.nonzero(mask)[0]
-            verts = verts[np.argsort(refined.color[verts], kind="stable")]
-            self._new_singletons = [int(v) for v in verts]
-        return self._new_singletons
 
 
 def refine_stable(graph: ColoredGraph, pi: Coloring) -> RefinementReport:
@@ -520,19 +487,14 @@ def _split_off(coloring: Coloring, v: int):
     return [c, rest], written, moved
 
 
-def individualize_refine(graph: ColoredGraph, pi: Coloring, v: int,
-                         base: Coloring = None) -> RefinementReport:
-    """Split v into a fresh singleton at the front of its class, then refine.
-
-    The report is taken relative to ``base`` (default: pi), which lets
-    chained individualizations report fragments against the original
-    stable coloring.
-    """
+def individualize_refine(graph: ColoredGraph, pi: Coloring,
+                         v: int) -> RefinementReport:
+    """Split v into a fresh singleton at the front of its class in a copy
+    of pi, then refine; the report is taken against pi."""
     refined = pi.copy()
     worklist, _, _ = _split_off(refined, v)
     _run_refinement(graph, refined, worklist)
-    return RefinementReport(base=base if base is not None else pi,
-                            coloring=refined)
+    return RefinementReport(base=pi, coloring=refined)
 
 
 def _rollback_kernel(jd, jl, jc, w_order, w_pos, w_color, w_clen,

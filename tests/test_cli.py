@@ -263,10 +263,17 @@ class TestExitCodes:
         assert code == 2 and "parse error" in err
 
     def test_negative_parameter(self, tmp_path, capsys):
+        # refused with the config, before the input is read: a missing
+        # file gives the same error
         src = tmp_path / "a.cnf"
         src.write_text("p cnf 1 1\n1 0\n")
-        code, _, _ = run_cli(["break", str(src), "--max-len", "-1"], capsys)
-        assert code == 1
+        for flag in ("--max-len", "--dive-pairs"):
+            for path in (src, tmp_path / "missing.cnf"):
+                code, out, err = run_cli(["break", str(path), flag, "-1"],
+                                         capsys)
+                assert code == 1 and out == ""
+                assert err == (f"error: {flag[2:].replace('-', '_')} must "
+                               "be non-negative, got -1\n")
 
     def test_removed_flags_rejected(self, tmp_path, capsys):
         src = tmp_path / "a.cnf"

@@ -155,9 +155,11 @@ def ref_detect_row_blocks(formula, graph, pi, sigma):
     rows = []
     for v in members:
         rep = session.individualize(v)
-        pieces = [(int(rep.coloring.color[u]), [u])
-                  for u in rep.new_singletons
-                  if u < graph.num_literal_vertices]
+        refined = rep.coloring
+        pieces = [(int(refined.color[u]), [u])
+                  for u in range(graph.num_literal_vertices)
+                  if refined.clen[refined.color[u]] == 1
+                  and pi.clen[pi.color[u]] > 1]
         pieces.extend((cprime, frag.tolist())
                       for c, want in block_classes
                       for cprime, frag in rep.fragments(c)
@@ -743,11 +745,27 @@ class TestDetectJohnson:
         s = detect_johnson(f, graph, base, sigma)
         assert isinstance(s, DetectionFailure)
 
+    @pytest.mark.parametrize("make, reason", [
+        (lambda: gen_php(4), "size gate: |sigma| < 28"),       # 12
+        (lambda: gen_php(6), "|sigma| is not a binomial(n, 2)"),  # 30
+    ], ids=["php4", "php6"])
+    def test_gates_refuse_before_any_session(self, make, reason,
+                                             monkeypatch):
+        f = make()
+        graph, base = stable_base(f)
+        sigma = class_of(base, pos(1))
+        sessions = []
+        monkeypatch.setattr(detectors, "IRSession",
+                            lambda *args: sessions.append(args))
+        s = detect_johnson(f, graph, base, sigma)
+        assert isinstance(s, DetectionFailure) and s.reason == reason
+        assert not sessions
+
     def test_cliquecolor_needs_extension(self):
         f = gen_cliquecolor(8, 3, 2)
         graph, base = stable_base(f)
         classes = literal_classes(graph, base)
-        sigma = max(classes, key=lambda c: base.class_size(c))
+        sigma = max(classes, key=lambda c: base.clen[c])
         others = [c for c in classes if c != sigma]
         s = detect_johnson(f, graph, base, sigma, other_colors=others)
         assert not isinstance(s, DetectionFailure)
@@ -771,16 +789,17 @@ class TestDetectJohnson:
         f = make()
         graph, base = stable_base(f)
         classes = literal_classes(graph, base)
-        sigma = max(classes, key=lambda c: base.class_size(c))
+        sigma = max(classes, key=lambda c: base.clen[c])
         session = IRSession(graph, base)
-        pair_lit = detectors._johnson_labeling(session, sigma)
+        pair_lit = detectors._johnson_labeling(
+            session, sigma, _triangular_n(int(base.clen[sigma])))
         n = len(pair_lit) - 1
         extensions = detectors.detect_johnson_row_extension(
             session, pair_lit, [c for c in classes if c != sigma])
         assert extensions
         for blocks in extensions:
             tau = class_of(base, blocks[0, 0])
-            assert blocks.shape == (n, base.class_size(tau) // n)
+            assert blocks.shape == (n, base.clen[tau] // n)
             assert sorted(blocks.ravel().tolist()) == sorted(
                 base.class_members(tau).tolist())
         label_1 = pair_lit[1][pair_lit[1] >= 0]
@@ -795,7 +814,7 @@ class TestDetectJohnson:
         f = gen_cliquecolor(8, 3, 2)
         graph, base = stable_base(f)
         classes = literal_classes(graph, base)
-        sigma = max(classes, key=lambda c: base.class_size(c))
+        sigma = max(classes, key=lambda c: base.clen[c])
         s = detect_johnson(f, graph, base, sigma, other_colors=())
         assert isinstance(s, DetectionFailure)
 
@@ -805,7 +824,7 @@ class TestStabilizerRecursion:
         f = two_copy_instance()
         graph, base = stable_base(f)
         sigma = class_of(base, pos(1))
-        assert base.class_size(sigma) == 6
+        assert base.clen[sigma] == 6
         direct = detect_row_blocks(f, graph, base, sigma)
         assert isinstance(direct, DetectionFailure)
         s = stabilizer_recursion(f, graph, base, sigma,

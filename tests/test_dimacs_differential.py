@@ -326,6 +326,21 @@ def test_added_clause_out_of_range_matches_reference():
             emit_dimacs(f, added)
 
 
+def test_duplicate_header_after_many_comments_matches_reference():
+    """The header search visits only the lines that start with p, so a
+    second header far down the comments is still found, and before any
+    clause data."""
+    comments = "".join(f"c comment {i}\n" for i in range(1000))
+    for text in ("p cnf 2 1\n" + comments + "p cnf 2 1\n1 2 0\n",
+                 comments + "p cnf 2 1\n" + comments + "p cnf 3 1\n1 0\n",
+                 comments + "p cnf 2 1\n1 2 0\n" + comments
+                 + "p cnf 2 1\n"):
+        for data in (text, text.encode()):
+            new, err = _outcome(parse_dimacs, data)
+            ref, ref_err = _outcome(ref_parse_dimacs, _as_bytes(data))
+            assert err == ref_err == "duplicate header line"
+
+
 def test_whitespace_tables_match_str_methods():
     """The tokenizer's whitespace and line-break bytes are those of
     str.split and str.splitlines below 128; a byte above 127 is

@@ -296,6 +296,13 @@ class TestRun:
         assert len(out.structures) == 1
         assert out.added_clauses == [] and out.aux_count == 0
 
+    @pytest.mark.parametrize("field", ["max_len", "dive_pairs"])
+    def test_negative_option_refused_at_construction(self, field):
+        # refused whatever the formula, before any run
+        with pytest.raises(ValueError, match=f"{field} must be "
+                                             "non-negative, got -1"):
+            PipelineConfig(**{field: -1})
+
     def test_max_len_respected(self):
         f = gen_php(6)
         out = run(f, PipelineConfig(max_len=3))

@@ -77,16 +77,18 @@ class TestColoring:
         c = Coloring.from_color_map([2, 0, 0, 1])
         assert c.as_partition() == [frozenset({1, 2}), frozenset({3}),
                                     frozenset({0})]
-        assert c.color_of(1) == 0 and c.color_of(3) == 2 and c.color_of(0) == 3
+        assert c.color.tolist() == [3, 0, 0, 2]
 
     def test_class_ids_are_slot_starts(self):
         c = Coloring.from_color_map([0, 0, 1, 1, 1])
         assert list(c.classes()) == [0, 2]
-        assert c.class_size(0) == 2 and c.class_size(2) == 3
+        assert c.clen[0] == 2 and c.clen[2] == 3
 
     def test_uniform_and_discrete(self):
-        assert not Coloring.uniform(3).is_discrete()
-        assert Coloring.from_color_map([0, 1, 2]).is_discrete()
+        uniform = Coloring.from_color_map([0, 0, 0])
+        assert list(uniform.classes()) == [0] and uniform.clen[0] == 3
+        discrete = Coloring.from_color_map([0, 1, 2])
+        assert (discrete.clen[discrete.color] == 1).all()
 
 
 class TestRefineStable:
@@ -120,31 +122,29 @@ class TestIndividualizeRefine:
         g = build_model_graph(gen_php(5))
         base = refine_stable(g, initial_coloring(g)).coloring
         sigma = int(base.color[0])
-        rep = individualize_refine(g, base, 0, base=base)
-        sizes = sorted(rep.coloring.class_size(c)
-                       for c in rep.fragments_of(sigma))
+        rep = individualize_refine(g, base, 0)
+        assert rep.base is base
+        sizes = sorted(len(m) for _, m in rep.fragments(sigma))
         assert sizes == [1, 3, 4, 12]
 
-    def test_new_singletons_ordered_by_color(self):
+    def test_pivot_and_its_negation_become_singletons(self):
         g = build_model_graph(gen_php(5))
         base = refine_stable(g, initial_coloring(g)).coloring
-        rep = individualize_refine(g, base, 0, base=base)
-        singles = rep.new_singletons
-        colors = [rep.coloring.color_of(v) for v in singles]
-        assert colors == sorted(colors)
-        assert 0 in singles and 1 in singles
+        refined = individualize_refine(g, base, 0).coloring
+        assert base.clen[base.color[[0, 1]]].min() > 1
+        assert (refined.clen[refined.color[[0, 1]]] == 1).all()
 
-    def test_fragments_of_unknown_color(self):
+    def test_fragments_unknown_color(self):
         g = cycle(4)
         rep = refine_stable(g, initial_coloring(g))
         with pytest.raises(KeyError):
-            rep.fragments_of(1)
+            rep.fragments(1)
 
     def test_fragments_read_only_refined_class_starts(self):
         """A class length left at a slot that starts no refined class is
         not taken for a fragment: this base is no ancestor."""
         base = Coloring.from_color_map([0, 0, 1, 1])
-        refined = Coloring.uniform(4)
+        refined = Coloring.from_color_map([0, 0, 0, 0])
         refined.clen[2] = 2
         with pytest.raises(ValueError, match="not an ancestor"):
             RefinementReport(base=base, coloring=refined).fragments(2)
@@ -196,9 +196,9 @@ class TestProperties:
     def test_individualization_refines_and_singles_out(self, g):
         base = refine_stable(g, initial_coloring(g)).coloring
         v = 0
-        rep = individualize_refine(g, base, v, base=base)
+        rep = individualize_refine(g, base, v)
         assert rep.coloring.is_equitable(g)
-        assert rep.coloring.class_size(rep.coloring.color_of(v)) == 1
+        assert rep.coloring.clen[rep.coloring.color[v]] == 1
         base_part = base.as_partition()
         for cls in rep.coloring.as_partition():
             assert any(cls <= b for b in base_part)
@@ -220,7 +220,7 @@ class TestIRSession:
         session = IRSession(g, base)
         for v in (int(base.order[c]), int(base.order[c + 1])):
             rep = session.individualize(v)
-            copied = individualize_refine(g, base, v, base=base)
+            copied = individualize_refine(g, base, v)
             assert same_coloring(rep.coloring, copied.coloring)
             for logged in journal_rows(session):
                 assert len(logged) <= n
@@ -282,7 +282,7 @@ def kernel_trace(g, vs):
     chained = base
     for v in vs:
         record(session.individualize(v))
-        chained = individualize_refine(g, chained, v, base=base).coloring
+        chained = individualize_refine(g, chained, v).coloring
         out.append(chained)
     for i, v in enumerate(vs):
         rep = session.push(v) if i else session.individualize(v)
@@ -350,7 +350,7 @@ class TestNativeKernel:
         """The C kernel indexes by these values unchecked, so a bad
         coloring must be refused before it runs, not crash the process."""
         g = cycle(6)
-        bad = Coloring.uniform(6)
+        bad = Coloring.from_color_map([0] * 6)
         getattr(bad, array)[slot] = value
         with pytest.raises(ValueError, match="ordered-partition"):
             refine_stable(g, bad)
@@ -401,13 +401,12 @@ def check_fragments(g, vs):
     session = IRSession(g, base)
     chained = base
     for v in vs:
-        chained = individualize_refine(g, chained, v, base=base).coloring
+        chained = individualize_refine(g, chained, v).coloring
         for rep in (session.individualize(v),
                     RefinementReport(base=base, coloring=chained)):
             for sigma in base.classes():
                 walked = [(c, m.tolist()) for c, m in rep.fragments(sigma)]
                 assert walked == member_color_fragments(rep, sigma)
-                assert rep.fragments_of(sigma) == [c for c, _ in walked]
             # swapped roles: the stable coloring is no refinement of the
             # individualized one, and each class it merges is refused
             refined = rep.coloring

@@ -86,7 +86,7 @@ def pair_leaves_loop(graph, d1, d2):
     """Reference for the vectorized _pair_leaves."""
     nlit = graph.num_literal_vertices
     mapping = {}
-    for s in range(d1.num_vertices):
+    for s in range(len(d1.order)):
         a, b = int(d1.order[s]), int(d2.order[s])
         if (a < nlit) != (b < nlit):
             return None
