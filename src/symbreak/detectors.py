@@ -4,14 +4,13 @@ Detection treats the color classes of the stable coloring as purported
 orbits.  Each detector builds candidate permutations from the effect of
 individualization-refinement and only returns a structure once the
 verifier has proved every generator an automorphism of the formula,
-directly or, for the transpositions of a symmetric factor, through two
-of them and their array relations; so a non-Tinhofer model graph can
-only cause a miss, never a wrong answer.
+directly or, for the transpositions of a symmetric factor, through the
+first, their product and their array relations; so a non-Tinhofer
+model graph can only cause a miss, never a wrong answer.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,26 +88,25 @@ def _conjugating_product(swaps):
     return LiteralPermutation(changed, c[changed])
 
 
-def _verified_factor(formula: Formula, lines, t0=None):
-    """The adjacent transpositions t_i = transpose(lines[i], lines[i+1])
-    of the m >= 2 equal-length lines of one symmetric factor, if every
-    one is an automorphism of `formula`; else the index i of the first
-    that is not or cannot be built.  `t0`, if given, is t_0 verified
-    already.
+def _verified_factor(formula: Formula, pairs, t0=None):
+    """The transpositions t_i = transpose(a_i, b_i) of the m - 1 line
+    pairs (a_i, b_i) in `pairs`, which generate one symmetric factor, if
+    every one is an automorphism of `formula`; else the index i of the
+    first that is not or cannot be built.  `t0`, if given, is t_0
+    verified already.
 
     When c = t_0 ... t_{m-2} conjugates each t_i to t_{i+1}, every t_i
     is c^i t_0 c^-i, so all are automorphisms exactly when t_0 and c
-    are, and only those two are verified (one when m = 2, where c is
-    t_0).  A failed c is located by verifying t_1, t_2, ... in turn,
-    which is also the fallback when the relations do not hold or a t_i
-    cannot be built; so a failure costs at most one call more than
-    verifying each t_i in turn.
+    are, and only those two are verified (one for a single pair, where
+    c is t_0).  A failed c is located by verifying t_1, t_2, ... in
+    turn, which is also the fallback when the relations do not hold or
+    a t_i cannot be built; so a failure costs at most one call more
+    than verifying each t_i in turn.
     """
     verified = [] if t0 is None else [t0]
-    k = len(verified)
     try:
         swaps = verified + [transpose(a, b)
-                            for a, b in zip(lines[k:], lines[k + 1:])]
+                            for a, b in pairs[len(verified):]]
     except ValueError:
         swaps = None
     cycle = None if swaps is None else _conjugating_product(swaps)
@@ -121,8 +119,8 @@ def _verified_factor(formula: Formula, lines, t0=None):
             verified = swaps[:1]
         if len(swaps) == 1 or is_automorphism(formula, cycle):
             return swaps
-    for i in range(len(verified), len(lines) - 1):
-        phi = _verified_swap(formula, lines[i], lines[i + 1])
+    for i in range(len(verified), len(pairs)):
+        phi = _verified_swap(formula, *pairs[i])
         if phi is None:
             return i
         verified.append(phi)
@@ -190,7 +188,8 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
                 return DetectionFailure("verification failed at row 1")
         rows.append(row)
 
-    generators = _verified_factor(formula, rows, first_swap)
+    generators = _verified_factor(formula, list(zip(rows, rows[1:])),
+                                  first_swap)
     if isinstance(generators, int):
         return DetectionFailure(
             f"verification failed at row {generators + 1}")
@@ -266,7 +265,7 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     columns = list(zip(*matrix))
     generators = []
     for lines in (columns, matrix):
-        swaps = _verified_factor(formula, lines)
+        swaps = _verified_factor(formula, list(zip(lines, lines[1:])))
         if isinstance(swaps, int):
             return DetectionFailure("verification failed")
         generators.extend(swaps)
@@ -382,8 +381,8 @@ def detect_johnson_row_extension(session: IRSession, pair_lit,
     partitions into equal blocks, one per label.  Returns one n x
     block-size matrix per accepted class, whose row i - 1 is label i's
     block ordered by the coloring refined from the class's first member
-    (ties by id), so that positions correspond across labels;
-    unaccepted classes are skipped silently.
+    (ties by id), the lex-leader order, in which positions need not
+    correspond across labels; unaccepted classes are skipped silently.
     """
     n = len(pair_lit) - 1
     pi = session.base
@@ -424,6 +423,20 @@ def detect_johnson_row_extension(session: IRSession, pair_lit,
     return accepted
 
 
+def _pinned_colors(session: IRSession, extensions, label: int) -> list:
+    """Per extension, its members' colors, shaped like its block matrix,
+    once all but the last member of each of `label`'s blocks are pushed.
+    A label transposition fixing `label` fixes those pins, so it maps
+    each member of one block to the member of the other with the same
+    color (color ids are isomorphism-invariant)."""
+    pins = [v for blocks in extensions for v in blocks[label - 1, :-1]]
+    coloring = session.base
+    for k, v in enumerate(pins):
+        push = session.push if k else session.individualize
+        coloring = push(int(v)).coloring
+    return [coloring.color[blocks] for blocks in extensions]
+
+
 def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
                    sigma: int, other_colors=()):
     """Johnson action J_n on the class `sigma`, extended to the
@@ -432,9 +445,10 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
     Each label transposition carries the blocks of its two labels along;
     once an orbit is accepted the bare one can never verify, as it fixes
     a member of label 1's block, whose individualization splits off
-    label 1's literals, yet maps those onto label 2's.  Block pairings
-    that the reference coloring leaves ambiguous are resolved by a small
-    search, gated by verification.
+    label 1's literals, yet maps those onto label 2's.  The blocks of
+    two labels are paired by the colors that pinning a third label's
+    blocks gives them (see `_pinned_colors`), and the n - 1 label
+    transpositions are verified as one factor.
     """
     members = pi.class_members(sigma)
     if (members >= graph.num_literal_vertices).any():
@@ -455,29 +469,23 @@ def detect_johnson(formula: Formula, graph: ColoredGraph, pi: Coloring,
     extensions = detect_johnson_row_extension(session, pair_lit,
                                               other_colors)
 
-    # one verified generator per label transposition (i, i+1).  Each
-    # extension's block i is paired with a permutation of its block i+1;
-    # the first 64 combinations are tried in turn, the first being the
-    # reference pairing.  None of them reaches past a block's 64th
-    # permutation, so no more are generated
-    generators = []
+    # transposition (i, i+1) pairs each extension's blocks i and i+1 by
+    # the colors pinned by label n when i = 1, else by label 1
+    pinned = {label: _pinned_colors(session, extensions, label)
+              for label in (1, n)}
+    pairs = []
     for i in range(1, n):
         others = [r for r in range(1, n + 1) if r not in (i, i + 1)]
         xs = pair_lit[i, others].tolist()
         ys = pair_lit[i + 1, others].tolist()
-        for blocks in extensions:
-            xs.extend(blocks[i - 1].tolist())
-        targets = [itertools.islice(
-            itertools.permutations(blocks[i].tolist()), 64)
-            for blocks in extensions]
-        for combo in itertools.islice(itertools.product(*targets), 64):
-            phi = _verified_swap(formula, xs,
-                                 ys + [t for b in combo for t in b])
-            if phi is not None:
-                generators.append(phi)
-                break
-        else:
-            return DetectionFailure("verification failed")
+        for blocks, color in zip(extensions, pinned[n if i == 1 else 1]):
+            for line, row in ((xs, i - 1), (ys, i)):
+                by = np.lexsort((blocks[row], color[row]))
+                line.extend(blocks[row, by].tolist())
+        pairs.append((xs, ys))
+    generators = _verified_factor(formula, pairs)
+    if isinstance(generators, int):
+        return DetectionFailure("verification failed")
 
     literals = [t for i in range(1, n + 1)
                 for t in pair_lit[i, i + 1:].tolist()]

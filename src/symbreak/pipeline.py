@@ -23,7 +23,7 @@ from .detectors import (DetectionFailure, detect_johnson, detect_row_blocks,
                         stabilizer_recursion)
 from .modelgraph import build_model_graph
 from .refine import Coloring, initial_coloring, refine_stable
-from .remainder import SearchBudget, find_remainder_generators
+from .remainder import find_remainder_generators
 
 
 @dataclass
@@ -212,9 +212,7 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
             and np.count_nonzero(covered) < graph.num_literal_vertices):
         rem_pi = _remainder_coloring(graph, pi, covered)
         rem_pi = refine_stable(graph, rem_pi).coloring
-        rem_gens = find_remainder_generators(
-            formula, graph, rem_pi,
-            SearchBudget(dive_pairs=config.dive_pairs, seed=config.seed))
+        rem_gens = find_remainder_generators(formula, graph, rem_pi, config)
     times["remainder_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()

@@ -9,23 +9,12 @@ wrong pairing is rejected by verification anyway).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cnf import Formula, LiteralPermutation, is_automorphism
 from .modelgraph import ColoredGraph
 from .refine import Coloring, individualize_refine
-
-
-@dataclass
-class SearchBudget:
-    dive_pairs: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dive_pairs < 0:
-            raise ValueError("dive_pairs must be non-negative")
 
 
 def _first_nonsingleton(pi: Coloring):
@@ -60,18 +49,18 @@ def _pair_leaves(graph: ColoredGraph, d1: Coloring, d2: Coloring):
 
 
 def find_remainder_generators(formula: Formula, graph: ColoredGraph,
-                              pi_rem: Coloring,
-                              budget: SearchBudget) -> list:
-    """Verified automorphisms found by paired random dives on the
-    remainder coloring.  Deterministic given the seed; may return an
+                              pi_rem: Coloring, config) -> list:
+    """Verified automorphisms found by `config.dive_pairs` paired random
+    dives on the remainder coloring, `config` being the run's
+    `PipelineConfig`.  Deterministic given `config.seed`; may return an
     empty list (the search is incomplete by design)."""
     nlit = graph.num_literal_vertices
     if (pi_rem.clen[pi_rem.color[:nlit]] == 1).all():
         return []
-    rng = random.Random(budget.seed)
+    rng = random.Random(config.seed)
     found = []
     seen = set()
-    for _ in range(budget.dive_pairs):
+    for _ in range(config.dive_pairs):
         d1 = _dive(graph, pi_rem, rng)
         d2 = _dive(graph, pi_rem, rng)
         phi = _pair_leaves(graph, d1, d2)

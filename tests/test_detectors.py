@@ -320,13 +320,13 @@ def recorded_verifications(monkeypatch):
     return checked
 
 
-def ref_verified_factor(formula, lines, t0=None):
-    """Each adjacent transposition of a factor built and verified in
-    turn, as the detectors did before a factor was verified through its
-    first swap and its cycle.  Kept as the reference for the
-    differential tests below; `t0` is ignored and verified again."""
+def ref_verified_factor(formula, pairs, t0=None):
+    """The transposition of each line pair of a factor built and
+    verified in turn, as the detectors did before a factor was verified
+    through its first swap and its cycle.  Kept as the reference for
+    the differential tests below; `t0` is ignored and verified again."""
     generators = []
-    for i, (a, b) in enumerate(zip(lines, lines[1:])):
+    for i, (a, b) in enumerate(pairs):
         try:
             phi = transpose(a, b)
         except ValueError:
@@ -459,6 +459,11 @@ def rows_of(f, width):
             for r in range(f.num_vars // width)]
 
 
+def adjacent(lines):
+    """The pairs of consecutive lines, as the row detectors pass them."""
+    return list(zip(lines, lines[1:]))
+
+
 class TestVerifiedFactor:
     def spied(self, monkeypatch):
         """The results of _conjugating_product, as they are made."""
@@ -475,15 +480,16 @@ class TestVerifiedFactor:
     def test_two_verifications_for_a_symmetric_factor(self, monkeypatch):
         f = row_instance(5)
         checked = recorded_verifications(monkeypatch)
-        lines = rows_of(f, 2)
-        got = _verified_factor(f, lines)
-        assert got == ref_verified_factor(f, lines) and len(got) == 4
+        rows = rows_of(f, 2)
+        pairs = adjacent(rows)
+        got = _verified_factor(f, pairs)
+        assert got == ref_verified_factor(f, pairs) and len(got) == 4
         assert checked[0] == got[0] and len(checked) == 2
         # the second is the row cycle
         cycle = dict(zip(checked[1].support.tolist(),
                          checked[1].images.tolist()))
-        assert [cycle[row[0]] for row in lines] == [
-            row[0] for row in lines[1:] + lines[:1]]
+        assert [cycle[row[0]] for row in rows] == [
+            row[0] for row in rows[1:] + rows[:1]]
 
     def test_refuted_row_is_located(self, monkeypatch):
         """A unit clause on the last row leaves t_0 an automorphism but
@@ -492,8 +498,8 @@ class TestVerifiedFactor:
         f = row_instance(4)
         f = Formula(f.num_vars, f.clauses + [[pos(7)]])
         seen = self.spied(monkeypatch)
-        lines = rows_of(f, 2)
-        assert _verified_factor(f, lines) == ref_verified_factor(f, lines) == 2
+        pairs = adjacent(rows_of(f, 2))
+        assert _verified_factor(f, pairs) == ref_verified_factor(f, pairs) == 2
         assert seen[0] is not None
 
     def test_broken_relations_fall_back(self, monkeypatch):
@@ -502,9 +508,9 @@ class TestVerifiedFactor:
         fail, and verifying each swap finds t_1 refuted."""
         f = row_instance(3)
         rows = rows_of(f, 2)
-        lines = [rows[0], rows[1], rows[2][::-1], rows[1]]
+        pairs = adjacent([rows[0], rows[1], rows[2][::-1], rows[1]])
         seen = self.spied(monkeypatch)
-        assert _verified_factor(f, lines) == ref_verified_factor(f, lines) == 1
+        assert _verified_factor(f, pairs) == ref_verified_factor(f, pairs) == 1
         assert seen == [None]
 
     def test_unbuildable_swap_falls_back(self, monkeypatch):
@@ -513,18 +519,18 @@ class TestVerifiedFactor:
         swap that fails, whether by verification or by construction."""
         f = row_instance(4)
         rows = rows_of(f, 2)
-        lines = [rows[0], rows[1], [rows[2][0], rows[2][0] ^ 1],
-                 rows[3]]
+        pairs = adjacent([rows[0], rows[1], [rows[2][0], rows[2][0] ^ 1],
+                          rows[3]])
         seen = self.spied(monkeypatch)
-        assert _verified_factor(f, lines) == ref_verified_factor(f, lines) == 1
+        assert _verified_factor(f, pairs) == ref_verified_factor(f, pairs) == 1
         assert seen == []
 
     def test_given_first_swap_is_not_verified_again(self, monkeypatch):
         f = row_instance(4)
-        lines = rows_of(f, 2)
-        t0 = transpose(lines[0], lines[1])
+        pairs = adjacent(rows_of(f, 2))
+        t0 = transpose(*pairs[0])
         checked = recorded_verifications(monkeypatch)
-        assert _verified_factor(f, lines, t0) == ref_verified_factor(f, lines)
+        assert _verified_factor(f, pairs, t0) == ref_verified_factor(f, pairs)
         assert t0 not in checked and len(checked) == 1
 
 
@@ -639,7 +645,7 @@ def ref_detect_row_column(formula, graph, pi, sigma):
     columns = list(zip(*matrix))
     generators = []
     for lines in (columns, matrix):
-        swaps = _verified_factor(formula, lines)
+        swaps = _verified_factor(formula, adjacent(lines))
         if isinstance(swaps, int):
             return DetectionFailure("verification failed")
         generators.extend(swaps)
@@ -810,6 +816,21 @@ class TestDetectJohnson:
         assert not is_automorphism(
             f, transpose(pair_lit[1, others], pair_lit[2, others]))
 
+    def test_wide_blocks_paired_by_pinned_colors(self):
+        """cliquecolor(12,6,5) has blocks of 6 clique slots and 5 colors
+        per label, too many orderings to search for the pairing of two
+        labels' blocks."""
+        f = gen_cliquecolor(12, 6, 5)
+        graph, base = stable_base(f)
+        sigma = class_of(base, pos(1))
+        others = [c for c in literal_classes(graph, base) if c != sigma]
+        s = detect_johnson(f, graph, base, sigma, other_colors=others)
+        assert not isinstance(s, DetectionFailure)
+        assert s.dims == (12,)
+        assert len(s.generators) == 11
+        assert all(is_automorphism(f, g) for g in s.generators)
+        assert covered_orbit_sizes(base, s) == [60, 60, 66, 66, 72, 72]
+
     def test_bare_generators_fail_without_extension(self):
         f = gen_cliquecolor(8, 3, 2)
         graph, base = stable_base(f)
@@ -861,15 +882,42 @@ def structure_shapes(f):
     return sorted((s.kind, sorted(s.dims)) for s in run(f).structures)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_cliquecolor(10, 3, 2),
+    lambda: gen_cliquecolor(12, 4, 3),
+    lambda: scrambled(gen_cliquecolor(10, 3, 2), 0),
+    lambda: scrambled(gen_cliquecolor(12, 4, 3), 1),
+], ids=["cliquecolor1032", "cliquecolor1243", "scrambled-cliquecolor1032",
+        "scrambled-cliquecolor1243"])
+def test_johnson_factor_matches_reference(make):
+    """Verifying the label transpositions through the first and the
+    label cycle finds the structure, literals and generators that
+    verifying each in turn finds, on every literal class."""
+    f = make()
+    graph, base = stable_base(f)
+    classes = literal_classes(graph, base)
+    found = 0
+    for sigma in classes:
+        others = [c for c in classes if c != sigma]
+        want = with_reference_factor(detect_johnson)(f, graph, base, sigma,
+                                                     others)
+        assert_same_result(detect_johnson(f, graph, base, sigma, others),
+                           want)
+        found += not isinstance(want, DetectionFailure)
+    assert found
+
+
 @pytest.mark.parametrize("make, shapes", [
     (lambda: gen_php(6), [("row-column", [5, 6])]),
     (lambda: gen_ramsey(3, 3, 8), [("johnson", [8])]),
     (lambda: gen_cliquecolor(10, 3, 2), [("johnson", [10])]),
+    (lambda: gen_cliquecolor(10, 4, 3), [("johnson", [10])]),
+    (lambda: gen_cliquecolor(10, 5, 4), [("johnson", [10])]),
     (lambda: two_copy_instance(3), [("row", [3, 4])]),
     (lambda: attached_blocks_instance(4), [("row", [4, 6])]),
     (lambda: gen_cycle_coloring(9, 3), []),
-], ids=["php6", "ramsey338", "cliquecolor1032", "two-copy", "attached-blocks",
-        "c9-3coloring"])
+], ids=["php6", "ramsey338", "cliquecolor1032", "cliquecolor1043",
+        "cliquecolor1054", "two-copy", "attached-blocks", "c9-3coloring"])
 def test_renaming_keeps_structure_shapes(make, shapes):
     """Metamorphic: renaming variables and reordering clauses and
     literals keeps the kinds and sorted dims of the found structures.

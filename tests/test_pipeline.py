@@ -125,7 +125,7 @@ def test_two_line_factor_verified_once(monkeypatch):
     f = gen_php(3)
     holes = [[pos(2 * i + j + 1) for i in range(3)] for j in range(2)]
     checked = recorded_verifications(monkeypatch)
-    swaps = detectors._verified_factor(f, holes)
+    swaps = detectors._verified_factor(f, [tuple(holes)])
     assert swaps == [transpose(*holes)] and checked == swaps
 
 
@@ -138,6 +138,21 @@ def test_row_column_structure_verified_by_four_calls(n, monkeypatch):
     assert [(s.kind, s.dims) for s in out.structures] == [
         ("row-column", (n, n - 1))]
     assert len(checked) == 4
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda: gen_ramsey(3, 3, 8), 8),
+    (lambda: gen_cliquecolor(10, 3, 2), 10),
+    (lambda: gen_cliquecolor(10, 5, 4), 10),
+], ids=["ramsey338", "cliquecolor1032", "cliquecolor1054"])
+def test_johnson_structure_verified_by_two_calls(make, n, monkeypatch):
+    """A found Johnson structure costs two verifications whatever its
+    size and its extension blocks: the first label transposition and
+    the label cycle."""
+    checked = recorded_verifications(monkeypatch)
+    out = run(make())
+    assert [(s.kind, s.dims) for s in out.structures] == [("johnson", (n,))]
+    assert len(checked) == 2
 
 
 class TestNegationClassOf:

@@ -8,8 +8,9 @@ from symbreak.cnf import (Formula, LiteralPermutation, is_automorphism,
 from symbreak.modelgraph import build_model_graph
 from symbreak.refine import (individualize_refine, initial_coloring,
                              refine_stable)
-from symbreak.remainder import (SearchBudget, _first_nonsingleton,
-                                _pair_leaves, find_remainder_generators)
+from symbreak.pipeline import PipelineConfig
+from symbreak.remainder import (_first_nonsingleton, _pair_leaves,
+                                find_remainder_generators)
 from symbreak.testkit import formula_automorphisms, gen_cycle_coloring, gen_php
 
 import pytest
@@ -24,19 +25,21 @@ def prepared(formula):
 def test_budget_zero_returns_nothing():
     f = Formula(2, [[pos(1), pos(2)], [neg_var(1), neg_var(2)]])
     graph, pi = prepared(f)
-    assert find_remainder_generators(f, graph, pi, SearchBudget(0)) == []
+    config = PipelineConfig(dive_pairs=0)
+    assert find_remainder_generators(f, graph, pi, config) == []
 
 
 def test_negative_budget_rejected():
     with pytest.raises(ValueError):
-        SearchBudget(dive_pairs=-1)
+        PipelineConfig(dive_pairs=-1)
 
 
 def test_swap_symmetry_found():
     # var1 and var2 interchangeable, var3 pinned by a unit clause
     f = Formula(3, [[pos(1), pos(3)], [pos(2), pos(3)], [neg_var(3)]])
     graph, pi = prepared(f)
-    gens = find_remainder_generators(f, graph, pi, SearchBudget(8, seed=1))
+    config = PipelineConfig(dive_pairs=8, seed=1)
+    gens = find_remainder_generators(f, graph, pi, config)
     assert gens, "expected the var1/var2 swap to be found"
     truth = {g for g in formula_automorphisms(f) if len(g)}
     for g in gens:
@@ -48,28 +51,33 @@ def test_asymmetric_formula_finds_nothing():
     f = Formula(3, [[pos(1)], [pos(1), pos(2)], [pos(1), pos(2), pos(3)]])
     assert all(not len(g) for g in formula_automorphisms(f))
     graph, pi = prepared(f)
-    assert find_remainder_generators(f, graph, pi, SearchBudget(16)) == []
+    config = PipelineConfig(dive_pairs=16)
+    assert find_remainder_generators(f, graph, pi, config) == []
 
 
 def test_discrete_literal_part_short_circuits():
     f = Formula(2, [[pos(1)], [pos(1), pos(2)]])
     graph, pi = prepared(f)
-    assert find_remainder_generators(f, graph, pi, SearchBudget(16)) == []
+    config = PipelineConfig(dive_pairs=16)
+    assert find_remainder_generators(f, graph, pi, config) == []
 
 
 def test_deterministic_given_seed():
     f = Formula(4, [[pos(1), pos(2)], [pos(3), pos(4)],
                     [neg_var(1), neg_var(2)], [neg_var(3), neg_var(4)]])
     graph, pi = prepared(f)
-    a = find_remainder_generators(f, graph, pi, SearchBudget(8, seed=5))
-    b = find_remainder_generators(f, graph, pi, SearchBudget(8, seed=5))
+    a = find_remainder_generators(f, graph, pi,
+                                  PipelineConfig(dive_pairs=8, seed=5))
+    b = find_remainder_generators(f, graph, pi,
+                                  PipelineConfig(dive_pairs=8, seed=5))
     assert a == b
 
 
 def test_all_results_verified():
     f = Formula(4, [[pos(1), pos(2), pos(3), pos(4)]])
     graph, pi = prepared(f)
-    for g in find_remainder_generators(f, graph, pi, SearchBudget(16, seed=2)):
+    config = PipelineConfig(dive_pairs=16, seed=2)
+    for g in find_remainder_generators(f, graph, pi, config):
         assert is_automorphism(f, g)
         assert len(g)
 

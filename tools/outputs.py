@@ -11,7 +11,8 @@ structures and attempt log (detector, class, size, outcome and reason)
 on every run.  The instances are taken from this checkout: the
 `rowcol`, `johnson` and `coloring` workloads of `perfbench` on seeds
 1-3, `symbreak.testkit` families, and the row instances of
-`tests/test_detectors.py`; 66 instances under 3 configs.
+`tests/test_detectors.py`, one of them renamed by its `scrambled`; 69
+instances under 3 configs.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ def instances():
             for k, n in ((3, 8), (4, 9))]
     out += [(f"cliquecolor({n},{k},{c})",
              lambda n=n, k=k, c=c: gen_cliquecolor(n, k, c))
-            for n, k, c in ((8, 3, 2), (10, 3, 2), (40, 3, 2), (12, 4, 3))]
+            for n, k, c in ((8, 3, 2), (10, 3, 2), (40, 3, 2), (12, 4, 3),
+                            (10, 4, 3), (10, 5, 4))]
+    out += [("scrambled(cliquecolor(10,4,3),1)",
+             lambda: td.scrambled(gen_cliquecolor(10, 4, 3), 1))]
     out += [(f"c{n}-{k}coloring", lambda n=n, k=k: gen_cycle_coloring(n, k))
             for n in (9, 15, 20, 41) for k in (3, 4)]
     out += [("row_instance(4)", lambda: td.row_instance(4)),
