@@ -319,17 +319,21 @@ def _johnson_labeling(session: IRSession, sigma: int, n: int):
         if first == size:
             break
         v = members[first]
+        # a fresh adjacency probe of v leaves the session holding v
+        held = v not in ad
         ad_v = adjacency(v)
         if ad_v is None:
             return DetectionFailure("wrong fragment structure")
         w = min(ad_v)
+        if not held:
+            session.individualize(v)
+        # read before the next probe: fragments are views of the
+        # session's working coloring
+        singles = [int(mem[0]) for _, mem in session.push(w).fragments(sigma)
+                   if len(mem) == 1 and mem[0] not in (v, w)]
         ad_w = adjacency(w)
         if ad_w is None:
             return DetectionFailure("wrong fragment structure")
-        session.individualize(v)
-        rep_vw = session.push(w)
-        singles = [int(mem[0]) for _, mem in rep_vw.fragments(sigma)
-                   if len(mem) == 1 and mem[0] not in (v, w)]
         if len(singles) != 1:
             return DetectionFailure("no unique third singleton")
         y = singles[0]
@@ -378,11 +382,13 @@ def detect_johnson_row_extension(session: IRSession, pair_lit,
     For each candidate class of the session's base coloring,
     individualizing any member must split the labeled class into the
     literals carrying one particular label and the rest; the class then
-    partitions into equal blocks, one per label.  Returns one n x
-    block-size matrix per accepted class, whose row i - 1 is label i's
-    block ordered by the coloring refined from the class's first member
-    (ties by id), the lex-leader order, in which positions need not
-    correspond across labels; unaccepted classes are skipped silently.
+    partitions into equal blocks, one per label.  Members are probed in
+    slot order, and a probe's block-mates take its label unprobed when
+    they form one fragment of the class.  Returns one n x block-size
+    matrix per accepted class, whose row i - 1 is label i's block
+    ordered by the coloring refined from the class's first member (ties
+    by id), the lex-leader order, in which positions need not correspond
+    across labels; unaccepted classes are skipped silently.
     """
     n = len(pair_lit) - 1
     pi = session.base
@@ -402,8 +408,11 @@ def detect_johnson_row_extension(session: IRSession, pair_lit,
             # negation class of an accepted orbit: the generators' negation
             # closure already moves it, a second block map would conflict
             continue
+        # labels by slot in tau
         labels = np.zeros(size, dtype=np.int64)
         for k, t in enumerate(members.tolist()):
+            if labels[k]:
+                continue
             rep = session.individualize(t)
             if k == 0:
                 ref_color = rep.coloring.color[members]
@@ -414,6 +423,12 @@ def detect_johnson_row_extension(session: IRSession, pair_lit,
             labels[k] = label_of.get(np.sort(small).tobytes(), 0)
             if not labels[k]:
                 break
+            # t's block-mates, when they form one fragment of tau, share
+            # its label; otherwise each is probed in turn
+            mates = [mem for _, mem in rep.fragments(tau)
+                     if len(mem) == size // n - 1 and mem[0] != t]
+            if len(mates) == 1:
+                labels[pi.pos[mates[0]] - tau] = labels[k]
         # a member left unlabeled keeps label 0, so the n labels then
         # cannot share all members equally
         if (np.bincount(labels, minlength=n + 1)[1:] == size // n).all():

@@ -20,8 +20,10 @@ from .refine import Coloring, individualize_refine
 def _first_nonsingleton(pi: Coloring):
     """Color id of the first non-singleton class in partition order (the
     smallest id, as ids are slots), or None for a discrete coloring."""
-    cols = pi.color[pi.clen[pi.color] > 1]
-    return int(cols.min()) if len(cols) else None
+    # clen is nonzero only at class starts, so the first slot with
+    # clen > 1 starts that class
+    c = int(np.argmax(pi.clen > 1))
+    return c if pi.clen[c] > 1 else None
 
 
 def _dive(graph: ColoredGraph, pi: Coloring, rng: random.Random) -> Coloring:

@@ -1,8 +1,10 @@
 """Structure detectors: row, row-column, Johnson, and the fallbacks."""
 
+import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -15,8 +17,8 @@ from symbreak.detectors import (DetectionFailure, Structure, _triangular_n,
 from symbreak.modelgraph import build_model_graph
 from symbreak.pipeline import _polarity_split_base, negation_class_of, run
 from symbreak.refine import IRSession, initial_coloring, refine_stable
-from symbreak.testkit import (gen_cliquecolor, gen_cycle_coloring, gen_php,
-                              gen_ramsey)
+from symbreak.testkit import (edge_index, gen_cliquecolor,
+                              gen_cycle_coloring, gen_php, gen_ramsey)
 
 
 def stable_base(formula):
@@ -284,9 +286,8 @@ def test_row_literals_closed_under_negation(f):
                 assert {l ^ 1 for l in lits} == lits
 
 
-def test_refuted_row_attempt_stops_after_two_probes(monkeypatch):
-    """C41 4-coloring's 164-member literal classes fit no row shape;
-    each attempt is refuted by its second row."""
+def counted_probes(monkeypatch):
+    """The vertices passed to `IRSession.individualize`, as it runs."""
     calls = []
     individualize = IRSession.individualize
 
@@ -295,6 +296,13 @@ def test_refuted_row_attempt_stops_after_two_probes(monkeypatch):
         return individualize(self, v)
 
     monkeypatch.setattr(IRSession, "individualize", counted)
+    return calls
+
+
+def test_refuted_row_attempt_stops_after_two_probes(monkeypatch):
+    """C41 4-coloring's 164-member literal classes fit no row shape;
+    each attempt is refuted by its second row."""
+    calls = counted_probes(monkeypatch)
     f = gen_cycle_coloring(41, 4)
     graph, base = stable_base(f)
     big = [c for c in literal_classes(graph, base) if base.clen[c] == 164]
@@ -927,3 +935,182 @@ def test_renaming_keeps_structure_shapes(make, shapes):
     assert structure_shapes(f) == shapes
     for seed in range(8):
         assert structure_shapes(scrambled(f, seed)) == shapes
+
+
+def ref_detect_johnson_row_extension(session, pair_lit, other_colors):
+    """Johnson row extension as it was before block-mates shared a
+    probe: every member of a candidate class is individualized and
+    labeled by its own probe.  Kept, comments aside, as the reference
+    for the differential tests below."""
+    n = len(pair_lit) - 1
+    pi = session.base
+    sigma = int(pi.color[pair_lit[1, 2]])
+    label_of = {row.tobytes(): i for i, row in enumerate(
+        np.sort(pair_lit[1:], axis=1)[:, 2:].astype(pi.order.dtype), 1)}
+    accepted = []
+    accepted_colors = set()
+    for tau in other_colors:
+        members = pi.class_members(tau)
+        size = len(members)
+        if size < n or size % n:
+            continue
+        if negation_class_of(pi, tau) in accepted_colors:
+            continue
+        labels = np.zeros(size, dtype=np.int64)
+        for k, t in enumerate(members.tolist()):
+            rep = session.individualize(t)
+            if k == 0:
+                ref_color = rep.coloring.color[members]
+            frags = rep.fragments(sigma)
+            if len(frags) != 2:
+                break
+            small = min((mem for _, mem in frags), key=len)
+            labels[k] = label_of.get(np.sort(small).tobytes(), 0)
+            if not labels[k]:
+                break
+        if (np.bincount(labels, minlength=n + 1)[1:] == size // n).all():
+            by = np.lexsort((members, ref_color, labels))
+            accepted.append(members[by].reshape(n, size // n))
+            accepted_colors.add(tau)
+    return accepted
+
+
+def cyclic_blocks_instance(n=8, b=3):
+    """Edges of K_n under the positive triangle clauses, plus per vertex
+    i a block of b variables y_i0 -> y_i1 -> ... -> y_i0 in a cycle of
+    implications, each implying every edge at i.  Individualizing y_ia
+    splits off the edges at i, so the y literals extend J_n in blocks of
+    b, but it tells y_ia's block-mates apart by their distance along the
+    cycle, so for b > 2 they never form one fragment."""
+    e = n * (n - 1) // 2
+
+    def y(i, a):
+        return e + (i - 1) * b + a % b + 1
+
+    clauses = [[pos(edge_index(u, v, n)), pos(edge_index(u, w, n)),
+                pos(edge_index(v, w, n))]
+               for u, v, w in itertools.combinations(range(1, n + 1), 3)]
+    for i in range(1, n + 1):
+        for a in range(b):
+            clauses.append([neg_var(y(i, a)), pos(y(i, a + 1))])
+            clauses.extend([neg_var(y(i, a)),
+                            pos(edge_index(min(i, j), max(i, j), n))]
+                           for j in range(1, n + 1) if j != i)
+    return Formula(e + n * b, clauses)
+
+
+def johnson_labelings(f):
+    """(graph, base, sigma, pair_lit) for each literal class of the
+    stable coloring that `_johnson_labeling` labels."""
+    graph, base = stable_base(f)
+    found = []
+    for sigma in literal_classes(graph, base):
+        n = _triangular_n(int(base.clen[sigma]))
+        if n is None or n < 8:
+            continue
+        pair_lit = detectors._johnson_labeling(IRSession(graph, base),
+                                               sigma, n)
+        if not isinstance(pair_lit, DetectionFailure):
+            found.append((graph, base, sigma, pair_lit))
+    return found
+
+
+JOHNSON_EXTENSIONS = [(10, 3, 2), (40, 3, 2), (10, 4, 3), (12, 4, 3),
+                      (10, 5, 4), (12, 6, 5)]
+
+
+class TestRowExtensionMatchesReference:
+    @pytest.mark.parametrize("make", [
+        lambda a=a: gen_cliquecolor(*a) for a in JOHNSON_EXTENSIONS
+    ] + [
+        lambda a=a, seed=seed: scrambled(gen_cliquecolor(*a), seed)
+        for seed, a in enumerate(JOHNSON_EXTENSIONS)
+    ] + [cyclic_blocks_instance],
+        ids=[f"cliquecolor{''.join(map(str, a))}"
+             for a in JOHNSON_EXTENSIONS]
+        + [f"scrambled-cliquecolor{''.join(map(str, a))}"
+           for a in JOHNSON_EXTENSIONS] + ["cyclic-blocks"])
+    def test_same_block_matrices(self, make):
+        labelings = johnson_labelings(make())
+        assert labelings
+        for graph, base, sigma, pair_lit in labelings:
+            others = [c for c in literal_classes(graph, base) if c != sigma]
+            session = IRSession(graph, base)
+            want = ref_detect_johnson_row_extension(session, pair_lit,
+                                                    others)
+            got = detectors.detect_johnson_row_extension(session, pair_lit,
+                                                         others)
+            assert want
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+    @staticmethod
+    def extension_probes(f, monkeypatch):
+        """The block matrices of the extension of the Johnson class of
+        `f`'s first positive literal, and the members probed."""
+        graph, base = stable_base(f)
+        sigma = class_of(base, pos(1))
+        session = IRSession(graph, base)
+        pair_lit = detectors._johnson_labeling(
+            session, sigma, _triangular_n(int(base.clen[sigma])))
+        others = [c for c in literal_classes(graph, base) if c != sigma]
+        calls = counted_probes(monkeypatch)
+        return (detectors.detect_johnson_row_extension(session, pair_lit,
+                                                       others), calls)
+
+    def test_one_probe_per_block(self, monkeypatch):
+        """cliquecolor(40,3,2) extends J_40 by 3 clique slots and 2
+        colors per vertex: 40 blocks each, and 200 members."""
+        extensions, calls = self.extension_probes(gen_cliquecolor(40, 3, 2),
+                                                  monkeypatch)
+        assert [e.shape for e in extensions] == [(40, 3), (40, 2)]
+        assert len(calls) == 80
+
+    def test_split_block_mates_are_probed_each(self, monkeypatch):
+        """The cyclic blocks' mates fall into singletons under a probe,
+        so each of the 24 members is probed and labeled by its own."""
+        f = cyclic_blocks_instance()
+        extensions, calls = self.extension_probes(f, monkeypatch)
+        assert [e.shape for e in extensions] == [(8, 3)]
+        assert sorted(calls) == sorted(extensions[0].ravel().tolist())
+        graph, base = stable_base(f)
+        sigma = class_of(base, pos(1))
+        others = [c for c in literal_classes(graph, base) if c != sigma]
+        s = detect_johnson(f, graph, base, sigma, others)
+        assert not isinstance(s, DetectionFailure)
+        assert covered_orbit_sizes(base, s) == [24, 24, 28, 28]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_cliquecolor(10, 3, 2),
+    lambda: gen_ramsey(3, 3, 8),
+], ids=["cliquecolor1032", "ramsey338"])
+def test_labeling_never_reprobes_the_held_vertex(make, monkeypatch):
+    """`_johnson_labeling` pushes w onto the session that its adjacency
+    probe of v left holding v, instead of individualizing v again."""
+    f = make()
+    graph, base = stable_base(f)
+    sigma = class_of(base, pos(1))
+    if negation_class_of(base, sigma) == sigma:
+        base, sigma = _polarity_split_base(graph, base, sigma)
+    held = []
+    reprobed = []
+    individualize, push = IRSession.individualize, IRSession.push
+
+    def tracked_individualize(self, v):
+        if held == [v]:
+            reprobed.append(v)
+        # the rollback; the push it ends with records v
+        held.clear()
+        return individualize(self, v)
+
+    def tracked_push(self, v):
+        held.append(v)
+        return push(self, v)
+
+    monkeypatch.setattr(IRSession, "individualize", tracked_individualize)
+    monkeypatch.setattr(IRSession, "push", tracked_push)
+    n = _triangular_n(int(base.clen[sigma]))
+    pair_lit = detectors._johnson_labeling(IRSession(graph, base), sigma, n)
+    assert not isinstance(pair_lit, DetectionFailure)
+    assert held
+    assert not reprobed
