@@ -75,13 +75,10 @@ class Coloring:
     def class_members(self, c: int) -> np.ndarray:
         return self.order[c:c + self.clen[c]]
 
-    def classes(self):
-        """Class ids in partition order."""
-        c = 0
-        n = len(self.order)
-        while c < n:
-            yield c
-            c += int(self.clen[c])
+    def classes(self) -> list:
+        """Class ids in partition order: the slots where clen is nonzero,
+        as it is exactly at class starts."""
+        return np.flatnonzero(self.clen).tolist()
 
     def as_partition(self) -> list:
         """Ordered list of frozensets, one per class."""
@@ -112,8 +109,7 @@ JRN_ORDER, JRN_COLOR, JRN_CLEN = 0, 1, 2
 
 def _refine_kernel(indptr, nbr, order, pos, color, clen,
                    queue, in_queue, qhead, qtail,
-                   cnt, touched, scratch, bucket, cls_list, cls_seen, tcnt,
-                   jd, jl, jc):
+                   cnt, scratch, bucket, cls_list, tcnt, jd, jl, jc):
     # jd is None for a run that records no journal
     qcap = queue.shape[0]
     while qhead != qtail:
@@ -123,16 +119,18 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
 
         # gather splitter-neighbor counts; the first touch of a vertex
         # swaps it to the back of its class, so splitting costs
-        # O(touched) rather than O(class size)
-        ntouched = 0
+        # O(touched) rather than O(class size), and the first touch of a
+        # class lists it
+        ncls = 0
         for idx in range(s, s + clen[s]):
             v = order[idx]
             for j in range(indptr[v], indptr[v + 1]):
                 u = nbr[j]
                 if cnt[u] == 0:
-                    touched[ntouched] = u
-                    ntouched += 1
                     c = color[u]
+                    if tcnt[c] == 0:
+                        cls_list[ncls] = c
+                        ncls += 1
                     dest = c + clen[c] - 1 - tcnt[c]
                     tcnt[c] += 1
                     p = pos[u]
@@ -150,23 +148,13 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                     pos[u], pos[w] = dest, p
                 cnt[u] += 1
 
-        ncls = 0
-        for t in range(ntouched):
-            c = color[touched[t]]
-            if cls_seen[c] == 0:
-                cls_seen[c] = 1
-                cls_list[ncls] = c
-                ncls += 1
         cls_arr = np.sort(cls_list[:ncls])
 
         for ci in range(ncls):
             c = cls_arr[ci]
-            cls_seen[c] = 0
             csize = clen[c]
             t = tcnt[c]
             tcnt[c] = 0
-            if csize == 1:
-                continue
             lo = c + csize - t  # touched region [lo, c + csize)
             maxc = 0
             minc = cnt[order[lo]]
@@ -176,76 +164,74 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                     maxc = cc
                 if cc < minc:
                     minc = cc
-            if t == csize and minc == maxc:
-                continue
+            if t < csize or minc < maxc:
+                # counting sort of the touched region by count ascending;
+                # untouched members stay in front as the count-0 fragment
+                for b in range(maxc + 2):
+                    bucket[b] = 0
+                for idx in range(lo, c + csize):
+                    bucket[cnt[order[idx]] + 1] += 1
+                for b in range(1, maxc + 2):
+                    bucket[b] += bucket[b - 1]
+                for idx in range(lo, c + csize):
+                    v = order[idx]
+                    scratch[bucket[cnt[v]]] = v
+                    bucket[cnt[v]] += 1
+                # the count pass logged every slot of [lo, c + csize) as a
+                # swap destination
+                for k in range(t):
+                    v = scratch[k]
+                    order[lo + k] = v
+                    pos[v] = lo + k
 
-            # counting sort of the touched region by count ascending;
-            # untouched members stay in front as the count-0 fragment
-            for b in range(maxc + 2):
-                bucket[b] = 0
+                was_in_queue = in_queue[c]
+                largest_start = -1
+                largest_size = -1
+                if t < csize:
+                    if jd is not None and jd[JRN_CLEN, c] == 0:
+                        jd[JRN_CLEN, c] = 1
+                        jl[JRN_CLEN, jc[JRN_CLEN]] = c
+                        jc[JRN_CLEN] += 1
+                    clen[c] = csize - t
+                    largest_start = c
+                    largest_size = csize - t
+                k = 0
+                while k < t:
+                    cv = cnt[scratch[k]]
+                    j = k + 1
+                    while j < t and cnt[scratch[j]] == cv:
+                        j += 1
+                    fstart = lo + k
+                    fsize = j - k
+                    if jd is not None and jd[JRN_CLEN, fstart] == 0:
+                        jd[JRN_CLEN, fstart] = 1
+                        jl[JRN_CLEN, jc[JRN_CLEN]] = fstart
+                        jc[JRN_CLEN] += 1
+                    clen[fstart] = fsize
+                    for q in range(k, j):
+                        w = scratch[q]
+                        if jd is not None and jd[JRN_COLOR, w] == 0:
+                            jd[JRN_COLOR, w] = 1
+                            jl[JRN_COLOR, jc[JRN_COLOR]] = w
+                            jc[JRN_COLOR] += 1
+                        color[w] = fstart
+                    if fsize > largest_size:
+                        largest_size = fsize
+                        largest_start = fstart
+                    k = j
+                k = 0
+                while k < csize:
+                    fstart = c + k
+                    fsize = clen[fstart]
+                    if (was_in_queue == 1 or fstart != largest_start) \
+                            and in_queue[fstart] == 0:
+                        queue[qtail] = fstart
+                        qtail = (qtail + 1) % qcap
+                        in_queue[fstart] = 1
+                    k += fsize
+            # a split only permutes [lo, c + csize)
             for idx in range(lo, c + csize):
-                bucket[cnt[order[idx]] + 1] += 1
-            for b in range(1, maxc + 2):
-                bucket[b] += bucket[b - 1]
-            for idx in range(lo, c + csize):
-                v = order[idx]
-                scratch[bucket[cnt[v]]] = v
-                bucket[cnt[v]] += 1
-            # the count pass logged every slot of [lo, c + csize) as a
-            # swap destination
-            for k in range(t):
-                v = scratch[k]
-                order[lo + k] = v
-                pos[v] = lo + k
-
-            was_in_queue = in_queue[c]
-            largest_start = -1
-            largest_size = -1
-            if t < csize:
-                if jd is not None and jd[JRN_CLEN, c] == 0:
-                    jd[JRN_CLEN, c] = 1
-                    jl[JRN_CLEN, jc[JRN_CLEN]] = c
-                    jc[JRN_CLEN] += 1
-                clen[c] = csize - t
-                largest_start = c
-                largest_size = csize - t
-            k = 0
-            while k < t:
-                cv = cnt[scratch[k]]
-                j = k + 1
-                while j < t and cnt[scratch[j]] == cv:
-                    j += 1
-                fstart = lo + k
-                fsize = j - k
-                if jd is not None and jd[JRN_CLEN, fstart] == 0:
-                    jd[JRN_CLEN, fstart] = 1
-                    jl[JRN_CLEN, jc[JRN_CLEN]] = fstart
-                    jc[JRN_CLEN] += 1
-                clen[fstart] = fsize
-                for q in range(k, j):
-                    w = scratch[q]
-                    if jd is not None and jd[JRN_COLOR, w] == 0:
-                        jd[JRN_COLOR, w] = 1
-                        jl[JRN_COLOR, jc[JRN_COLOR]] = w
-                        jc[JRN_COLOR] += 1
-                    color[w] = fstart
-                if fsize > largest_size:
-                    largest_size = fsize
-                    largest_start = fstart
-                k = j
-            k = 0
-            while k < csize:
-                fstart = c + k
-                fsize = clen[fstart]
-                if (was_in_queue == 1 or fstart != largest_start) \
-                        and in_queue[fstart] == 0:
-                    queue[qtail] = fstart
-                    qtail = (qtail + 1) % qcap
-                    in_queue[fstart] = 1
-                k += fsize
-
-        for t in range(ntouched):
-            cnt[touched[t]] = 0
+                cnt[order[idx]] = 0
 
 
 _KERNEL_SRC = Path(__file__).with_name("refine_kernel.c")
@@ -312,7 +298,7 @@ def native_kernel():
                       RuntimeWarning, stacklevel=2)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.refine.argtypes = [ptr] * 11 + [i64] * 3 + [ptr] * 7 + [i64]
+    lib.refine.argtypes = [ptr] * 9 + [i64] * 3 + [ptr] * 7 + [i64]
     lib.refine.restype = None
     lib.rollback.argtypes = [ptr, ptr, ptr, i64] + [ptr] * 7
     lib.rollback.restype = None
@@ -349,10 +335,12 @@ def _check_coloring(coloring: Coloring, n: int, lib):
 
 def _scratch_pool(graph: ColoredGraph):
     """Per-graph reusable kernel workspace, with the addresses of it and
-    of the graph's CSR arrays for the C kernel.  The kernel restores every
-    zero-initialized array to zeros before returning, so the pool needs
-    no cleaning between runs.  The CSR arrays are checked once here,
-    since the C kernel reads them unchecked."""
+    of the graph's CSR arrays for the C kernel.  `in_queue`, `cnt` and
+    `tcnt` are zero between runs: the kernel clears each entry it sets
+    before it returns, so the pool needs no cleaning.  The other arrays
+    are written before they are read (`bucket` is cleared before each
+    use).  The CSR arrays are checked once here, since the C kernel reads
+    them unchecked."""
     cached = getattr(graph, "_refine_scratch", None)
     if cached is None:
         n = graph.vertex_count
@@ -367,11 +355,9 @@ def _scratch_pool(graph: ColoredGraph):
         pool = (np.empty(n + 1, dtype=np.int32),          # queue
                 np.zeros(n, dtype=np.int8),               # in_queue
                 np.zeros(n, dtype=np.int32),              # cnt
-                np.empty(n, dtype=np.int32),              # touched
                 np.empty(n, dtype=np.int32),              # scratch
-                np.zeros(graph.max_degree + 2, dtype=np.int32),  # bucket
+                np.empty(graph.max_degree + 2, dtype=np.int32),  # bucket
                 np.empty(n, dtype=np.int32),              # cls_list
-                np.zeros(n, dtype=np.int8),               # cls_seen
                 np.zeros(n, dtype=np.int32))              # tcnt
         cached = pool, _ptrs(indptr, nbr, *pool)
         graph._refine_scratch = cached
@@ -458,7 +444,7 @@ class RefinementReport:
 def refine_stable(graph: ColoredGraph, pi: Coloring) -> RefinementReport:
     """Coarsest equitable refinement of pi."""
     refined = pi.copy()
-    _run_refinement(graph, refined, list(refined.classes()))
+    _run_refinement(graph, refined, refined.classes())
     return RefinementReport(base=pi, coloring=refined)
 
 

@@ -16,6 +16,11 @@
  * `valid_coloring`, the coloring's values, and a journal row records
  * each index at most once (jd flags it), so jc[a] <= jstride.
  *
+ * The workspace arrays in_queue, cnt and tcnt are zero between calls:
+ * the count pass lists a class in cls_list when its tcnt leaves 0, and
+ * each listed class, once handled, clears its tcnt and the cnt of its
+ * touched region, where all its touched vertices lie.
+ *
  * Built by refine.py with `cc -O2 -shared -fPIC` and loaded with ctypes.
  */
 #include <stdint.h>
@@ -64,9 +69,8 @@ int valid_coloring(int64_t n, const int32_t *order, const int32_t *pos,
  * journal. */
 void refine(const int32_t *indptr, const int32_t *nbr,
             int32_t *queue, int8_t *in_queue, int32_t *cnt,
-            int32_t *touched, int32_t *scratch, int32_t *bucket,
-            int32_t *cls_list, int8_t *cls_seen, int32_t *tcnt,
-            int64_t qcap, int64_t qhead, int64_t qtail,
+            int32_t *scratch, int32_t *bucket, int32_t *cls_list,
+            int32_t *tcnt, int64_t qcap, int64_t qhead, int64_t qtail,
             int32_t *order, int32_t *pos, int32_t *color, int32_t *clen,
             int8_t *jd, int32_t *jl, int64_t *jc, int64_t jstride)
 {
@@ -75,14 +79,15 @@ void refine(const int32_t *indptr, const int32_t *nbr,
         qhead = (qhead + 1) % qcap;
         in_queue[s] = 0;
 
-        int64_t ntouched = 0;
+        int64_t ncls = 0;
         for (int64_t idx = s; idx < s + clen[s]; idx++) {
             int32_t v = order[idx];
             for (int64_t j = indptr[v]; j < indptr[v + 1]; j++) {
                 int32_t u = nbr[j];
                 if (cnt[u] == 0) {
-                    touched[ntouched++] = u;
                     int32_t c = color[u];
+                    if (tcnt[c] == 0)
+                        cls_list[ncls++] = c;
                     int32_t dest = c + clen[c] - 1 - tcnt[c];
                     tcnt[c] += 1;
                     int32_t p = pos[u];
@@ -100,24 +105,13 @@ void refine(const int32_t *indptr, const int32_t *nbr,
             }
         }
 
-        int64_t ncls = 0;
-        for (int64_t t = 0; t < ntouched; t++) {
-            int32_t c = color[touched[t]];
-            if (cls_seen[c] == 0) {
-                cls_seen[c] = 1;
-                cls_list[ncls++] = c;
-            }
-        }
         qsort(cls_list, (size_t)ncls, sizeof(int32_t), cmp_i32);
 
         for (int64_t ci = 0; ci < ncls; ci++) {
             int32_t c = cls_list[ci];
-            cls_seen[c] = 0;
             int32_t csize = clen[c];
             int32_t t = tcnt[c];
             tcnt[c] = 0;
-            if (csize == 1)
-                continue;
             int32_t lo = c + csize - t;  /* touched region [lo, c + csize) */
             int32_t maxc = 0;
             int32_t minc = cnt[order[lo]];
@@ -128,76 +122,75 @@ void refine(const int32_t *indptr, const int32_t *nbr,
                 if (cc < minc)
                     minc = cc;
             }
-            if (t == csize && minc == maxc)
-                continue;
+            if (t < csize || minc < maxc) {
+                for (int32_t b = 0; b < maxc + 2; b++)
+                    bucket[b] = 0;
+                for (int32_t idx = lo; idx < c + csize; idx++)
+                    bucket[cnt[order[idx]] + 1] += 1;
+                for (int32_t b = 1; b < maxc + 2; b++)
+                    bucket[b] += bucket[b - 1];
+                for (int32_t idx = lo; idx < c + csize; idx++) {
+                    int32_t v = order[idx];
+                    scratch[bucket[cnt[v]]++] = v;
+                }
+                /* the count pass logged every slot of [lo, c + csize) as a
+                 * swap destination */
+                for (int32_t k = 0; k < t; k++) {
+                    int32_t v = scratch[k];
+                    order[lo + k] = v;
+                    pos[v] = lo + k;
+                }
 
-            for (int32_t b = 0; b < maxc + 2; b++)
-                bucket[b] = 0;
-            for (int32_t idx = lo; idx < c + csize; idx++)
-                bucket[cnt[order[idx]] + 1] += 1;
-            for (int32_t b = 1; b < maxc + 2; b++)
-                bucket[b] += bucket[b - 1];
-            for (int32_t idx = lo; idx < c + csize; idx++) {
-                int32_t v = order[idx];
-                scratch[bucket[cnt[v]]++] = v;
-            }
-            /* the count pass logged every slot of [lo, c + csize) as a
-             * swap destination */
-            for (int32_t k = 0; k < t; k++) {
-                int32_t v = scratch[k];
-                order[lo + k] = v;
-                pos[v] = lo + k;
-            }
-
-            int8_t was_in_queue = in_queue[c];
-            int32_t largest_start = -1;
-            int32_t largest_size = -1;
-            if (t < csize) {
-                if (jd)
-                    LOG(JRN_CLEN, c);
-                clen[c] = csize - t;
-                largest_start = c;
-                largest_size = csize - t;
-            }
-            int32_t k = 0;
-            while (k < t) {
-                int32_t cv = cnt[scratch[k]];
-                int32_t j = k + 1;
-                while (j < t && cnt[scratch[j]] == cv)
-                    j++;
-                int32_t fstart = lo + k;
-                int32_t fsize = j - k;
-                if (jd)
-                    LOG(JRN_CLEN, fstart);
-                clen[fstart] = fsize;
-                for (int32_t q = k; q < j; q++) {
-                    int32_t w = scratch[q];
+                int8_t was_in_queue = in_queue[c];
+                int32_t largest_start = -1;
+                int32_t largest_size = -1;
+                if (t < csize) {
                     if (jd)
-                        LOG(JRN_COLOR, w);
-                    color[w] = fstart;
+                        LOG(JRN_CLEN, c);
+                    clen[c] = csize - t;
+                    largest_start = c;
+                    largest_size = csize - t;
                 }
-                if (fsize > largest_size) {
-                    largest_size = fsize;
-                    largest_start = fstart;
+                int32_t k = 0;
+                while (k < t) {
+                    int32_t cv = cnt[scratch[k]];
+                    int32_t j = k + 1;
+                    while (j < t && cnt[scratch[j]] == cv)
+                        j++;
+                    int32_t fstart = lo + k;
+                    int32_t fsize = j - k;
+                    if (jd)
+                        LOG(JRN_CLEN, fstart);
+                    clen[fstart] = fsize;
+                    for (int32_t q = k; q < j; q++) {
+                        int32_t w = scratch[q];
+                        if (jd)
+                            LOG(JRN_COLOR, w);
+                        color[w] = fstart;
+                    }
+                    if (fsize > largest_size) {
+                        largest_size = fsize;
+                        largest_start = fstart;
+                    }
+                    k = j;
                 }
-                k = j;
+                k = 0;
+                while (k < csize) {
+                    int32_t fstart = c + k;
+                    int32_t fsize = clen[fstart];
+                    if ((was_in_queue == 1 || fstart != largest_start)
+                            && in_queue[fstart] == 0) {
+                        queue[qtail] = fstart;
+                        qtail = (qtail + 1) % qcap;
+                        in_queue[fstart] = 1;
+                    }
+                    k += fsize;
+                }
             }
-            k = 0;
-            while (k < csize) {
-                int32_t fstart = c + k;
-                int32_t fsize = clen[fstart];
-                if ((was_in_queue == 1 || fstart != largest_start)
-                        && in_queue[fstart] == 0) {
-                    queue[qtail] = fstart;
-                    qtail = (qtail + 1) % qcap;
-                    in_queue[fstart] = 1;
-                }
-                k += fsize;
-            }
+            /* a split only permutes [lo, c + csize) */
+            for (int32_t idx = lo; idx < c + csize; idx++)
+                cnt[order[idx]] = 0;
         }
-
-        for (int64_t t = 0; t < ntouched; t++)
-            cnt[touched[t]] = 0;
     }
 }
 

@@ -38,12 +38,9 @@ def _dive(graph: ColoredGraph, pi: Coloring, rng: random.Random) -> Coloring:
 
 def _pair_leaves(graph: ColoredGraph, d1: Coloring, d2: Coloring):
     """Literal permutation pairing the two discrete leaves slot by slot;
-    None when a literal slot faces a clause slot or the pairing cannot
-    be closed under negation."""
-    nlit = graph.num_literal_vertices
-    lit = d1.order < nlit
-    if not np.array_equal(lit, d2.order < nlit):
-        return None
+    None when the pairing is no negation-closed permutation of the
+    literals."""
+    lit = d1.order < graph.num_literal_vertices
     try:
         return LiteralPermutation(d1.order[lit], d2.order[lit])
     except ValueError:

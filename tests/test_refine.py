@@ -1,6 +1,7 @@
 """Refinement engine: equitability, invariance, and IR behavior."""
 
 import os
+import re
 import stat
 import warnings
 from unittest import mock
@@ -357,6 +358,19 @@ class TestNativeKernel:
         with pytest.raises(ValueError, match="ordered-partition"):
             IRSession(g, bad)
 
+    def test_argtypes_match_kernel_signatures(self):
+        """ctypes passes what argtypes says, unchecked against the C
+        source; a count that drifts from the signature crashes or feeds
+        garbage to the kernel."""
+        src = refine._KERNEL_SRC.read_text()
+        lib = refine.native_kernel()
+        for name in ("refine", "rollback", "valid_coloring"):
+            m = re.search(rf"^(?:int|void) {name}\(([^)]*)\)", src,
+                          re.MULTILINE)
+            assert m, f"no definition of {name}"
+            assert m.group(1).count(",") + 1 == \
+                len(getattr(lib, name).argtypes), name
+
     def test_build_into_private_cache(self, tmp_path, monkeypatch):
         """A build lands in the private cache next to the builds of other
         sources, flags or compilers, which stay."""
@@ -425,6 +439,44 @@ def test_slot_walk_fragments_match_member_colors(g, picks):
     check_fragments(g, vs)
     with python_kernel():
         check_fragments(g, vs)
+
+
+def assert_pool_clean(g):
+    """The pool's zero-initialized arrays are zero again: a count the
+    kernel leaves behind would be read by the next call on g."""
+    pool, _ = g._refine_scratch
+    for name, arr in (("in_queue", pool[1]), ("cnt", pool[2]),
+                      ("tcnt", pool[6])):
+        assert not arr.any(), f"{name} left nonzero"
+
+
+def check_pool_clean(g, vs):
+    base = refine_stable(g, initial_coloring(g)).coloring
+    assert_pool_clean(g)
+    for v in vs:
+        individualize_refine(g, base, v)
+        assert_pool_clean(g)
+    session = IRSession(g, base)
+    for i, v in enumerate(vs):
+        session.individualize(v)
+        assert_pool_clean(g)
+        for w in vs[i:]:
+            session.push(w)
+            assert_pool_clean(g)
+    session._rollback()
+    assert_pool_clean(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(), st.lists(st.integers(min_value=0), min_size=1,
+                                 max_size=4))
+def test_pool_is_clean_after_every_call(g, picks):
+    """Both kernels clear the pool the same way, so the C/Python
+    differential cannot see a clearing bug they share; this can."""
+    vs = [p % g.vertex_count for p in picks]
+    check_pool_clean(g, vs)
+    with python_kernel():
+        check_pool_clean(g, vs)
 
 
 @pytest.mark.parametrize("failure", ["no-compiler", "compiler-error"])

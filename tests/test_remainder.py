@@ -8,11 +8,12 @@ from symbreak.cnf import (Formula, LiteralPermutation, is_automorphism,
 from symbreak.modelgraph import build_model_graph
 from symbreak.refine import (individualize_refine, initial_coloring,
                              refine_stable)
-from symbreak.pipeline import PipelineConfig
-from symbreak.remainder import (_first_nonsingleton, _pair_leaves,
+from symbreak.pipeline import PipelineConfig, _remainder_coloring
+from symbreak.remainder import (_dive, _first_nonsingleton, _pair_leaves,
                                 find_remainder_generators)
 from symbreak.testkit import formula_automorphisms, gen_cycle_coloring, gen_php
 
+import numpy as np
 import pytest
 
 
@@ -135,3 +136,38 @@ def test_vectorized_helpers_match_loops(formula):
     mixed.order[a], mixed.order[b] = mixed.order[b], mixed.order[a]
     assert pair_leaves_loop(graph, leaves[0], mixed) is None
     assert _pair_leaves(graph, leaves[0], mixed) is None
+
+
+def renamed(f, seed):
+    """`f` with its variables renamed at random."""
+    rng = random.Random(seed)
+    perm = list(range(f.num_vars))
+    rng.shuffle(perm)
+    return Formula(f.num_vars, [[2 * perm[l // 2] + l % 2 for l in c]
+                                for c in f.clauses])
+
+
+@pytest.mark.parametrize("formula", [
+    gen_cycle_coloring(9, 3), gen_cycle_coloring(20, 4),
+    renamed(gen_cycle_coloring(20, 4), 3)],
+    ids=["c9-3coloring", "c20-4coloring", "renamed-c20-4coloring"])
+def test_dives_put_literals_in_the_same_slots(formula):
+    """_pair_leaves pairs literal slots without checking that the other
+    leaf holds literals there.  Refinement splits a class only inside its
+    own slots, and every class of the remainder coloring is all-literal
+    or all-clause, so every dive from it keeps its literal slots."""
+    graph, pi = prepared(formula)
+    nlit = graph.num_literal_vertices
+    covered = np.zeros(graph.vertex_count, dtype=bool)
+    covered[:2] = True
+    rem = refine_stable(graph, _remainder_coloring(graph, pi, covered))
+    rem = rem.coloring
+    is_lit = np.arange(graph.vertex_count) < nlit
+    assert np.array_equal(is_lit, is_lit[rem.order[rem.color]])
+    lit = rem.order < nlit
+    rng = random.Random(5)
+    for _ in range(4):
+        d1, d2 = _dive(graph, rem, rng), _dive(graph, rem, rng)
+        assert (d1.clen[d1.color] == 1).all()
+        assert np.array_equal(d1.order < nlit, lit)
+        assert np.array_equal(d2.order < nlit, lit)
