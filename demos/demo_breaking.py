@@ -39,7 +39,7 @@ def main():
     print("phi = (x1 x2) verified as a symmetry")
 
     order = build_order([], formula)           # plain ascending order
-    chain = lex_leader_encode(phi, order, next_aux=formula.num_vars + 1)
+    chain = lex_leader_encode([phi], order, next_aux=formula.num_vars + 1)
     print(f"lex-leader chain: {len(chain.clauses)} clauses, "
           f"{chain.aux_count} auxiliaries")
     for cl in chain.clauses:

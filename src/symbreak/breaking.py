@@ -9,10 +9,11 @@ threaded through every encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .cnf import Formula, LiteralPermutation, negate, pos, var_of
+from .cnf import MAX_VAR, Formula, _clause_tuples, var_of
 
 
 @dataclass
@@ -33,40 +34,50 @@ class VariableOrder:
             raise ValueError("order contains duplicate variables")
 
 
-@dataclass
+@dataclass(eq=False)
 class BreakingClauses:
-    """Clauses over original + auxiliary variables."""
+    """Clauses over original + auxiliary variables, stored as CSR the way
+    :class:`~symbreak.cnf.Formula` stores its own: int32 ``lens`` and
+    ``lits``, the clauses' literals back to back.  ``clauses`` is the same
+    list as tuples, built on first use."""
 
-    clauses: list
-    aux_count: int
+    lens: np.ndarray
+    lits: np.ndarray
+    aux_count: int = 0
+
+    @cached_property
+    def clauses(self) -> list:
+        return _clause_tuples(self.lens, self.lits)
+
+
+_NONE = np.empty(0, dtype=np.int32)
 
 
 def build_order(structures: list, formula: Formula) -> VariableOrder:
     """Global order: the variables of each structure's literals, in
     detection order, then all remaining variables ascending by id.  A
     variable enters at its first occurrence."""
-    ordered = []
-    seen = set()
-    for s in structures:
-        for v in map(var_of, s.literals):
-            if v not in seen:
-                seen.add(v)
-                ordered.append(v)
-    structured = len(ordered)
-    for v in range(1, formula.num_vars + 1):
-        if v not in seen:
-            ordered.append(v)
-    return VariableOrder(ordered, structured_count=structured)
+    lits = np.concatenate([_NONE] + [np.asarray(s.literals, dtype=np.int32)
+                                     for s in structures])
+    seen, first = np.unique(lits // 2 + 1, return_index=True)
+    head = seen[np.argsort(first)]
+    unseen = np.ones(formula.num_vars + 1, dtype=bool)
+    unseen[0] = False
+    unseen[head] = False
+    variables = np.concatenate((head, np.flatnonzero(unseen)))
+    return VariableOrder(variables.tolist(), structured_count=len(head))
 
 
 def structure_generators(s) -> list:
     return list(s.generators)
 
 
-def lex_leader_encode(phi: LiteralPermutation, order: VariableOrder,
-                      next_aux: int, max_len: int = 64) -> BreakingClauses:
+def lex_leader_encode(gens: list, order: VariableOrder, next_aux: int,
+                      max_len: int = 64) -> BreakingClauses:
     """Clauses forcing theta^phi to not exceed theta lexicographically on
-    the order-restricted support prefix.
+    the order-restricted support prefix, one chain per generator phi of
+    `gens`, in list order; the chains number their auxiliary variables
+    from `next_aux` on, also in list order.
 
     Per position i (variable x_i, image literal p_i = phi(pos(x_i))), with
     prefix-equality auxiliary a_i and a_0 folded away as true:
@@ -76,37 +87,53 @@ def lex_leader_encode(phi: LiteralPermutation, order: VariableOrder,
     p_i = !x_i degenerates the order clause to the unit (!a_{i-1} | x_i)
     and truncates the chain: prefix equality is impossible beyond it.
     At most ``max_len`` positions are encoded; 0 encodes none.
+
+    All chains are built in one pass: every generator's positions are
+    ranked and sorted by (generator, rank), each chain is cut at its
+    first flip or ``max_len``, and each kept position writes its three
+    clauses as one row of a position x clause x literal array whose mask
+    drops the absent a_0 and the aux clauses of a chain's last position.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
-    # the positions: moved variables in order, those outside it dropped
-    xs = phi.support[0::2] // 2 + 1
+    # the positions: each moved variable's positive literal and its image
+    px = np.concatenate([_NONE] + [g.support[0::2] for g in gens])
+    p = np.concatenate([_NONE] + [g.images[0::2] for g in gens])
+    owner = np.repeat(np.arange(len(gens)), [len(g) // 2 for g in gens])
+    xs = px // 2 + 1
     rank = np.full(len(xs), -1)
     inside = xs < len(order.rank)
     rank[inside] = order.rank[xs[inside]]
+    # variables outside the order are dropped
     ranked = np.flatnonzero(rank >= 0)
-    by = ranked[np.argsort(rank[ranked])][:max_len]
-
-    clauses = []
-    aux = 0
-    prefix = ()  # (!a_{i-1},), empty while a_0 is folded away
-    last = len(by) - 1
-    for i, (x, p) in enumerate(zip(xs[by].tolist(),
-                                   phi.images[0::2][by].tolist())):
-        px = pos(x)
-        if p == negate(px):
-            # a phase flip ends the encodable prefix
-            clauses.append(prefix + (px,))
-            break
-        clauses.append(prefix + (negate(p), px))
-        if i == last:
-            break
-        a = pos(next_aux + aux)
-        aux += 1
-        clauses.append(prefix + (px, a))
-        clauses.append(prefix + (negate(p), a))
-        prefix = (negate(a),)
-    return BreakingClauses(clauses, aux)
+    by = ranked[np.lexsort((rank[ranked], owner[ranked]))]
+    px, p, owner = px[by], p[by], owner[by]
+    count = np.bincount(owner, minlength=len(gens))
+    j = np.arange(len(by)) - (np.cumsum(count) - count)[owner]
+    # a chain ends at its first phase flip or after max_len positions
+    flip = p == px ^ 1
+    length = np.minimum(count, max_len)
+    np.minimum.at(length, owner[flip], j[flip] + 1)
+    kept = j < length[owner]
+    px, p, owner, j, flip = px[kept], p[kept], owner[kept], j[kept], flip[kept]
+    aux = np.maximum(length - 1, 0)
+    aux_count = int(aux.sum())
+    if next_aux - 1 + aux_count > MAX_VAR:
+        raise ValueError(f"auxiliary variable beyond {MAX_VAR}")
+    a = 2 * ((next_aux - 1 + np.cumsum(aux) - aux)[owner] + j)  # pos(a_i)
+    notp = p ^ 1
+    rows = np.empty((len(px), 3, 3), dtype=np.int32)
+    rows[:, :, 0] = (a - 1)[:, None]                  # !a_{i-1}
+    rows[:, 0, 1], rows[:, 0, 2] = notp, px
+    rows[:, 1, 1], rows[:, 1, 2] = px, a
+    rows[:, 2, 1], rows[:, 2, 2] = notp, a
+    mask = np.ones(rows.shape, dtype=bool)
+    mask[:, :, 0] = (j > 0)[:, None]
+    mask[j == length[owner] - 1, 1:] = False
+    mask[flip, 0, 1] = False
+    lens = np.count_nonzero(mask, axis=2).ravel()
+    return BreakingClauses(lens[lens > 0].astype(np.int32), rows[mask],
+                           aux_count)
 
 
 def _component_roots(size: int, a, b):
@@ -151,11 +178,10 @@ def binary_clause_heuristic(gens: list, order: VariableOrder):
     edges of the surviving generators.
     """
     gens = list(gens)
-    clauses = []
+    lens, clause_lits = [_NONE], [_NONE]
     stabilized = []
-    none = np.empty(0, dtype=np.int32)
-    src = np.concatenate([none] + [g.support for g in gens])
-    dst = np.concatenate([none] + [g.images for g in gens])
+    src = np.concatenate([_NONE] + [g.support for g in gens])
+    dst = np.concatenate([_NONE] + [g.images for g in gens])
     owner = np.repeat(np.arange(len(gens)), [len(g) for g in gens])
     lits, ends = np.unique(np.concatenate((src, dst)), return_inverse=True)
     a, b = ends[:len(src)], ends[len(src):]
@@ -173,11 +199,14 @@ def binary_clause_heuristic(gens: list, order: VariableOrder):
         x = candidates[np.argmin(rank[candidates])]
         roots = _component_roots(len(lits), a[live], b[live])
         xl = int(lits[x])
-        for y in lits[roots == roots[x]].tolist():
-            if y == negate(xl):
-                clauses.append((xl,))
-            elif y != xl:
-                clauses.append((xl, negate(y)))
+        ys = lits[roots == roots[x]]
+        ys = ys[ys != xl]
+        pair = np.empty((len(ys), 2), dtype=np.int32)
+        pair[:, 0], pair[:, 1] = xl, ys ^ 1
+        keep = np.ones(pair.shape, dtype=bool)
+        keep[:, 1] = ys != xl ^ 1
+        lens.append(np.count_nonzero(keep, axis=1))
+        clause_lits.append(pair[keep])
         stabilized.append(var_of(xl))
         alive[owner[a == x]] = False
 
@@ -189,4 +218,5 @@ def binary_clause_heuristic(gens: list, order: VariableOrder):
         mid = [v for v in stabilized if v in moved]
         order = VariableOrder(head + mid + tail,
                               structured_count=order.structured_count)
-    return BreakingClauses(clauses, 0), order
+    return BreakingClauses(np.concatenate(lens).astype(np.int32),
+                           np.concatenate(clause_lits)), order

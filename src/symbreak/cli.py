@@ -106,7 +106,7 @@ def _cmd_break(args) -> int:
     comments.append(f"added {out.stats['clauses_added']} clauses, "
                     f"{out.aux_count} auxiliary variables, seed {args.seed}")
     t0 = time.perf_counter()
-    text = emit_dimacs(formula, added=out.added_clauses,
+    text = emit_dimacs(formula, added=out.added,
                        aux_vars=out.aux_count, comments=comments)
     emit_ms = (time.perf_counter() - t0) * 1000.0
     if _write_output(args.output, text):

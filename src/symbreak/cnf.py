@@ -336,19 +336,26 @@ def emit_dimacs(formula: Formula, added: Iterable[tuple] = (),
     """Serialize a formula plus added clauses.
 
     Original clauses are emitted in their original order; added clauses
-    follow.  ``comments`` lines are prefixed with ``c symbreak: ``.
+    follow.  ``added`` is either an iterable of literal-code tuples or an
+    object holding them as CSR arrays ``lens`` and ``lits``, as
+    ``breaking.BreakingClauses`` does, written as they are.
+    ``comments`` lines are prefixed with ``c symbreak: ``.
     """
-    added = list(added)
+    if hasattr(added, "lens"):
+        add_lens, add_lits = added.lens, added.lits
+    else:
+        added = list(added)
+        add_lens = np.fromiter(map(len, added), dtype=np.int64,
+                               count=len(added))
+        add_lits = np.fromiter(chain.from_iterable(added), dtype=np.int64,
+                               count=int(add_lens.sum()))
     num_vars = formula.num_vars + aux_vars
-    add_lens = np.fromiter(map(len, added), dtype=np.int64, count=len(added))
-    add_lits = np.fromiter(chain.from_iterable(added), dtype=np.int64,
-                           count=int(add_lens.sum()))
     if len(add_lits) and (add_lits.min() < 0
                           or add_lits.max() // 2 + 1 > num_vars):
         raise ValueError("added clause exceeds declared variable range")
     return "".join([
         *(f"c symbreak: {line}\n" for line in comments),
-        f"p cnf {num_vars} {formula.num_clauses + len(added)}\n",
+        f"p cnf {num_vars} {formula.num_clauses + len(add_lens)}\n",
         _clause_lines(formula.lens, formula.lits),
         _clause_lines(add_lens, add_lits)])
 

@@ -15,8 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .breaking import (binary_clause_heuristic, build_order,
-                       lex_leader_encode, structure_generators)
+from .breaking import (BreakingClauses, binary_clause_heuristic,
+                       build_order, lex_leader_encode, structure_generators)
 from .cnf import Formula
 from .detectors import (DetectionFailure, detect_johnson, detect_row_blocks,
                         detect_row_column, negation_class_of,
@@ -45,11 +45,21 @@ class PipelineConfig:
 
 @dataclass
 class BreakerOutput:
-    added_clauses: list
-    aux_count: int
+    """The run's breaking clauses, binary ones first, as the int32 arrays
+    `added`; ``added_clauses`` is their tuple view."""
+
+    added: BreakingClauses
     structures: list
     remainder_generators: list
     stats: dict = field(default_factory=dict)
+
+    @property
+    def added_clauses(self) -> list:
+        return self.added.clauses
+
+    @property
+    def aux_count(self) -> int:
+        return self.added.aux_count
 
 
 def _literal_classes(graph, pi: Coloring, covered) -> list:
@@ -156,8 +166,13 @@ def _remainder_coloring(graph, pi: Coloring, covered) -> Coloring:
     return Coloring.from_color_map(keys)
 
 
-def _output(structures, attempts, rem_gens, added, aux, binary_count,
-            times, pi) -> BreakerOutput:
+def _no_clauses() -> BreakingClauses:
+    none = np.empty(0, dtype=np.int32)
+    return BreakingClauses(none, none)
+
+
+def _output(structures, attempts, rem_gens, added, binary_count, times,
+            pi) -> BreakerOutput:
     # orbit sizes read the covered vertices by index: a boolean-mask read
     # raised peak RSS on php instances by about 0.4 MB
     stats = {
@@ -178,12 +193,11 @@ def _output(structures, attempts, rem_gens, added, aux, binary_count,
             "generators": len(rem_gens),
             "binary_clauses": binary_count,
         },
-        "clauses_added": len(added),
-        "aux_vars": aux,
+        "clauses_added": len(added.lens),
+        "aux_vars": added.aux_count,
         "phase_times_ms": times,
     }
-    return BreakerOutput(added_clauses=added, aux_count=aux,
-                         structures=structures,
+    return BreakerOutput(added=added, structures=structures,
                          remainder_generators=rem_gens, stats=stats)
 
 
@@ -194,7 +208,7 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
                            "encode_ms"), 0.0)
     if not formula.lens.all():
         # an empty clause already makes the formula unsatisfiable
-        return _output([], [], [], [], 0, 0, times, None)
+        return _output([], [], [], _no_clauses(), 0, times, None)
 
     t0 = time.perf_counter()
     graph = build_model_graph(formula)
@@ -217,22 +231,18 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
 
     t0 = time.perf_counter()
     order = build_order(structures, formula)
-    added = []
-    aux = 0
-    binary_count = 0
+    binary = _no_clauses()
     if config.binary and rem_gens:
-        bc, order = binary_clause_heuristic(rem_gens, order)
-        added.extend(bc.clauses)
-        binary_count = len(bc.clauses)
+        binary, order = binary_clause_heuristic(rem_gens, order)
     chain_gens = []
     for s in structures:
         chain_gens.extend(structure_generators(s))
     chain_gens.extend(rem_gens)
-    for phi in chain_gens:
-        chain = lex_leader_encode(phi, order, formula.num_vars + 1 + aux,
-                                  max_len=config.max_len)
-        added.extend(chain.clauses)
-        aux += chain.aux_count
+    chains = lex_leader_encode(chain_gens, order, formula.num_vars + 1,
+                               max_len=config.max_len)
+    added = BreakingClauses(np.concatenate((binary.lens, chains.lens)),
+                            np.concatenate((binary.lits, chains.lits)),
+                            chains.aux_count)
     times["encode_ms"] = (time.perf_counter() - t0) * 1000.0
-    return _output(structures, attempts, rem_gens, added, aux, binary_count,
+    return _output(structures, attempts, rem_gens, added, len(binary.lens),
                    times, pi)

@@ -200,7 +200,7 @@ def test_acceptance_6_lex_leader_exactness():
             mapping[2 * (v - 1) + 1] = 2 * (vperm[v - 1] - 1) + (not flip)
         phi = LiteralPermutation(list(mapping), list(mapping.values()))
         order = VariableOrder(list(range(1, n + 1)))
-        out = lex_leader_encode(phi, order, n + 1)
+        out = lex_leader_encode([phi], order, n + 1)
         prefix = _encoded_prefix(mapping, order.variables)
         for bits in itertools.product((False, True), repeat=n):
             theta = {v + 1: bits[v] for v in range(n)}

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from symbreak.breaking import (VariableOrder, binary_clause_heuristic,
                                build_order, lex_leader_encode,
                                structure_generators)
-from symbreak.cnf import (Formula, LiteralPermutation, neg_var, negate, pos,
-                          transpose, var_of)
+from symbreak.cnf import (MAX_VAR, Formula, LiteralPermutation, neg_var,
+                          negate, pos, transpose, var_of)
 from symbreak.detectors import Structure
 from test_generator_differential import as_dict
 
@@ -91,12 +91,13 @@ class TestBuildOrder:
 
 class TestLexLeaderEncode:
     def test_identity_empty(self):
-        out = lex_leader_encode(LiteralPermutation(), make_order([1, 2]), 3)
+        out = lex_leader_encode([LiteralPermutation()], make_order([1, 2]),
+                                3)
         assert out.clauses == [] and out.aux_count == 0
 
     def test_swap_two_vars_exact_clauses(self):
         phi = transpose([pos(1)], [pos(2)])
-        out = lex_leader_encode(phi, make_order([1, 2]), 3)
+        out = lex_leader_encode([phi], make_order([1, 2]), 3)
         a = pos(3)
         expected = [
             (neg_var(2), pos(1)),
@@ -110,20 +111,20 @@ class TestLexLeaderEncode:
 
     def test_swap_models_match_lex_predicate(self):
         phi = transpose([pos(1)], [pos(2)])
-        out = lex_leader_encode(phi, make_order([1, 2]), 3)
+        out = lex_leader_encode([phi], make_order([1, 2]), 3)
         models = clause_models(2, out.aux_count, out.clauses)
         assert models == {(False, False), (True, False), (True, True)}
 
     def test_phase_flip_is_unit(self):
         phi = LiteralPermutation([pos(1), neg_var(1)], [neg_var(1), pos(1)])
-        out = lex_leader_encode(phi, make_order([1]), 2)
+        out = lex_leader_encode([phi], make_order([1]), 2)
         assert out.clauses == [(pos(1),)]
         assert out.aux_count == 0
 
     def test_phase_flip_truncates_chain(self):
         phi = LiteralPermutation([pos(1), neg_var(1), pos(2), pos(3)],
                                  [neg_var(1), pos(1), pos(3), pos(2)])
-        out = lex_leader_encode(phi, make_order([1, 2, 3]), 4)
+        out = lex_leader_encode([phi], make_order([1, 2, 3]), 4)
         # position 1 flips phase: single unit clause, nothing after
         assert out.clauses == [(pos(1),)]
 
@@ -133,7 +134,8 @@ class TestLexLeaderEncode:
             mapping[pos(v)] = pos(v + 1)
             mapping[pos(v + 1)] = pos(v)
         phi = LiteralPermutation(list(mapping), list(mapping.values()))
-        out = lex_leader_encode(phi, make_order(range(1, 7)), 7, max_len=2)
+        out = lex_leader_encode([phi], make_order(range(1, 7)), 7,
+                                max_len=2)
         prefix = encoded_prefix(phi, make_order(range(1, 7)), max_len=2)
         assert len(prefix) == 2
         models = clause_models(6, out.aux_count, out.clauses)
@@ -144,13 +146,22 @@ class TestLexLeaderEncode:
 
     def test_max_len_zero_encodes_nothing(self):
         phi = transpose([pos(1)], [pos(2)])
-        out = lex_leader_encode(phi, make_order([1, 2]), 3, max_len=0)
+        out = lex_leader_encode([phi], make_order([1, 2]), 3, max_len=0)
         assert out.clauses == [] and out.aux_count == 0
 
     def test_negative_max_len_rejected(self):
         phi = transpose([pos(1)], [pos(2)])
         with pytest.raises(ValueError):
-            lex_leader_encode(phi, make_order([1, 2]), 3, max_len=-1)
+            lex_leader_encode([phi], make_order([1, 2]), 3, max_len=-1)
+
+    def test_aux_variables_stay_literal_codes(self):
+        # the chain of a swap needs one auxiliary variable
+        phi = transpose([pos(1)], [pos(2)])
+        out = lex_leader_encode([phi], make_order([1, 2]), MAX_VAR)
+        assert out.aux_count == 1 and max(map(max, out.clauses)) == \
+            neg_var(MAX_VAR)
+        with pytest.raises(ValueError):
+            lex_leader_encode([phi], make_order([1, 2]), MAX_VAR + 1)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_permutation_exactness(self, seed):
@@ -165,7 +176,7 @@ class TestLexLeaderEncode:
             mapping[neg_var(v)] = 2 * (vperm[v - 1] - 1) + (not flip)
         phi = LiteralPermutation(list(mapping), list(mapping.values()))
         order = make_order(range(1, n + 1))
-        out = lex_leader_encode(phi, order, n + 1)
+        out = lex_leader_encode([phi], order, n + 1)
         prefix = encoded_prefix(phi, order)
         models = clause_models(n, out.aux_count, out.clauses)
         expected = {

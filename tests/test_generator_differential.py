@@ -2,14 +2,15 @@
 `LiteralPermutation` constructor, `is_automorphism` and
 `lex_leader_encode` of symbreak against the dict-based implementations
 they replaced, kept here verbatim as references (apart from the
-encoder's rank, which it now builds from `order.variables`)."""
+encoder's rank, which it now builds from `order.variables`, and its
+result, now a plain (clauses, aux count) pair for one generator)."""
 
 from typing import Optional
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symbreak.breaking import BreakingClauses, VariableOrder, lex_leader_encode
+from symbreak.breaking import VariableOrder, lex_leader_encode
 from symbreak.cnf import (Formula, LiteralPermutation, _row_keys,
                           clause_multiset_image_check, is_automorphism,
                           negate, neg_var, pos, transpose, var_of)
@@ -97,7 +98,8 @@ def ref_automorphism_failure(formula: Formula,
 
 
 def ref_lex_leader_encode(phi: RefLiteralPermutation, order: VariableOrder,
-                          next_aux: int, max_len: int = 64) -> BreakingClauses:
+                          next_aux: int, max_len: int = 64):
+    """(clauses, aux count) of one generator's chain."""
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     rank = {v: i for i, v in enumerate(order.variables)}
@@ -136,7 +138,7 @@ def ref_lex_leader_encode(phi: RefLiteralPermutation, order: VariableOrder,
         clauses.append(tuple(prefix + [pos(x), a]))
         clauses.append(tuple(prefix + [negate(p), a]))
         prev_a = a
-    return BreakingClauses(clauses, aux)
+    return clauses, aux
 
 
 def built(mapping: dict):
@@ -230,15 +232,13 @@ def formula_and_generator(draw):
     return Formula(num_vars, clauses + sorted(closed)), phi, kind
 
 
-@st.composite
-def generators_and_orders(draw):
-    """A generator over up to 12 variables (signed cycles, so phase
-    flips occur) and an order over some of its variables and others."""
-    n = draw(st.integers(1, 12))
+def signed_cycles(draw, pool: list) -> dict:
+    """A literal dict of 1-3 signed cycles over the variables `pool`
+    (so phase flips occur)."""
     mapping = {}
     for _ in range(draw(st.integers(1, 3))):
-        cycle = draw(st.lists(st.integers(1, n), min_size=1, max_size=n,
-                              unique=True))
+        cycle = draw(st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=len(pool), unique=True))
         cycle = [v for v in cycle if pos(v) not in mapping]
         signs = draw(st.lists(st.integers(0, 1), min_size=len(cycle),
                               max_size=len(cycle)))
@@ -246,8 +246,52 @@ def generators_and_orders(draw):
             w = cycle[(i + 1) % len(cycle)]
             mapping[pos(v)] = pos(w) ^ signs[i]
             mapping[neg_var(v)] = pos(w) ^ signs[i] ^ 1
+    return mapping
+
+
+@st.composite
+def generators_and_orders(draw):
+    """A generator over up to 12 variables (signed cycles, so phase
+    flips occur) and an order over some of its variables and others."""
+    n = draw(st.integers(1, 12))
+    mapping = signed_cycles(draw, list(range(1, n + 1)))
     variables = draw(st.lists(st.integers(1, n + 3), unique=True))
     return mapping, VariableOrder(variables)
+
+
+@st.composite
+def generator_lists_and_orders(draw):
+    """0-6 generators and an order over some of up to 15 variables.
+    Each generator is signed cycles, empty, moves only variables outside
+    the order (some past its largest), flips the order's first variable
+    (a flip at position 0), or shifts all of the order's variables but
+    its last, which it flips (a flip past a short ``max_len``)."""
+    n = draw(st.integers(1, 12))
+    variables = draw(st.lists(st.integers(1, n + 3), unique=True))
+    outside = [v for v in range(1, n + 6) if v not in variables]
+    kinds = ["cycles", "empty", "outside"]
+    if variables:
+        kinds += ["first flip", "late flip"]
+    mappings = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        mapping = {}
+        if kind == "cycles":
+            mapping = signed_cycles(draw, list(range(1, n + 4)))
+        elif kind == "outside":
+            mapping = signed_cycles(draw, outside)
+        elif kind == "first flip":
+            first = variables[0]
+            mapping = signed_cycles(draw, [v for v in range(1, n + 4)
+                                           if v != first])
+            mapping[pos(first)], mapping[neg_var(first)] = (neg_var(first),
+                                                            pos(first))
+        elif kind == "late flip":
+            *head, last = variables
+            for v, w in zip(head, head[1:] + head[:1]):
+                mapping[pos(v)], mapping[neg_var(v)] = pos(w), neg_var(w)
+            mapping[pos(last)], mapping[neg_var(last)] = neg_var(last), pos(last)
+        mappings.append(mapping)
+    return mappings, VariableOrder(variables)
 
 
 # ---- tests ---------------------------------------------------------------
@@ -283,8 +327,31 @@ def test_verifier_matches_reference(case):
 def test_lex_encoder_matches_reference(case, max_len, next_aux):
     mapping, order = case
     phi, _ = built(mapping)
-    got = lex_leader_encode(phi, order, next_aux, max_len=max_len)
-    want = ref_lex_leader_encode(ref_fix(RefLiteralPermutation(mapping)),
-                                 order, next_aux, max_len=max_len)
-    assert got.clauses == want.clauses
-    assert got.aux_count == want.aux_count
+    got = lex_leader_encode([phi], order, next_aux, max_len=max_len)
+    clauses, aux = ref_lex_leader_encode(
+        ref_fix(RefLiteralPermutation(mapping)), order, next_aux,
+        max_len=max_len)
+    assert got.clauses == clauses
+    assert got.aux_count == aux
+
+
+@settings(max_examples=300)
+@given(generator_lists_and_orders(), st.sampled_from([0, 1, 3, 64]),
+       st.integers(1, 40))
+def test_lex_encoder_chains_match_reference_in_turn(case, max_len, next_aux):
+    """A list of generators encodes as the reference's chains, one
+    generator after another, each numbering its auxiliaries on from
+    the previous one's."""
+    mappings, order = case
+    gens = [built(m)[0] for m in mappings]
+    got = lex_leader_encode(gens, order, next_aux, max_len=max_len)
+    clauses, aux = [], 0
+    for mapping in mappings:
+        chain, count = ref_lex_leader_encode(
+            ref_fix(RefLiteralPermutation(mapping)), order, next_aux + aux,
+            max_len=max_len)
+        clauses += chain
+        aux += count
+    assert got.clauses == clauses
+    assert got.aux_count == aux
+    assert got.lens.dtype == got.lits.dtype == np.int32

@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import numpy as np
+
 import symbreak.detectors as detectors
 from symbreak.cnf import (Formula, clause_multiset_image_check, emit_dimacs,
                           neg_var, pos, transpose)
@@ -62,6 +64,21 @@ def test_emitted_dimacs_is_pinned(make, digest):
     text = emit_dimacs(formula, added=out.added_clauses,
                        aux_vars=out.aux_count)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_php(6),
+    lambda: gen_cliquecolor(10, 3, 2),
+    # binary clauses from the remainder's generators, then chains
+    lambda: gen_cycle_coloring(15, 3),
+    lambda: Formula(2, [[pos(1)], []]),
+], ids=["php6", "cliquecolor1032", "c15-3coloring", "empty-clause"])
+def test_emit_writes_clause_arrays_as_their_tuples(make):
+    formula = make()
+    out = run(formula, PipelineConfig(seed=3))
+    assert out.added.lens.dtype == out.added.lits.dtype == np.int32
+    assert emit_dimacs(formula, added=out.added, aux_vars=out.aux_count) == \
+        emit_dimacs(formula, added=out.added_clauses, aux_vars=out.aux_count)
 
 
 # SHA-256 of the attempt log (every field but "ms") and the structure

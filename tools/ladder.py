@@ -12,6 +12,13 @@ run's wall time covers interpreter start, import, parse, the pipeline
 and emit; its peak RSS is the child's own (`wait4`).  Each instance runs
 REPEAT times; its entry reports the run with the median wall time, plus
 every run's wall time.
+
+    python3 tools/ladder.py -o BENCH.json --baseline ../parent/src
+
+compares this checkout with the symbreak package under another `src/`.
+Each instance's runs then alternate between the two sides run by run,
+in the order A B B A A B ..., so a slow phase of a shared host falls on
+both sides alike; the report holds both sides' entries.
 """
 
 from __future__ import annotations
@@ -44,19 +51,20 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
-def _child(args: list):
-    """Start `symbreak.cli.main(args)` in a fresh interpreter."""
-    return subprocess.Popen([sys.executable, "-c", CHILD, SRC, *args],
+def _child(args: list, src: str = SRC):
+    """Start `symbreak.cli.main(args)` in a fresh interpreter that imports
+    symbreak from the directory `src`."""
+    return subprocess.Popen([sys.executable, "-c", CHILD, src, *args],
                             stdin=subprocess.DEVNULL,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE)
 
 
-def _break_once(src: str, workdir: str) -> dict:
+def _break_once(cnf: str, workdir: str, src: str) -> dict:
     stats = os.path.join(workdir, "stats.json")
     t0 = time.perf_counter()
-    proc = _child(["break", src, "-o", os.path.join(workdir, "out.cnf"),
-                   "--stats", stats])
+    proc = _child(["break", cnf, "-o", os.path.join(workdir, "out.cnf"),
+                   "--stats", stats], src)
     # stderr stays small: symbreak writes only error messages there
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
@@ -73,16 +81,26 @@ def _break_once(src: str, workdir: str) -> dict:
 
 
 def run_instance(family: str, params: tuple, workdir: str,
-                 repeat: int = 1) -> dict:
-    """The ladder entry of one instance: `repeat` fresh-process runs of
-    `symbreak break`, reported by the run with the median wall time."""
-    src = os.path.join(workdir, "in.cnf")
-    gen = _child(["gen", family, *map(str, params), "-o", src])
+                 repeat: int = 1, sources: tuple = (SRC,)) -> list:
+    """The ladder entries of one instance, one per symbreak `src/`
+    directory of `sources`: `repeat` fresh-process runs of `symbreak
+    break` on each side, the sides alternating run by run, each side
+    reported by its run with the median wall time."""
+    cnf = os.path.join(workdir, "in.cnf")
+    gen = _child(["gen", family, *map(str, params), "-o", cnf])
     _, err = gen.communicate()
     if gen.returncode != 0:
         raise RuntimeError(f"symbreak gen exited {gen.returncode}: "
                            f"{err.decode(errors='replace')[-400:]}")
-    runs = [_break_once(src, workdir) for _ in range(repeat)]
+    runs = [[] for _ in sources]
+    turn = list(enumerate(sources))
+    for i in range(repeat):
+        for side, src in turn[::-1] if i % 2 else turn:
+            runs[side].append(_break_once(cnf, workdir, src))
+    return [_entry(family, params, side_runs) for side_runs in runs]
+
+
+def _entry(family: str, params: tuple, runs: list) -> dict:
     walls = [r["wall_s"] for r in runs]
     mid = runs[walls.index(statistics.median_low(walls))]
     stats = mid["stats"]
@@ -105,24 +123,34 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("-o", "--output", required=True,
                     help="JSON file to write")
+    ap.add_argument("--baseline", metavar="SRC",
+                    help="a directory holding another symbreak package, "
+                         "run alternately with this checkout's")
     args = ap.parse_args(argv)
-    entries = []
+    sources = (SRC,)
+    if args.baseline:
+        sources += (os.path.abspath(args.baseline),)
+    sides = [[] for _ in sources]
     with tempfile.TemporaryDirectory() as workdir:
         for family, params in LADDER:
-            entry = run_instance(family, params, workdir, REPEAT)
-            entries.append(entry)
-            times = entry["phase_times_ms"]
-            print(f"{entry['instance']:22s} {entry['wall_s']:7.3f} s  "
-                  f"parse {times['parse_ms']:7.1f} ms  "
-                  f"emit {times['emit_ms']:7.1f} ms  "
-                  f"rss {entry['peak_rss_mb']:6.1f} MB", flush=True)
+            entries = run_instance(family, params, workdir, REPEAT, sources)
+            for side, tag, entry in zip(sides, ("", " (baseline)"), entries):
+                side.append(entry)
+                times = entry["phase_times_ms"]
+                print(f"{entry['instance']:22s} {entry['wall_s']:7.3f} s  "
+                      f"parse {times['parse_ms']:7.1f} ms  "
+                      f"emit {times['emit_ms']:7.1f} ms  "
+                      f"rss {entry['peak_rss_mb']:6.1f} MB{tag}", flush=True)
     report = {
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "repeat": REPEAT,
-        "instances": entries,
+        "instances": sides[0],
     }
+    if args.baseline:
+        report["baseline_src"] = sources[1]
+        report["baseline_instances"] = sides[1]
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
