@@ -202,9 +202,12 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     """Row-column symmetry Sym(n) x Sym(m) on the class `sigma`.
 
     A pivot individualization must split sigma into {v}, row remainder,
-    column remainder, and the rest; individualizing each row/column
-    representative assigns matrix coordinates, and the adjacent row and
-    column transpositions (negation-expanded) are verified.
+    column remainder, and the rest.  Probes of cells off those two lines
+    assign matrix coordinates, two lines a probe (`_label_off_axis`),
+    and the adjacent row and column transpositions (negation-expanded)
+    are verified.  When that finds no verified grid, individualizing
+    each row/column head labels its line (`_label_heads`), and that
+    attempt's outcome is the result.
     """
     members = pi.class_members(sigma)
     if (members >= graph.num_literal_vertices).any():
@@ -230,23 +233,111 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     # each member's row and column label by its slot in sigma, -1 while
     # unassigned: the line through v is 0, the one through head k is k
     rows, cols = len(row_heads) + 1, len(col_heads) + 1
-    row, col = np.full((2, len(members)), -1)
+    axes = np.full((2, len(members)), -1)
     slot = pi.pos[[v] + col_heads + row_heads] - sigma
-    row[slot] = [0] * cols + list(range(1, rows))
-    col[slot] = list(range(cols)) + [0] * (rows - 1)
-    for heads, label, want in ((col_heads, col, rows - 1),
-                               (row_heads, row, cols - 1)):
-        for k, h in enumerate(heads, 1):
-            rep = session.individualize(h)
-            # excluding the fragments holding v and h by color id equals
-            # excluding fragments containing them
-            skip = (rep.coloring.color[v], rep.coloring.color[h])
-            cand = [pi.pos[frag] - sigma for c, frag in rep.fragments(sigma)
-                    if len(frag) == want and c not in skip]
-            if len(cand) != 1 or (label[cand[0]] >= 0).any():
-                return DetectionFailure("missing size-matched fragment")
-            label[cand[0]] = k
+    axes[0, slot] = [0] * cols + list(range(1, rows))
+    axes[1, slot] = list(range(cols)) + [0] * (rows - 1)
+    # a grid the off-axis probes find and the verifier proves is the one
+    # the head probes find (see `_label_off_axis`); the head probes run
+    # only when there is none, and give the reason for a failure
+    row, col = axes.copy()
+    if _label_off_axis(session, pi, sigma, row, col, rows, cols):
+        found = _grid_structure(formula, members, row, col, rows, cols)
+        if found:
+            return found
+    row, col = axes
+    if not (_label_heads(session, pi, sigma, v, col_heads, col, rows - 1)
+            and _label_heads(session, pi, sigma, v, row_heads, row,
+                             cols - 1)):
+        return DetectionFailure("missing size-matched fragment")
+    return _grid_structure(formula, members, row, col, rows, cols)
 
+
+def _label_heads(session: IRSession, pi: Coloring, sigma: int, v: int,
+                 heads, label, want) -> bool:
+    """Label the line of each head k with k by probing the head: the
+    line is the one fragment of sigma of size `want` that holds neither
+    v nor the head.  False when a probe has no such fragment or one
+    whose slots are labeled already."""
+    for k, h in enumerate(heads, 1):
+        rep = session.individualize(h)
+        # excluding the fragments holding v and h by color id equals
+        # excluding fragments containing them
+        skip = (rep.coloring.color[v], rep.coloring.color[h])
+        cand = [pi.pos[frag] - sigma for c, frag in rep.fragments(sigma)
+                if len(frag) == want and c not in skip]
+        if len(cand) != 1 or (label[cand[0]] >= 0).any():
+            return False
+        label[cand[0]] = k
+    return True
+
+
+def _label_off_axis(session: IRSession, pi: Coloring, sigma: int,
+                    row, col, rows: int, cols: int) -> bool:
+    """Label the cells off row 0 and column 0 with one probe per cell
+    whose row and column are both unlabeled, while there is one, and
+    then per cell with one of the two unlabeled; False when a probe's
+    fragments are not of the shape below, or sigma has other than
+    rows * cols members.
+
+    In a grid, a probe of cell x splits off the rest of x's row, whose
+    one row-labeled cell is the row's head in column 0, and the rest of
+    x's column, whose one column-labeled cell is the column's head in
+    row 0, and each line takes its head's label.  So a probe labels two
+    lines where `_label_heads` labels one.  A probe refines only until
+    sigma holds four classes.
+
+    Both find the same grid: when the verifier proves one grid's line
+    swaps automorphisms, the swaps carry the pivot's probe to a probe
+    of any cell, since the coarsest equitable refinement is invariant,
+    so each head's probe splits off its line, as `_label_heads` reads
+    it."""
+    members = pi.class_members(sigma)
+    while True:
+        todo = (row < 0) & (col < 0)
+        if not todo.any():
+            todo = (row < 0) | (col < 0)
+            if not todo.any():
+                return len(members) == rows * cols
+        x = int(np.argmax(todo))
+        rep = session.individualize(int(members[x]), until=(sigma, 4))
+        lines = _lines_through(rep, pi, sigma, x, row, col, rows, cols)
+        if lines is None:
+            return False
+        for label, (slots, k) in zip((row, col), lines):
+            label[slots] = k
+
+
+def _lines_through(rep, pi: Coloring, sigma: int, x: int, row, col,
+                   rows: int, cols: int):
+    """((slots, label) of the row, then of the column, of the member at
+    slot x of sigma, read off its probe `rep` for `_label_off_axis`; a
+    labeled line is given as x alone.  None when a line is missing."""
+    skip = rep.coloring.color[pi.order[sigma + x]]
+    frags = [pi.pos[frag] - sigma for c, frag in rep.fragments(sigma)
+             if c != skip]
+    lines = []
+    for label, want in ((row, cols - 1), (col, rows - 1)):
+        if label[x] >= 0:
+            lines.append(([x], label[x]))
+            continue
+        cand = []
+        for slots in frags:
+            if len(slots) == want:
+                known = label[slots][label[slots] >= 0]
+                if len(known) == 1 and known[0] > 0:
+                    cand.append((np.append(slots, x), known[0]))
+        if len(cand) != 1:
+            return None
+        lines.append(cand[0])
+    return lines
+
+
+def _grid_structure(formula: Formula, members, row, col, rows: int,
+                    cols: int):
+    """The row-column structure whose cell (row[i], col[i]) holds
+    members[i], once the grid is well formed and its adjacent row and
+    column swaps are verified."""
     if (row < 0).any() or (col < 0).any():
         return DetectionFailure("malformed matrix: unassigned cells")
     cells = row * cols + col
@@ -254,7 +345,8 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     # peak RSS on php instances by about 0.9 MB
     if np.bincount(cells).max() > 1:
         return DetectionFailure("malformed matrix: duplicate label pair")
-    # the column loop labels rows * cols slots once each: every cell is filled
+    # both labelings label rows * cols slots, so with no pair twice every
+    # cell is filled
     grid = np.empty(rows * cols, dtype=members.dtype)
     grid[cells] = members
     matrix = grid.reshape(rows, cols).tolist()

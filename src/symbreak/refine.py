@@ -107,12 +107,29 @@ class Coloring:
 JRN_ORDER, JRN_COLOR, JRN_CLEN = 0, 1, 2
 
 
+def _holds(clen, lo, hi, want):
+    # the slots [lo, hi), a union of classes, hold want classes or more
+    i = lo
+    while i < hi and want > 0:
+        i += clen[i]
+        want -= 1
+    return want == 0
+
+
 def _refine_kernel(indptr, nbr, order, pos, color, clen,
                    queue, in_queue, qhead, qtail,
-                   cnt, scratch, bucket, cls_list, tcnt, jd, jl, jc):
-    # jd is None for a run that records no journal
+                   cnt, scratch, bucket, cls_list, tcnt, jd, jl, jc,
+                   wlo, whi, want):
+    # jd is None for a run that records no journal; with want > 0 the
+    # run stops before its next splitter once the slots [wlo, whi) hold
+    # want classes or more
     qcap = queue.shape[0]
     while qhead != qtail:
+        if want > 0 and _holds(clen, wlo, whi, want):
+            while qhead != qtail:
+                in_queue[queue[qhead]] = 0
+                qhead = (qhead + 1) % qcap
+            break
         s = queue[qhead]
         qhead = (qhead + 1) % qcap
         in_queue[s] = 0
@@ -298,7 +315,7 @@ def native_kernel():
                       RuntimeWarning, stacklevel=2)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.refine.argtypes = [ptr] * 9 + [i64] * 3 + [ptr] * 7 + [i64]
+    lib.refine.argtypes = [ptr] * 9 + [i64] * 3 + [ptr] * 7 + [i64] * 4
     lib.refine.restype = None
     lib.rollback.argtypes = [ptr, ptr, ptr, i64] + [ptr] * 7
     lib.rollback.restype = None
@@ -365,12 +382,14 @@ def _scratch_pool(graph: ColoredGraph):
 
 
 def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
-                    journal=None, addresses=None):
+                    journal=None, addresses=None, stop=(0, 0, 0)):
     """Refine `coloring` in place from the splitters `initial_classes`.
     A session passes its journal = (jd, jl, jc), which logs every write,
     and `addresses`, the C kernel's addresses of the coloring's four
     arrays and the journal's three, which it takes once; a run without a
-    journal checks the coloring and takes its addresses here."""
+    journal checks the coloring and takes its addresses here.  `stop` =
+    (lo, hi, want) with want > 0 ends the run before its next splitter
+    once the slots [lo, hi), a union of classes, hold want classes."""
     n = graph.vertex_count
     lib = native_kernel()
     if journal is None:
@@ -390,9 +409,9 @@ def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
         _refine_kernel(graph.indptr, graph.neighbors,
                        coloring.order, coloring.pos, coloring.color,
                        coloring.clen, queue, in_queue, 0, qtail, *pool[2:],
-                       *journal)
+                       *journal, *stop)
     else:
-        lib.refine(*pool_ptrs, len(queue), 0, qtail, *addresses, n)
+        lib.refine(*pool_ptrs, len(queue), 0, qtail, *addresses, n, *stop)
     # each journal row logs an index at most once; more entries than
     # slots means the kernel has already written past the journal
     jc = journal[2]
@@ -507,7 +526,8 @@ class IRSession:
     current working coloring and refines; pushes stack, each logging
     against the base, and one rollback undoes them all.
     `individualize(v)` is a rollback followed by `push(v)`.  Either costs
-    O(touched) instead of O(vertices).
+    O(touched) instead of O(vertices).  `individualize(v, until)` may
+    stop the refinement early; see there.
 
     Every report is taken against the base, so after a chain of pushes
     its fragments of a base class are those of the whole chain.  Only
@@ -540,6 +560,7 @@ class IRSession:
         self._refine_addresses = (*work_ptrs, *journal_ptrs)
         self._rollback_args = (*journal_ptrs, n, *work_ptrs,
                                *_ptrs(*self._arrays[4:]))
+        self._stopped = False
 
     def _rollback(self):
         lib = native_kernel()
@@ -555,11 +576,33 @@ class IRSession:
             self._jl[a, self._jc[a]] = i
             self._jc[a] += 1
 
-    def individualize(self, v: int) -> RefinementReport:
+    def individualize(self, v: int, until=None) -> RefinementReport:
+        """A rollback, then `push(v)`.  With until = (sigma, k) the
+        refinement stops before its next splitter once base class sigma
+        has split into k classes or more.  That costs what the splits up
+        to there cost, but the working coloring need not be equitable:
+        the report's fragments of a base class may be coarser than a
+        full refinement's, and until the next `individualize` no push
+        may follow."""
         self._rollback()
-        return self.push(v)
+        self._stopped = False
+        if until is None:
+            return self.push(v)
+        sigma, want = until
+        base = self.base
+        if not (0 <= sigma < self.graph.vertex_count
+                and base.clen[sigma] > 0
+                and base.color[base.order[sigma]] == sigma):
+            raise KeyError(f"unknown base color {sigma}")
+        self._stopped = True
+        return self._push(v, (sigma, sigma + int(base.clen[sigma]), want))
 
     def push(self, v: int) -> RefinementReport:
+        if self._stopped:
+            raise RuntimeError("push onto a refinement stopped early")
+        return self._push(v, (0, 0, 0))
+
+    def _push(self, v: int, stop) -> RefinementReport:
         if not 0 <= v < self.graph.vertex_count:
             raise IndexError(f"vertex {v} out of range")
         refined = self.work
@@ -580,7 +623,7 @@ class IRSession:
         # is splitter enough (see the class docstring)
         _run_refinement(self.graph, refined, worklist[:1],
                         journal=self._journal,
-                        addresses=self._refine_addresses)
+                        addresses=self._refine_addresses, stop=stop)
         return RefinementReport(base=self.base, coloring=refined)
 
 

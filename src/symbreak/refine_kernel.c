@@ -19,7 +19,8 @@
  * The workspace arrays in_queue, cnt and tcnt are zero between calls:
  * the count pass lists a class in cls_list when its tcnt leaves 0, and
  * each listed class, once handled, clears its tcnt and the cnt of its
- * touched region, where all its touched vertices lie.
+ * touched region, where all its touched vertices lie; a run that stops
+ * early clears the in_queue flags of the splitters it leaves queued.
  *
  * Built by refine.py with `cc -O2 -shared -fPIC` and loaded with ctypes.
  */
@@ -36,6 +37,15 @@ enum { JRN_ORDER, JRN_COLOR, JRN_CLEN };
             jc[a] += 1;                                    \
         }                                                  \
     } while (0)
+
+/* 1 if the slots [lo, hi), a union of classes, hold want classes or
+ * more; reads at most want class lengths */
+static int holds(const int32_t *clen, int64_t lo, int64_t hi, int64_t want)
+{
+    for (int64_t i = lo; i < hi && want > 0; i += clen[i])
+        want--;
+    return want == 0;
+}
 
 static int cmp_i32(const void *a, const void *b)
 {
@@ -66,15 +76,24 @@ int valid_coloring(int64_t n, const int32_t *order, const int32_t *pos,
 
 /* The graph and workspace come first, as refine.py keeps their
  * addresses per graph; jd, jl and jc are NULL for a run that records no
- * journal. */
+ * journal.  With want > 0 the run stops before its next splitter once
+ * the slots [wlo, whi), a union of classes, hold want classes or more;
+ * the coloring is then a refinement of the input but maybe not
+ * equitable. */
 void refine(const int32_t *indptr, const int32_t *nbr,
             int32_t *queue, int8_t *in_queue, int32_t *cnt,
             int32_t *scratch, int32_t *bucket, int32_t *cls_list,
             int32_t *tcnt, int64_t qcap, int64_t qhead, int64_t qtail,
             int32_t *order, int32_t *pos, int32_t *color, int32_t *clen,
-            int8_t *jd, int32_t *jl, int64_t *jc, int64_t jstride)
+            int8_t *jd, int32_t *jl, int64_t *jc, int64_t jstride,
+            int64_t wlo, int64_t whi, int64_t want)
 {
     while (qhead != qtail) {
+        if (want > 0 && holds(clen, wlo, whi, want)) {
+            for (; qhead != qtail; qhead = (qhead + 1) % qcap)
+                in_queue[queue[qhead]] = 0;
+            break;
+        }
         int32_t s = queue[qhead];
         qhead = (qhead + 1) % qcap;
         in_queue[s] = 0;

@@ -230,6 +230,47 @@ class TestIRSession:
         assert same_coloring(session.work, base)
         assert not session._jc.any() and not session._jd.any()
 
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs(max_vertices=32), st.integers(min_value=0),
+           st.integers(min_value=1, max_value=4))
+    def test_stopped_individualization(self, g, pick, want):
+        """A probe stopped once v's base class holds `want` classes ends
+        between the base and the full probe: each of its classes is a
+        union of the full probe's, and it either split v's class that
+        far or ran to the end.  A rollback restores the base."""
+        base = refine_stable(g, initial_coloring(g)).coloring
+        v = pick % g.vertex_count
+        sigma = int(base.color[v])
+        session = IRSession(g, base)
+        full = session.individualize(v).coloring.copy()
+        stopped = session.individualize(v, until=(sigma, want)).coloring
+        stopped_part = stopped.as_partition()
+        for cls in stopped_part:
+            assert any(cls <= b for b in base.as_partition())
+        for cls in full.as_partition():
+            assert any(cls <= c for c in stopped_part)
+        end = sigma + int(base.clen[sigma])
+        held = np.count_nonzero(stopped.clen[sigma:end])
+        assert held >= want or same_coloring(stopped, full)
+        session._rollback()
+        assert same_coloring(session.work, base)
+        assert not session._jc.any() and not session._jd.any()
+
+    def test_no_push_onto_a_stopped_probe(self):
+        """A stopped probe may leave the coloring not equitable, which a
+        push's single splitter relies on; an individualize clears it."""
+        g = build_model_graph(gen_php(4))
+        base = refine_stable(g, initial_coloring(g)).coloring
+        sigma = int(base.color[0])
+        session = IRSession(g, base)
+        session.individualize(0, until=(sigma, 4))
+        with pytest.raises(RuntimeError, match="stopped early"):
+            session.push(2)
+        session.individualize(0)
+        session.push(2)
+        with pytest.raises(KeyError):
+            session.individualize(0, until=(sigma + 1, 4))
+
     def test_journal_overflow_is_refused(self):
         g = cycle(5)
         base = refine_stable(g, initial_coloring(g)).coloring
@@ -285,6 +326,10 @@ def kernel_trace(g, vs):
         record(session.individualize(v))
         chained = individualize_refine(g, chained, v).coloring
         out.append(chained)
+    for want in (2, 3, 4):
+        for v in vs:
+            record(session.individualize(v, until=(int(base.color[v]),
+                                                   want)))
     for i, v in enumerate(vs):
         rep = session.push(v) if i else session.individualize(v)
         record(rep)
@@ -458,6 +503,9 @@ def check_pool_clean(g, vs):
         assert_pool_clean(g)
     session = IRSession(g, base)
     for i, v in enumerate(vs):
+        # a stopped probe drops the splitters it leaves queued
+        session.individualize(v, until=(int(base.color[v]), 2))
+        assert_pool_clean(g)
         session.individualize(v)
         assert_pool_clean(g)
         for w in vs[i:]:
