@@ -34,23 +34,23 @@ class VariableOrder:
             raise ValueError("order contains duplicate variables")
 
 
+_NONE = np.empty(0, dtype=np.int32)
+
+
 @dataclass(eq=False)
 class BreakingClauses:
     """Clauses over original + auxiliary variables, stored as CSR the way
     :class:`~symbreak.cnf.Formula` stores its own: int32 ``lens`` and
     ``lits``, the clauses' literals back to back.  ``clauses`` is the same
-    list as tuples, built on first use."""
+    list as tuples, built on first use.  No arguments give no clauses."""
 
-    lens: np.ndarray
-    lits: np.ndarray
+    lens: np.ndarray = field(default_factory=_NONE.copy)
+    lits: np.ndarray = field(default_factory=_NONE.copy)
     aux_count: int = 0
 
     @cached_property
     def clauses(self) -> list:
         return _clause_tuples(self.lens, self.lits)
-
-
-_NONE = np.empty(0, dtype=np.int32)
 
 
 def build_order(structures: list, formula: Formula) -> VariableOrder:

@@ -205,9 +205,7 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     column remainder, and the rest.  Probes of cells off those two lines
     assign matrix coordinates, two lines a probe (`_label_off_axis`),
     and the adjacent row and column transpositions (negation-expanded)
-    are verified.  When that finds no verified grid, individualizing
-    each row/column head labels its line (`_label_heads`), and that
-    attempt's outcome is the result.
+    are verified.
     """
     members = pi.class_members(sigma)
     if (members >= graph.num_literal_vertices).any():
@@ -233,43 +231,36 @@ def detect_row_column(formula: Formula, graph: ColoredGraph, pi: Coloring,
     # each member's row and column label by its slot in sigma, -1 while
     # unassigned: the line through v is 0, the one through head k is k
     rows, cols = len(row_heads) + 1, len(col_heads) + 1
-    axes = np.full((2, len(members)), -1)
+    row, col = np.full((2, len(members)), -1)
     slot = pi.pos[[v] + col_heads + row_heads] - sigma
-    axes[0, slot] = [0] * cols + list(range(1, rows))
-    axes[1, slot] = list(range(cols)) + [0] * (rows - 1)
-    # a grid the off-axis probes find and the verifier proves is the one
-    # the head probes find (see `_label_off_axis`); the head probes run
-    # only when there is none, and give the reason for a failure
-    row, col = axes.copy()
-    if _label_off_axis(session, pi, sigma, row, col, rows, cols):
-        found = _grid_structure(formula, members, row, col, rows, cols)
-        if found:
-            return found
-    row, col = axes
-    if not (_label_heads(session, pi, sigma, v, col_heads, col, rows - 1)
-            and _label_heads(session, pi, sigma, v, row_heads, row,
-                             cols - 1)):
+    row[slot] = [0] * cols + list(range(1, rows))
+    col[slot] = list(range(cols)) + [0] * (rows - 1)
+    if not _label_off_axis(session, pi, sigma, row, col, rows, cols):
         return DetectionFailure("missing size-matched fragment")
-    return _grid_structure(formula, members, row, col, rows, cols)
 
+    cells = row * cols + col
+    # counted with bincount: the first call of a plain np.unique raised
+    # peak RSS on php instances by about 0.9 MB
+    if np.bincount(cells).max() > 1:
+        return DetectionFailure("malformed matrix: duplicate label pair")
+    # all rows * cols slots are labeled: with no pair twice every cell is
+    # filled
+    grid = np.empty(rows * cols, dtype=members.dtype)
+    grid[cells] = members
+    matrix = grid.reshape(rows, cols).tolist()
 
-def _label_heads(session: IRSession, pi: Coloring, sigma: int, v: int,
-                 heads, label, want) -> bool:
-    """Label the line of each head k with k by probing the head: the
-    line is the one fragment of sigma of size `want` that holds neither
-    v nor the head.  False when a probe has no such fragment or one
-    whose slots are labeled already."""
-    for k, h in enumerate(heads, 1):
-        rep = session.individualize(h)
-        # excluding the fragments holding v and h by color id equals
-        # excluding fragments containing them
-        skip = (rep.coloring.color[v], rep.coloring.color[h])
-        cand = [pi.pos[frag] - sigma for c, frag in rep.fragments(sigma)
-                if len(frag) == want and c not in skip]
-        if len(cand) != 1 or (label[cand[0]] >= 0).any():
-            return False
-        label[cand[0]] = k
-    return True
+    # adjacent transpositions generate the same group as the pivot-star
+    # ones and make much stronger lex-leader constraints under the
+    # row-major order, so they are what the structure carries
+    columns = list(zip(*matrix))
+    generators = []
+    for lines in (columns, matrix):
+        swaps = _verified_factor(formula, list(zip(lines, lines[1:])))
+        if isinstance(swaps, int):
+            return DetectionFailure("verification failed")
+        generators.extend(swaps)
+
+    return Structure("row-column", (rows, cols), grid.tolist(), generators)
 
 
 def _label_off_axis(session: IRSession, pi: Coloring, sigma: int,
@@ -283,15 +274,9 @@ def _label_off_axis(session: IRSession, pi: Coloring, sigma: int,
     In a grid, a probe of cell x splits off the rest of x's row, whose
     one row-labeled cell is the row's head in column 0, and the rest of
     x's column, whose one column-labeled cell is the column's head in
-    row 0, and each line takes its head's label.  So a probe labels two
-    lines where `_label_heads` labels one.  A probe refines only until
-    sigma holds four classes.
-
-    Both find the same grid: when the verifier proves one grid's line
-    swaps automorphisms, the swaps carry the pivot's probe to a probe
-    of any cell, since the coarsest equitable refinement is invariant,
-    so each head's probe splits off its line, as `_label_heads` reads
-    it."""
+    row 0, and each line takes its head's label.  So one probe labels
+    two lines, and an n x m grid takes max(n, m) - 1 probes.  A probe
+    refines only until sigma holds four classes."""
     members = pi.class_members(sigma)
     while True:
         todo = (row < 0) & (col < 0)
@@ -331,38 +316,6 @@ def _lines_through(rep, pi: Coloring, sigma: int, x: int, row, col,
             return None
         lines.append(cand[0])
     return lines
-
-
-def _grid_structure(formula: Formula, members, row, col, rows: int,
-                    cols: int):
-    """The row-column structure whose cell (row[i], col[i]) holds
-    members[i], once the grid is well formed and its adjacent row and
-    column swaps are verified."""
-    if (row < 0).any() or (col < 0).any():
-        return DetectionFailure("malformed matrix: unassigned cells")
-    cells = row * cols + col
-    # counted with bincount: the first call of a plain np.unique raised
-    # peak RSS on php instances by about 0.9 MB
-    if np.bincount(cells).max() > 1:
-        return DetectionFailure("malformed matrix: duplicate label pair")
-    # both labelings label rows * cols slots, so with no pair twice every
-    # cell is filled
-    grid = np.empty(rows * cols, dtype=members.dtype)
-    grid[cells] = members
-    matrix = grid.reshape(rows, cols).tolist()
-
-    # adjacent transpositions generate the same group as the pivot-star
-    # ones and make much stronger lex-leader constraints under the
-    # row-major order, so they are what the structure carries
-    columns = list(zip(*matrix))
-    generators = []
-    for lines in (columns, matrix):
-        swaps = _verified_factor(formula, list(zip(lines, lines[1:])))
-        if isinstance(swaps, int):
-            return DetectionFailure("verification failed")
-        generators.extend(swaps)
-
-    return Structure("row-column", (rows, cols), grid.tolist(), generators)
 
 
 def _triangular_n(k: int):

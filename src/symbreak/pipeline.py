@@ -166,11 +166,6 @@ def _remainder_coloring(graph, pi: Coloring, covered) -> Coloring:
     return Coloring.from_color_map(keys)
 
 
-def _no_clauses() -> BreakingClauses:
-    none = np.empty(0, dtype=np.int32)
-    return BreakingClauses(none, none)
-
-
 def _output(structures, attempts, rem_gens, added, binary_count, times,
             pi) -> BreakerOutput:
     # orbit sizes read the covered vertices by index: a boolean-mask read
@@ -208,7 +203,7 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
                            "encode_ms"), 0.0)
     if not formula.lens.all():
         # an empty clause already makes the formula unsatisfiable
-        return _output([], [], [], _no_clauses(), 0, times, None)
+        return _output([], [], [], BreakingClauses(), 0, times, None)
 
     t0 = time.perf_counter()
     graph = build_model_graph(formula)
@@ -231,7 +226,7 @@ def run(formula: Formula, config: PipelineConfig = None) -> BreakerOutput:
 
     t0 = time.perf_counter()
     order = build_order(structures, formula)
-    binary = _no_clauses()
+    binary = BreakingClauses()
     if config.binary and rem_gens:
         binary, order = binary_clause_heuristic(rem_gens, order)
     chain_gens = []

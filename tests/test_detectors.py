@@ -722,8 +722,7 @@ class TestRowColumnMatchesReference:
 class TestRowColumnProbes:
     """`detect_row_column` labels the grid with one off-axis probe per
     row or column pair, stopped once the pivot's class holds four
-    classes, and runs the per-head probes only when that finds no
-    verified grid; either way it decides as the reference does."""
+    classes."""
 
     def test_php_probes_once_per_longer_line(self, monkeypatch):
         calls = []
@@ -742,30 +741,6 @@ class TestRowColumnProbes:
         # the pivot, then one stopped probe per line of the longer side
         # but the pivot's
         assert calls == [None] + [(sigma, 4)] * 8
-
-    @pytest.mark.parametrize("n, m", [(5, 5), (6, 4), (4, 7)])
-    def test_head_probes_when_off_axis_fails(self, n, m, monkeypatch):
-        monkeypatch.setattr(detectors, "_label_off_axis",
-                            lambda *args: False)
-        assert None in assert_row_column_matches_reference(gen_php(n, m))
-
-    @pytest.mark.parametrize("n, m", [(5, 5), (6, 4), (4, 7)])
-    def test_head_probes_when_the_grid_is_refuted(self, n, m, monkeypatch):
-        """A grid whose swaps the verifier refutes is dropped for the
-        head probes' one."""
-        label_off_axis = detectors._label_off_axis
-
-        def misplaced(session, pi, sigma, row, col, rows, cols):
-            found = label_off_axis(session, pi, sigma, row, col, rows, cols)
-            # trade cells (1, 1) and (2, 2): still a grid, but a wrong one
-            a = np.flatnonzero((row == 1) & (col == 1))[0]
-            b = np.flatnonzero((row == 2) & (col == 2))[0]
-            row[[a, b]] = row[[b, a]]
-            col[[a, b]] = col[[b, a]]
-            return found
-
-        monkeypatch.setattr(detectors, "_label_off_axis", misplaced)
-        assert None in assert_row_column_matches_reference(gen_php(n, m))
 
 
 def test_triangular_n_inverts_binomial():
