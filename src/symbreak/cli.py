@@ -10,7 +10,8 @@ import time
 
 from .cnf import DimacsError, emit_dimacs, parse_dimacs
 from .pipeline import PipelineConfig, run
-from .testkit import gen_cliquecolor, gen_php, gen_ramsey
+from .testkit import (gen_cliquecolor, gen_cycle_coloring, gen_php,
+                      gen_ramsey)
 
 
 def _read_input(path: str) -> bytes:
@@ -60,9 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="write a stats JSON report")
 
     gen = sub.add_parser("gen", help="generate a benchmark instance")
-    gen.add_argument("family", choices=["php", "ramsey", "cliquecolor"])
+    gen.add_argument("family",
+                     choices=["php", "ramsey", "cliquecolor", "coloring"])
     gen.add_argument("params", type=int, nargs="+",
-                     help="php: n [m] | ramsey: k s n | cliquecolor: n k c")
+                     help="php: n [m] | ramsey: k s n | cliquecolor: n k c "
+                          "| coloring: n k (k-coloring of the cycle C_n)")
     gen.add_argument("-o", "--output", default="-")
     return parser
 
@@ -136,10 +139,14 @@ def _cmd_gen(args) -> int:
             if len(params) != 3:
                 raise ValueError("ramsey takes k s n")
             formula = gen_ramsey(*params)
-        else:
+        elif family == "cliquecolor":
             if len(params) != 3:
                 raise ValueError("cliquecolor takes n k c")
             formula = gen_cliquecolor(*params)
+        else:
+            if len(params) != 2:
+                raise ValueError("coloring takes n k")
+            formula = gen_cycle_coloring(*params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -337,17 +337,21 @@ def _check_coloring(coloring: Coloring, n: int, lib):
     """Refuse a coloring the C kernel could index out of bounds with: its
     arrays must be contiguous int32 of length n and, where the C kernel
     runs, form an ordered partition (checked in C, O(n)); the Python
-    kernel needs no value check, since numpy bounds-checks its indexing.
-    Returns the arrays' addresses for the C kernel, or None without it."""
+    kernel needs no value check, since numpy bounds-checks its indexing."""
     arrays = (coloring.order, coloring.pos, coloring.color, coloring.clen)
     if all(_is_int32_vector(a, n) for a in arrays):
-        if lib is None:
-            return None
-        ptrs = _ptrs(*arrays)
-        if lib.valid_coloring(n, *ptrs):
-            return ptrs
+        if lib is None or lib.valid_coloring(n, *_ptrs(*arrays)):
+            return
     raise ValueError(f"not an ordered-partition coloring of {n} vertices "
                      f"in contiguous int32 arrays")
+
+
+def _kernel_addresses(coloring: Coloring) -> tuple:
+    """The C kernel's addresses of the coloring's four arrays, and None
+    for the journal's three: the `addresses` of a `_run_refinement` run
+    without a journal on a checked coloring."""
+    return (*_ptrs(coloring.order, coloring.pos, coloring.color,
+                   coloring.clen), None, None, None)
 
 
 def _scratch_pool(graph: ColoredGraph):
@@ -384,19 +388,20 @@ def _scratch_pool(graph: ColoredGraph):
 def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
                     journal=None, addresses=None, stop=(0, 0, 0)):
     """Refine `coloring` in place from the splitters `initial_classes`.
-    A session passes its journal = (jd, jl, jc), which logs every write,
-    and `addresses`, the C kernel's addresses of the coloring's four
-    arrays and the journal's three, which it takes once; a run without a
-    journal checks the coloring and takes its addresses here.  `stop` =
-    (lo, hi, want) with want > 0 ends the run before its next splitter
+    A session passes its journal = (jd, jl, jc), which logs every write.
+    `addresses` are the C kernel's addresses of the coloring's four
+    arrays and the journal's three (None for a run without one), taken
+    once by a caller that has checked the coloring it refines in place;
+    a run without them checks the coloring and takes them here.  `stop`
+    = (lo, hi, want) with want > 0 ends the run before its next splitter
     once the slots [lo, hi), a union of classes, hold want classes."""
     n = graph.vertex_count
     lib = native_kernel()
     if journal is None:
         journal = (None, None, None)
-        ptrs = _check_coloring(coloring, n, lib)
-        if lib is not None:
-            addresses = (*ptrs, None, None, None)
+    if addresses is None:
+        _check_coloring(coloring, n, lib)
+        addresses = _kernel_addresses(coloring)
     pool, pool_ptrs = _scratch_pool(graph)
     queue, in_queue = pool[0], pool[1]
     qtail = 0

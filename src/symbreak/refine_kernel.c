@@ -124,7 +124,20 @@ void refine(const int32_t *indptr, const int32_t *nbr,
             }
         }
 
-        qsort(cls_list, (size_t)ncls, sizeof(int32_t), cmp_i32);
+        /* most splitters, a dive's singletons above all, touch a few
+         * classes, which insertion sort orders faster than qsort; the ids
+         * are distinct, so both give the reference's np.sort order */
+        if (ncls <= 16) {
+            for (int64_t i = 1; i < ncls; i++) {
+                int32_t x = cls_list[i];
+                int64_t j = i;
+                for (; j > 0 && cls_list[j - 1] > x; j--)
+                    cls_list[j] = cls_list[j - 1];
+                cls_list[j] = x;
+            }
+        } else {
+            qsort(cls_list, (size_t)ncls, sizeof(int32_t), cmp_i32);
+        }
 
         for (int64_t ci = 0; ci < ncls; ci++) {
             int32_t c = cls_list[ci];

@@ -34,6 +34,17 @@ class TestGen:
     def test_gen_wrong_arity(self, capsys):
         code, _, err = run_cli(["gen", "ramsey", "3"], capsys)
         assert code == 1 and "error" in err
+        code, _, err = run_cli(["gen", "coloring", "7"], capsys)
+        assert code == 1 and "coloring takes n k" in err
+
+    def test_gen_coloring(self, capsys):
+        code, out, _ = run_cli(["gen", "coloring", "7", "3"], capsys)
+        assert code == 0
+        f = parse_dimacs(out)
+        want = gen_cycle_coloring(7, 3)
+        assert f.num_vars == 21 and f.clauses == want.clauses
+        code, _, err = run_cli(["gen", "coloring", "2", "3"], capsys)
+        assert code == 1 and "error" in err
 
     def test_gen_bad_parameters(self, capsys):
         code, _, err = run_cli(["gen", "php", "1"], capsys)

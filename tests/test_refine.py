@@ -1,6 +1,7 @@
 """Refinement engine: equitability, invariance, and IR behavior."""
 
 import os
+import random
 import re
 import stat
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symbreak import refine
+from symbreak import refine, remainder
 from symbreak.cnf import emit_dimacs
 from symbreak.modelgraph import ColoredGraph, build_model_graph
 from symbreak.pipeline import PipelineConfig, run
@@ -356,21 +357,58 @@ def python_kernel():
 HAVE_C = refine.native_kernel() is not None
 
 
+INVALID_COLORINGS = [
+    ("clen", 0, 10 ** 8),     # a class running past the end
+    ("order", 2, 4),          # order no longer a permutation
+    ("color", 1, -7),         # a color that is no class's first slot
+    ("pos", 3, 10 ** 8),
+]
+
+
+def assert_kernels_agree(g, vs):
+    native = kernel_trace(g, vs)
+    with python_kernel():
+        reference = kernel_trace(g, vs)
+    assert len(native) == len(reference)
+    for a, b in zip(native, reference):
+        if isinstance(a, Coloring):
+            assert same_coloring(a, b)
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def wide_splitter_graph(k):
+    """Hubs 0 and 1, and k classes {2i + 2, 2i + 3} of their own color
+    key, hub 0 joined to the first member of each and hub 1 to the
+    second: equitable as colored, and individualizing a hub splits all
+    k classes.  The edges come in shuffled class order, so a hub's
+    neighbors meet their classes out of color order."""
+    perm = list(range(k))
+    random.Random(k).shuffle(perm)
+    edges = [(hub, 2 * i + 2 + hub) for i in perm for hub in (0, 1)]
+    keys = [0, 0] + [i + 1 for i in range(k) for _ in range(2)]
+    return graph_from_edges(2 * k + 2, edges, keys)
+
+
 @pytest.mark.skipif(not HAVE_C, reason="no C kernel could be built")
 class TestNativeKernel:
     @settings(max_examples=150, deadline=None)
     @given(random_graphs(), st.lists(st.integers(min_value=0), max_size=6))
     def test_c_and_python_kernels_agree(self, g, picks):
-        vs = [p % g.vertex_count for p in picks]
-        native = kernel_trace(g, vs)
-        with python_kernel():
-            reference = kernel_trace(g, vs)
-        assert len(native) == len(reference)
-        for a, b in zip(native, reference):
-            if isinstance(a, Coloring):
-                assert same_coloring(a, b)
-            else:
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_kernels_agree(g, [p % g.vertex_count for p in picks])
+
+    @pytest.mark.parametrize("k", [5, 16, 17, 24])
+    def test_kernels_agree_on_wide_splitters(self, k):
+        """Individualizing a hub splits k classes at once.  The C kernel
+        sorts a splitter's touched classes by insertion sort up to 16 and
+        by qsort above; the random graphs rarely reach the qsort branch.
+        Both must give the Python kernel's np.sort order, which fixes
+        the queue and hence the journals."""
+        g = wide_splitter_graph(k)
+        base = refine_stable(g, initial_coloring(g)).coloring
+        touched = base.color[g.neighbors_of(0)].tolist()
+        assert len(set(touched)) == k and touched != sorted(touched)
+        assert_kernels_agree(g, [0, 1, 3, 2 * k])
 
     @pytest.mark.parametrize("formula", [gen_php(6), gen_ramsey(3, 3, 6),
                                          gen_cliquecolor(6, 3, 2),
@@ -386,12 +424,7 @@ class TestNativeKernel:
         with python_kernel():
             assert emitted() == native
 
-    @pytest.mark.parametrize("array, slot, value", [
-        ("clen", 0, 10 ** 8),     # a class running past the end
-        ("order", 2, 4),          # order no longer a permutation
-        ("color", 1, -7),         # a color that is no class's first slot
-        ("pos", 3, 10 ** 8),
-    ])
+    @pytest.mark.parametrize("array, slot, value", INVALID_COLORINGS)
     def test_invalid_coloring_is_refused(self, array, slot, value):
         """The C kernel indexes by these values unchecked, so a bad
         coloring must be refused before it runs, not crash the process."""
@@ -402,6 +435,22 @@ class TestNativeKernel:
             refine_stable(g, bad)
         with pytest.raises(ValueError, match="ordered-partition"):
             IRSession(g, bad)
+
+    @pytest.mark.parametrize("array, slot, value", INVALID_COLORINGS)
+    def test_remainder_search_refuses_invalid_coloring(self, array, slot,
+                                                        value):
+        """The search checks its coloring once and then refines copies of
+        it unchecked, so a bad one must be refused before the first
+        refinement."""
+        formula = gen_cycle_coloring(3, 2)
+        g = build_model_graph(formula)
+        bad = Coloring.from_color_map([0] * g.vertex_count)
+        getattr(bad, array)[slot] = value
+        with mock.patch.object(remainder, "_run_refinement") as refinement:
+            with pytest.raises(ValueError, match="ordered-partition"):
+                remainder.find_remainder_generators(
+                    formula, g, bad, PipelineConfig(dive_pairs=4))
+        refinement.assert_not_called()
 
     def test_argtypes_match_kernel_signatures(self):
         """ctypes passes what argtypes says, unchecked against the C

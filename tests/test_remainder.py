@@ -9,8 +9,8 @@ from symbreak.modelgraph import build_model_graph
 from symbreak.refine import (individualize_refine, initial_coloring,
                              refine_stable)
 from symbreak.pipeline import PipelineConfig, _remainder_coloring
-from symbreak.remainder import (_dive, _first_nonsingleton, _pair_leaves,
-                                find_remainder_generators)
+from symbreak.remainder import (_dive, _next_nonsingleton, _pair_leaves,
+                                _workspace, find_remainder_generators)
 from symbreak.testkit import formula_automorphisms, gen_cycle_coloring, gen_php
 
 import numpy as np
@@ -84,11 +84,24 @@ def test_all_results_verified():
 
 
 def first_nonsingleton_loop(pi):
-    """Reference for the vectorized _first_nonsingleton."""
+    """Reference for the vectorized _next_nonsingleton from slot 0."""
     for c in pi.classes():
         if pi.clen[c] > 1:
             return c
     return None
+
+
+def reference_dive(graph, pi, rng):
+    """The dive as a chain of copying individualize_refine calls, each
+    from the first non-singleton class found by a loop over the classes:
+    the reference the in-place dive is compared against."""
+    cur = pi
+    while True:
+        c = first_nonsingleton_loop(cur)
+        if c is None:
+            return cur
+        members = cur.class_members(c).tolist()
+        cur = individualize_refine(graph, cur, rng.choice(members)).coloring
 
 
 def pair_leaves_loop(graph, d1, d2):
@@ -118,16 +131,22 @@ def test_vectorized_helpers_match_loops(formula):
     leaves = []
     for _ in range(5):
         cur = pi
+        prev = 0
         while True:
-            c = _first_nonsingleton(cur)
-            assert c == first_nonsingleton_loop(cur)
+            c = first_nonsingleton_loop(cur)
+            assert _next_nonsingleton(cur.clen, 0) == c
+            # the classes before the last individualized one stay
+            # singletons, so a search from its slot finds the same class
+            assert _next_nonsingleton(cur.clen, prev) == c
             if c is None:
                 break
             v = rng.choice(cur.class_members(c).tolist())
             cur = individualize_refine(graph, cur, v).coloring
+            prev = c
         leaves.append(cur)
+    slots = np.flatnonzero(pi.order < graph.num_literal_vertices)
     for d1, d2 in itertools.product(leaves, repeat=2):
-        assert _pair_leaves(graph, d1, d2) == pair_leaves_loop(graph, d1, d2)
+        assert _pair_leaves(slots, d1, d2) == pair_leaves_loop(graph, d1, d2)
     # a literal slot facing a clause slot
     mixed = leaves[1].copy()
     nlit = graph.num_literal_vertices
@@ -135,7 +154,7 @@ def test_vectorized_helpers_match_loops(formula):
     b = int(mixed.pos[nlit])
     mixed.order[a], mixed.order[b] = mixed.order[b], mixed.order[a]
     assert pair_leaves_loop(graph, leaves[0], mixed) is None
-    assert _pair_leaves(graph, leaves[0], mixed) is None
+    assert _pair_leaves(slots, leaves[0], mixed) is None
 
 
 def renamed(f, seed):
@@ -166,8 +185,86 @@ def test_dives_put_literals_in_the_same_slots(formula):
     assert np.array_equal(is_lit, is_lit[rem.order[rem.color]])
     lit = rem.order < nlit
     rng = random.Random(5)
+    (d1, a1), (d2, a2) = _workspace(rem), _workspace(rem)
     for _ in range(4):
-        d1, d2 = _dive(graph, rem, rng), _dive(graph, rem, rng)
+        _dive(graph, rem, d1, a1, rng)
+        _dive(graph, rem, d2, a2, rng)
         assert (d1.clen[d1.color] == 1).all()
         assert np.array_equal(d1.order < nlit, lit)
         assert np.array_equal(d2.order < nlit, lit)
+
+
+def torus_coloring(side, k):
+    """Proper k-coloring of the side x side torus grid; variable
+    v * k + j + 1 says vertex v has color j."""
+    def x(v, j):
+        return v * k + j + 1
+
+    def at(i, j):
+        return (i % side) * side + j % side
+
+    edges = [(at(i, j), at(i + di, j + dj)) for i in range(side)
+             for j in range(side) for di, dj in ((1, 0), (0, 1))]
+    n = side * side
+    clauses = [[pos(x(v, j)) for j in range(k)] for v in range(n)]
+    clauses += [[neg_var(x(v, i)), neg_var(x(v, j))] for v in range(n)
+                for i, j in itertools.combinations(range(k), 2)]
+    clauses += [[neg_var(x(u, j)), neg_var(x(v, j))] for u, v in edges
+                for j in range(k)]
+    return Formula(n * k, clauses)
+
+
+def same_coloring(a, b):
+    return all(np.array_equal(getattr(a, x), getattr(b, x))
+               for x in ("order", "pos", "color", "clen"))
+
+
+DIVE_FORMULAS = [gen_cycle_coloring(9, 3), gen_php(4),
+                 renamed(gen_cycle_coloring(20, 4), 3), torus_coloring(8, 3)]
+DIVE_IDS = ["c9-3coloring", "php4", "renamed-c20-4coloring",
+            "torus8-3coloring"]
+
+
+@pytest.mark.parametrize("formula", DIVE_FORMULAS, ids=DIVE_IDS)
+def test_in_place_dive_matches_copying_chain(formula):
+    """The in-place dive, reset from pi and refined without a check per
+    step, reaches the leaf of the chain of copying individualize_refine
+    calls for the same random choices; one working coloring serves every
+    dive."""
+    graph, pi = prepared(formula)
+    ref_rng, rng = random.Random(9), random.Random(9)
+    work, addresses = _workspace(pi)
+    for _ in range(6):
+        want = reference_dive(graph, pi, ref_rng)
+        _dive(graph, pi, work, addresses, rng)
+        assert (want.clen[want.color] == 1).all()
+        assert same_coloring(work, want)
+    assert ref_rng.getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("formula", DIVE_FORMULAS, ids=DIVE_IDS)
+def test_dive_reset_is_complete(formula):
+    """A dive from the leaf another dive left gives the leaf that a fresh
+    copy of pi gives for the same seed."""
+    graph, pi = prepared(formula)
+    work, addresses = _workspace(pi)
+    leaves = []
+    for seed in (4, 5, 4):
+        _dive(graph, pi, work, addresses, random.Random(seed))
+        leaves.append(work.copy())
+    fresh, fresh_addresses = _workspace(pi)
+    _dive(graph, pi, fresh, fresh_addresses, random.Random(4))
+    assert same_coloring(leaves[0], leaves[2])
+    assert same_coloring(leaves[0], fresh)
+    assert not same_coloring(leaves[0], leaves[1])
+
+
+@pytest.mark.parametrize("formula", DIVE_FORMULAS, ids=DIVE_IDS)
+def test_search_leaves_the_remainder_coloring_alone(formula):
+    """The working colorings do not alias the remainder coloring: the
+    search leaves its four arrays as they were."""
+    graph, pi = prepared(formula)
+    before = pi.copy()
+    find_remainder_generators(formula, graph, pi,
+                              PipelineConfig(dive_pairs=4, seed=1))
+    assert same_coloring(pi, before)
