@@ -118,7 +118,13 @@ class Formula:
         each clause in ``flat``, and the clauses holding each literal:
         literal l occurs in clauses ``occ[occ_ptr[l]:occ_ptr[l + 1]]``,
         in ascending order.  Without repeated clauses the first three
-        are the input arrays themselves."""
+        are the input arrays themselves.
+
+        ``occ`` comes from one sort of the int64 keys ``l * m + i``, one
+        for each literal l of clause i among the m unique clauses.  A
+        clause holds a literal at most once, so the keys are distinct
+        and the sort need not be stable; it orders them by literal, then
+        by clause, and ``key % m`` is the clause."""
         if self._arrays is None:
             lens, flat, starts = self.lens, self.lits, self.starts
             first = _first_occurrences(lens, flat, starts)
@@ -127,8 +133,12 @@ class Formula:
                 lens = lens[first]
                 starts = np.cumsum(lens, dtype=np.int64) - lens
             n2 = 2 * self.num_vars
-            owner = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
-            occ = owner[np.argsort(flat, kind="stable")]
+            m = len(lens)
+            key = flat.astype(np.int64)
+            key *= m
+            key += np.repeat(np.arange(m, dtype=np.int64), lens)
+            key.sort()
+            occ = (key % m).astype(np.int32)
             occ_ptr = np.zeros(n2 + 1, dtype=np.int64)
             np.cumsum(np.bincount(flat, minlength=n2), out=occ_ptr[1:])
             self._arrays = (lens, flat, starts, occ, occ_ptr)
@@ -446,6 +456,16 @@ class LiteralPermutation:
         self.support.flags.writeable = False
         self.images.flags.writeable = False
 
+    @classmethod
+    def _closed(cls, support, images):
+        """The permutation holding `support` and `images` as they are,
+        unchecked: int32, the support ascending and closed under negation
+        as ``__init__`` leaves it.  Both are made read-only."""
+        phi = object.__new__(cls)
+        support.flags.writeable = images.flags.writeable = False
+        phi.support, phi.images = support, images
+        return phi
+
     def __len__(self):
         return len(self.support)
 
@@ -463,21 +483,83 @@ class LiteralPermutation:
         return f"LiteralPermutation({len(self)} moved)"
 
 
+class SwapError(ValueError):
+    """A line pair that cannot be exchanged; ``index`` is its position
+    among the pairs given."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def transpose(a: list, b: list) -> LiteralPermutation:
     """Exchange a[i] with b[i], identity elsewhere, closed under
     negation."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    if len(set(a) | set(b)) != 2 * len(a):
-        raise ValueError("lists must be duplicate-free and pairwise disjoint")
-    return LiteralPermutation(np.concatenate((a, b)),
-                              np.concatenate((b, a)))
+    return transpositions([(a, b)])[0]
 
 
-def _row_keys(rows, bits: int = 31):
+def transpositions(pairs) -> list:
+    """``transpose(a, b)`` for each line pair (a, b) in the sequence
+    `pairs`, all built in one validation pass and one closure pass.
+    Raises SwapError at the first pair that cannot be exchanged: its
+    lines differ in length, hold a literal twice between them, or give
+    a literal and its negation images that are not negations.
+
+    The pairs' literals lie back to back, a_i then b_i, each with its
+    image (its partner in the other line).  One sort by (pair, literal)
+    puts equal literals, and a literal next to its negation, side by
+    side within a pair; the first of each variable there gives the
+    closure.  Every permutation holds views of two shared arrays."""
+    la = [len(a) for a, _ in pairs]
+    lb = [len(b) for _, b in pairs]
+    cut = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y),
+               len(pairs))
+    lens = np.array(la[:cut], dtype=np.int64)
+    n = 2 * int(lens.sum())
+    src = np.fromiter(chain.from_iterable(chain.from_iterable(pairs[:cut])),
+                      dtype=np.int64, count=n)
+    # each literal's partner sits L positions after it in a_i, before it
+    # in b_i
+    shift = np.repeat(np.stack((lens, -lens), axis=1).ravel(),
+                      np.repeat(lens, 2))
+    dst = src[np.arange(n) + shift]
+    owner = np.repeat(np.arange(cut), 2 * lens)
+    by = np.argsort(owner * (int(src.max(initial=0)) + 1) + src)
+    src, dst, owner = src[by], dst[by], owner[by]
+    same = owner[1:] == owner[:-1]
+    var = src >> 1
+    pair = same & (var[1:] == var[:-1])
+    # the image closure gives the variable's positive literal; a literal
+    # and its negation in one pair must agree on it
+    pos_image = dst ^ (src & 1)
+    repeated = owner[1:][same & (src[1:] == src[:-1])]
+    conflict = owner[1:][pair & (pos_image[1:] != pos_image[:-1])]
+    bad = min(repeated.min(initial=cut), conflict.min(initial=cut))
+    if bad < cut:
+        raise SwapError(
+            "lists must be duplicate-free and pairwise disjoint"
+            if bad in repeated else
+            "conflicting images for a literal and its negation", int(bad))
+    if cut < len(pairs):
+        raise SwapError(f"length mismatch: {la[cut]} vs {lb[cut]}", cut)
+    first = np.ones(n, dtype=bool)
+    first[1:] = ~pair
+    var, pos_image = var[first], pos_image[first]
+    support = np.stack((2 * var, 2 * var + 1), axis=1).ravel().astype(np.int32)
+    images = np.stack((pos_image, pos_image ^ 1), axis=1).ravel().astype(
+        np.int32)
+    ends = np.cumsum(2 * np.bincount(owner[first], minlength=cut)).tolist()
+    return [LiteralPermutation._closed(support[s:e], images[s:e])
+            for s, e in zip([0] + ends, ends)]
+
+
+def _row_keys(rows, bits: int):
     """One fixed-width key per row of a 2-D array of sorted clauses whose
     literals are below ``2**bits``; two rows have equal keys exactly when
-    they are equal.  Key order is not numeric order."""
+    they are equal.  Rows of one or two literals are viewed as int32 or
+    int64; longer rows are packed, ``bits`` to a literal, into an int64
+    when they fit, else viewed as raw bytes, which sort far slower.  Key
+    order is not numeric order."""
     rows = np.ascontiguousarray(rows, dtype=np.int32)
     L = rows.shape[1]
     if L == 1:
@@ -499,7 +581,14 @@ def is_automorphism(formula: Formula, phi: LiteralPermutation) -> bool:
     Only the clauses touching the support are checked; the rest are their
     own images.  phi is a bijection on its support, so the image of a
     touched clause touches the support too, and phi is a symmetry exactly
-    when it maps the touched clauses of each length onto themselves.
+    when it maps the touched clauses of each length onto themselves:
+    when the sorted keys of their images equal their own sorted keys.
+
+    The keys pack each literal at the width of the largest value a
+    clause or its image can hold, ``img.max()``.  That is not
+    ``2 * num_vars``: phi may move a formula literal onto one beyond the
+    formula's variables, and a narrower width would let that image share
+    a key with a clause it differs from.
     """
     if not len(phi):
         return True
@@ -521,12 +610,13 @@ def is_automorphism(formula: Formula, phi: LiteralPermutation) -> bool:
     hit[occ[at]] = True
     touched = np.flatnonzero(hit)
     touched_lens = lens[touched]
+    bits = int(img.max(initial=0)).bit_length()
     for L in np.flatnonzero(np.bincount(touched_lens)):
         idxs = touched[touched_lens == L]
         rows = flat[starts[idxs][:, None] + np.arange(L)]
         images = np.sort(img[rows], axis=1)
-        if not np.array_equal(np.sort(_row_keys(rows)),
-                              np.sort(_row_keys(images))):
+        if not np.array_equal(np.sort(_row_keys(rows, bits)),
+                              np.sort(_row_keys(images, bits))):
             return False
     return True
 

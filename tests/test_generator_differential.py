@@ -3,7 +3,8 @@
 `lex_leader_encode` of symbreak against the dict-based implementations
 they replaced, kept here verbatim as references (apart from the
 encoder's rank, which it now builds from `order.variables`, and its
-result, now a plain (clauses, aux count) pair for one generator)."""
+result, now a plain (clauses, aux count) pair for one generator, and the
+verifier's key width, now passed to `_row_keys`)."""
 
 from typing import Optional
 
@@ -91,8 +92,9 @@ def ref_automorphism_failure(formula: Formula,
         idxs = touched[touched_lens == L]
         rows = flat[starts[idxs][:, None] + np.arange(L)]
         images = np.sort(img[rows], axis=1)
-        if not np.array_equal(np.sort(_row_keys(rows)),
-                              np.sort(_row_keys(images))):
+        # every literal code is below 2**31
+        if not np.array_equal(np.sort(_row_keys(rows, 31)),
+                              np.sort(_row_keys(images, 31))):
             return "clause-image-missing"
     return None
 
