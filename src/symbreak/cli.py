@@ -4,6 +4,7 @@ writes benchmark instances."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -36,6 +37,9 @@ def _write_output(path: str, text: str) -> int:
     return 0
 
 
+# built once per process: parse_args reads the parser and leaves it as
+# it was, each call filling a fresh namespace
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symbreak",

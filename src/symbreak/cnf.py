@@ -9,6 +9,10 @@ the moved literals in ascending order and their images.  It is closed
 under negation when it is built, phi(l ^ 1) == phi(l) ^ 1, so every
 consumer, from the verifier to the lex-leader encoder, reads the arrays
 as they are.
+
+There is one automorphism verifier, :func:`automorphisms`: it checks a
+table of K candidates' literal images, one row each, in one batched
+pass; :func:`is_automorphism` is its one-row case.
 """
 
 from __future__ import annotations
@@ -575,50 +579,109 @@ def _row_keys(rows, bits: int):
     return rows.view(np.dtype((np.void, 4 * L))).ravel()
 
 
-def is_automorphism(formula: Formula, phi: LiteralPermutation) -> bool:
-    """Whether phi is a symmetry of the formula.
+# the most clause-image entries one block of rows puts through the
+# verifier at once; a larger table is checked block by block
+BLOCK_ENTRIES = 1 << 20
 
-    Only the clauses touching the support are checked; the rest are their
-    own images.  phi is a bijection on its support, so the image of a
-    touched clause touches the support too, and phi is a symmetry exactly
-    when it maps the touched clauses of each length onto themselves:
+
+def automorphisms(formula: Formula, img) -> np.ndarray:
+    """Which rows of the image table `img` are symmetries of the formula,
+    as a bool array.  `img` is a K x w int32 array, w at least
+    ``2 * num_vars``, whose row k maps literal l to ``img[k, l]``; only
+    the formula's literals, the first ``2 * num_vars`` columns, are
+    read.  Each row must agree there with a permutation of the literal
+    codes, which may move them onto literals beyond the formula's
+    variables; it need not be closed under negation.
+
+    Only the clauses touching a literal that some row moves are checked;
+    the rest are their own images under every row.  A row maps the
+    clauses it touches onto clauses that touch its moved literals too,
+    and fixes the other checked clauses, so it is a symmetry exactly
+    when it maps the checked clauses of each length onto themselves:
     when the sorted keys of their images equal their own sorted keys.
+    The formula's keys are sorted once per length for all rows; the rows
+    are checked in blocks whose clause images hold at most
+    ``BLOCK_ENTRIES`` entries, or one row when a row holds more.
 
     The keys pack each literal at the width of the largest value a
     clause or its image can hold, ``img.max()``.  That is not
-    ``2 * num_vars``: phi may move a formula literal onto one beyond the
-    formula's variables, and a narrower width would let that image share
-    a key with a clause it differs from.
+    ``2 * num_vars``: a row may move a formula literal onto one beyond
+    the formula's variables, and a narrower width would let that image
+    share a key with a clause it differs from.
     """
-    if not len(phi):
-        return True
-    lens, flat, starts, occ, occ_ptr = formula._clause_arrays()
+    img = np.asarray(img, dtype=np.int32)
     n2 = 2 * formula.num_vars
-    # literals beyond the formula's variables occur in no clause and need
-    # no image; a clause moved onto one matches no clause
-    inside = phi.support < n2
-    keys = phi.support[inside]
-    img = np.arange(n2, dtype=np.int32)
-    img[keys] = phi.images[inside]
+    if img.ndim != 2 or img.shape[1] < n2:
+        raise ValueError(f"image table of shape {img.shape} does not "
+                         f"cover the formula's {n2} literals")
+    img = img[:, :n2]
+    ok = np.ones(len(img), dtype=bool)
+    moved = np.flatnonzero((img != np.arange(n2, dtype=np.int32)).any(axis=0))
+    if not len(moved):
+        return ok
+    lens, flat, starts, occ, occ_ptr = formula._clause_arrays()
     # the occ ranges of the moved literals, back to back: entry j of range
     # r sits at position first[r] + j and reads occ[lo[r] + j]
-    lo = occ_ptr[keys]
-    counts = occ_ptr[keys + 1] - lo
+    lo = occ_ptr[moved]
+    counts = occ_ptr[moved + 1] - lo
     first = np.cumsum(counts) - counts
     at = np.repeat(lo - first, counts) + np.arange(counts.sum())
     hit = np.zeros(len(lens), dtype=bool)
     hit[occ[at]] = True
     touched = np.flatnonzero(hit)
     touched_lens = lens[touched]
-    bits = int(img.max(initial=0)).bit_length()
-    for L in np.flatnonzero(np.bincount(touched_lens)):
-        idxs = touched[touched_lens == L]
-        rows = flat[starts[idxs][:, None] + np.arange(L)]
-        images = np.sort(img[rows], axis=1)
-        if not np.array_equal(np.sort(_row_keys(rows, bits)),
-                              np.sort(_row_keys(images, bits))):
-            return False
-    return True
+    bits = int(img.max()).bit_length()
+    groups = []
+    for L in np.flatnonzero(np.bincount(touched_lens)).tolist():
+        rows = flat[starts[touched[touched_lens == L]][:, None]
+                    + np.arange(L)]
+        # the keys of one or two literals are views of the rows, so the
+        # sort reorders whole clauses, which leaves their multiset alone
+        want = _row_keys(rows, bits)
+        want.sort()
+        groups.append((rows, want))
+    entries = sum(rows.size for rows, _ in groups)
+    step = max(1, BLOCK_ENTRIES // max(1, entries))
+    for k in range(0, len(img), step):
+        live = ok[k:k + step]
+        for rows, want in groups:
+            live &= (_image_keys(img[k:k + step], rows, bits)
+                     == want).all(axis=1)
+    return ok
+
+
+def _image_keys(img, rows, bits: int):
+    """K x C array: row k holds the sorted keys of the images under
+    ``img[k]`` of the C sorted clauses `rows`, all of one length, keyed
+    as ``_row_keys`` keys them.  A binary image is ordered by its min
+    and max, not sorted."""
+    L = rows.shape[1]
+    if L == 2:
+        a, b = img[:, rows[:, 0]], img[:, rows[:, 1]]
+        pair = np.empty(a.shape + (2,), dtype=np.int32)
+        np.minimum(a, b, out=pair[..., 0])
+        np.maximum(a, b, out=pair[..., 1])
+        keys = pair.view(np.int64)[..., 0]
+    else:
+        images = img[:, rows]
+        images.sort(axis=-1)
+        keys = _row_keys(images.reshape(-1, L), bits).reshape(len(img), -1)
+    keys.sort(axis=1)
+    return keys
+
+
+def is_automorphism(formula: Formula, phi: LiteralPermutation) -> bool:
+    """Whether phi is a symmetry of the formula: `automorphisms` of the
+    one-row table of phi on the formula's literals.  Literals beyond the
+    formula's variables occur in no clause and need no image; a clause
+    moved onto one matches no clause."""
+    if not len(phi):
+        return True
+    n2 = 2 * formula.num_vars
+    inside = phi.support < n2
+    img = np.arange(n2, dtype=np.int32)
+    img[phi.support[inside]] = phi.images[inside]
+    return bool(automorphisms(formula, img[None])[0])
 
 
 def clause_multiset_image_check(formula: Formula, phi: LiteralPermutation) -> bool:

@@ -1,14 +1,19 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import symbreak
 from symbreak.cli import main
 from symbreak.cnf import emit_dimacs, parse_dimacs
 from symbreak.testkit import (brute_force_sat, dpll_count, gen_cycle_coloring,
-                              gen_php)
+                              gen_php, gen_ramsey)
 
 
 def run_cli(argv, capsys):
@@ -179,6 +184,29 @@ class TestBreak:
         _, out1, _ = run_cli(["break", str(src), "--seed", "7"], capsys)
         _, out2, _ = run_cli(["break", str(src), "--seed", "7"], capsys)
         assert out1 == out2
+
+    def test_flags_do_not_leak_between_calls(self, tmp_path):
+        """The parser is built once per process, so a call with flags
+        must leave the next call's defaults as a fresh process has
+        them."""
+        src = tmp_path / "ramsey336.cnf"
+        src.write_text(emit_dimacs(gen_ramsey(3, 3, 6)))
+        dst = tmp_path / "out.cnf"
+
+        def digest():
+            return hashlib.sha256(dst.read_bytes()).hexdigest()
+
+        child = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                 "from symbreak.cli import main; sys.exit(main(sys.argv[2:]))")
+        package_root = os.path.dirname(os.path.dirname(symbreak.__file__))
+        subprocess.run([sys.executable, "-c", child, package_root, "break",
+                        str(src), "-o", str(dst)], check=True)
+        fresh = digest()
+        assert main(["break", str(src), "-o", str(dst), "--no-johnson",
+                     "--max-len", "8"]) == 0
+        assert digest() != fresh
+        assert main(["break", str(src), "-o", str(dst)]) == 0
+        assert digest() == fresh
 
     def test_utf8_comment_changes_nothing(self, tmp_path, capsys):
         """A leading UTF-8 comment line leaves the output bytes and the

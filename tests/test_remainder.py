@@ -3,14 +3,17 @@
 import itertools
 import random
 
-from symbreak.cnf import (Formula, LiteralPermutation, is_automorphism,
+import symbreak.cnf as cnf
+from symbreak.cnf import (Formula, LiteralPermutation,
+                          clause_multiset_image_check, is_automorphism,
                           neg_var, pos)
 from symbreak.modelgraph import build_model_graph
 from symbreak.refine import (individualize_refine, initial_coloring,
                              refine_stable)
 from symbreak.pipeline import PipelineConfig, _remainder_coloring
-from symbreak.remainder import (_dive, _next_nonsingleton, _pair_leaves,
-                                _workspace, find_remainder_generators)
+from symbreak.remainder import (_dive, _image_table, _next_nonsingleton,
+                                _pairing, _permutation, _workspace,
+                                find_remainder_generators)
 from symbreak.testkit import formula_automorphisms, gen_cycle_coloring, gen_php
 
 import numpy as np
@@ -105,7 +108,7 @@ def reference_dive(graph, pi, rng):
 
 
 def pair_leaves_loop(graph, d1, d2):
-    """Reference for the vectorized _pair_leaves."""
+    """Reference for one row of the batched _image_table."""
     nlit = graph.num_literal_vertices
     mapping = {}
     for s in range(len(d1.order)):
@@ -144,17 +147,25 @@ def test_vectorized_helpers_match_loops(formula):
             cur = individualize_refine(graph, cur, v).coloring
             prev = c
         leaves.append(cur)
-    slots = np.flatnonzero(pi.order < graph.num_literal_vertices)
-    for d1, d2 in itertools.product(leaves, repeat=2):
-        assert _pair_leaves(slots, d1, d2) == pair_leaves_loop(graph, d1, d2)
+    nlit = graph.num_literal_vertices
     # a literal slot facing a clause slot
     mixed = leaves[1].copy()
-    nlit = graph.num_literal_vertices
     a = int(mixed.pos[0])
     b = int(mixed.pos[nlit])
     mixed.order[a], mixed.order[b] = mixed.order[b], mixed.order[a]
+    mixed.pos[[0, nlit]] = b, a
+    pairs = [*itertools.product(leaves, repeat=2), (leaves[0], mixed),
+             (mixed, leaves[0])]
+    raw = np.empty((len(pairs), nlit), dtype=np.int32)
+    for (d1, d2), row in zip(pairs, raw):
+        _pairing(d1, d2, nlit, row)
+    table, ok = _image_table(raw, nlit)
+    for (d1, d2), row, good in zip(pairs, table, ok):
+        assert (_permutation(row) if good else None) == \
+            pair_leaves_loop(graph, d1, d2)
     assert pair_leaves_loop(graph, leaves[0], mixed) is None
-    assert _pair_leaves(slots, leaves[0], mixed) is None
+    assert pair_leaves_loop(graph, mixed, leaves[0]) is None
+    assert not ok[-2:].any()
 
 
 def renamed(f, seed):
@@ -171,10 +182,10 @@ def renamed(f, seed):
     renamed(gen_cycle_coloring(20, 4), 3)],
     ids=["c9-3coloring", "c20-4coloring", "renamed-c20-4coloring"])
 def test_dives_put_literals_in_the_same_slots(formula):
-    """_pair_leaves pairs literal slots without checking that the other
-    leaf holds literals there.  Refinement splits a class only inside its
-    own slots, and every class of the remainder coloring is all-literal
-    or all-clause, so every dive from it keeps its literal slots."""
+    """Refinement splits a class only inside its own slots, and every
+    class of the remainder coloring is all-literal or all-clause, so
+    every dive from it keeps its literal slots, and a pairing of two
+    leaves sends literals to literals."""
     graph, pi = prepared(formula)
     nlit = graph.num_literal_vertices
     covered = np.zeros(graph.vertex_count, dtype=bool)
@@ -268,3 +279,117 @@ def test_search_leaves_the_remainder_coloring_alone(formula):
     find_remainder_generators(formula, graph, pi,
                               PipelineConfig(dive_pairs=4, seed=1))
     assert same_coloring(pi, before)
+
+
+def graph_formula(n, edges):
+    """One positive 2-clause per edge of a graph on vertices 0..n-1."""
+    return Formula(n, [[pos(u + 1), pos(v + 1)] for u, v in edges])
+
+
+# both 2-regular, so refinement cannot tell the components apart; most
+# pairings send a literal and its negation to literals of two variables
+C6_2K3 = graph_formula(12, [(i, (i + 1) % 6) for i in range(6)]
+                       + [(6, 7), (7, 8), (8, 6), (9, 10), (10, 11),
+                          (11, 9)])
+# 3-regular with no automorphism but the identity: a pairing that passes
+# as a permutation must fail verification
+FRUCHT = graph_formula(12, [(i, (i + 1) % 7) for i in range(7)]
+                       + [(0, 7), (1, 7), (2, 8), (3, 9), (4, 9), (5, 10),
+                          (6, 10), (7, 11), (8, 11), (8, 9), (10, 11)])
+
+
+def ref_find_remainder_generators(formula, graph, pi_rem, config,
+                                  refused=None):
+    """The search as it was before the batch: each dive pair built into
+    a checked LiteralPermutation and verified on its own, at once.  The
+    pairings that verification refuses are appended to `refused`."""
+    nlit = graph.num_literal_vertices
+    if (pi_rem.clen[pi_rem.color[:nlit]] == 1).all():
+        return []
+    slots = np.flatnonzero(pi_rem.order < nlit)
+    (d1, a1), (d2, a2) = _workspace(pi_rem), _workspace(pi_rem)
+    rng = random.Random(config.seed)
+    found = []
+    seen = set()
+    for _ in range(config.dive_pairs):
+        _dive(graph, pi_rem, d1, a1, rng)
+        _dive(graph, pi_rem, d2, a2, rng)
+        try:
+            phi = LiteralPermutation(d1.order[slots], d2.order[slots])
+        except ValueError:
+            continue
+        if not len(phi) or phi in seen:
+            continue
+        if is_automorphism(formula, phi):
+            seen.add(phi)
+            found.append(phi)
+        elif refused is not None:
+            refused.append(phi)
+    return found
+
+
+SEARCH_FORMULAS = [gen_cycle_coloring(9, 3),
+                   renamed(gen_cycle_coloring(20, 4), 3), gen_php(4),
+                   torus_coloring(8, 3), C6_2K3, FRUCHT]
+SEARCH_IDS = ["c9-3coloring", "renamed-c20-4coloring", "php4",
+              "torus8-3coloring", "c6+2k3", "frucht"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("formula", SEARCH_FORMULAS, ids=SEARCH_IDS)
+def test_batched_search_matches_the_loop(formula, seed):
+    graph, pi = prepared(formula)
+    config = PipelineConfig(dive_pairs=24, seed=seed)
+    got = find_remainder_generators(formula, graph, pi, config)
+    assert got == ref_find_remainder_generators(formula, graph, pi, config)
+    for g in got:
+        assert g.support.dtype == g.images.dtype == np.int32
+        assert not g.support.flags.writeable
+        assert not g.images.flags.writeable
+
+
+def test_frucht_pairings_fail_verification():
+    """The case that takes the batch's refusal path: pairings that are
+    permutations but no symmetries, seen through the reference."""
+    graph, pi = prepared(FRUCHT)
+    for seed in (1, 3):
+        config = PipelineConfig(dive_pairs=32, seed=seed)
+        refused = []
+        assert ref_find_remainder_generators(FRUCHT, graph, pi, config,
+                                             refused) == []
+        assert refused
+        assert find_remainder_generators(FRUCHT, graph, pi, config) == []
+
+
+def test_c6_2k3_pairings_refused_as_permutations():
+    """Most pairings of C6 with 2K3 are no negation-closed permutation;
+    the search drops them before verification and keeps the rest."""
+    graph, pi = prepared(C6_2K3)
+    nlit = graph.num_literal_vertices
+    rng = random.Random(0)
+    (d1, a1), (d2, a2) = _workspace(pi), _workspace(pi)
+    raw = np.empty((32, nlit), dtype=np.int32)
+    for row in raw:
+        _dive(graph, pi, d1, a1, rng)
+        _dive(graph, pi, d2, a2, rng)
+        _pairing(d1, d2, nlit, row)
+    _, ok = _image_table(raw, nlit)
+    assert 16 <= np.count_nonzero(~ok) < 32
+    got = find_remainder_generators(C6_2K3, graph, pi,
+                                    PipelineConfig(dive_pairs=32, seed=0))
+    assert got
+    assert all(clause_multiset_image_check(C6_2K3, g) for g in got)
+
+
+@pytest.mark.parametrize("entries", [1, 200])
+@pytest.mark.parametrize("formula", [C6_2K3, FRUCHT, torus_coloring(8, 3)],
+                         ids=["c6+2k3", "frucht", "torus8-3coloring"])
+def test_search_blocks_do_not_change_the_result(monkeypatch, formula,
+                                                entries):
+    """A budget run block by block, a pair or a few at a time, finds the
+    generators of one block, in the same order."""
+    graph, pi = prepared(formula)
+    config = PipelineConfig(dive_pairs=24, seed=1)
+    want = find_remainder_generators(formula, graph, pi, config)
+    monkeypatch.setattr(cnf, "BLOCK_ENTRIES", entries)
+    assert find_remainder_generators(formula, graph, pi, config) == want

@@ -1,7 +1,10 @@
-"""Differential tests of the factor verifier's array passes: the batch
+"""Differential tests of the verifier's array passes: the batch
 transposition builder, the 2-D conjugation check, the clause keys of
-`is_automorphism` and the occurrence index, each against the per-item
-code it replaced, kept here as references."""
+`is_automorphism`, the image-table verifier `automorphisms` and the
+occurrence index, each against the per-item code it replaced, kept here
+as references, or against the clause-multiset oracle."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import symbreak.cnf as cnf
 from symbreak.cnf import (Formula, LiteralPermutation, SwapError,
-                          clause_multiset_image_check, is_automorphism, pos,
-                          transpose, transpositions)
+                          automorphisms, clause_multiset_image_check,
+                          is_automorphism, pos, transpose, transpositions)
 from symbreak.detectors import _conjugating_product
+from symbreak.testkit import formula_automorphisms
 
 # a variable far beyond every formula below
 FAR = 1 << 20
@@ -204,6 +208,70 @@ def formulas(draw):
     return Formula(num_vars, clauses)
 
 
+@st.composite
+def formula_and_rows(draw):
+    """A formula over up to 6 variables, perhaps closed under a random
+    signed variable permutation sigma, and 1-8 image-table rows drawn,
+    with repeats, from: the identity, sigma and sigma^2, every symmetry
+    of a formula over at most 3 variables, random signed permutations,
+    random bijections of the literals not closed under negation, and
+    exchanges of formula variables with variables near 2**20.  Each row
+    is a (support, images) pair of a bijection."""
+    num_vars = draw(st.integers(1, 6))
+    n2 = 2 * num_vars
+    lit = st.integers(0, n2 - 1)
+
+    def signed():
+        perm = draw(st.permutations(range(num_vars)))
+        signs = draw(st.lists(st.integers(0, 1), min_size=num_vars,
+                              max_size=num_vars))
+        return {2 * v + neg: 2 * w + (s ^ neg)
+                for v, (w, s) in enumerate(zip(perm, signs))
+                for neg in (0, 1)}
+
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=12,
+                                     unique=True), max_size=8))
+    sigma = signed()
+    if draw(st.booleans()):
+        orbit = {tuple(sorted(c)) for c in clauses}
+        while True:
+            more = {tuple(sorted(sigma[l] for l in c)) for c in orbit}
+            if more <= orbit:
+                break
+            orbit |= more
+        clauses = sorted(orbit)
+    f = Formula(num_vars, clauses)
+    sigma2 = {l: sigma[sigma[l]] for l in sigma}
+    maps = [{}, sigma, sigma2]
+    maps += [signed() for _ in range(draw(st.integers(0, 2)))]
+    maps += [dict(zip(range(n2), draw(st.permutations(range(n2)))))
+             for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        far = draw(st.lists(st.integers(FAR, FAR + 40), min_size=1,
+                            max_size=num_vars, unique=True))
+        swap = {}
+        for v, w in zip(range(num_vars), far):
+            for neg in (0, 1):
+                swap[2 * v + neg], swap[2 * w + neg] = 2 * w + neg, 2 * v + neg
+        maps.append(swap)
+    cands = [(np.array(list(m), dtype=np.int64),
+              np.array(list(m.values()), dtype=np.int64)) for m in maps]
+    if num_vars <= 3:
+        cands += [(g.support, g.images) for g in formula_automorphisms(f)]
+    rows = draw(st.lists(st.sampled_from(cands), min_size=1, max_size=8))
+    return f, rows
+
+
+def image_table(f, rows):
+    """The K x 2*num_vars image table of (support, images) rows."""
+    n2 = 2 * f.num_vars
+    img = np.tile(np.arange(n2, dtype=np.int32), (len(rows), 1))
+    for row, (support, images) in zip(img, rows):
+        inside = support < n2
+        row[support[inside]] = images[inside]
+    return img
+
+
 def far_collision():
     """A clause x1 | x513 | x514 whose image under x514 <-> x(2**20 + 514)
     packs, 11 bits to a literal (the width of 2 * num_vars = 1200), to
@@ -282,3 +350,51 @@ def test_occurrence_index_matches_stable_argsort(f):
     assert occ.dtype == want_occ.dtype
     assert np.array_equal(occ, want_occ)
     assert np.array_equal(occ_ptr, want_ptr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_and_rows())
+@example((far_collision()[0],
+          [(far_collision()[1].support, far_collision()[1].images)] * 2
+          + [(np.zeros(0, np.int64), np.zeros(0, np.int64))]))
+def test_image_table_verifier_matches_oracle_row_by_row(case):
+    f, rows = case
+    got = automorphisms(f, image_table(f, rows))
+    assert got.dtype == bool and got.shape == (len(rows),)
+    want = [clause_multiset_image_check(
+        f, SimpleNamespace(support=support, images=images))
+        for support, images in rows]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("entries", [1, 7, 60])
+def test_verifier_blocks_do_not_change_the_verdicts(monkeypatch, entries):
+    """Rows checked one block at a time, a block of one row or of a few,
+    give the verdicts of one pass over the table."""
+    f = Formula(6, [[0, 2], [2, 4], [4, 6], [6, 8], [8, 10], [10, 0],
+                    [1, 3, 5], [7, 9, 11], [0, 3, 6, 9]])
+    rows = [(np.arange(12), np.roll(np.arange(12), 2)),
+            (np.array([0, 1, 6, 7]), np.array([6, 7, 0, 1])),
+            (np.zeros(0, np.int64), np.zeros(0, np.int64)),
+            (np.arange(12), np.arange(12) ^ 1),
+            (np.array([0, 1, 2 * FAR, 2 * FAR + 1]),
+             np.array([2 * FAR, 2 * FAR + 1, 0, 1]))]
+    rows = rows + rows[::-1]
+    img = image_table(f, rows)
+    want = automorphisms(f, img)
+    assert want.tolist() == [clause_multiset_image_check(
+        f, SimpleNamespace(support=s, images=i)) for s, i in rows]
+    monkeypatch.setattr(cnf, "BLOCK_ENTRIES", entries)
+    assert automorphisms(f, img).tolist() == want.tolist()
+
+
+def test_image_table_must_cover_the_formula():
+    f = Formula(3, [[0, 2], [4]])
+    with pytest.raises(ValueError, match="does not cover"):
+        automorphisms(f, np.zeros((2, 5), dtype=np.int32))
+    assert automorphisms(f, np.zeros((0, 6), dtype=np.int32)).shape == (0,)
+    # columns beyond the formula's literals are not read
+    wide = np.tile(np.arange(8, dtype=np.int32), (2, 1))
+    wide[:, 6:] = 7, 6
+    wide[1, [0, 4]] = 4, 0
+    assert automorphisms(f, wide).tolist() == [True, False]
