@@ -24,6 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .native import native_kernel
+
 
 class DimacsError(ValueError):
     """Raised on malformed DIMACS input."""
@@ -272,6 +274,12 @@ def parse_dimacs(data) -> Formula:
     lines starting with ``c`` are skipped.  The header's clause count is
     not checked against the body; the header is kept as
     ``Formula.declared``.
+
+    Plain input (see `parse` in native.c), which is what DIMACS writers
+    write, is read in one count pass and one fill pass of the compiled
+    library; any other input, and all input where the library cannot be
+    built, is read by the numpy tokenizer, which gives plain input the
+    same formula and the rest its result or its `DimacsError`.
     """
     if hasattr(data, "read"):
         data = data.read()
@@ -279,6 +287,32 @@ def parse_dimacs(data) -> Formula:
     # surrogates, which become bytes above 127 like any non-ASCII text
     raw = (data.encode("utf-8", "surrogatepass") if isinstance(data, str)
            else bytes(data))
+    lib = native_kernel()
+    plain = None if lib is None else _parse_plain(lib, raw)
+    lens, lits, header, max_seen = plain or _parse_numpy(raw)
+    return Formula(max(header[0], max_seen), lens=lens, lits=lits,
+                   declared=header)
+
+
+def _parse_plain(lib, raw: bytes):
+    """``(lens, lits, header, largest variable)`` of plain input, read by
+    the C `parse` in a count pass and a fill pass; None for input that is
+    not plain (see `parse` in native.c)."""
+    info = np.zeros(5, dtype=np.int64)
+    if not lib.parse(raw, len(raw), info.ctypes.data, None, None):
+        return None
+    lens = np.empty(info[2], dtype=np.int64)
+    lits = np.empty(info[3], dtype=np.int64)
+    if not lib.parse(raw, len(raw), info.ctypes.data, lens.ctypes.data,
+                     lits.ctypes.data):
+        raise RuntimeError("the C parse counted and read the same "
+                           "bytes differently")
+    return lens, lits, (int(info[0]), int(info[1])), int(info[4])
+
+
+def _parse_numpy(raw: bytes):
+    """``(lens, lits, header, largest variable)`` of any input, by a
+    numpy tokenizer; raises DimacsError for malformed input."""
     codes = np.frombuffer(raw, dtype=np.uint8)
 
     def text(s: int, e: int) -> str:
@@ -341,8 +375,7 @@ def parse_dimacs(data) -> Formula:
     lits = vals[~is_end]
     lits = 2 * np.abs(lits) - 2 + (lits < 0)
     max_seen = int(lits.max()) // 2 + 1 if len(lits) else 0
-    return Formula(max(header[0], max_seen), lens=lens, lits=lits,
-                   declared=header)
+    return lens, lits, header, max_seen
 
 
 def emit_dimacs(formula: Formula, added: Iterable[tuple] = (),
@@ -364,14 +397,40 @@ def emit_dimacs(formula: Formula, added: Iterable[tuple] = (),
         add_lits = np.fromiter(chain.from_iterable(added), dtype=np.int64,
                                count=int(add_lens.sum()))
     num_vars = formula.num_vars + aux_vars
-    if len(add_lits) and (add_lits.min() < 0
-                          or add_lits.max() // 2 + 1 > num_vars):
+    top = int(add_lits.max()) // 2 + 1 if len(add_lits) else 0
+    if len(add_lits) and (add_lits.min() < 0 or top > num_vars):
         raise ValueError("added clause exceeds declared variable range")
+    csr = ((formula.lens, formula.lits), (add_lens, add_lits))
+    lib = native_kernel()
+    # a formula's codes are int32; added ones may go beyond
+    if lib is None or top > MAX_VAR:
+        body = "".join(_clause_lines(lens, lits) for lens, lits in csr)
+    else:
+        body = _emit_native(lib, csr)
     return "".join([
         *(f"c symbreak: {line}\n" for line in comments),
         f"p cnf {num_vars} {formula.num_clauses + len(add_lens)}\n",
-        _clause_lines(formula.lens, formula.lits),
-        _clause_lines(add_lens, add_lits)])
+        body])
+
+
+def _emit_native(lib, csr) -> str:
+    """The text `_clause_lines` gives each (lens, lits) pair of `csr`, all
+    pairs back to back, written by the C `emit` into one buffer sized at
+    12 bytes a literal and 3 a clause and decoded once.  Every code is
+    below 2**31."""
+    csr = [(np.ascontiguousarray(lens, dtype=np.int32),
+            np.ascontiguousarray(lits, dtype=np.int32))
+           for lens, lits in csr]
+    buf = np.empty(sum(12 * len(lits) + 3 * len(lens) for lens, lits in csr),
+                   dtype=np.uint8)
+    k = 0
+    for lens, lits in csr:
+        wrote = lib.emit(lens.ctypes.data, len(lens), lits.ctypes.data,
+                         len(lits), buf.ctypes.data + k)
+        if wrote < 0:
+            raise ValueError("clause lengths do not match the literals")
+        k += wrote
+    return str(memoryview(buf)[:k], "ascii")
 
 
 def _clause_lines(lens, lits) -> str:

@@ -1,10 +1,11 @@
-/* Native refinement kernels for symbreak.refine.
+/* Native kernels for symbreak: color refinement and DIMACS I/O.
  *
  * `refine` is a line-for-line port of the reference kernel
  * `_refine_kernel` in refine.py, and `rollback` does what
  * `_rollback_kernel` does there.  Both pairs must give identical
  * colorings and identical journals; the tests compare them on random
- * graphs.
+ * graphs.  `parse` and `emit` read and write DIMACS for cnf.py, whose
+ * numpy tokenizer and `_clause_lines` are their references.
  *
  * All arrays are C-contiguous with the dtypes named in the signatures.
  * The journal arrays jd and jl hold 3 rows of `jstride` entries each
@@ -22,7 +23,7 @@
  * touched region, where all its touched vertices lie; a run that stops
  * early clears the in_queue flags of the splitters it leaves queued.
  *
- * Built by refine.py with `cc -O2 -shared -fPIC` and loaded with ctypes.
+ * Built by native.py with `cc -O2 -shared -fPIC` and loaded with ctypes.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -252,4 +253,172 @@ void rollback(int8_t *jd, const int32_t *jl, int64_t *jc, int64_t jstride,
         }
         jc[a] = 0;
     }
+}
+
+
+/* ---- DIMACS I/O ------------------------------------------------------ */
+
+/* literal codes are int32, so a variable is at most 2^30 */
+#define MAX_VAR (INT64_C(1) << 30)
+
+#define IS_BLANK(b) ((b) == ' ' || (b) == '\t')
+#define IS_BREAK(b) ((b) == '\n' || (b) == '\r')
+#define IS_DIGIT(b) ((uint8_t)((b) - '0') < 10)
+
+/* The unsigned decimal token at s[*at], of 1 to 10 digits followed by a
+ * blank, a line break or the end: its value, with *at moved past it, or
+ * -1 when the token is anything else. */
+static inline int64_t digits(const uint8_t *s, int64_t n, int64_t *at)
+{
+    int64_t i = *at, v = 0;
+    while (i < n && IS_DIGIT(s[i])) {
+        if (i - *at == 10)
+            return -1;
+        v = 10 * v + (s[i++] - '0');
+    }
+    if (i == *at || (i < n && !IS_BLANK(s[i]) && !IS_BREAK(s[i])))
+        return -1;
+    *at = i;
+    return v;
+}
+
+static inline int64_t skip_blanks(const uint8_t *s, int64_t n, int64_t i)
+{
+    while (i < n && IS_BLANK(s[i]))
+        i++;
+    return i;
+}
+
+/* Read plain DIMACS: ASCII text whose only whitespace is space, tab, \r
+ * and \n; lines that start with c, which are skipped; one header line
+ * `p cnf V C` before any clause data, V at most 2^30; and data tokens of
+ * 1 to 10 digits with an optional '-', of absolute value at most 2^30,
+ * the last of them 0.  Returns 1 for plain input and 0 for any other,
+ * which cnf.py then reads with its numpy tokenizer, the reference that
+ * gives every other input its result or its error.
+ *
+ * A first pass with lens == NULL fills info with the header's V and C,
+ * the clause count, the literal count and the largest variable in the
+ * clauses (0 if none).  A second pass over the same bytes, with info as
+ * the first left it, writes each clause's length to lens and its
+ * literals' codes to lits, as many as the first pass counted.  Both are
+ * int64, as the numpy tokenizer gives them to Formula, which keys its
+ * canonicalizing sort in int64. */
+int parse(const char *text, int64_t n, int64_t *info, int64_t *lens,
+          int64_t *lits)
+{
+    const uint8_t *s = (const uint8_t *)text;
+    int64_t ncls = 0, nlits = 0, open = 0, top = 0;
+    int64_t vars = -1, clauses = -1;
+    int64_t i = 0;
+    while (i < n) {
+        i = skip_blanks(s, n, i);
+        if (i == n)
+            break;
+        uint8_t lead = s[i];
+        if (IS_BREAK(lead)) {
+            i++;
+        } else if (lead == 'c') {
+            /* a control byte other than tab may end the line for the
+             * numpy tokenizer; a byte above 127 is not ASCII */
+            for (; i < n && !IS_BREAK(s[i]); i++)
+                if ((s[i] < 0x20 && s[i] != '\t') || s[i] >= 0x80)
+                    return 0;
+        } else if (lead == 'p') {
+            /* exactly `p cnf V C`, once, before any data */
+            if (vars >= 0 || i + 1 == n || !IS_BLANK(s[i + 1]))
+                return 0;
+            i = skip_blanks(s, n, i + 1);
+            if (n - i < 4 || s[i] != 'c' || s[i + 1] != 'n' || s[i + 2] != 'f'
+                    || !IS_BLANK(s[i + 3]))
+                return 0;
+            i = skip_blanks(s, n, i + 3);
+            vars = digits(s, n, &i);
+            i = skip_blanks(s, n, i);
+            clauses = digits(s, n, &i);
+            i = skip_blanks(s, n, i);
+            if (vars < 0 || vars > MAX_VAR || clauses < 0
+                    || (i < n && !IS_BREAK(s[i])))
+                return 0;
+        } else {
+            /* a data line: tokens up to the line break */
+            if (vars < 0)
+                return 0;
+            while (i < n && !IS_BREAK(s[i])) {
+                int neg = s[i] == '-';
+                i += neg;
+                int64_t v = digits(s, n, &i);
+                if (v < 0 || v > MAX_VAR)
+                    return 0;
+                if (v == 0) {
+                    if (lens) {
+                        if (ncls == info[2])
+                            return 0;
+                        lens[ncls] = open;
+                    }
+                    ncls++;
+                    open = 0;
+                } else {
+                    if (lits) {
+                        if (nlits == info[3])
+                            return 0;
+                        lits[nlits] = 2 * v - 2 + neg;
+                    }
+                    nlits++;
+                    open++;
+                    if (v > top)
+                        top = v;
+                }
+                i = skip_blanks(s, n, i);
+            }
+        }
+    }
+    if (vars < 0 || open)
+        return 0;
+    if (!lens) {
+        info[0] = vars;
+        info[1] = clauses;
+        info[2] = ncls;
+        info[3] = nlits;
+        info[4] = top;
+    }
+    return 1;
+}
+
+/* Write the DIMACS lines of the clauses `lens` over the literal codes
+ * `lits` (CSR, nlits in all) to out, as cnf.py's `_clause_lines` writes
+ * them: each literal signed and followed by a space, then "0\n"; an
+ * empty clause is " 0\n".  A code is at most 2^31 - 1, so its text is at
+ * most 12 bytes ("-1073741824 ") and out needs 12 * nlits + 3 * nlens
+ * bytes.  Returns the bytes written, or -1, before writing past out, for
+ * a negative length or code or lengths that do not add up to nlits. */
+int64_t emit(const int32_t *lens, int64_t nlens, const int32_t *lits,
+             int64_t nlits, char *out)
+{
+    char *p = out;
+    int64_t at = 0;
+    for (int64_t c = 0; c < nlens; c++) {
+        int64_t len = lens[c];
+        if (len < 0 || len > nlits - at)
+            return -1;
+        if (len == 0)
+            *p++ = ' ';
+        for (int64_t end = at + len; at < end; at++) {
+            int32_t code = lits[at];
+            if (code < 0)
+                return -1;
+            if (code & 1)
+                *p++ = '-';
+            char digit[10];
+            int k = 0;
+            for (int32_t v = code / 2 + 1; v; v /= 10)
+                digit[k++] = (char)('0' + v % 10);
+            while (k)
+                *p++ = digit[--k];
+            *p++ = ' ';
+        }
+        *p++ = '0';
+        *p++ = '\n';
+    }
+    return at == nlits ? p - out : -1;
 }

@@ -26,8 +26,9 @@ import numpy as np
 from . import cnf
 from .cnf import Formula, LiteralPermutation, automorphisms
 from .modelgraph import ColoredGraph
+from .native import native_kernel
 from .refine import (Coloring, _check_coloring, _kernel_addresses,
-                     _run_refinement, _split_off, native_kernel)
+                     _run_refinement, _split_off)
 # unused here, but perfbench/tracing.py wraps these names of this module
 from .cnf import is_automorphism  # noqa: F401
 from .refine import individualize_refine  # noqa: F401

@@ -4,16 +4,33 @@ per-literal Python implementations they replaced, kept here verbatim as
 references.  Every generated input must give the same error or the same
 formula (variables, clause lists, every `_clause_arrays` array with its
 dtype) and the same emitted text.  The parser reads a str or text file
-as its UTF-8 bytes, so the reference is given those bytes."""
+as its UTF-8 bytes, so the reference is given those bytes.
 
+Each case runs on both I/O paths: with the compiled library, which reads
+plain input and writes every output in C, and with the library patched
+away, where the numpy tokenizer and `_clause_lines` do it all."""
+
+import contextlib
 import io
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from symbreak import cnf
 from symbreak.cnf import DimacsError, Formula, emit_dimacs, parse_dimacs
+
+HAVE_C = cnf.native_kernel() is not None
+
+
+def io_paths():
+    """Context managers for the two DIMACS I/O paths: the compiled
+    library where it is built, then numpy with the library patched
+    away."""
+    numpy_only = mock.patch.object(cnf, "native_kernel", lambda: None)
+    return [contextlib.nullcontext(), numpy_only] if HAVE_C else [numpy_only]
 
 
 # ---- references ----------------------------------------------------------
@@ -275,17 +292,20 @@ def added_clauses(draw, num_vars):
           suppress_health_check=[HealthCheck.too_slow])
 @given(dimacs_inputs(), st.data())
 def test_parse_and_emit_match_reference(data, draw):
-    new, err = _outcome(parse_dimacs, data)
     ref, ref_err = _outcome(ref_parse_dimacs, _as_bytes(data))
-    assert err == ref_err
-    if err is not None:
-        return
-    assert_same_formula(new, ref)
-    assert emit_dimacs(new) == ref_emit_dimacs(ref)
-    added, aux = draw.draw(added_clauses(new.num_vars))
+    added, aux = ([], 0) if ref_err else draw.draw(
+        added_clauses(ref.num_vars))
     comments = ["static", "structure row 3x2"]
-    assert (emit_dimacs(new, added, aux, comments)
-            == ref_emit_dimacs(ref, added, aux, comments))
+    for path in io_paths():
+        with path:
+            new, err = _outcome(parse_dimacs, data)
+            assert err == ref_err
+            if err is not None:
+                continue
+            assert_same_formula(new, ref)
+            assert emit_dimacs(new) == ref_emit_dimacs(ref)
+            assert (emit_dimacs(new, added, aux, comments)
+                    == ref_emit_dimacs(ref, added, aux, comments))
 
 
 @settings(max_examples=200, deadline=None,
@@ -293,12 +313,14 @@ def test_parse_and_emit_match_reference(data, draw):
 @given(dimacs_inputs())
 def test_str_parses_as_its_utf8_bytes(data):
     text = _as_text(data)
-    new, err = _outcome(parse_dimacs, text)
-    want, want_err = _outcome(parse_dimacs, text.encode("utf-8"))
-    assert err == want_err
-    if err is None:
-        assert_same_formula(new, want)
-        assert new.declared == want.declared
+    for path in io_paths():
+        with path:
+            new, err = _outcome(parse_dimacs, text)
+            want, want_err = _outcome(parse_dimacs, text.encode("utf-8"))
+        assert err == want_err
+        if err is None:
+            assert_same_formula(new, want)
+            assert new.declared == want.declared
 
 
 @settings(max_examples=200, deadline=None)
@@ -322,8 +344,9 @@ def test_added_clause_out_of_range_matches_reference():
     for added in ([(4,)], [(0, 2), (5,)]):
         with pytest.raises(ValueError):
             ref_emit_dimacs(f, added)
-        with pytest.raises(ValueError):
-            emit_dimacs(f, added)
+        for path in io_paths():
+            with path, pytest.raises(ValueError):
+                emit_dimacs(f, added)
 
 
 def test_duplicate_header_after_many_comments_matches_reference():
@@ -336,9 +359,11 @@ def test_duplicate_header_after_many_comments_matches_reference():
                  comments + "p cnf 2 1\n1 2 0\n" + comments
                  + "p cnf 2 1\n"):
         for data in (text, text.encode()):
-            new, err = _outcome(parse_dimacs, data)
             ref, ref_err = _outcome(ref_parse_dimacs, _as_bytes(data))
-            assert err == ref_err == "duplicate header line"
+            for path in io_paths():
+                with path:
+                    new, err = _outcome(parse_dimacs, data)
+                assert err == ref_err == "duplicate header line"
 
 
 def test_whitespace_tables_match_str_methods():
@@ -367,27 +392,158 @@ def test_large_formula_matches_reference():
         lines.append(" ".join(map(str, lits)) + " 0")
     lines += lines[1:200]
     text = "\n".join(lines) + "\n"
-    new, ref = parse_dimacs(text), ref_parse_dimacs(text)
-    assert_same_formula(new, ref)
+    ref = ref_parse_dimacs(text)
     added = [tuple(int(x) for x in rng.integers(0, 2 * nv, size=3))
              for _ in range(100)]
-    assert emit_dimacs(new, added) == ref_emit_dimacs(ref, added)
-    assert Counter(new.unique_clauses) == Counter(set(new.clauses))
+    for path in io_paths():
+        with path:
+            new = parse_dimacs(text)
+            assert_same_formula(new, ref)
+            assert emit_dimacs(new, added) == ref_emit_dimacs(ref, added)
+            assert Counter(new.unique_clauses) == Counter(set(new.clauses))
 
 
 def test_sparse_wide_variables_match_reference():
     """Few literals over variables far apart: the literal text table
     covers only the codes that occur, with rows wider than eight
     characters."""
-    text = "p cnf 3 3\n1 -1234567 0\n-3 1000000 0\n1 -1234567 0\n"
-    new, ref = parse_dimacs(text), ref_parse_dimacs(text)
-    assert_same_formula(new, ref)
-    assert emit_dimacs(new) == ref_emit_dimacs(ref)
-    # the largest variable a literal code holds; its clause index would
-    # take gigabytes, so only the text is compared
-    text = "p cnf 3 2\n1073741824 -3 0\n-1073741824 2 0\n"
-    new, ref = parse_dimacs(text), ref_parse_dimacs(text)
-    added = [(2 * 1073741824 - 1, 0)]
-    assert emit_dimacs(new, added) == ref_emit_dimacs(ref, added)
-    assert emit_dimacs(new) == ("p cnf 1073741824 2\n-3 1073741824 0\n"
-                                "2 -1073741824 0\n")
+    for path in io_paths():
+        with path:
+            text = "p cnf 3 3\n1 -1234567 0\n-3 1000000 0\n1 -1234567 0\n"
+            new, ref = parse_dimacs(text), ref_parse_dimacs(text)
+            assert_same_formula(new, ref)
+            assert emit_dimacs(new) == ref_emit_dimacs(ref)
+            # the largest variable a literal code holds; its clause index
+            # would take gigabytes, so only the text is compared
+            text = "p cnf 3 2\n1073741824 -3 0\n-1073741824 2 0\n"
+            new, ref = parse_dimacs(text), ref_parse_dimacs(text)
+            added = [(2 * 1073741824 - 1, 0)]
+            assert emit_dimacs(new, added) == ref_emit_dimacs(ref, added)
+            assert emit_dimacs(new) == (
+                "p cnf 1073741824 2\n-3 1073741824 0\n2 -1073741824 0\n")
+
+
+# inputs on the edge of what the C reader takes as plain; the rest go to
+# the numpy tokenizer, which must give them its own result or error
+BOUNDARY = {
+    "plus-sign": (b"p cnf 5 1\n+5 -1 0\n", False),
+    "minus-zero": (b"p cnf 2 2\n1 -0 2 0\n", True),
+    "leading-zeros": (b"p cnf 007 1\n0003 -01 0\n", True),
+    "ten-digits": (b"p cnf 3 1\n0000000003 0\n", True),
+    "eleven-digits": (b"p cnf 3 1\n00000000003 0\n", False),
+    "beyond-max-var": (b"p cnf 3 1\n1073741825 0\n", False),
+    "beyond-max-var-negative": (b"p cnf 3 1\n-1073741825 0\n", False),
+    "cr-only": (b"c x\rp cnf 3 2\r1 -2 0\r3\r0\r", True),
+    "crlf": (b"p cnf 3 2\r\n1 -2 0\r\n\r\n3 0", True),
+    "tabs": (b"\tp\tcnf\t3 1 \n\t1\t-3\t0\t\n", True),
+    "vertical-tab": (b"p cnf 3 1\x0b1 2 0\n", False),
+    "form-feed": (b"p cnf 3 1\n1\x0c2 0\n", False),
+    "file-separator": (b"p cnf 3 2\n1 2 0\x1c3 0\n", False),
+    "vertical-tab-in-comment": (b"p cnf 3 1\nc x\x0b1 2 0\n", False),
+    "high-byte-in-comment": (b"c caf\xe9\np cnf 2 1\n1 2 0\n", False),
+    "delete-in-comment": (b"c \x7f\x7f\np cnf 2 1\n1 2 0\n", True),
+    "delete-in-data": (b"p cnf 2 1\n1 2\x7f 0\n", False),
+    "high-byte-in-data": (b"p cnf 2 1\n1 2\xe9 0\n", False),
+    "p-line-after-data": (b"c x\n1 0\np cnf 2 1\n", False),
+    "duplicate-header": (b"p cnf 2 1\np cnf 2 1\n1 0\n", False),
+    "header-after-data": (b"p cnf 2 2\n1 0\np cnf 2 1\n", False),
+    "header-beyond-max-var": (b"p cnf 1073741825 1\n1 0\n", False),
+    "header-at-max-var": (b"p cnf 1073741824 0\n", True),
+    "header-word": (b"px cnf 2 1\n1 0\n", False),
+    "header-signed": (b"p cnf +2 1\n1 0\n", False),
+    "header-extra-field": (b"p cnf 2 1 9\n1 0\n", False),
+    "header-only": (b"p cnf 2 0", True),
+    "missing-header": (b"c x\n", False),
+    "missing-final-zero": (b"p cnf 2 1\n1 2\n", False),
+    "satlib-percent": (b"p cnf 2 1\n1 2 0\n%\n0\n\n", False),
+    "comment-after-data": (b"p cnf 2 1\n1\nc 5 x\n2 0\ncp\n", True),
+}
+
+
+@pytest.mark.parametrize("raw, plain", BOUNDARY.values(), ids=BOUNDARY)
+def test_plain_boundary_matches_numpy(raw, plain):
+    """Each input gives the numpy path's exact error or the same formula,
+    and the C reader takes exactly the plain ones."""
+    with io_paths()[-1]:
+        want, want_err = _outcome(parse_dimacs, raw)
+    if not HAVE_C:
+        pytest.skip("no compiled library")
+    assert (cnf._parse_plain(cnf.native_kernel(), raw) is not None) == plain
+    new, err = _outcome(parse_dimacs, raw)
+    assert err == want_err
+    if err is None:
+        assert new.num_vars == want.num_vars
+        assert new.declared == want.declared
+        for got, expect in ((new.lens, want.lens), (new.lits, want.lits)):
+            assert got.dtype == expect.dtype
+            assert np.array_equal(got, expect)
+        assert new.clauses == ref_parse_dimacs(raw).clauses
+
+
+# the two widest literal texts: variable 2**30, positive and negative
+WIDEST = [2 * (1 << 30) - 2, 2 * (1 << 30) - 1]
+
+
+@st.composite
+def clause_arrays(draw):
+    lens = draw(st.lists(st.integers(0, 4), max_size=12))
+    code = st.one_of(st.integers(0, 2 * 120), st.sampled_from(WIDEST))
+    lits = draw(st.lists(code, min_size=sum(lens), max_size=sum(lens)))
+    return np.array(lens, dtype=np.int32), np.array(lits, dtype=np.int32)
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no compiled library")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(clause_arrays(), min_size=1, max_size=3))
+def test_native_emit_matches_clause_lines(csr):
+    """The C writer gives `_clause_lines`' text for empty, one-literal
+    and widest-literal clauses, within its 12-bytes-a-literal and
+    3-bytes-a-clause buffer."""
+    text = cnf._emit_native(cnf.native_kernel(), csr)
+    assert text == "".join(cnf._clause_lines(lens, lits)
+                           for lens, lits in csr)
+    assert len(text) <= sum(12 * len(lits) + 3 * len(lens)
+                            for lens, lits in csr)
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no compiled library")
+def test_native_emit_fills_its_bound():
+    """Empty clauses and the widest literals fill the buffer but for the
+    one byte that a non-empty clause's end leaves."""
+    lens = np.array([0, 0, 2, 0], dtype=np.int32)
+    lits = np.array(WIDEST[1:] * 2, dtype=np.int32)
+    text = cnf._emit_native(cnf.native_kernel(), [(lens, lits)])
+    assert text == " 0\n 0\n-1073741824 -1073741824 0\n 0\n"
+    assert len(text) == 12 * 2 + 3 * 4 - 1
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no compiled library")
+@pytest.mark.parametrize("lens, lits", [
+    ([3], [0, 1]), ([1], [0, 1]), ([-1, 2], [0]), ([1], [-2])],
+    ids=["short", "long", "negative-length", "negative-code"])
+def test_native_emit_refuses_malformed_arrays(lens, lits):
+    with pytest.raises(ValueError):
+        cnf._emit_native(cnf.native_kernel(),
+                         [(np.array(lens, dtype=np.int32),
+                           np.array(lits, dtype=np.int32))])
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no compiled library")
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda nv: st.tuples(
+    st.just(nv),
+    st.lists(st.lists(st.integers(0, 2 * nv - 1), max_size=5),
+             max_size=8))), st.data())
+def test_emitted_dimacs_is_plain(case, draw):
+    """What `emit_dimacs` writes, with the comments symbreak writes, is
+    read back by the C reader."""
+    nv, clauses = case
+    formula = Formula(nv, clauses)
+    added, aux = draw.draw(added_clauses(nv))
+    text = emit_dimacs(formula, added, aux, ["structure row 3x2"])
+    plain = cnf._parse_plain(cnf.native_kernel(), text.encode())
+    assert plain is not None
+    lens, lits, header, _ = plain
+    assert header == (nv + aux, len(clauses) + len(added))
+    assert lens.tolist() == [len(c) for c in formula.clauses] + [
+        len(c) for c in added]

@@ -6,8 +6,9 @@ import json
 import numpy as np
 
 import symbreak.detectors as detectors
+from symbreak import native
 from symbreak.cnf import (Formula, clause_multiset_image_check, emit_dimacs,
-                          neg_var, pos, transpose)
+                          neg_var, parse_dimacs, pos, transpose)
 from symbreak.modelgraph import build_model_graph
 from symbreak.pipeline import PipelineConfig, negation_class_of, run
 from symbreak.refine import initial_coloring, refine_stable
@@ -27,7 +28,7 @@ def augmented(formula, out):
 # SHA-256 of the DIMACS emitted under PipelineConfig(seed=3).  The
 # emitted CNF for a fixed input and seed is the program's contract, so a
 # change of digest is a change of behaviour, not of implementation.
-@pytest.mark.parametrize("make, digest", [
+PINNED_DIMACS = pytest.mark.parametrize("make, digest", [
     # row-column
     (lambda: gen_php(6),
      "a9ba6ff5457e37ae01c07cc7717debc73f2b6f85d2569e423887f706aad46c14"),
@@ -58,11 +59,35 @@ def augmented(formula, out):
 ], ids=["php6", "ramsey338", "cliquecolor1032", "c9-3coloring",
         "c15-3coloring", "c41-4coloring", "c20-4coloring", "two-copy-rows",
         "row-blocks"])
+
+
+@PINNED_DIMACS
 def test_emitted_dimacs_is_pinned(make, digest):
     formula = make()
     out = run(formula, PipelineConfig(seed=3))
     text = emit_dimacs(formula, added=out.added_clauses,
                        aux_vars=out.aux_count)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@PINNED_DIMACS
+def test_emitted_dimacs_is_pinned_without_compiler(make, digest,
+                                                    tmp_path, monkeypatch):
+    """Where no `cc` is found, refinement runs the Python kernel and
+    DIMACS I/O numpy; a formula read back from its DIMACS breaks to the
+    same bytes."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    native.native_kernel.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="Python kernel"):
+            formula = parse_dimacs(emit_dimacs(make()))
+        assert native.native_kernel() is None
+        out = run(formula, PipelineConfig(seed=3))
+        text = emit_dimacs(formula, added=out.added_clauses,
+                           aux_vars=out.aux_count)
+    finally:
+        native.native_kernel.cache_clear()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symbreak import refine, remainder
-from symbreak.cnf import emit_dimacs
+from symbreak import native, refine, remainder
+from symbreak.cnf import emit_dimacs, parse_dimacs
 from symbreak.modelgraph import ColoredGraph, build_model_graph
 from symbreak.pipeline import PipelineConfig, run
 from symbreak.refine import (Coloring, IRSession, RefinementReport,
@@ -456,10 +456,11 @@ class TestNativeKernel:
         """ctypes passes what argtypes says, unchecked against the C
         source; a count that drifts from the signature crashes or feeds
         garbage to the kernel."""
-        src = refine._KERNEL_SRC.read_text()
-        lib = refine.native_kernel()
-        for name in ("refine", "rollback", "valid_coloring"):
-            m = re.search(rf"^(?:int|void) {name}\(([^)]*)\)", src,
+        src = native._KERNEL_SRC.read_text()
+        lib = native.native_kernel()
+        for name in ("refine", "rollback", "valid_coloring", "parse",
+                     "emit"):
+            m = re.search(rf"^(?:int|int64_t|void) {name}\(([^)]*)\)", src,
                           re.MULTILINE)
             assert m, f"no definition of {name}"
             assert m.group(1).count(",") + 1 == \
@@ -473,19 +474,19 @@ class TestNativeKernel:
         cache.mkdir(mode=0o700)
         (cache / "refine_kernel-0123456789abcdef0123.so").write_bytes(b"")
         (cache / "notes.txt").write_bytes(b"")
-        lib = refine._compiled_kernel()
+        lib = native._compiled_kernel()
         assert lib.parent == cache and lib.is_file()
         assert stat.S_IMODE(os.stat(lib.parent).st_mode) & 0o077 == 0
         assert sorted(os.listdir(lib.parent)) == sorted(
             [lib.name, "notes.txt", "refine_kernel-0123456789abcdef0123.so"])
-        assert refine._compiled_kernel() == lib
+        assert native._compiled_kernel() == lib
 
     def test_shared_cache_directory_is_refused(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         (tmp_path / "symbreak").mkdir(mode=0o777)
         os.chmod(tmp_path / "symbreak", 0o777)
         with pytest.raises(OSError, match="not a private directory"):
-            refine._compiled_kernel()
+            native._compiled_kernel()
 
 
 def member_color_fragments(report, sigma):
@@ -579,13 +580,15 @@ def test_pool_is_clean_after_every_call(g, picks):
 @pytest.mark.parametrize("failure", ["no-compiler", "compiler-error"])
 def test_failed_build_falls_back_with_one_warning(failure, tmp_path,
                                                   monkeypatch):
+    """Without a library, refinement runs the Python kernel and DIMACS
+    I/O numpy, to the same results."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     if failure == "no-compiler":
-        monkeypatch.setattr(refine.shutil, "which", lambda name: None)
+        monkeypatch.setattr(native.shutil, "which", lambda name: None)
     else:
-        monkeypatch.setattr(refine, "_CFLAGS",
-                            refine._CFLAGS + ("-Werror=no-such-warning",))
-    refine.native_kernel.cache_clear()
+        monkeypatch.setattr(native, "_CFLAGS",
+                            native._CFLAGS + ("-Werror=no-such-warning",))
+    native.native_kernel.cache_clear()
     try:
         with pytest.warns(RuntimeWarning, match="Python kernel"):
             assert refine.native_kernel() is None
@@ -594,8 +597,13 @@ def test_failed_build_falls_back_with_one_warning(failure, tmp_path,
             assert refine.native_kernel() is None
             g = cycle(5)
             rep = individualize_refine(g, initial_coloring(g), 0)
+            formula = parse_dimacs(b"c x\np cnf 4 3\n-1 3 0\n4 -1 -4 0\n0\n")
+            text = emit_dimacs(formula, [(0, 9)], aux_vars=1)
         assert rep.coloring.as_partition() == [frozenset({0}),
                                                frozenset({2, 3}),
                                                frozenset({1, 4})]
+        assert formula.lens.tolist() == [2, 3, 0]
+        assert formula.lits.tolist() == [1, 4, 1, 6, 7]
+        assert text == "p cnf 5 4\n-1 3 0\n-1 4 -4 0\n 0\n1 -5 0\n"
     finally:
-        refine.native_kernel.cache_clear()
+        native.native_kernel.cache_clear()
