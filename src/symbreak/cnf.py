@@ -220,49 +220,6 @@ def _clause_tuples(lens, lits) -> list:
     return out
 
 
-# the bytes that str.split() and str.splitlines() take for whitespace and
-# line breaks in ASCII text; a byte above 127 is neither
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-_BREAK = np.zeros(256, dtype=bool)
-_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
-
-
-def _token_values(codes, starts, ends, text):
-    """int() of each token.  Plain ASCII integers of up to 10 characters
-    are converted in bulk, one pass per length; the rest go through
-    int() one by one, in order, and the first that fails raises."""
-    width = np.minimum(ends - starts, 11).astype(np.int16)
-    vals = np.zeros(len(starts), dtype=np.int64)
-    odd = width > 10
-    for L in range(1, 11):
-        idx = np.flatnonzero(width == L)
-        if not len(idx):
-            continue
-        at = starts[idx]
-        lead = codes[at]
-        signed = (lead == 45) | (lead == 43)
-        digit = lead - 48          # unsigned: a non-digit is 10 or more
-        ok = (digit < 10) | (signed & (L > 1))
-        val = np.where(signed, 0, digit).astype(np.int64)
-        for j in range(1, L):
-            digit = codes[at + j] - 48
-            ok &= digit < 10
-            val = val * 10 + digit
-        val[lead == 45] *= -1
-        vals[idx] = val
-        odd[idx] = ~ok
-    for i in np.flatnonzero(odd).tolist():
-        tok = text(int(starts[i]), int(ends[i]))
-        try:
-            v = int(tok)
-        except ValueError:
-            raise DimacsError(f"non-integer token {tok!r}") from None
-        # out-of-range values only need to stay out of range
-        vals[i] = max(-MAX_VAR - 1, min(v, MAX_VAR + 1))
-    return vals
-
-
 def parse_dimacs(data) -> Formula:
     """Parse DIMACS CNF from bytes, text, or a file-like object.
 
@@ -278,7 +235,7 @@ def parse_dimacs(data) -> Formula:
     Plain input (see `parse` in native.c), which is what DIMACS writers
     write, is read in one count pass and one fill pass of the compiled
     library; any other input, and all input where the library cannot be
-    built, is read by the numpy tokenizer, which gives plain input the
+    built, is read line by line in Python, which gives plain input the
     same formula and the rest its result or its `DimacsError`.
     """
     if hasattr(data, "read"):
@@ -289,7 +246,7 @@ def parse_dimacs(data) -> Formula:
            else bytes(data))
     lib = native_kernel()
     plain = None if lib is None else _parse_plain(lib, raw)
-    lens, lits, header, max_seen = plain or _parse_numpy(raw)
+    lens, lits, header, max_seen = plain or _parse_python(raw)
     return Formula(max(header[0], max_seen), lens=lens, lits=lits,
                    declared=header)
 
@@ -310,67 +267,55 @@ def _parse_plain(lib, raw: bytes):
     return lens, lits, (int(info[0]), int(info[1])), int(info[4])
 
 
-def _parse_numpy(raw: bytes):
-    """``(lens, lits, header, largest variable)`` of any input, by a
-    numpy tokenizer; raises DimacsError for malformed input."""
-    codes = np.frombuffer(raw, dtype=np.uint8)
-
-    def text(s: int, e: int) -> str:
-        return raw[s:e].decode("ascii", "replace")
-
-    space = _SPACE[codes]
-    breaks = np.flatnonzero(_BREAK[codes])
-    bounds = np.flatnonzero(np.diff(space, prepend=True, append=True))
-    del space
-    starts, ends = bounds[0::2], bounds[1::2]
-
-    # lines whose first token starts with c or p: comments and headers
-    lead = codes[starts]
-    cand = np.flatnonzero((lead == 99) | (lead == 112))
-    above = np.searchsorted(breaks, starts[cand])
-    heads = (cand == 0) | (above > np.searchsorted(
-        breaks, ends[np.maximum(cand - 1, 0)]))
-    cand, above = cand[heads], above[heads]
-    stop = np.searchsorted(starts, np.append(breaks, len(codes))[above])
-    skip = np.zeros(len(starts) + 1, dtype=np.int32)
-    skip[cand] += 1
-    skip[stop] -= 1
-    is_data = np.cumsum(skip[:-1]) == 0
-    first_data = int(np.argmax(is_data)) if is_data.any() else len(starts)
-
+def _parse_python(raw: bytes):
+    """``(lens, lits, header, largest variable)`` of any input, read line
+    by line from its ASCII decoding; raises DimacsError for malformed
+    input.  Header errors come as the lines are scanned, then the first
+    token that is no integer, then the first literal beyond `MAX_VAR`,
+    then a missing final ``0``."""
     header = None
-    is_p = lead[cand] == 112
-    for k0, k1 in zip(cand[is_p].tolist(), stop[is_p].tolist()):
-        if header is not None:
-            raise DimacsError("duplicate header line")
-        if first_data < k0:
-            break
-        line = text(int(starts[k0]), int(ends[k1 - 1]))
-        parts = line.split()
-        if len(parts) != 4 or parts[1] != "cnf":
-            raise DimacsError(f"malformed header: {line!r}")
-        try:
-            header = (int(parts[2]), int(parts[3]))
-        except ValueError:
-            raise DimacsError(f"non-integer header field: {line!r}")
-        if header[0] > MAX_VAR:
-            raise DimacsError(f"header declares {header[0]} variables, "
-                              f"more than {MAX_VAR}")
-    if header is None:
-        if first_data < len(starts):
+    tokens = []
+    for line in raw.decode("ascii", "replace").splitlines():
+        line = line.strip()
+        if not line or line[0] == "c":
+            continue
+        if line[0] == "p":
+            if header is not None:
+                raise DimacsError("duplicate header line")
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsError(f"malformed header: {line!r}")
+            try:
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError:
+                raise DimacsError(
+                    f"non-integer header field: {line!r}") from None
+            if header[0] > MAX_VAR:
+                raise DimacsError(f"header declares {header[0]} variables, "
+                                  f"more than {MAX_VAR}")
+        elif header is None:
             raise DimacsError("clause data before 'p cnf' header")
+        else:
+            tokens += line.split()
+    if header is None:
         raise DimacsError("missing 'p cnf' header")
 
-    starts, ends = starts[is_data], ends[is_data]
-    vals = _token_values(codes, starts, ends, text)
-    big = np.flatnonzero(np.abs(vals) > MAX_VAR)
-    if len(big):
-        tok = text(int(starts[big[0]]), int(ends[big[0]]))
+    try:
+        vals = list(map(int, tokens))
+    except ValueError:
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise DimacsError(f"non-integer token {tok!r}") from None
+    if vals and (max(vals) > MAX_VAR or min(vals) < -MAX_VAR):
+        tok = next(t for t, v in zip(tokens, vals) if abs(v) > MAX_VAR)
         raise DimacsError(f"literal {tok!r} beyond variable {MAX_VAR}")
-    is_end = vals == 0
-    if len(vals) and not is_end[-1]:
+    if vals and vals[-1] != 0:
         raise DimacsError(
             "end of input inside a clause (missing terminating 0)")
+    vals = np.array(vals, dtype=np.int64)
+    is_end = vals == 0
     lens = np.diff(np.flatnonzero(is_end), prepend=-1) - 1
     lits = vals[~is_end]
     lits = 2 * np.abs(lits) - 2 + (lits < 0)
@@ -435,45 +380,15 @@ def _emit_native(lib, csr) -> str:
 
 def _clause_lines(lens, lits) -> str:
     """DIMACS lines of the clauses: each literal signed and followed by a
-    space, then ``0``; an empty clause is `` 0``.  The text of each
-    distinct literal is written once, as a zero-padded row of a table;
-    the body is the table's rows gathered in clause order, interleaved
-    with the two clause-end rows, with the padding dropped."""
-    if not len(lens):
-        return ""
-    top = int(lits.max()) + 1 if len(lits) else 0
-    if top <= 2 * len(lits) + 256:
-        codes, items = np.arange(top), lits
-    else:
-        codes, items = np.unique(lits, return_inverse=True)
-    var = codes // 2 + 1
-    neg = codes & 1
-    ndig = np.ones(len(codes), dtype=np.int64)
-    p = 10
-    while len(var) and p <= var[-1]:
-        ndig += var >= p
-        p *= 10
-    width = -(-int((neg + ndig).max(initial=2) + 1) // 8) * 8
-    table = np.zeros((len(codes) + 2, width), dtype=np.uint8)
-    rows = np.arange(len(codes))
-    rest = var.copy()
-    for j in range(int(ndig.max(initial=0))):
-        live = ndig > j
-        table[rows[live], (neg + ndig - 1 - j)[live]] = 48 + rest[live] % 10
-        rest //= 10
-    table[rows[neg == 1], 0] = 45
-    table[rows, neg + ndig] = 32
-    table[-2, :2] = (48, 10)          # "0\n" ends a clause
-    table[-1, :3] = (32, 48, 10)      # " 0\n" is an empty clause
-
-    ends = np.cumsum(lens + 1) - 1
-    seq = np.empty(len(lits) + len(lens), dtype=np.int32)
-    is_lit = np.ones(len(seq), dtype=bool)
-    is_lit[ends] = False
-    seq[is_lit] = items
-    seq[ends] = np.where(lens == 0, len(codes) + 1, len(codes))
-    cells = table.view(np.uint64)[seq].view(np.uint8).ravel()
-    return str(cells[cells != 0], "ascii")
+    space, then ``0``; an empty clause is `` 0``."""
+    var = lits // 2 + 1
+    words = list(map(str, np.where(lits & 1, -var, var).tolist()))
+    lines = []
+    at = 0
+    for n in lens.tolist():
+        lines.append(" ".join(words[at:at + n]) + " 0\n")
+        at += n
+    return "".join(lines)
 
 
 class LiteralPermutation:

@@ -5,7 +5,7 @@
  * `_rollback_kernel` does there.  Both pairs must give identical
  * colorings and identical journals; the tests compare them on random
  * graphs.  `parse` and `emit` read and write DIMACS for cnf.py, whose
- * numpy tokenizer and `_clause_lines` are their references.
+ * Python `_parse_python` and `_clause_lines` are their references.
  *
  * All arrays are C-contiguous with the dtypes named in the signatures.
  * The journal arrays jd and jl hold 3 rows of `jstride` entries each
@@ -289,12 +289,13 @@ static inline int64_t skip_blanks(const uint8_t *s, int64_t n, int64_t i)
     return i;
 }
 
-/* Read plain DIMACS: ASCII text whose only whitespace is space, tab, \r
- * and \n; lines that start with c, which are skipped; one header line
+/* Read plain DIMACS: text whose only whitespace and control bytes are
+ * space, tab, \r and \n, and whose only bytes above 127 lie in comments;
+ * lines that start with c, which are skipped; one header line
  * `p cnf V C` before any clause data, V at most 2^30; and data tokens of
  * 1 to 10 digits with an optional '-', of absolute value at most 2^30,
  * the last of them 0.  Returns 1 for plain input and 0 for any other,
- * which cnf.py then reads with its numpy tokenizer, the reference that
+ * which cnf.py then reads with `_parse_python`, the reference that
  * gives every other input its result or its error.
  *
  * A first pass with lens == NULL fills info with the header's V and C,
@@ -302,7 +303,7 @@ static inline int64_t skip_blanks(const uint8_t *s, int64_t n, int64_t i)
  * clauses (0 if none).  A second pass over the same bytes, with info as
  * the first left it, writes each clause's length to lens and its
  * literals' codes to lits, as many as the first pass counted.  Both are
- * int64, as the numpy tokenizer gives them to Formula, which keys its
+ * int64, as `_parse_python` gives them to Formula, which keys its
  * canonicalizing sort in int64. */
 int parse(const char *text, int64_t n, int64_t *info, int64_t *lens,
           int64_t *lits)
@@ -319,10 +320,11 @@ int parse(const char *text, int64_t n, int64_t *info, int64_t *lens,
         if (IS_BREAK(lead)) {
             i++;
         } else if (lead == 'c') {
-            /* a control byte other than tab may end the line for the
-             * numpy tokenizer; a byte above 127 is not ASCII */
+            /* a control byte other than tab may end the line for
+             * `_parse_python`; a byte above 127 decodes to U+FFFD, which
+             * ends no line */
             for (; i < n && !IS_BREAK(s[i]); i++)
-                if ((s[i] < 0x20 && s[i] != '\t') || s[i] >= 0x80)
+                if (s[i] < 0x20 && s[i] != '\t')
                     return 0;
         } else if (lead == 'p') {
             /* exactly `p cnf V C`, once, before any data */

@@ -2,9 +2,9 @@
 and loaded with ctypes.
 
 It holds the refinement kernels that `refine` runs and the DIMACS
-reader and writer that `cnf` runs.  Each has a Python or numpy
-counterpart, which is the reference the tests compare it against and
-the fallback where no compiler is found.  This module imports nothing
+reader and writer that `cnf` runs.  Each has a Python counterpart,
+which is the reference the tests compare it against and the fallback
+where no compiler is found.  This module imports nothing
 else of symbreak, so both `cnf` and `refine` can import it.
 """
 
@@ -75,8 +75,8 @@ def _compiled_kernel() -> Path:
 @functools.lru_cache(maxsize=None)
 def native_kernel():
     """The C kernels loaded with ctypes, or None when they cannot be built
-    here; then, after one RuntimeWarning, refinement runs the Python
-    kernels and DIMACS I/O numpy."""
+    here; then, after one RuntimeWarning, refinement and DIMACS I/O run
+    their Python kernels."""
     try:
         lib = ctypes.CDLL(str(_compiled_kernel()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -85,7 +85,7 @@ def native_kernel():
             str(exc), stderr.decode(errors="replace").strip()[-300:]]))
         warnings.warn(f"symbreak: cannot build the C kernels ({reason}); "
                       f"using the much slower Python kernel for refinement "
-                      f"and numpy for DIMACS I/O",
+                      f"and DIMACS I/O",
                       RuntimeWarning, stacklevel=2)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64

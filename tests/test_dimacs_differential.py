@@ -8,7 +8,7 @@ as its UTF-8 bytes, so the reference is given those bytes.
 
 Each case runs on both I/O paths: with the compiled library, which reads
 plain input and writes every output in C, and with the library patched
-away, where the numpy tokenizer and `_clause_lines` do it all."""
+away, where `_parse_python` and `_clause_lines` do it all."""
 
 import contextlib
 import io
@@ -27,10 +27,11 @@ HAVE_C = cnf.native_kernel() is not None
 
 def io_paths():
     """Context managers for the two DIMACS I/O paths: the compiled
-    library where it is built, then numpy with the library patched
+    library where it is built, then Python with the library patched
     away."""
-    numpy_only = mock.patch.object(cnf, "native_kernel", lambda: None)
-    return [contextlib.nullcontext(), numpy_only] if HAVE_C else [numpy_only]
+    python_only = mock.patch.object(cnf, "native_kernel", lambda: None)
+    return ([contextlib.nullcontext(), python_only] if HAVE_C
+            else [python_only])
 
 
 # ---- references ----------------------------------------------------------
@@ -366,23 +367,10 @@ def test_duplicate_header_after_many_comments_matches_reference():
                 assert err == ref_err == "duplicate header line"
 
 
-def test_whitespace_tables_match_str_methods():
-    """The tokenizer's whitespace and line-break bytes are those of
-    str.split and str.splitlines below 128; a byte above 127 is
-    neither."""
-    from symbreak import cnf
-
-    space = {c for c in range(128) if chr(c).isspace()}
-    breaks = {c for c in range(128) if len(f"a{chr(c)}b".splitlines()) == 2}
-    assert set(np.flatnonzero(cnf._SPACE).tolist()) == space
-    assert set(np.flatnonzero(cnf._BREAK).tolist()) == breaks
-    assert not (cnf._SPACE[128:] | cnf._BREAK[128:]).any()
-
-
 def test_large_formula_matches_reference():
     """Many clauses of mixed lengths, with repeats: the bulk paths (one
-    key per clause, the literal text table) at a size the generated
-    inputs do not reach."""
+    key per clause, one C pass each way) at a size the generated inputs
+    do not reach."""
     rng = np.random.default_rng(7)
     nv = 300
     lines = [f"p cnf {nv} 0"]
@@ -404,9 +392,9 @@ def test_large_formula_matches_reference():
 
 
 def test_sparse_wide_variables_match_reference():
-    """Few literals over variables far apart: the literal text table
-    covers only the codes that occur, with rows wider than eight
-    characters."""
+    """Few literals over variables far apart, up to the widest literal
+    texts; an added literal beyond variable 2**30, whose code does not
+    fit int32, is written in Python also where the library is built."""
     for path in io_paths():
         with path:
             text = "p cnf 3 3\n1 -1234567 0\n-3 1000000 0\n1 -1234567 0\n"
@@ -421,10 +409,15 @@ def test_sparse_wide_variables_match_reference():
             assert emit_dimacs(new, added) == ref_emit_dimacs(ref, added)
             assert emit_dimacs(new) == (
                 "p cnf 1073741824 2\n-3 1073741824 0\n2 -1073741824 0\n")
+            added = [(2 * cnf.MAX_VAR, 1), (2 * cnf.MAX_VAR + 1,)]
+            text = emit_dimacs(new, added, aux_vars=1)
+            assert text == ref_emit_dimacs(ref, added, aux_vars=1)
+            assert text.startswith("p cnf 1073741825 4\n")
+            assert text.endswith("1073741825 -1 0\n-1073741825 0\n")
 
 
 # inputs on the edge of what the C reader takes as plain; the rest go to
-# the numpy tokenizer, which must give them its own result or error
+# `_parse_python`, which must give them its own result or error
 BOUNDARY = {
     "plus-sign": (b"p cnf 5 1\n+5 -1 0\n", False),
     "minus-zero": (b"p cnf 2 2\n1 -0 2 0\n", True),
@@ -440,7 +433,7 @@ BOUNDARY = {
     "form-feed": (b"p cnf 3 1\n1\x0c2 0\n", False),
     "file-separator": (b"p cnf 3 2\n1 2 0\x1c3 0\n", False),
     "vertical-tab-in-comment": (b"p cnf 3 1\nc x\x0b1 2 0\n", False),
-    "high-byte-in-comment": (b"c caf\xe9\np cnf 2 1\n1 2 0\n", False),
+    "high-byte-in-comment": (b"c caf\xe9\np cnf 2 1\n1 2 0\n", True),
     "delete-in-comment": (b"c \x7f\x7f\np cnf 2 1\n1 2 0\n", True),
     "delete-in-data": (b"p cnf 2 1\n1 2\x7f 0\n", False),
     "high-byte-in-data": (b"p cnf 2 1\n1 2\xe9 0\n", False),
@@ -462,8 +455,8 @@ BOUNDARY = {
 
 @pytest.mark.parametrize("raw, plain", BOUNDARY.values(), ids=BOUNDARY)
 def test_plain_boundary_matches_numpy(raw, plain):
-    """Each input gives the numpy path's exact error or the same formula,
-    and the C reader takes exactly the plain ones."""
+    """Each input gives the Python path's exact error or the same
+    formula, and the C reader takes exactly the plain ones."""
     with io_paths()[-1]:
         want, want_err = _outcome(parse_dimacs, raw)
     if not HAVE_C:
@@ -478,6 +471,31 @@ def test_plain_boundary_matches_numpy(raw, plain):
             assert got.dtype == expect.dtype
             assert np.array_equal(got, expect)
         assert new.clauses == ref_parse_dimacs(raw).clauses
+
+
+# inputs that break two rules at once, with the error raised: the header
+# as the lines are scanned, then each token's int(), then the literal
+# range, then the final 0; the reference knows no variable limit
+PRECEDENCE = {
+    "header-beyond-max-var-then-duplicate": (
+        b"p cnf 1073741825 1\np cnf 2 1\n",
+        "header declares 1073741825 variables, more than 1073741824"),
+    "header-beyond-max-var-then-token": (
+        b"p cnf 1073741825 1\nx 0\n",
+        "header declares 1073741825 variables, more than 1073741824"),
+    "token-then-beyond-max-var": (
+        b"p cnf 3 1\n1073741825 x 0\n", "non-integer token 'x'"),
+    "beyond-max-var-then-missing-zero": (
+        b"p cnf 3 1\n1 -1073741825\n",
+        "literal '-1073741825' beyond variable 1073741824"),
+}
+
+
+@pytest.mark.parametrize("raw, error", PRECEDENCE.values(), ids=PRECEDENCE)
+def test_error_precedence(raw, error):
+    for path in io_paths():
+        with path:
+            assert _outcome(parse_dimacs, raw) == (None, error)
 
 
 # the two widest literal texts: variable 2**30, positive and negative

@@ -73,8 +73,8 @@ def test_emitted_dimacs_is_pinned(make, digest):
 @PINNED_DIMACS
 def test_emitted_dimacs_is_pinned_without_compiler(make, digest,
                                                     tmp_path, monkeypatch):
-    """Where no `cc` is found, refinement runs the Python kernel and
-    DIMACS I/O numpy; a formula read back from its DIMACS breaks to the
+    """Where no `cc` is found, refinement and DIMACS I/O run their
+    Python kernels; a formula read back from its DIMACS breaks to the
     same bytes."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(native.shutil, "which", lambda name: None)

@@ -580,8 +580,8 @@ def test_pool_is_clean_after_every_call(g, picks):
 @pytest.mark.parametrize("failure", ["no-compiler", "compiler-error"])
 def test_failed_build_falls_back_with_one_warning(failure, tmp_path,
                                                   monkeypatch):
-    """Without a library, refinement runs the Python kernel and DIMACS
-    I/O numpy, to the same results."""
+    """Without a library, refinement and DIMACS I/O run their Python
+    kernels, to the same results."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     if failure == "no-compiler":
         monkeypatch.setattr(native.shutil, "which", lambda name: None)
