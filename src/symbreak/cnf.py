@@ -100,8 +100,8 @@ class Formula:
         self.num_vars = num_vars
         self.declared = declared
         self.lens, self.lits = _canonical_clauses(
-            np.asarray(lens, dtype=np.int64), np.asarray(lits, dtype=np.int64),
-            num_vars)
+            np.ascontiguousarray(lens, dtype=np.int64),
+            np.ascontiguousarray(lits, dtype=np.int64), num_vars)
         self.starts = np.cumsum(self.lens, dtype=np.int64) - self.lens
         self._arrays = None
 
@@ -156,7 +156,15 @@ class Formula:
 
 def _canonical_clauses(lens, lits, num_vars: int):
     """int32 (lens, lits) of the clauses with each one's literals sorted
-    and repeats dropped, by one sort of (clause, literal) keys."""
+    and repeats dropped, by one sort of (clause, literal) keys.  lens and
+    lits are contiguous int64.  Clauses already strictly ascending, as
+    all DIMACS that symbreak writes is, need no sort: one pass of the C
+    `ascending` finds them."""
+    # bounded lengths cannot wrap the int64 sum, so the C check below
+    # reads only lits
+    if len(lens) and not 0 <= lens.min() <= lens.max() <= len(lits):
+        raise ValueError("clause length negative or beyond the literal "
+                         "count")
     if int(lens.sum()) != len(lits):
         raise ValueError("clause lengths do not add up to the literal count")
     top = 0
@@ -169,6 +177,11 @@ def _canonical_clauses(lens, lits, num_vars: int):
                              f"> num_vars {num_vars}")
         if top // 2 + 1 > MAX_VAR:
             raise ValueError(f"variable {top // 2 + 1} beyond {MAX_VAR}")
+    # the C check allocates nothing; without it every input is sorted
+    lib = native_kernel()
+    if lib is not None and lib.ascending(lens.ctypes.data, len(lens),
+                                         lits.ctypes.data):
+        return lens.astype(np.int32), lits.astype(np.int32)
     clause = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
     shift = clause * (top + 1)
     key = shift + lits

@@ -1,11 +1,18 @@
-/* Native kernels for symbreak: color refinement and DIMACS I/O.
+/* Native kernels for symbreak: color refinement, the remainder's random
+ * dives and DIMACS I/O.
  *
  * `refine` is a line-for-line port of the reference kernel
  * `_refine_kernel` in refine.py, and `rollback` does what
  * `_rollback_kernel` does there.  Both pairs must give identical
  * colorings and identical journals; the tests compare them on random
- * graphs.  `parse` and `emit` read and write DIMACS for cnf.py, whose
- * Python `_parse_python` and `_clause_lines` are their references.
+ * graphs.  `dive_pairs` runs a block of remainder.py's dive pairs in
+ * one call; its random draws come from `genrand_uint32`, a port of
+ * CPython's MT19937, so its leaves are those of remainder.py's `_dive`,
+ * the reference and fallback, drawing from a `random.Random` of the
+ * same state.  `parse` and `emit` read and write DIMACS for cnf.py,
+ * whose Python `_parse_python` and `_clause_lines` are their
+ * references, and `ascending` spares cnf.py's `_canonical_clauses` its
+ * sort, the reference, for clauses that are canonical already.
  *
  * All arrays are C-contiguous with the dtypes named in the signatures.
  * The journal arrays jd and jl hold 3 rows of `jstride` entries each
@@ -13,9 +20,9 @@
  * lengths.  `pos` is not journaled: a vertex whose pos was written has
  * left its base slot, which the order row logged, so `rollback` rebuilds
  * pos from the logged order slots.  There are no bounds checks in
- * `refine` and `rollback`: the caller validates sizes and, with
- * `valid_coloring`, the coloring's values, and a journal row records
- * each index at most once (jd flags it), so jc[a] <= jstride.
+ * `refine`, `rollback` and `dive_pairs`: the caller validates sizes
+ * and, with `valid_coloring`, the coloring's values, and a journal row
+ * records each index at most once (jd flags it), so jc[a] <= jstride.
  *
  * The workspace arrays in_queue, cnt and tcnt are zero between calls:
  * the count pass lists a class in cls_list when its tcnt leaves 0, and
@@ -27,6 +34,7 @@
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { JRN_ORDER, JRN_COLOR, JRN_CLEN };
 
@@ -256,6 +264,117 @@ void rollback(int8_t *jd, const int32_t *jl, int64_t *jc, int64_t jstride,
 }
 
 
+/* ---- Remainder dives ------------------------------------------------ */
+
+/* CPython's Mersenne Twister (Modules/_randommodule.c), ported bit for
+ * bit.  mt holds the 625 words of `random.Random.getstate()[1]`: the 624
+ * state words and then the index of the next word to temper. */
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t genrand_uint32(uint32_t *mt)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (mt[MT_N] >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt[MT_N] = 0;
+    }
+    y = mt[mt[MT_N]++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* `Random._randbelow_with_getrandbits(n)` for 0 < n < 2^32: draws of
+ * n.bit_length() bits, each `getrandbits`' top bits of one word, until
+ * one is below n */
+static uint32_t randbelow(uint32_t *mt, uint32_t n)
+{
+    int shift = 32;
+    for (uint32_t m = n; m; m >>= 1)
+        shift--;
+    uint32_t r;
+    do
+        r = genrand_uint32(mt) >> shift;
+    while (r >= n);
+    return r;
+}
+
+/* `rows` pairs of remainder dives, as remainder.py's Python loop of
+ * `_dive`, `_dive`, `_pairing` runs them.  Each dive resets a working
+ * coloring (w1, then w2) from pi, then, until it is discrete, picks
+ * a random member v of its first class c of more than one member,
+ * splits v off to slot c as refine.py's `_split_off` does, and refines
+ * from [c, c + 1] without a journal.  Row r of raw (rows x nlit) gets
+ * the pairing of the two leaves: raw[r][l] = w2.order[w1.pos[l]].  The
+ * graph and workspace come first, as for `refine`; pi must be a valid
+ * coloring (`valid_coloring`) and the working colorings n entries each,
+ * and mt advances in place. */
+void dive_pairs(const int32_t *indptr, const int32_t *nbr,
+                int32_t *queue, int8_t *in_queue, int32_t *cnt,
+                int32_t *scratch, int32_t *bucket, int32_t *cls_list,
+                int32_t *tcnt, int64_t qcap,
+                const int32_t *p_order, const int32_t *p_pos,
+                const int32_t *p_color, const int32_t *p_clen,
+                int32_t *order1, int32_t *pos1, int32_t *color1,
+                int32_t *clen1, int32_t *order2, int32_t *pos2,
+                int32_t *color2, int32_t *clen2, int64_t n, int64_t nlit,
+                int64_t rows, int32_t *raw, uint32_t *mt)
+{
+    const int32_t *pi[4] = {p_order, p_pos, p_color, p_clen};
+    int32_t *w[2][4] = {{order1, pos1, color1, clen1},
+                        {order2, pos2, color2, clen2}};
+    for (int64_t r = 0; r < rows; r++) {
+        for (int d = 0; d < 2; d++) {
+            for (int a = 0; a < 4; a++)
+                memcpy(w[d][a], pi[a], (size_t)n * sizeof(int32_t));
+            int32_t *order = w[d][0], *pos = w[d][1], *color = w[d][2],
+                    *clen = w[d][3];
+            /* the classes before an individualized one are singletons
+             * and stay so, so each search goes on from the last one */
+            for (int32_t c = 0;; c++) {
+                while (c < n && clen[c] <= 1)
+                    c++;
+                if (c == n)
+                    break;
+                int32_t size = clen[c];
+                int32_t v = order[c + randbelow(mt, (uint32_t)size)];
+                int32_t p = pos[v], other = order[c];
+                order[c] = v;
+                order[p] = other;
+                pos[v] = c;
+                pos[other] = p;
+                clen[c] = 1;
+                clen[c + 1] = size - 1;
+                for (int32_t i = c + 1; i < c + size; i++)
+                    color[order[i]] = c + 1;
+                queue[0] = c;
+                queue[1] = c + 1;
+                in_queue[c] = in_queue[c + 1] = 1;
+                refine(indptr, nbr, queue, in_queue, cnt, scratch, bucket,
+                       cls_list, tcnt, qcap, 0, 2, order, pos, color, clen,
+                       NULL, NULL, NULL, n, 0, 0, 0);
+            }
+        }
+        for (int64_t l = 0; l < nlit; l++)
+            raw[r * nlit + l] = order2[pos1[l]];
+    }
+}
+
+
 /* ---- DIMACS I/O ------------------------------------------------------ */
 
 /* literal codes are int32, so a variable is at most 2^30 */
@@ -383,6 +502,23 @@ int parse(const char *text, int64_t n, int64_t *info, int64_t *lens,
         info[2] = ncls;
         info[3] = nlits;
         info[4] = top;
+    }
+    return 1;
+}
+
+/* 1 if every clause of `lens` over the literal codes `lits` (CSR,
+ * nlens clauses) is strictly ascending, 0 at the first that is not.
+ * cnf.py's `_canonical_clauses`, which has checked that the lengths are
+ * non-negative and add up to the literal count, then need not sort. */
+int ascending(const int64_t *lens, int64_t nlens, const int64_t *lits)
+{
+    int64_t at = 0;
+    for (int64_t c = 0; c < nlens; c++) {
+        int64_t end = at + lens[c];
+        for (int64_t i = at + 1; i < end; i++)
+            if (lits[i] <= lits[i - 1])
+                return 0;
+        at = end;
     }
     return 1;
 }

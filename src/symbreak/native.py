@@ -1,11 +1,15 @@
 """The compiled kernel library: `native.c`, built with `cc` on first use
 and loaded with ctypes.
 
-It holds the refinement kernels that `refine` runs and the DIMACS
-reader and writer that `cnf` runs.  Each has a Python counterpart,
-which is the reference the tests compare it against and the fallback
-where no compiler is found.  This module imports nothing
-else of symbreak, so both `cnf` and `refine` can import it.
+It holds the refinement kernels that `refine` runs, the remainder's
+dive loop `dive_pairs` with its port of CPython's MT19937 generator,
+and the DIMACS reader and writer and the canonical-clause check
+`ascending` that `cnf` runs.  Each has a Python counterpart (for
+`dive_pairs`, `remainder._dive` and `_pairing` drawing from a
+`random.Random`; for `ascending`, the sort it skips), which is the
+reference the tests compare it against and the fallback where no
+compiler is found.  This module imports nothing else of symbreak, so
+`cnf`, `refine` and `remainder` can all import it.
 """
 
 from __future__ import annotations
@@ -75,8 +79,8 @@ def _compiled_kernel() -> Path:
 @functools.lru_cache(maxsize=None)
 def native_kernel():
     """The C kernels loaded with ctypes, or None when they cannot be built
-    here; then, after one RuntimeWarning, refinement and DIMACS I/O run
-    their Python kernels."""
+    here; then, after one RuntimeWarning, refinement, the remainder
+    dives and DIMACS I/O run their Python kernels."""
     try:
         lib = ctypes.CDLL(str(_compiled_kernel()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -84,8 +88,8 @@ def native_kernel():
         reason = " ".join(filter(None, [
             str(exc), stderr.decode(errors="replace").strip()[-300:]]))
         warnings.warn(f"symbreak: cannot build the C kernels ({reason}); "
-                      f"using the much slower Python kernel for refinement "
-                      f"and DIMACS I/O",
+                      f"using the much slower Python kernel for refinement, "
+                      f"remainder dives and DIMACS I/O",
                       RuntimeWarning, stacklevel=2)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
@@ -93,10 +97,15 @@ def native_kernel():
     lib.refine.restype = None
     lib.rollback.argtypes = [ptr, ptr, ptr, i64] + [ptr] * 7
     lib.rollback.restype = None
+    lib.dive_pairs.argtypes = [ptr] * 9 + [i64] + [ptr] * 12 + [i64] * 3 \
+        + [ptr] * 2
+    lib.dive_pairs.restype = None
     lib.valid_coloring.argtypes = [i64] + [ptr] * 4
     lib.valid_coloring.restype = ctypes.c_int
     lib.parse.argtypes = [ctypes.c_char_p, i64] + [ptr] * 3
     lib.parse.restype = ctypes.c_int
     lib.emit.argtypes = [ptr, i64, ptr, i64, ptr]
     lib.emit.restype = i64
+    lib.ascending.argtypes = [ptr, i64, ptr]
+    lib.ascending.restype = ctypes.c_int
     return lib

@@ -8,7 +8,13 @@ wrong pairing is rejected by verification anyway).
 The dives run in place in two working colorings, each reset from the
 remainder coloring before its dive.  That coloring is checked once per
 search; a split and a refinement keep a coloring an ordered partition,
-so the steps of a dive need no check.
+so the steps of a dive need no check.  Where the C kernels run, a
+block of dive pairs is one call of `dive_pairs` in `native.c`
+(`_dive_pairs` makes it), which draws from a C port of CPython's
+MT19937 started from the state of the search's `random.Random`; so
+its leaves are those of the Python `_dive` and `_pairing`, the
+reference the tests compare it against and the fallback where no
+compiler is found.
 
 Verification draws no random numbers, so all the dives run first.  The
 pairings become one image table, checked for bijection and negation in
@@ -23,12 +29,11 @@ import random
 
 import numpy as np
 
-from . import cnf
+from . import cnf, refine
 from .cnf import Formula, LiteralPermutation, automorphisms
 from .modelgraph import ColoredGraph
-from .native import native_kernel
-from .refine import (Coloring, _check_coloring, _kernel_addresses,
-                     _run_refinement, _split_off)
+from .refine import (Coloring, _check_coloring, _kernel_addresses, _ptrs,
+                     _run_refinement, _scratch_pool, _split_off)
 # unused here, but perfbench/tracing.py wraps these names of this module
 from .cnf import is_automorphism  # noqa: F401
 from .refine import individualize_refine  # noqa: F401
@@ -66,6 +71,22 @@ def _dive(graph: ColoredGraph, pi: Coloring, work: Coloring, addresses,
         worklist, _, _ = _split_off(work, v)
         _run_refinement(graph, work, worklist, addresses=addresses)
         c = _next_nonsingleton(work.clen, c)
+
+
+def _dive_pairs(lib, graph: ColoredGraph, pi: Coloring, addresses1,
+                addresses2, mt, raw):
+    """Fill each row of `raw` in one C call, as `_dive` into the working
+    coloring of `addresses1`, `_dive` into that of `addresses2` and
+    `_pairing` would, drawing from a `random.Random` whose
+    `getstate()[1]` is `mt`, a uint32 array of 625 words that the call
+    advances in place.  pi must be a checked coloring; `_scratch_pool`
+    checks the graph's CSR arrays."""
+    pool, pool_ptrs = _scratch_pool(graph)
+    lib.dive_pairs(*pool_ptrs, len(pool[0]),
+                   *_ptrs(pi.order, pi.pos, pi.color, pi.clen),
+                   *addresses1[:4], *addresses2[:4], graph.vertex_count,
+                   raw.shape[1], raw.shape[0], raw.ctypes.data,
+                   mt.ctypes.data)
 
 
 def _pairing(d1: Coloring, d2: Coloring, nlit: int, out):
@@ -111,11 +132,14 @@ def find_remainder_generators(formula: Formula, graph: ColoredGraph,
     ValueError, before any refinement, when pi_rem is no
     ordered-partition coloring of the graph's vertices."""
     nlit = graph.num_literal_vertices
-    _check_coloring(pi_rem, graph.vertex_count, native_kernel())
+    lib = refine.native_kernel()
+    _check_coloring(pi_rem, graph.vertex_count, lib)
     if (pi_rem.clen[pi_rem.color[:nlit]] == 1).all():
         return []
     (d1, a1), (d2, a2) = _workspace(pi_rem), _workspace(pi_rem)
     rng = random.Random(config.seed)
+    # the C dives draw from rng's state words, advanced block by block
+    mt = np.array(rng.getstate()[1], dtype=np.uint32)
     identity = np.arange(nlit, dtype=np.int32)
     block = max(1, cnf.BLOCK_ENTRIES // nlit)
     found = []
@@ -123,10 +147,13 @@ def find_remainder_generators(formula: Formula, graph: ColoredGraph,
     for start in range(0, config.dive_pairs, block):
         raw = np.empty((min(block, config.dive_pairs - start), nlit),
                        dtype=np.int32)
-        for row in raw:
-            _dive(graph, pi_rem, d1, a1, rng)
-            _dive(graph, pi_rem, d2, a2, rng)
-            _pairing(d1, d2, nlit, row)
+        if lib is None:
+            for row in raw:
+                _dive(graph, pi_rem, d1, a1, rng)
+                _dive(graph, pi_rem, d2, a2, rng)
+                _pairing(d1, d2, nlit, row)
+        else:
+            _dive_pairs(lib, graph, pi_rem, a1, a2, mt, raw)
         table, ok = _image_table(raw, nlit)
         ok &= (table != identity).any(axis=1)
         fresh = []

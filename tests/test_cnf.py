@@ -1,12 +1,15 @@
 """Literal encoding, DIMACS round-trips, and permutation machinery."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from symbreak import cnf
 from symbreak.cnf import (DimacsError, Formula, LiteralPermutation,
+                          _canonical_clauses,
                           clause_multiset_image_check, emit_dimacs,
                           from_dimacs_lit, is_automorphism, is_positive,
                           neg_var, negate, parse_dimacs, pos, to_dimacs_lit,
@@ -36,6 +39,49 @@ def test_from_dimacs_lit_zero_rejected():
 def test_formula_clauses_sort_and_dedup():
     f = Formula(3, [[5, 1, 5, 3], [], [2, 2]])
     assert f.clauses == [(1, 3, 5), (), (2,)]
+
+
+def csr(clauses):
+    lens = np.array([len(c) for c in clauses], dtype=np.int64)
+    lits = np.array([l for c in clauses for l in c], dtype=np.int64)
+    return lens, lits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=19),
+                         max_size=6), max_size=8),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_ascending_clauses_skip_the_sort(clauses, repeat, rnd):
+    """Strictly ascending clauses, which the C `ascending` lets skip the
+    sort, and the same clauses shuffled, with or without repeated
+    literals, give the arrays of the sort alone, which runs without the
+    C library."""
+    canon = [sorted(set(c)) for c in clauses]
+    messy = []
+    for c in canon:
+        c = c + (c[:rnd.randint(0, len(c))] if repeat else [])
+        rnd.shuffle(c)
+        messy.append(c)
+    want_lens, want_lits = csr(canon)
+    for lens, lits in (csr(canon), csr(messy)):
+        with mock.patch.object(cnf, "native_kernel", lambda: None):
+            sorted_lens, sorted_lits = _canonical_clauses(lens, lits, 10)
+        got_lens, got_lits = _canonical_clauses(lens, lits, 10)
+        for a in (sorted_lens, sorted_lits, got_lens, got_lits):
+            assert a.dtype == np.int32
+        assert got_lens.tolist() == sorted_lens.tolist() == \
+            want_lens.tolist()
+        assert got_lits.tolist() == sorted_lits.tolist() == \
+            want_lits.tolist()
+
+
+@pytest.mark.parametrize("lens, lits", [
+    ([3, -1], [0, 1, 2]),
+    # the int64 sum wraps to the literal count
+    ([2 ** 63 - 1, 2 ** 63 - 1, 4], [0, 1])])
+def test_clause_length_out_of_range_refused(lens, lits):
+    with pytest.raises(ValueError, match="clause length negative or beyond"):
+        Formula(2, lens=lens, lits=lits)
 
 
 class TestFormula:

@@ -440,17 +440,20 @@ class TestNativeKernel:
     def test_remainder_search_refuses_invalid_coloring(self, array, slot,
                                                         value):
         """The search checks its coloring once and then refines copies of
-        it unchecked, so a bad one must be refused before the first
-        refinement."""
+        it unchecked, in Python dives or in the C `dive_pairs`, so a bad
+        one must be refused before the first refinement."""
         formula = gen_cycle_coloring(3, 2)
         g = build_model_graph(formula)
         bad = Coloring.from_color_map([0] * g.vertex_count)
         getattr(bad, array)[slot] = value
-        with mock.patch.object(remainder, "_run_refinement") as refinement:
+        with mock.patch.object(remainder, "_run_refinement") as refinement, \
+                mock.patch.object(native.native_kernel(),
+                                  "dive_pairs") as dives:
             with pytest.raises(ValueError, match="ordered-partition"):
                 remainder.find_remainder_generators(
                     formula, g, bad, PipelineConfig(dive_pairs=4))
         refinement.assert_not_called()
+        dives.assert_not_called()
 
     def test_argtypes_match_kernel_signatures(self):
         """ctypes passes what argtypes says, unchecked against the C
@@ -458,8 +461,8 @@ class TestNativeKernel:
         garbage to the kernel."""
         src = native._KERNEL_SRC.read_text()
         lib = native.native_kernel()
-        for name in ("refine", "rollback", "valid_coloring", "parse",
-                     "emit"):
+        for name in ("refine", "rollback", "dive_pairs", "valid_coloring",
+                     "parse", "ascending", "emit"):
             m = re.search(rf"^(?:int|int64_t|void) {name}\(([^)]*)\)", src,
                           re.MULTILINE)
             assert m, f"no definition of {name}"

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+from unittest import mock
 
 import symbreak.cnf as cnf
+from symbreak import refine
 from symbreak.cnf import (Formula, LiteralPermutation,
                           clause_multiset_image_check, is_automorphism,
                           neg_var, pos)
@@ -11,9 +13,9 @@ from symbreak.modelgraph import build_model_graph
 from symbreak.refine import (individualize_refine, initial_coloring,
                              refine_stable)
 from symbreak.pipeline import PipelineConfig, _remainder_coloring
-from symbreak.remainder import (_dive, _image_table, _next_nonsingleton,
-                                _pairing, _permutation, _workspace,
-                                find_remainder_generators)
+from symbreak.remainder import (_dive, _dive_pairs, _image_table,
+                                _next_nonsingleton, _pairing, _permutation,
+                                _workspace, find_remainder_generators)
 from symbreak.testkit import formula_automorphisms, gen_cycle_coloring, gen_php
 
 import numpy as np
@@ -335,7 +337,10 @@ SEARCH_IDS = ["c9-3coloring", "renamed-c20-4coloring", "php4",
               "torus8-3coloring", "c6+2k3", "frucht"]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 3])
+SEEDS = [0, 1, 3, -7, 2 ** 40]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("formula", SEARCH_FORMULAS, ids=SEARCH_IDS)
 def test_batched_search_matches_the_loop(formula, seed):
     graph, pi = prepared(formula)
@@ -393,3 +398,79 @@ def test_search_blocks_do_not_change_the_result(monkeypatch, formula,
     want = find_remainder_generators(formula, graph, pi, config)
     monkeypatch.setattr(cnf, "BLOCK_ENTRIES", entries)
     assert find_remainder_generators(formula, graph, pi, config) == want
+
+
+HAVE_C = refine.native_kernel() is not None
+
+
+class CountingRandom(random.Random):
+    """A random.Random that counts its choices and the MT19937 words it
+    draws: `choice` draws `getrandbits` until a value is below the
+    sequence length, one word a draw for lengths below 2**32."""
+
+    draws = choices = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+    def choice(self, seq):
+        self.choices += 1
+        return super().choice(seq)
+
+
+def dive_tables(graph, pi, seed, rows, cuts):
+    """The raw pairing table of `rows` dive pairs from pi, once from the
+    Python `_dive` and `_pairing` loop and once from C `_dive_pairs`
+    calls over the row blocks that `cuts` bound, both from `seed`; with
+    the reference's CountingRandom and the C state words after."""
+    nlit = graph.num_literal_vertices
+    rng = CountingRandom(seed)
+    (d1, a1), (d2, a2) = _workspace(pi), _workspace(pi)
+    want = np.empty((rows, nlit), dtype=np.int32)
+    for row in want:
+        _dive(graph, pi, d1, a1, rng)
+        _dive(graph, pi, d2, a2, rng)
+        _pairing(d1, d2, nlit, row)
+    mt = np.array(random.Random(seed).getstate()[1], dtype=np.uint32)
+    got = np.full((rows, nlit), -1, dtype=np.int32)
+    for lo, hi in itertools.pairwise([0, *cuts, rows]):
+        _dive_pairs(refine.native_kernel(), graph, pi, a1, a2, mt,
+                    got[lo:hi])
+    return want, got, rng, mt
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no C kernel could be built")
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("formula", SEARCH_FORMULAS, ids=SEARCH_IDS)
+def test_c_dives_match_python_dives(formula, seed):
+    """The C dive loop, its MT19937 state carried from block to block,
+    gives the Python loop's leaf pairings and leaves the state that the
+    Python loop leaves in its random.Random; and the search, which runs
+    the C loop where it can, finds the generators that it finds on the
+    Python kernels, which run no C dive."""
+    graph, pi = prepared(formula)
+    want, got, rng, mt = dive_tables(graph, pi, seed, 40, [1, 17])
+    assert np.array_equal(got, want)
+    assert tuple(mt.tolist()) == rng.getstate()[1]
+    config = PipelineConfig(dive_pairs=4, seed=seed)
+    native = find_remainder_generators(formula, graph, pi, config)
+    # the switch to the Python kernels switches the dives too
+    with mock.patch.object(refine.native_kernel(), "dive_pairs") as dives, \
+            mock.patch.object(refine, "native_kernel", lambda: None):
+        assert find_remainder_generators(formula, graph, pi,
+                                         config) == native
+    dives.assert_not_called()
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no C kernel could be built")
+def test_c_dives_regenerate_the_state_and_reject_draws():
+    """More than 624 words drawn makes the MT19937 state regenerate;
+    classes whose size is no power of two make `randbelow` reject
+    draws.  The C loop matches the Python loop through both."""
+    graph, pi = prepared(C6_2K3)
+    want, got, rng, mt = dive_tables(graph, pi, 2, 64, [30])
+    assert rng.draws > 624
+    assert rng.draws > rng.choices
+    assert np.array_equal(got, want)
+    assert tuple(mt.tolist()) == rng.getstate()[1]
