@@ -13,8 +13,7 @@ Run:  python3 demos/demo_breaking.py
 from itertools import product
 
 from symbreak.breaking import build_order, lex_leader_encode
-from symbreak.cnf import (Formula, is_automorphism, pos, to_dimacs_lit,
-                          transpose)
+from symbreak.cnf import Formula, is_automorphism, pos, transpose
 
 
 def models(formula, num_original):
@@ -43,7 +42,9 @@ def main():
     print(f"lex-leader chain: {len(chain.clauses)} clauses, "
           f"{chain.aux_count} auxiliaries")
     for cl in chain.clauses:
-        print("  (" + " | ".join(str(to_dimacs_lit(l)) for l in cl) + ")")
+        # literal code 2(v-1) is DIMACS v, code 2(v-1)+1 is -v
+        print("  (" + " | ".join(f"{'-' if l & 1 else ''}{l // 2 + 1}"
+                                 for l in cl) + ")")
 
     before = models(formula, 3)
     augmented = Formula(formula.num_vars + chain.aux_count,

@@ -88,6 +88,10 @@ def _cmd_break(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.output == "-" and args.stats == "-":
+        print("error: the output and the stats cannot both go to stdout; "
+              "give -o or --stats a file", file=sys.stderr)
+        return 1
     try:
         text = _read_input(args.input)
     except OSError as exc:

@@ -48,24 +48,6 @@ def var_of(code: int) -> int:
     return code // 2 + 1
 
 
-def is_positive(code: int) -> bool:
-    return code % 2 == 0
-
-
-def from_dimacs_lit(lit: int) -> int:
-    """Convert a signed DIMACS literal to its code."""
-    if lit > 0:
-        return 2 * (lit - 1)
-    if lit < 0:
-        return 2 * (-lit - 1) + 1
-    raise ValueError("literal 0 is the clause terminator, not a literal")
-
-
-def to_dimacs_lit(code: int) -> int:
-    v = code // 2 + 1
-    return v if code % 2 == 0 else -v
-
-
 # literal codes are int32, so a variable is at most 2**30
 MAX_VAR = 1 << 30
 

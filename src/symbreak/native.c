@@ -5,14 +5,15 @@
  * `_refine_kernel` in refine.py, and `rollback` does what
  * `_rollback_kernel` does there.  Both pairs must give identical
  * colorings and identical journals; the tests compare them on random
- * graphs.  `dive_pairs` runs a block of remainder.py's dive pairs in
- * one call; its random draws come from `genrand_uint32`, a port of
- * CPython's MT19937, so its leaves are those of remainder.py's `_dive`,
- * the reference and fallback, drawing from a `random.Random` of the
- * same state.  `parse` and `emit` read and write DIMACS for cnf.py,
- * whose Python `_parse_python` and `_clause_lines` are their
- * references, and `ascending` spares cnf.py's `_canonical_clauses` its
- * sort, the reference, for clauses that are canonical already.
+ * graphs.  `dive_pairs` runs a block of the remainder's dive pairs in
+ * one call for refine.py's `dive_pairs`; its random draws come from
+ * `genrand_uint32`, a port of CPython's MT19937, so its leaves are those
+ * of refine.py's `_dive`, the reference and fallback, drawing from a
+ * `random.Random` of the same state.  `parse` and `emit` read and
+ * write DIMACS for cnf.py, whose Python `_parse_python` and
+ * `_clause_lines` are their references, and `ascending` spares cnf.py's
+ * `_canonical_clauses` its sort, the reference, for clauses that are
+ * canonical already.
  *
  * All arrays are C-contiguous with the dtypes named in the signatures.
  * The journal arrays jd and jl hold 3 rows of `jstride` entries each
@@ -63,9 +64,12 @@ static int cmp_i32(const void *a, const void *b)
 }
 
 /* 1 if the arrays form an ordered partition of 0..n-1: order and pos
- * are inverse permutations, and each class is a run of slots whose
+ * are inverse permutations, each class is a run of slots whose
  * vertices' color is the run's first slot and whose length is the clen
- * entry at that slot.  `refine` indexes only within such a coloring. */
+ * entry at that slot, and clen is 0 at every other slot (a class id
+ * taken from `Coloring.classes()`, which lists the nonzero clen slots,
+ * is a splitter of `refine`).  `refine` indexes only within such a
+ * coloring. */
 int valid_coloring(int64_t n, const int32_t *order, const int32_t *pos,
                    const int32_t *color, const int32_t *clen)
 {
@@ -78,6 +82,8 @@ int valid_coloring(int64_t n, const int32_t *order, const int32_t *pos,
             if (color[v] != i || clen[start] != i - start)
                 return 0;
             start = i;
+        } else if (i != start && clen[i] != 0) {
+            return 0;
         }
     }
     return n == 0 || clen[start] == n - start;
@@ -313,8 +319,8 @@ static uint32_t randbelow(uint32_t *mt, uint32_t n)
     return r;
 }
 
-/* `rows` pairs of remainder dives, as remainder.py's Python loop of
- * `_dive`, `_dive`, `_pairing` runs them.  Each dive resets a working
+/* `rows` pairs of remainder dives, as refine.py's Python `dive_pairs`
+ * runs them with its `_dive` chains.  Each dive resets a working
  * coloring (w1, then w2) from pi, then, until it is discrete, picks
  * a random member v of its first class c of more than one member,
  * splits v off to slot c as refine.py's `_split_off` does, and refines

@@ -5,11 +5,11 @@ It holds the refinement kernels that `refine` runs, the remainder's
 dive loop `dive_pairs` with its port of CPython's MT19937 generator,
 and the DIMACS reader and writer and the canonical-clause check
 `ascending` that `cnf` runs.  Each has a Python counterpart (for
-`dive_pairs`, `remainder._dive` and `_pairing` drawing from a
+`dive_pairs`, chains of `refine.individualize_refine` drawing from a
 `random.Random`; for `ascending`, the sort it skips), which is the
 reference the tests compare it against and the fallback where no
 compiler is found.  This module imports nothing else of symbreak, so
-`cnf`, `refine` and `remainder` can all import it.
+`cnf` and `refine` can both import it.
 """
 
 from __future__ import annotations

@@ -7,11 +7,15 @@ neighbors in the splitter (ties keep their relative order), so color ids
 are isomorphism-invariant.
 
 The worklist kernel uses the smaller-half rule (all fragments but the
-largest are re-enqueued).  It and the journal rollback exist twice: in C
-(`native.c`, the library that `native.native_kernel` builds and loads)
-and in Python (`_refine_kernel`, `_rollback_kernel`).  The C pair
-runs whenever it can be built; the Python pair is the reference the
-tests compare it against and the fallback where no compiler is found.
+largest are re-enqueued).  It, the journal rollback and the remainder's
+random dives exist twice: in C (`native.c`, the library that
+`native.native_kernel` builds and loads) and in Python
+(`_refine_kernel`, `_rollback_kernel`, and `_dive`'s chain of copying
+`individualize_refine` calls).  The C kernels run whenever they can be
+built; the Python ones are the reference the tests compare them against
+and the fallback where no compiler is found.  This module alone calls
+the kernels: it owns their scratch pool, the arrays' addresses and the
+coloring check.
 """
 
 from __future__ import annotations
@@ -249,25 +253,38 @@ def _is_int32_vector(a, size: int) -> bool:
         a.shape == (size,) and a.flags.c_contiguous
 
 
+def _is_ordered_partition(order, pos, color, clen) -> bool:
+    """`valid_coloring` of native.c in numpy, for the Python kernels:
+    order and pos are inverse permutations, each class is a run of
+    slots whose vertices' color is the run's first slot and whose length
+    is the clen entry at that slot, and clen is 0 at every other slot."""
+    n = len(order)
+    if n == 0:
+        return True
+    if order.min() < 0 or order.max() >= n or \
+            (pos[order] != np.arange(n)).any():
+        return False
+    by_slot = color[order]
+    starts = np.flatnonzero(np.r_[True, by_slot[1:] != by_slot[:-1]])
+    sizes = np.zeros(n, dtype=np.int64)
+    sizes[starts] = np.diff(starts, append=n)
+    return bool((by_slot[starts] == starts).all() and
+                np.array_equal(clen, sizes))
+
+
 def _check_coloring(coloring: Coloring, n: int, lib):
-    """Refuse a coloring the C kernel could index out of bounds with: its
-    arrays must be contiguous int32 of length n and, where the C kernel
-    runs, form an ordered partition (checked in C, O(n)); the Python
-    kernel needs no value check, since numpy bounds-checks its indexing."""
+    """Refuse a coloring that the C kernel could index out of bounds
+    with, or that either kernel would refine into garbage: its arrays
+    must be contiguous int32 of length n and form an ordered partition
+    (checked in C where the C kernel runs, else in numpy; O(n) either
+    way)."""
     arrays = (coloring.order, coloring.pos, coloring.color, coloring.clen)
-    if all(_is_int32_vector(a, n) for a in arrays):
-        if lib is None or lib.valid_coloring(n, *_ptrs(*arrays)):
-            return
+    if all(_is_int32_vector(a, n) for a in arrays) and (
+            _is_ordered_partition(*arrays) if lib is None
+            else lib.valid_coloring(n, *_ptrs(*arrays))):
+        return
     raise ValueError(f"not an ordered-partition coloring of {n} vertices "
                      f"in contiguous int32 arrays")
-
-
-def _kernel_addresses(coloring: Coloring) -> tuple:
-    """The C kernel's addresses of the coloring's four arrays, and None
-    for the journal's three: the `addresses` of a `_run_refinement` run
-    without a journal on a checked coloring."""
-    return (*_ptrs(coloring.order, coloring.pos, coloring.color,
-                   coloring.clen), None, None, None)
 
 
 def _scratch_pool(graph: ColoredGraph):
@@ -305,10 +322,10 @@ def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
                     journal=None, addresses=None, stop=(0, 0, 0)):
     """Refine `coloring` in place from the splitters `initial_classes`.
     A session passes its journal = (jd, jl, jc), which logs every write.
-    `addresses` are the C kernel's addresses of the coloring's four
-    arrays and the journal's three (None for a run without one), taken
-    once by a caller that has checked the coloring it refines in place;
-    a run without them checks the coloring and takes them here.  `stop`
+    A session also passes `addresses`, the C kernel's addresses of the
+    coloring's four arrays and the journal's three, taken once for the
+    coloring it has checked and refines in place; a run without them
+    checks the coloring and takes them here.  `stop`
     = (lo, hi, want) with want > 0 ends the run before its next splitter
     once the slots [lo, hi), a union of classes, hold want classes."""
     n = graph.vertex_count
@@ -317,7 +334,8 @@ def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
         journal = (None, None, None)
     if addresses is None:
         _check_coloring(coloring, n, lib)
-        addresses = _kernel_addresses(coloring)
+        addresses = (*_ptrs(coloring.order, coloring.pos, coloring.color,
+                            coloring.clen), None, None, None)
     pool, pool_ptrs = _scratch_pool(graph)
     queue, in_queue = pool[0], pool[1]
     qtail = 0
@@ -421,6 +439,62 @@ def individualize_refine(graph: ColoredGraph, pi: Coloring,
     worklist, _, _ = _split_off(refined, v)
     _run_refinement(graph, refined, worklist)
     return RefinementReport(base=pi, coloring=refined)
+
+
+def _next_nonsingleton(clen, start: int):
+    """Slot of the first class of more than one member at or after the
+    class start `start`, or None when every class from there on is a
+    singleton.  clen is nonzero only at class starts, so the first slot
+    from `start` on with clen > 1 starts that class."""
+    big = clen[start:] > 1
+    k = int(big.argmax())
+    return start + k if big[k] else None
+
+
+def _dive(graph: ColoredGraph, pi: Coloring, rng) -> Coloring:
+    """The discrete leaf that a chain of `individualize_refine` calls
+    reaches from pi, each on a random member of the first class of more
+    than one member."""
+    # the classes before an individualized one are singletons and stay
+    # so, as refinement splits a class only inside its own slots
+    c = _next_nonsingleton(pi.clen, 0)
+    while c is not None:
+        v = int(rng.choice(pi.class_members(c)))
+        pi = individualize_refine(graph, pi, v).coloring
+        c = _next_nonsingleton(pi.clen, c)
+    return pi
+
+
+def dive_pairs(graph: ColoredGraph, pi: Coloring, rng, rows: int):
+    """The rows x nlit int32 pairing table of `rows` pairs of random
+    dives from pi, nlit being the graph's literal vertex count.  A dive
+    is `_dive`; row r pairs the leaves d1, d2 of pair r positionally,
+    literal l going to the vertex that d2 holds in the slot where d1
+    holds l.  The dives draw from `rng`, a `random.Random`: where the C
+    kernel runs, its `dive_pairs` runs them all on a port of CPython's
+    MT19937 started from rng's state words, which go back into rng, so
+    both kernels leave rng alike.  Raises ValueError, before any
+    refinement, when pi is no ordered-partition coloring of the graph's
+    vertices."""
+    n, nlit = graph.vertex_count, graph.num_literal_vertices
+    lib = native_kernel()
+    _check_coloring(pi, n, lib)
+    table = np.empty((rows, nlit), dtype=np.int32)
+    if lib is None:
+        for row in table:
+            d1, d2 = _dive(graph, pi, rng), _dive(graph, pi, rng)
+            np.take(d2.order, d1.pos[:nlit], out=row)
+        return table
+    version, mt, gauss_next = rng.getstate()
+    mt = np.array(mt, dtype=np.uint32)
+    work = np.empty((8, n), dtype=np.int32)  # two colorings' four arrays
+    pool, pool_ptrs = _scratch_pool(graph)
+    lib.dive_pairs(*pool_ptrs, len(pool[0]),
+                   *_ptrs(pi.order, pi.pos, pi.color, pi.clen),
+                   *_ptrs(*work), n, nlit, rows, table.ctypes.data,
+                   mt.ctypes.data)
+    rng.setstate((version, tuple(mt.tolist()), gauss_next))
+    return table
 
 
 def _rollback_kernel(jd, jl, jc, w_order, w_pos, w_color, w_clen,

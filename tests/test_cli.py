@@ -314,6 +314,23 @@ class TestExitCodes:
                 assert err == (f"error: {flag[2:].replace('-', '_')} must "
                                "be non-negative, got -1\n")
 
+    def test_output_and_stats_both_to_stdout(self, tmp_path, capsys):
+        # refused before the input is read, with nothing on stdout; a
+        # missing file gives the same error
+        src = tmp_path / "a.cnf"
+        src.write_text("p cnf 1 1\n1 0\n")
+        for path in (src, tmp_path / "missing.cnf"):
+            for argv in (["--stats", "-"], ["-o", "-", "--stats", "-"]):
+                code, out, err = run_cli(["break", str(path), *argv],
+                                         capsys)
+                assert code == 1 and out == ""
+                assert err.startswith("error: ") and "stdout" in err
+        # a file for the DIMACS leaves stdout to the stats alone
+        code, out, _ = run_cli(["break", str(src), "-o",
+                                str(tmp_path / "b.cnf"), "--stats", "-"],
+                               capsys)
+        assert code == 0 and "clauses_added" in json.loads(out)
+
     def test_removed_flags_rejected(self, tmp_path, capsys):
         src = tmp_path / "a.cnf"
         src.write_text("p cnf 1 1\n1 0\n")

@@ -11,9 +11,8 @@ from symbreak import cnf
 from symbreak.cnf import (DimacsError, Formula, LiteralPermutation,
                           _canonical_clauses,
                           clause_multiset_image_check, emit_dimacs,
-                          from_dimacs_lit, is_automorphism, is_positive,
-                          neg_var, negate, parse_dimacs, pos, to_dimacs_lit,
-                          transpose, var_of)
+                          is_automorphism, neg_var, negate, parse_dimacs,
+                          pos, transpose, var_of)
 from test_generator_differential import as_dict, formula_and_generator
 
 
@@ -23,17 +22,6 @@ def test_literal_codes():
     assert negate(pos(2)) == neg_var(2)
     assert negate(neg_var(2)) == pos(2)
     assert var_of(pos(7)) == 7 and var_of(neg_var(7)) == 7
-    assert is_positive(pos(4)) and not is_positive(neg_var(4))
-
-
-@given(st.integers(min_value=-50, max_value=50).filter(lambda x: x != 0))
-def test_dimacs_lit_roundtrip(lit):
-    assert to_dimacs_lit(from_dimacs_lit(lit)) == lit
-
-
-def test_from_dimacs_lit_zero_rejected():
-    with pytest.raises(ValueError):
-        from_dimacs_lit(0)
 
 
 def test_formula_clauses_sort_and_dedup():

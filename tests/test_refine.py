@@ -1,5 +1,6 @@
 """Refinement engine: equitability, invariance, and IR behavior."""
 
+import contextlib
 import os
 import random
 import re
@@ -362,6 +363,7 @@ INVALID_COLORINGS = [
     ("order", 2, 4),          # order no longer a permutation
     ("color", 1, -7),         # a color that is no class's first slot
     ("pos", 3, 10 ** 8),
+    ("clen", 3, 10 ** 8),     # a class length at a slot inside a class
 ]
 
 
@@ -427,33 +429,54 @@ class TestNativeKernel:
     @pytest.mark.parametrize("array, slot, value", INVALID_COLORINGS)
     def test_invalid_coloring_is_refused(self, array, slot, value):
         """The C kernel indexes by these values unchecked, so a bad
-        coloring must be refused before it runs, not crash the process."""
+        coloring must be refused before it runs, not crash the process;
+        the Python kernels refuse it alike."""
         g = cycle(6)
         bad = Coloring.from_color_map([0] * 6)
         getattr(bad, array)[slot] = value
-        with pytest.raises(ValueError, match="ordered-partition"):
-            refine_stable(g, bad)
-        with pytest.raises(ValueError, match="ordered-partition"):
-            IRSession(g, bad)
+        for kernel in (contextlib.nullcontext, python_kernel):
+            with kernel(), pytest.raises(ValueError,
+                                         match="ordered-partition"):
+                refine_stable(g, bad)
+            with kernel(), pytest.raises(ValueError,
+                                         match="ordered-partition"):
+                IRSession(g, bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12),
+           st.sampled_from(["order", "pos", "color", "clen"]),
+           st.integers(0, 11), st.integers(-2, 13))
+    def test_numpy_coloring_check_matches_c(self, keys, array, slot, value):
+        """The numpy check of the Python kernels accepts exactly the
+        colorings that the C `valid_coloring` accepts."""
+        c = Coloring.from_color_map(keys)
+        n = len(keys)
+        getattr(c, array)[slot % n] = value
+        arrays = (c.order, c.pos, c.color, c.clen)
+        assert refine._is_ordered_partition(*arrays) == \
+            bool(native.native_kernel().valid_coloring(
+                n, *refine._ptrs(*arrays)))
 
     @pytest.mark.parametrize("array, slot, value", INVALID_COLORINGS)
     def test_remainder_search_refuses_invalid_coloring(self, array, slot,
                                                         value):
-        """The search checks its coloring once and then refines copies of
-        it unchecked, in Python dives or in the C `dive_pairs`, so a bad
-        one must be refused before the first refinement."""
+        """`refine.dive_pairs` checks its coloring once and then dives
+        from it, in the C `dive_pairs` or in chains of Python
+        refinements, so the search must refuse a bad one before the
+        first refinement on either kernel."""
         formula = gen_cycle_coloring(3, 2)
         g = build_model_graph(formula)
         bad = Coloring.from_color_map([0] * g.vertex_count)
         getattr(bad, array)[slot] = value
-        with mock.patch.object(remainder, "_run_refinement") as refinement, \
-                mock.patch.object(native.native_kernel(),
-                                  "dive_pairs") as dives:
-            with pytest.raises(ValueError, match="ordered-partition"):
-                remainder.find_remainder_generators(
-                    formula, g, bad, PipelineConfig(dive_pairs=4))
-        refinement.assert_not_called()
-        dives.assert_not_called()
+        for kernel in (contextlib.nullcontext, python_kernel):
+            with mock.patch.object(refine, "_run_refinement") as refinement, \
+                    mock.patch.object(native.native_kernel(),
+                                      "dive_pairs") as dives, kernel():
+                with pytest.raises(ValueError, match="ordered-partition"):
+                    remainder.find_remainder_generators(
+                        formula, g, bad, PipelineConfig(dive_pairs=4))
+            refinement.assert_not_called()
+            dives.assert_not_called()
 
     def test_argtypes_match_kernel_signatures(self):
         """ctypes passes what argtypes says, unchecked against the C

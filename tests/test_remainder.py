@@ -10,12 +10,12 @@ from symbreak.cnf import (Formula, LiteralPermutation,
                           clause_multiset_image_check, is_automorphism,
                           neg_var, pos)
 from symbreak.modelgraph import build_model_graph
-from symbreak.refine import (individualize_refine, initial_coloring,
+from symbreak.refine import (_next_nonsingleton, dive_pairs,
+                             individualize_refine, initial_coloring,
                              refine_stable)
 from symbreak.pipeline import PipelineConfig, _remainder_coloring
-from symbreak.remainder import (_dive, _dive_pairs, _image_table,
-                                _next_nonsingleton, _pairing, _permutation,
-                                _workspace, find_remainder_generators)
+from symbreak.remainder import (_image_table, _permutation,
+                                find_remainder_generators)
 from symbreak.testkit import formula_automorphisms, gen_cycle_coloring, gen_php
 
 import numpy as np
@@ -99,7 +99,7 @@ def first_nonsingleton_loop(pi):
 def reference_dive(graph, pi, rng):
     """The dive as a chain of copying individualize_refine calls, each
     from the first non-singleton class found by a loop over the classes:
-    the reference the in-place dive is compared against."""
+    the reference the dives of `dive_pairs` are compared against."""
     cur = pi
     while True:
         c = first_nonsingleton_loop(cur)
@@ -107,6 +107,12 @@ def reference_dive(graph, pi, rng):
             return cur
         members = cur.class_members(c).tolist()
         cur = individualize_refine(graph, cur, rng.choice(members)).coloring
+
+
+def pairing(d1, d2, nlit):
+    """The `dive_pairs` row of two leaves: literal l goes to the vertex
+    that d2 holds in the slot where d1 holds l."""
+    return d2.order[d1.pos[:nlit]]
 
 
 def pair_leaves_loop(graph, d1, d2):
@@ -158,9 +164,7 @@ def test_vectorized_helpers_match_loops(formula):
     mixed.pos[[0, nlit]] = b, a
     pairs = [*itertools.product(leaves, repeat=2), (leaves[0], mixed),
              (mixed, leaves[0])]
-    raw = np.empty((len(pairs), nlit), dtype=np.int32)
-    for (d1, d2), row in zip(pairs, raw):
-        _pairing(d1, d2, nlit, row)
+    raw = np.array([pairing(d1, d2, nlit) for d1, d2 in pairs])
     table, ok = _image_table(raw, nlit)
     for (d1, d2), row, good in zip(pairs, table, ok):
         assert (_permutation(row) if good else None) == \
@@ -196,15 +200,8 @@ def test_dives_put_literals_in_the_same_slots(formula):
     rem = rem.coloring
     is_lit = np.arange(graph.vertex_count) < nlit
     assert np.array_equal(is_lit, is_lit[rem.order[rem.color]])
-    lit = rem.order < nlit
-    rng = random.Random(5)
-    (d1, a1), (d2, a2) = _workspace(rem), _workspace(rem)
-    for _ in range(4):
-        _dive(graph, rem, d1, a1, rng)
-        _dive(graph, rem, d2, a2, rng)
-        assert (d1.clen[d1.color] == 1).all()
-        assert np.array_equal(d1.order < nlit, lit)
-        assert np.array_equal(d2.order < nlit, lit)
+    table = dive_pairs(graph, rem, random.Random(5), 4)
+    assert (np.sort(table, axis=1) == np.arange(nlit)).all()
 
 
 def torus_coloring(side, k):
@@ -240,36 +237,34 @@ DIVE_IDS = ["c9-3coloring", "php4", "renamed-c20-4coloring",
 
 @pytest.mark.parametrize("formula", DIVE_FORMULAS, ids=DIVE_IDS)
 def test_in_place_dive_matches_copying_chain(formula):
-    """The in-place dive, reset from pi and refined without a check per
-    step, reaches the leaf of the chain of copying individualize_refine
-    calls for the same random choices; one working coloring serves every
-    dive."""
+    """The dives of `dive_pairs`, in place in C where it runs, reach the
+    leaves of the chain of copying individualize_refine calls for the
+    same random choices, and leave the same random state."""
     graph, pi = prepared(formula)
+    nlit = graph.num_literal_vertices
     ref_rng, rng = random.Random(9), random.Random(9)
-    work, addresses = _workspace(pi)
-    for _ in range(6):
-        want = reference_dive(graph, pi, ref_rng)
-        _dive(graph, pi, work, addresses, rng)
-        assert (want.clen[want.color] == 1).all()
-        assert same_coloring(work, want)
+    want = []
+    for _ in range(3):
+        d1 = reference_dive(graph, pi, ref_rng)
+        d2 = reference_dive(graph, pi, ref_rng)
+        assert (d1.clen[d1.color] == 1).all()
+        want.append(pairing(d1, d2, nlit))
+    assert np.array_equal(dive_pairs(graph, pi, rng, 3), want)
     assert ref_rng.getstate() == rng.getstate()
 
 
 @pytest.mark.parametrize("formula", DIVE_FORMULAS, ids=DIVE_IDS)
 def test_dive_reset_is_complete(formula):
-    """A dive from the leaf another dive left gives the leaf that a fresh
-    copy of pi gives for the same seed."""
+    """Each dive starts from pi, whatever leaf the dive before it left:
+    the second row of a call equals the row that a fresh call gives from
+    the random state the first row left."""
     graph, pi = prepared(formula)
-    work, addresses = _workspace(pi)
-    leaves = []
-    for seed in (4, 5, 4):
-        _dive(graph, pi, work, addresses, random.Random(seed))
-        leaves.append(work.copy())
-    fresh, fresh_addresses = _workspace(pi)
-    _dive(graph, pi, fresh, fresh_addresses, random.Random(4))
-    assert same_coloring(leaves[0], leaves[2])
-    assert same_coloring(leaves[0], fresh)
-    assert not same_coloring(leaves[0], leaves[1])
+    both = dive_pairs(graph, pi, random.Random(4), 2)
+    rng = random.Random(4)
+    first = dive_pairs(graph, pi, rng, 1)
+    assert np.array_equal(both, np.vstack([first,
+                                           dive_pairs(graph, pi, rng, 1)]))
+    assert not np.array_equal(both[0], both[1])
 
 
 @pytest.mark.parametrize("formula", DIVE_FORMULAS, ids=DIVE_IDS)
@@ -308,16 +303,12 @@ def ref_find_remainder_generators(formula, graph, pi_rem, config,
     nlit = graph.num_literal_vertices
     if (pi_rem.clen[pi_rem.color[:nlit]] == 1).all():
         return []
-    slots = np.flatnonzero(pi_rem.order < nlit)
-    (d1, a1), (d2, a2) = _workspace(pi_rem), _workspace(pi_rem)
     rng = random.Random(config.seed)
     found = []
     seen = set()
-    for _ in range(config.dive_pairs):
-        _dive(graph, pi_rem, d1, a1, rng)
-        _dive(graph, pi_rem, d2, a2, rng)
+    for row in dive_pairs(graph, pi_rem, rng, config.dive_pairs):
         try:
-            phi = LiteralPermutation(d1.order[slots], d2.order[slots])
+            phi = LiteralPermutation(np.arange(nlit), row)
         except ValueError:
             continue
         if not len(phi) or phi in seen:
@@ -371,13 +362,7 @@ def test_c6_2k3_pairings_refused_as_permutations():
     the search drops them before verification and keeps the rest."""
     graph, pi = prepared(C6_2K3)
     nlit = graph.num_literal_vertices
-    rng = random.Random(0)
-    (d1, a1), (d2, a2) = _workspace(pi), _workspace(pi)
-    raw = np.empty((32, nlit), dtype=np.int32)
-    for row in raw:
-        _dive(graph, pi, d1, a1, rng)
-        _dive(graph, pi, d2, a2, rng)
-        _pairing(d1, d2, nlit, row)
+    raw = dive_pairs(graph, pi, random.Random(0), 32)
     _, ok = _image_table(raw, nlit)
     assert 16 <= np.count_nonzero(~ok) < 32
     got = find_remainder_generators(C6_2K3, graph, pi,
@@ -403,6 +388,10 @@ def test_search_blocks_do_not_change_the_result(monkeypatch, formula,
 HAVE_C = refine.native_kernel() is not None
 
 
+def python_kernel():
+    return mock.patch.object(refine, "native_kernel", lambda: None)
+
+
 class CountingRandom(random.Random):
     """A random.Random that counts its choices and the MT19937 words it
     draws: `choice` draws `getrandbits` until a value is below the
@@ -420,24 +409,17 @@ class CountingRandom(random.Random):
 
 
 def dive_tables(graph, pi, seed, rows, cuts):
-    """The raw pairing table of `rows` dive pairs from pi, once from the
-    Python `_dive` and `_pairing` loop and once from C `_dive_pairs`
-    calls over the row blocks that `cuts` bound, both from `seed`; with
-    the reference's CountingRandom and the C state words after."""
-    nlit = graph.num_literal_vertices
+    """The pairing table of `rows` dive pairs from pi, once from one
+    `dive_pairs` call on the Python kernels and once from C calls over
+    the row blocks that `cuts` bound, both from `seed`; with the
+    reference's CountingRandom and the C calls' random.Random after."""
     rng = CountingRandom(seed)
-    (d1, a1), (d2, a2) = _workspace(pi), _workspace(pi)
-    want = np.empty((rows, nlit), dtype=np.int32)
-    for row in want:
-        _dive(graph, pi, d1, a1, rng)
-        _dive(graph, pi, d2, a2, rng)
-        _pairing(d1, d2, nlit, row)
-    mt = np.array(random.Random(seed).getstate()[1], dtype=np.uint32)
-    got = np.full((rows, nlit), -1, dtype=np.int32)
-    for lo, hi in itertools.pairwise([0, *cuts, rows]):
-        _dive_pairs(refine.native_kernel(), graph, pi, a1, a2, mt,
-                    got[lo:hi])
-    return want, got, rng, mt
+    with python_kernel():
+        want = dive_pairs(graph, pi, rng, rows)
+    c_rng = random.Random(seed)
+    got = np.vstack([dive_pairs(graph, pi, c_rng, hi - lo)
+                     for lo, hi in itertools.pairwise([0, *cuts, rows])])
+    return want, got, rng, c_rng
 
 
 @pytest.mark.skipif(not HAVE_C, reason="no C kernel could be built")
@@ -445,19 +427,19 @@ def dive_tables(graph, pi, seed, rows, cuts):
 @pytest.mark.parametrize("formula", SEARCH_FORMULAS, ids=SEARCH_IDS)
 def test_c_dives_match_python_dives(formula, seed):
     """The C dive loop, its MT19937 state carried from block to block,
-    gives the Python loop's leaf pairings and leaves the state that the
-    Python loop leaves in its random.Random; and the search, which runs
-    the C loop where it can, finds the generators that it finds on the
-    Python kernels, which run no C dive."""
+    gives the Python loop's leaf pairings and leaves the random state
+    that the Python loop leaves; and the search, which runs the C loop
+    where it can, finds the generators that it finds on the Python
+    kernels, which run no C dive."""
     graph, pi = prepared(formula)
-    want, got, rng, mt = dive_tables(graph, pi, seed, 40, [1, 17])
+    want, got, rng, c_rng = dive_tables(graph, pi, seed, 40, [1, 17])
     assert np.array_equal(got, want)
-    assert tuple(mt.tolist()) == rng.getstate()[1]
+    assert c_rng.getstate() == rng.getstate()
     config = PipelineConfig(dive_pairs=4, seed=seed)
     native = find_remainder_generators(formula, graph, pi, config)
     # the switch to the Python kernels switches the dives too
     with mock.patch.object(refine.native_kernel(), "dive_pairs") as dives, \
-            mock.patch.object(refine, "native_kernel", lambda: None):
+            python_kernel():
         assert find_remainder_generators(formula, graph, pi,
                                          config) == native
     dives.assert_not_called()
@@ -467,10 +449,11 @@ def test_c_dives_match_python_dives(formula, seed):
 def test_c_dives_regenerate_the_state_and_reject_draws():
     """More than 624 words drawn makes the MT19937 state regenerate;
     classes whose size is no power of two make `randbelow` reject
-    draws.  The C loop matches the Python loop through both."""
+    draws.  The C loop matches the Python loop through both, in a row
+    block that straddles the regeneration."""
     graph, pi = prepared(C6_2K3)
-    want, got, rng, mt = dive_tables(graph, pi, 2, 64, [30])
+    want, got, rng, c_rng = dive_tables(graph, pi, 2, 64, [30])
     assert rng.draws > 624
     assert rng.draws > rng.choices
     assert np.array_equal(got, want)
-    assert tuple(mt.tolist()) == rng.getstate()[1]
+    assert c_rng.getstate() == rng.getstate()

@@ -13,6 +13,13 @@ on every run.  The instances are taken from this checkout: the
 1-3, `symbreak.testkit` families, and the row instances of
 `tests/test_detectors.py`, one of them renamed by its `scrambled`; 69
 instances under 3 configs.
+
+The run above takes the C kernels wherever `cc` builds them.  To diff
+the Python kernels too, run the script with no `cc` on PATH; resolve
+the interpreter first, since a pyenv `python3` shim itself needs bash
+on PATH:
+
+    env PATH=/nonexistent "$(python3 -c 'import sys; print(sys.executable)')" tools/outputs.py
 """
 
 from __future__ import annotations
