@@ -123,6 +123,7 @@ def _cmd_break(args) -> int:
     if _write_output(args.output, text):
         return 1
     if args.stats:
+        from .native import native_kernel  # loaded by cnf already
         declared_vars, declared_clauses = formula.declared
         stats = dict(out.stats, phase_times_ms={
             "parse_ms": parse_ms, **out.stats["phase_times_ms"],
@@ -132,6 +133,7 @@ def _cmd_break(args) -> int:
                           "clauses": formula.num_clauses,
                           "declared_vars": declared_vars,
                           "num_vars": formula.num_vars}
+        stats["kernels"] = "python" if native_kernel() is None else "c"
         return _write_output(args.stats, json.dumps(stats, indent=2) + "\n")
     return 0
 

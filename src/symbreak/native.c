@@ -1,15 +1,18 @@
-/* Native kernels for symbreak: color refinement, the remainder's random
- * dives and DIMACS I/O.
+/* Native kernels for symbreak: color refinement, the session probe, the
+ * remainder's random dives and DIMACS I/O.
  *
  * `refine` is a line-for-line port of the reference kernel
- * `_refine_kernel` in refine.py, and `rollback` does what
- * `_rollback_kernel` does there.  Both pairs must give identical
- * colorings and identical journals; the tests compare them on random
- * graphs.  `dive_pairs` runs a block of the remainder's dive pairs in
- * one call for refine.py's `dive_pairs`; its random draws come from
- * `genrand_uint32`, a port of CPython's MT19937, so its leaves are those
- * of refine.py's `_dive`, the reference and fallback, drawing from a
- * `random.Random` of the same state.  `parse` and `emit` read and
+ * `_refine_kernel` in refine.py; both must give identical colorings and
+ * identical journals, and the tests compare them on random graphs.
+ * `session_push` is one probe of refine.py's `IRSession` in one call:
+ * the optional `rollback` (the Python `_rollback_kernel`), the split of
+ * `split_off` (the Python `_split_off`, logged as the session's `_log`
+ * does) and a journaled `refine` from the new singleton.  `dive_pairs`
+ * runs a block of the remainder's dive pairs in one call for refine.py's
+ * `dive_pairs`, splitting with the same `split_off`; its random draws
+ * come from `genrand_uint32`, a port of CPython's MT19937, so its leaves
+ * are those of refine.py's `_dive`, the reference and fallback, drawing
+ * from a `random.Random` of the same state.  `parse` and `emit` read and
  * write DIMACS for cnf.py, whose Python `_parse_python` and
  * `_clause_lines` are their references, and `ascending` spares cnf.py's
  * `_canonical_clauses` its sort, the reference, for clauses that are
@@ -21,9 +24,10 @@
  * lengths.  `pos` is not journaled: a vertex whose pos was written has
  * left its base slot, which the order row logged, so `rollback` rebuilds
  * pos from the logged order slots.  There are no bounds checks in
- * `refine`, `rollback` and `dive_pairs`: the caller validates sizes
- * and, with `valid_coloring`, the coloring's values, and a journal row
- * records each index at most once (jd flags it), so jc[a] <= jstride.
+ * `refine`, `session_push` and `dive_pairs`: the caller validates sizes
+ * and, with `valid_coloring`, the coloring's values and v, and a journal
+ * row records each index at most once (jd flags it), so jc[a] <= jstride;
+ * `session_push` refuses a journal that breaks this.
  *
  * The workspace arrays in_queue, cnt and tcnt are zero between calls:
  * the count pass lists a class in cls_list when its tcnt leaves 0, and
@@ -241,13 +245,15 @@ void refine(const int32_t *indptr, const int32_t *nbr,
     }
 }
 
-void rollback(int8_t *jd, const int32_t *jl, int64_t *jc, int64_t jstride,
-              int32_t *w_order, int32_t *w_pos, int32_t *w_color,
-              int32_t *w_clen, const int32_t *b_order,
-              const int32_t *b_color, const int32_t *b_clen)
+/* Undo every logged write of a session: each logged order slot takes
+ * back its base vertex, and that vertex its base pos; each logged color
+ * and clen entry takes back its base value.  The journal is left empty. */
+static void rollback(int32_t *w_order, int32_t *w_pos, int32_t *w_color,
+                     int32_t *w_clen, const int32_t *b_order,
+                     const int32_t *b_color, const int32_t *b_clen,
+                     int8_t *jd, const int32_t *jl, int64_t *jc,
+                     int64_t jstride)
 {
-    /* each logged order slot takes back its base vertex, and that
-     * vertex its base pos */
     for (int64_t i = 0; i < jc[JRN_ORDER]; i++) {
         int32_t s = jl[JRN_ORDER * jstride + i];
         int32_t v = b_order[s];
@@ -267,6 +273,80 @@ void rollback(int8_t *jd, const int32_t *jl, int64_t *jc, int64_t jstride,
         }
         jc[a] = 0;
     }
+}
+
+/* Make v a singleton at the front of its class c, as refine.py's
+ * `_split_off` does: v swaps into slot c, and the rest of the class
+ * takes color c + 1.  With jd non-NULL it logs the two order slots, the
+ * two class lengths and then the recolored vertices in slot order, as
+ * the Python session does.  Returns c. */
+static int32_t split_off(int32_t *order, int32_t *pos, int32_t *color,
+                         int32_t *clen, int32_t v, int8_t *jd, int32_t *jl,
+                         int64_t *jc, int64_t jstride)
+{
+    int32_t c = color[v], size = clen[c];
+    if (size == 1)
+        return c;
+    int32_t p = pos[v], other = order[c];
+    order[c] = v;
+    order[p] = other;
+    pos[v] = c;
+    pos[other] = p;
+    clen[c] = 1;
+    clen[c + 1] = size - 1;
+    if (jd) {
+        LOG(JRN_ORDER, c);
+        LOG(JRN_ORDER, p);
+        LOG(JRN_CLEN, c);
+        LOG(JRN_CLEN, c + 1);
+    }
+    for (int32_t i = c + 1; i < c + size; i++) {
+        int32_t w = order[i];
+        if (jd)
+            LOG(JRN_COLOR, w);
+        color[w] = c + 1;
+    }
+    return c;
+}
+
+static int journal_overflows(const int64_t *jc, int64_t jstride)
+{
+    return jc[JRN_ORDER] > jstride || jc[JRN_COLOR] > jstride
+        || jc[JRN_CLEN] > jstride;
+}
+
+/* One probe of refine.py's `IRSession`: with reset set, roll the working
+ * coloring back to the base first; then split v off (`split_off`) and
+ * refine from [c], the new singleton alone, journaling every write, with
+ * the stop (wlo, whi, want) of `refine`.  The graph and workspace come
+ * first, as for `refine`, then the working coloring, the base's order,
+ * color and clen, and the journal.  Returns 1, having written nothing,
+ * when a journal row already holds more than jstride entries on entry,
+ * and 1 when one does at the end; else 0. */
+int session_push(const int32_t *indptr, const int32_t *nbr,
+                 int32_t *queue, int8_t *in_queue, int32_t *cnt,
+                 int32_t *scratch, int32_t *bucket, int32_t *cls_list,
+                 int32_t *tcnt, int64_t qcap,
+                 int32_t *order, int32_t *pos, int32_t *color,
+                 int32_t *clen, const int32_t *b_order,
+                 const int32_t *b_color, const int32_t *b_clen,
+                 int8_t *jd, int32_t *jl, int64_t *jc, int64_t jstride,
+                 int64_t v, int64_t reset, int64_t wlo, int64_t whi,
+                 int64_t want)
+{
+    if (journal_overflows(jc, jstride))
+        return 1;
+    if (reset)
+        rollback(order, pos, color, clen, b_order, b_color, b_clen,
+                 jd, jl, jc, jstride);
+    int32_t c = split_off(order, pos, color, clen, (int32_t)v,
+                          jd, jl, jc, jstride);
+    queue[0] = c;
+    in_queue[c] = 1;
+    refine(indptr, nbr, queue, in_queue, cnt, scratch, bucket, cls_list,
+           tcnt, qcap, 0, 1, order, pos, color, clen, jd, jl, jc, jstride,
+           wlo, whi, want);
+    return journal_overflows(jc, jstride);
 }
 
 
@@ -320,12 +400,12 @@ static uint32_t randbelow(uint32_t *mt, uint32_t n)
 }
 
 /* `rows` pairs of remainder dives, as refine.py's Python `dive_pairs`
- * runs them with its `_dive` chains.  Each dive resets a working
- * coloring (w1, then w2) from pi, then, until it is discrete, picks
- * a random member v of its first class c of more than one member,
- * splits v off to slot c as refine.py's `_split_off` does, and refines
- * from [c, c + 1] without a journal.  Row r of raw (rows x nlit) gets
- * the pairing of the two leaves: raw[r][l] = w2.order[w1.pos[l]].  The
+ * runs them with its `_dive`.  Each dive resets a working coloring (w1,
+ * then w2) from pi, then, until it is discrete, picks a random member v
+ * of its first class c of more than one member, splits v off to slot c
+ * with `split_off` and refines from [c, c + 1] without a journal.  Row
+ * r of raw (rows x nlit) gets the pairing of the two leaves:
+ * raw[r][l] = w2.order[w1.pos[l]].  The
  * graph and workspace come first, as for `refine`; pi must be a valid
  * coloring (`valid_coloring`) and the working colorings n entries each,
  * and mt advances in place. */
@@ -356,17 +436,8 @@ void dive_pairs(const int32_t *indptr, const int32_t *nbr,
                     c++;
                 if (c == n)
                     break;
-                int32_t size = clen[c];
-                int32_t v = order[c + randbelow(mt, (uint32_t)size)];
-                int32_t p = pos[v], other = order[c];
-                order[c] = v;
-                order[p] = other;
-                pos[v] = c;
-                pos[other] = p;
-                clen[c] = 1;
-                clen[c + 1] = size - 1;
-                for (int32_t i = c + 1; i < c + size; i++)
-                    color[order[i]] = c + 1;
+                int32_t v = order[c + randbelow(mt, (uint32_t)clen[c])];
+                split_off(order, pos, color, clen, v, NULL, NULL, NULL, n);
                 queue[0] = c;
                 queue[1] = c + 1;
                 in_queue[c] = in_queue[c + 1] = 1;

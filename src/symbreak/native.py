@@ -1,11 +1,13 @@
 """The compiled kernel library: `native.c`, built with `cc` on first use
 and loaded with ctypes.
 
-It holds the refinement kernels that `refine` runs, the remainder's
-dive loop `dive_pairs` with its port of CPython's MT19937 generator,
-and the DIMACS reader and writer and the canonical-clause check
-`ascending` that `cnf` runs.  Each has a Python counterpart (for
-`dive_pairs`, chains of `refine.individualize_refine` drawing from a
+It holds the kernels that `refine` runs: the refinement `refine`, the
+session probe `session_push` (rollback, split and journaled refinement
+in one call) and the remainder's dive loop `dive_pairs` with its port
+of CPython's MT19937 generator.  It also holds the DIMACS reader and
+writer and the canonical-clause check `ascending` that `cnf` runs.
+Each has a Python counterpart (for `session_push`, the Python path of
+`refine.IRSession`; for `dive_pairs`, `refine._dive` drawing from a
 `random.Random`; for `ascending`, the sort it skips), which is the
 reference the tests compare it against and the fallback where no
 compiler is found.  This module imports nothing else of symbreak, so
@@ -95,8 +97,8 @@ def native_kernel():
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.refine.argtypes = [ptr] * 9 + [i64] * 3 + [ptr] * 7 + [i64] * 4
     lib.refine.restype = None
-    lib.rollback.argtypes = [ptr, ptr, ptr, i64] + [ptr] * 7
-    lib.rollback.restype = None
+    lib.session_push.argtypes = [ptr] * 9 + [i64] + [ptr] * 10 + [i64] * 6
+    lib.session_push.restype = ctypes.c_int
     lib.dive_pairs.argtypes = [ptr] * 9 + [i64] + [ptr] * 12 + [i64] * 3 \
         + [ptr] * 2
     lib.dive_pairs.restype = None

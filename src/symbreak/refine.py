@@ -7,15 +7,16 @@ neighbors in the splitter (ties keep their relative order), so color ids
 are isomorphism-invariant.
 
 The worklist kernel uses the smaller-half rule (all fragments but the
-largest are re-enqueued).  It, the journal rollback and the remainder's
+largest are re-enqueued).  It, an `IRSession` probe and the remainder's
 random dives exist twice: in C (`native.c`, the library that
-`native.native_kernel` builds and loads) and in Python
-(`_refine_kernel`, `_rollback_kernel`, and `_dive`'s chain of copying
-`individualize_refine` calls).  The C kernels run whenever they can be
-built; the Python ones are the reference the tests compare them against
-and the fallback where no compiler is found.  This module alone calls
-the kernels: it owns their scratch pool, the arrays' addresses and the
-coloring check.
+`native.native_kernel` builds and loads, with one call per probe in
+`session_push` and one per block of dives in `dive_pairs`) and in
+Python (`_refine_kernel`; `_rollback_kernel`, `_split_off` and the
+session's journal; `_dive`'s chain of splits and refinements).  The C
+kernels run whenever they can be built; the Python ones are the
+reference the tests compare them against and the fallback where no
+compiler is found.  This module alone calls the kernels: it owns their
+scratch pool, the arrays' addresses and the coloring check.
 """
 
 from __future__ import annotations
@@ -318,45 +319,51 @@ def _scratch_pool(graph: ColoredGraph):
     return cached
 
 
-def _run_refinement(graph: ColoredGraph, coloring: Coloring, initial_classes,
-                    journal=None, addresses=None, stop=(0, 0, 0)):
-    """Refine `coloring` in place from the splitters `initial_classes`.
-    A session passes its journal = (jd, jl, jc), which logs every write.
-    A session also passes `addresses`, the C kernel's addresses of the
-    coloring's four arrays and the journal's three, taken once for the
-    coloring it has checked and refines in place; a run without them
-    checks the coloring and takes them here.  `stop`
-    = (lo, hi, want) with want > 0 ends the run before its next splitter
-    once the slots [lo, hi), a union of classes, hold want classes."""
-    n = graph.vertex_count
-    lib = native_kernel()
-    if journal is None:
-        journal = (None, None, None)
-    if addresses is None:
-        _check_coloring(coloring, n, lib)
-        addresses = (*_ptrs(coloring.order, coloring.pos, coloring.color,
-                            coloring.clen), None, None, None)
-    pool, pool_ptrs = _scratch_pool(graph)
+def _enqueue(pool, classes) -> int:
+    """Queue each of `classes` once on the pool's empty worklist; the
+    queue's tail."""
     queue, in_queue = pool[0], pool[1]
     qtail = 0
-    for c in initial_classes:
+    for c in classes:
         if not in_queue[c]:
             queue[qtail] = c
             qtail += 1
             in_queue[c] = 1
+    return qtail
+
+
+def _python_refinement(graph: ColoredGraph, coloring: Coloring,
+                       initial_classes, journal=(None, None, None),
+                       stop=(0, 0, 0)):
+    """Refine `coloring` in place with the Python kernel from the
+    splitters `initial_classes`, unchecked: the caller has checked the
+    coloring, or made it by splits and refinements of a checked one,
+    which keep an ordered partition.  A session passes its journal
+    = (jd, jl, jc), which logs every write.  `stop` = (lo, hi, want)
+    with want > 0 ends the run before its next splitter once the slots
+    [lo, hi), a union of classes, hold want classes."""
+    pool, _ = _scratch_pool(graph)
+    qtail = _enqueue(pool, initial_classes)
+    _refine_kernel(graph.indptr, graph.neighbors,
+                   coloring.order, coloring.pos, coloring.color,
+                   coloring.clen, pool[0], pool[1], 0, qtail, *pool[2:],
+                   *journal, *stop)
+
+
+def _run_refinement(graph: ColoredGraph, coloring: Coloring,
+                    initial_classes):
+    """Check `coloring`, then refine it in place from the splitters
+    `initial_classes`, in C where the library loads."""
+    n = graph.vertex_count
+    lib = native_kernel()
+    _check_coloring(coloring, n, lib)
     if lib is None:
-        _refine_kernel(graph.indptr, graph.neighbors,
-                       coloring.order, coloring.pos, coloring.color,
-                       coloring.clen, queue, in_queue, 0, qtail, *pool[2:],
-                       *journal, *stop)
-    else:
-        lib.refine(*pool_ptrs, len(queue), 0, qtail, *addresses, n, *stop)
-    # each journal row logs an index at most once; more entries than
-    # slots means the kernel has already written past the journal
-    jc = journal[2]
-    if jc is not None and jc.max() > n:
-        raise RuntimeError(f"refinement journal overflow: {jc.tolist()} "
-                           f"entries for {n} slots")
+        _python_refinement(graph, coloring, initial_classes)
+        return
+    pool, pool_ptrs = _scratch_pool(graph)
+    lib.refine(*pool_ptrs, len(pool[0]), 0, _enqueue(pool, initial_classes),
+               *_ptrs(coloring.order, coloring.pos, coloring.color,
+                      coloring.clen), None, None, None, n, 0, 0, 0)
 
 
 @dataclass
@@ -454,15 +461,19 @@ def _next_nonsingleton(clen, start: int):
 def _dive(graph: ColoredGraph, pi: Coloring, rng) -> Coloring:
     """The discrete leaf that a chain of `individualize_refine` calls
     reaches from pi, each on a random member of the first class of more
-    than one member."""
+    than one member.  The chain runs on one copy of pi, unchecked:
+    `dive_pairs` has checked pi, and a split and a refinement keep an
+    ordered partition."""
+    leaf = pi.copy()
     # the classes before an individualized one are singletons and stay
     # so, as refinement splits a class only inside its own slots
-    c = _next_nonsingleton(pi.clen, 0)
+    c = _next_nonsingleton(leaf.clen, 0)
     while c is not None:
-        v = int(rng.choice(pi.class_members(c)))
-        pi = individualize_refine(graph, pi, v).coloring
-        c = _next_nonsingleton(pi.clen, c)
-    return pi
+        v = int(rng.choice(leaf.class_members(c)))
+        worklist, _, _ = _split_off(leaf, v)
+        _python_refinement(graph, leaf, worklist)
+        c = _next_nonsingleton(leaf.clen, c)
+    return leaf
 
 
 def dive_pairs(graph: ColoredGraph, pi: Coloring, rng, rows: int):
@@ -521,7 +532,8 @@ class IRSession:
     current working coloring and refines; pushes stack, each logging
     against the base, and one rollback undoes them all.
     `individualize(v)` is a rollback followed by `push(v)`.  Either costs
-    O(touched) instead of O(vertices).  `individualize(v, until)` may
+    O(touched) instead of O(vertices), and where the library loads is
+    one call of the C `session_push`.  `individualize(v, until)` may
     stop the refinement early; see there.
 
     Every report is taken against the base, so after a chain of pushes
@@ -548,21 +560,15 @@ class IRSession:
         self._journal = (self._jd, self._jl, self._jc)
         self._arrays = (work.order, work.pos, work.color, work.clen,
                         base.order, base.color, base.clen)
-        # none of these arrays is ever replaced, so the C kernels'
-        # addresses are taken once here rather than on every call
-        work_ptrs = _ptrs(*self._arrays[:4])
-        journal_ptrs = _ptrs(*self._journal)
-        self._refine_addresses = (*work_ptrs, *journal_ptrs)
-        self._rollback_args = (*journal_ptrs, n, *work_ptrs,
-                               *_ptrs(*self._arrays[4:]))
+        # none of these arrays is ever replaced, so the arguments of the
+        # C `session_push` up to v are taken once here
+        pool, pool_ptrs = _scratch_pool(graph)
+        self._push_args = (*pool_ptrs, len(pool[0]), *_ptrs(*self._arrays),
+                           *_ptrs(*self._journal), n)
         self._stopped = False
 
     def _rollback(self):
-        lib = native_kernel()
-        if lib is None:
-            _rollback_kernel(*self._journal, *self._arrays)
-        else:
-            lib.rollback(*self._rollback_args)
+        _rollback_kernel(*self._journal, *self._arrays)
 
     def _log(self, a: int, i: int):
         """Append index i to journal row a unless the row holds it."""
@@ -579,27 +585,47 @@ class IRSession:
         the report's fragments of a base class may be coarser than a
         full refinement's, and until the next `individualize` no push
         may follow."""
-        self._rollback()
-        self._stopped = False
-        if until is None:
-            return self.push(v)
-        sigma, want = until
-        base = self.base
-        if not (0 <= sigma < self.graph.vertex_count
-                and base.clen[sigma] > 0
-                and base.color[base.order[sigma]] == sigma):
-            raise KeyError(f"unknown base color {sigma}")
-        self._stopped = True
-        return self._push(v, (sigma, sigma + int(base.clen[sigma]), want))
+        stop = (0, 0, 0)
+        if until is not None:
+            sigma, want = until
+            base = self.base
+            if not (0 <= sigma < self.graph.vertex_count
+                    and base.clen[sigma] > 0
+                    and base.color[base.order[sigma]] == sigma):
+                raise KeyError(f"unknown base color {sigma}")
+            stop = (sigma, sigma + int(base.clen[sigma]), want)
+        report = self._push(v, 1, stop)
+        self._stopped = until is not None
+        return report
 
     def push(self, v: int) -> RefinementReport:
         if self._stopped:
             raise RuntimeError("push onto a refinement stopped early")
-        return self._push(v, (0, 0, 0))
+        return self._push(v, 0, (0, 0, 0))
 
-    def _push(self, v: int, stop) -> RefinementReport:
-        if not 0 <= v < self.graph.vertex_count:
+    def _overflow(self) -> RuntimeError:
+        return RuntimeError(f"refinement journal overflow: "
+                            f"{self._jc.tolist()} entries for "
+                            f"{self.graph.vertex_count} slots")
+
+    def _push(self, v: int, reset: int, stop) -> RefinementReport:
+        """Individualize v in the working coloring, after a rollback if
+        `reset`, and refine up to `stop` (see `_python_refinement`).
+        Raises RuntimeError, before any write, when a journal row holds
+        more entries than slots, as each row logs an index at most once;
+        and after the refinement when one does then."""
+        n = self.graph.vertex_count
+        if not 0 <= v < n:
             raise IndexError(f"vertex {v} out of range")
+        lib = native_kernel()
+        if lib is not None:
+            if lib.session_push(*self._push_args, v, reset, *stop):
+                raise self._overflow()
+            return RefinementReport(base=self.base, coloring=self.work)
+        if self._jc.max() > n:
+            raise self._overflow()
+        if reset:
+            self._rollback()
         refined = self.work
         # rollback copies every logged index back from the base, so the
         # split may write before its indices are logged
@@ -616,9 +642,10 @@ class IRSession:
         self._jc[JRN_COLOR] = k + len(fresh)
         # the working coloring is equitable, so the new singleton alone
         # is splitter enough (see the class docstring)
-        _run_refinement(self.graph, refined, worklist[:1],
-                        journal=self._journal,
-                        addresses=self._refine_addresses, stop=stop)
+        _python_refinement(self.graph, refined, worklist[:1],
+                           journal=self._journal, stop=stop)
+        if self._jc.max() > n:
+            raise self._overflow()
         return RefinementReport(base=self.base, coloring=refined)
 
 

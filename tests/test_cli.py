@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import symbreak
+from symbreak import native
 from symbreak.cli import main
 from symbreak.cnf import emit_dimacs, parse_dimacs
 from symbreak.testkit import (brute_force_sat, dpll_count, gen_cycle_coloring,
@@ -107,7 +108,9 @@ class TestBreak:
         data = json.loads(stats.read_text())
         assert list(data) == ["structures", "attempts", "remainder",
                               "clauses_added", "aux_vars", "phase_times_ms",
-                              "input"]
+                              "input", "kernels"]
+        assert data["kernels"] == (
+            "python" if native.native_kernel() is None else "c")
         assert list(data["phase_times_ms"]) == [
             "parse_ms", "graph_ms", "detect_ms", "remainder_ms",
             "encode_ms", "emit_ms"]

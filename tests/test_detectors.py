@@ -1123,9 +1123,11 @@ def test_labeling_never_reprobes_the_held_vertex(make, monkeypatch):
     def tracked_individualize(self, v):
         if held == [v]:
             reprobed.append(v)
-        # the rollback; the push it ends with records v
-        held.clear()
-        return individualize(self, v)
+        # a rollback, then v alone is held, whether or not the probe
+        # runs through push
+        report = individualize(self, v)
+        held[:] = [v]
+        return report
 
     def tracked_push(self, v):
         held.append(v)

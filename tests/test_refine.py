@@ -274,15 +274,25 @@ class TestIRSession:
             session.individualize(0, until=(sigma + 1, 4))
 
     def test_journal_overflow_is_refused(self):
+        """A journal row holding more entries than slots would let the
+        next probe write past it, so a push or individualize refuses it
+        before writing anything, on either kernel."""
         g = cycle(5)
         base = refine_stable(g, initial_coloring(g)).coloring
-        session = IRSession(g, base)
-        session._jc[refine.JRN_ORDER] = g.vertex_count + 1
-        with pytest.raises(RuntimeError, match="journal overflow"):
-            refine._run_refinement(g, session.work, [],
-                                   journal=(session._jd, session._jl,
-                                            session._jc),
-                                   addresses=session._refine_addresses)
+        for kernel in (contextlib.nullcontext, python_kernel):
+            with kernel():
+                session = IRSession(g, base)
+                session.individualize(0)
+                session._jc[refine.JRN_ORDER] = g.vertex_count + 1
+                work = session.work.copy()
+                journal = [a.copy() for a in session._journal]
+                for probe in (session.push, session.individualize):
+                    with pytest.raises(RuntimeError,
+                                       match="journal overflow"):
+                        probe(2)
+                    assert same_coloring(session.work, work)
+                    for before, after in zip(journal, session._journal):
+                        assert np.array_equal(before, after)
 
     def test_rejects_arrays_the_c_kernel_cannot_read(self):
         g = cycle(4)
@@ -312,8 +322,9 @@ def kernel_trace(g, vs):
     """Everything the kernels write while refining g, individualizing the
     vertices vs one by one in a session and chained by copies, then
     stacking them in the session (individualize vs[0], push the rest),
-    and rolling back.  The stack must give the copying chain's partition
-    and fragments, and the rollback the base with an empty journal."""
+    individualizing vs[0] once more over the stack, and rolling back.
+    The stack must give the copying chain's partition and fragments, and
+    the rollback the base with an empty journal."""
     base = refine_stable(g, initial_coloring(g)).coloring
     out = [base]
     session = IRSession(g, base)
@@ -343,6 +354,8 @@ def kernel_trace(g, vs):
             assert {frozenset(m.tolist()) for _, m in rep.fragments(sigma)} \
                 == {frozenset(m.tolist())
                     for _, m in copied.fragments(sigma)}
+        # a reset that rolls back the whole stack of pushes
+        record(session.individualize(vs[0]))
     session._rollback()
     assert same_coloring(session.work, base)
     assert not session._jc.any() and not session._jd.any()
@@ -469,7 +482,7 @@ class TestNativeKernel:
         bad = Coloring.from_color_map([0] * g.vertex_count)
         getattr(bad, array)[slot] = value
         for kernel in (contextlib.nullcontext, python_kernel):
-            with mock.patch.object(refine, "_run_refinement") as refinement, \
+            with mock.patch.object(refine, "_refine_kernel") as refinement, \
                     mock.patch.object(native.native_kernel(),
                                       "dive_pairs") as dives, kernel():
                 with pytest.raises(ValueError, match="ordered-partition"):
@@ -478,14 +491,38 @@ class TestNativeKernel:
             refinement.assert_not_called()
             dives.assert_not_called()
 
+    def test_one_kernel_call_per_probe(self):
+        """Each session probe, a push or an individualize stopped or
+        not, is one call of the C `session_push` and no other kernel
+        call."""
+        g = build_model_graph(gen_php(4))
+        base = refine_stable(g, initial_coloring(g)).coloring
+        session = IRSession(g, base)
+        sigma = int(base.color[0])
+        lib = native.native_kernel()
+        names = ("session_push", "refine", "valid_coloring", "dive_pairs")
+        one_push = {name: int(name == "session_push") for name in names}
+        with contextlib.ExitStack() as stack:
+            mocks = {name: stack.enter_context(mock.patch.object(
+                lib, name, wraps=getattr(lib, name))) for name in names}
+            for probe in (lambda: session.individualize(0),
+                          lambda: session.push(2),
+                          lambda: session.individualize(1,
+                                                        until=(sigma, 2))):
+                probe()
+                assert {name: m.call_count
+                        for name, m in mocks.items()} == one_push
+                for m in mocks.values():
+                    m.reset_mock()
+
     def test_argtypes_match_kernel_signatures(self):
         """ctypes passes what argtypes says, unchecked against the C
         source; a count that drifts from the signature crashes or feeds
         garbage to the kernel."""
         src = native._KERNEL_SRC.read_text()
         lib = native.native_kernel()
-        for name in ("refine", "rollback", "dive_pairs", "valid_coloring",
-                     "parse", "ascending", "emit"):
+        for name in ("refine", "session_push", "dive_pairs",
+                     "valid_coloring", "parse", "ascending", "emit"):
             m = re.search(rf"^(?:int|int64_t|void) {name}\(([^)]*)\)", src,
                           re.MULTILINE)
             assert m, f"no definition of {name}"
