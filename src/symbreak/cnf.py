@@ -326,7 +326,9 @@ def emit_dimacs(formula: Formula, added: Iterable[tuple] = (),
     follow.  ``added`` is either an iterable of literal-code tuples or an
     object holding them as CSR arrays ``lens`` and ``lits``, as
     ``breaking.BreakingClauses`` does, written as they are.
-    ``comments`` lines are prefixed with ``c symbreak: ``.
+    ``comments`` lines are prefixed with ``c symbreak: ``.  Raises
+    ValueError for more than ``MAX_VAR`` variables, as `parse_dimacs`
+    refuses such a header.
     """
     if hasattr(added, "lens"):
         add_lens, add_lits = added.lens, added.lits
@@ -337,13 +339,14 @@ def emit_dimacs(formula: Formula, added: Iterable[tuple] = (),
         add_lits = np.fromiter(chain.from_iterable(added), dtype=np.int64,
                                count=int(add_lens.sum()))
     num_vars = formula.num_vars + aux_vars
+    if num_vars > MAX_VAR:
+        raise ValueError(f"{num_vars} variables, more than {MAX_VAR}")
     top = int(add_lits.max()) // 2 + 1 if len(add_lits) else 0
     if len(add_lits) and (add_lits.min() < 0 or top > num_vars):
         raise ValueError("added clause exceeds declared variable range")
     csr = ((formula.lens, formula.lits), (add_lens, add_lits))
     lib = native_kernel()
-    # a formula's codes are int32; added ones may go beyond
-    if lib is None or top > MAX_VAR:
+    if lib is None:
         body = "".join(_clause_lines(lens, lits) for lens, lits in csr)
     else:
         body = _emit_native(lib, csr)

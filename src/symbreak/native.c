@@ -1,22 +1,28 @@
 /* Native kernels for symbreak: color refinement, the session probe, the
  * remainder's random dives and DIMACS I/O.
  *
- * `refine` is a line-for-line port of the reference kernel
- * `_refine_kernel` in refine.py; both must give identical colorings and
- * identical journals, and the tests compare them on random graphs.
- * `session_push` is one probe of refine.py's `IRSession` in one call:
- * the optional `rollback` (the Python `_rollback_kernel`), the split of
- * `split_off` (the Python `_split_off`, logged as the session's `_log`
- * does) and a journaled `refine` from the new singleton.  `dive_pairs`
- * runs a block of the remainder's dive pairs in one call for refine.py's
- * `dive_pairs`, splitting with the same `split_off`; its random draws
- * come from `genrand_uint32`, a port of CPython's MT19937, so its leaves
- * are those of refine.py's `_dive`, the reference and fallback, drawing
- * from a `random.Random` of the same state.  `parse` and `emit` read and
- * write DIMACS for cnf.py, whose Python `_parse_python` and
- * `_clause_lines` are their references, and `ascending` spares cnf.py's
- * `_canonical_clauses` its sort, the reference, for clauses that are
- * canonical already.
+ * Each refinement kernel has a Python twin in refine.py that takes the
+ * same parameters in the same order, arrays where C takes addresses, and
+ * is its reference and the fallback where no compiler is found:
+ *   refine          `_refine_kernel`
+ *   session_push    `_session_push`
+ *   valid_coloring  `_valid_coloring`
+ *   rollback        `_rollback_kernel`  (static)
+ *   split_off       `_split_off`        (static)
+ *   LOG             `_log`
+ * Kernel and twin must give identical colorings and identical journals,
+ * and the tests compare them on random graphs.  `session_push` is one
+ * probe of refine.py's `IRSession` in one call: the optional `rollback`,
+ * the split of `split_off` and a journaled `refine` from the new
+ * singleton.  `dive_pairs` runs a block of the remainder's dive pairs in
+ * one call for refine.py's `dive_pairs`, splitting with the same
+ * `split_off`; its random draws come from `genrand_uint32`, a port of
+ * CPython's MT19937, so its leaves are those of refine.py's `_dive`, the
+ * reference and fallback, drawing from a `random.Random` of the same
+ * state.  `parse` and `emit` read and write DIMACS for cnf.py, whose
+ * Python `_parse_python` and `_clause_lines` are their references, and
+ * `ascending` spares cnf.py's `_canonical_clauses` its sort, the
+ * reference, for clauses that are canonical already.
  *
  * All arrays are C-contiguous with the dtypes named in the signatures.
  * The journal arrays jd and jl hold 3 rows of `jstride` entries each
@@ -93,12 +99,11 @@ int valid_coloring(int64_t n, const int32_t *order, const int32_t *pos,
     return n == 0 || clen[start] == n - start;
 }
 
-/* The graph and workspace come first, as refine.py keeps their
- * addresses per graph; jd, jl and jc are NULL for a run that records no
- * journal.  With want > 0 the run stops before its next splitter once
- * the slots [wlo, whi), a union of classes, hold want classes or more;
- * the coloring is then a refinement of the input but maybe not
- * equitable. */
+/* The graph and workspace come first, as refine.py keeps them per
+ * graph; jd, jl and jc are NULL for a run that records no journal.
+ * With want > 0 the run stops before its next splitter once the slots
+ * [wlo, whi), a union of classes, hold want classes or more; the
+ * coloring is then a refinement of the input but maybe not equitable. */
 void refine(const int32_t *indptr, const int32_t *nbr,
             int32_t *queue, int8_t *in_queue, int32_t *cnt,
             int32_t *scratch, int32_t *bucket, int32_t *cls_list,
@@ -275,11 +280,10 @@ static void rollback(int32_t *w_order, int32_t *w_pos, int32_t *w_color,
     }
 }
 
-/* Make v a singleton at the front of its class c, as refine.py's
- * `_split_off` does: v swaps into slot c, and the rest of the class
- * takes color c + 1.  With jd non-NULL it logs the two order slots, the
- * two class lengths and then the recolored vertices in slot order, as
- * the Python session does.  Returns c. */
+/* Make v a singleton at the front of its class c: v swaps into slot c,
+ * and the rest of the class takes color c + 1.  With jd non-NULL it logs
+ * the two order slots, the two class lengths and then the recolored
+ * vertices in slot order.  Returns c. */
 static int32_t split_off(int32_t *order, int32_t *pos, int32_t *color,
                          int32_t *clen, int32_t v, int8_t *jd, int32_t *jl,
                          int64_t *jc, int64_t jstride)

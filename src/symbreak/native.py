@@ -6,12 +6,13 @@ session probe `session_push` (rollback, split and journaled refinement
 in one call) and the remainder's dive loop `dive_pairs` with its port
 of CPython's MT19937 generator.  It also holds the DIMACS reader and
 writer and the canonical-clause check `ascending` that `cnf` runs.
-Each has a Python counterpart (for `session_push`, the Python path of
-`refine.IRSession`; for `dive_pairs`, `refine._dive` drawing from a
-`random.Random`; for `ascending`, the sort it skips), which is the
-reference the tests compare it against and the fallback where no
-compiler is found.  This module imports nothing else of symbreak, so
-`cnf` and `refine` can both import it.
+Each has a Python counterpart (for `refine`, `session_push` and
+`valid_coloring`, the twins in `refine` that take the same parameters;
+for `dive_pairs`, `refine._dive` drawing from a `random.Random`; for
+`ascending`, the sort it skips), which is the reference the tests
+compare it against and the fallback where no compiler is found.  This
+module imports nothing else of symbreak, so `cnf` and `refine` can both
+import it.
 """
 
 from __future__ import annotations

@@ -7,21 +7,25 @@ neighbors in the splitter (ties keep their relative order), so color ids
 are isomorphism-invariant.
 
 The worklist kernel uses the smaller-half rule (all fragments but the
-largest are re-enqueued).  It, an `IRSession` probe and the remainder's
-random dives exist twice: in C (`native.c`, the library that
-`native.native_kernel` builds and loads, with one call per probe in
-`session_push` and one per block of dives in `dive_pairs`) and in
-Python (`_refine_kernel`; `_rollback_kernel`, `_split_off` and the
-session's journal; `_dive`'s chain of splits and refinements).  The C
-kernels run whenever they can be built; the Python ones are the
-reference the tests compare them against and the fallback where no
-compiler is found.  This module alone calls the kernels: it owns their
-scratch pool, the arrays' addresses and the coloring check.
+largest are re-enqueued).  Each kernel of `native.c`, the library that
+`native.native_kernel` builds and loads, has a Python twin that takes
+the same parameters in the same order, arrays where C takes addresses:
+`_refine_kernel` is `refine`, `_session_push` is `session_push` (one
+call per `IRSession` probe), `_valid_coloring` is `valid_coloring`, and
+`_rollback_kernel`, `_split_off` and `_log` are the static `rollback`,
+`split_off` and `LOG` inside them.  `_kernels` picks one set: the C
+kernels whenever they can be built, else the twins, which are the
+reference the tests compare them against.  The remainder's dives keep
+their own choice: C's `dive_pairs` runs a block of them on a port of
+MT19937, and `_dive`, its reference, steps with the twins drawing from a
+`random.Random`.  This module alone calls the kernels: it owns their
+scratch pool and the coloring check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -110,14 +114,21 @@ def _holds(clen, lo, hi, want):
     return want == 0
 
 
-def _refine_kernel(indptr, nbr, order, pos, color, clen,
-                   queue, in_queue, qhead, qtail,
-                   cnt, scratch, bucket, cls_list, tcnt, jd, jl, jc,
-                   wlo, whi, want):
-    # jd is None for a run that records no journal; with want > 0 the
-    # run stops before its next splitter once the slots [wlo, whi) hold
-    # want classes or more
-    qcap = queue.shape[0]
+def _log(jd, jl, jc, a, i):
+    # native.c's LOG: append index i to journal row a unless it holds i
+    if jd[a, i] == 0:
+        jd[a, i] = 1
+        jl[a, jc[a]] = i
+        jc[a] += 1
+
+
+def _refine_kernel(indptr, nbr, queue, in_queue, cnt, scratch, bucket,
+                   cls_list, tcnt, qcap, qhead, qtail, order, pos, color,
+                   clen, jd, jl, jc, jstride, wlo, whi, want):
+    # native.c's `refine`.  jd is None for a run that records no journal;
+    # with want > 0 the run stops before its next splitter once the slots
+    # [wlo, whi) hold want classes or more.  The journal rows are rows of
+    # 2-D arrays here, so jstride goes unread.
     while qhead != qtail:
         if want > 0 and _holds(clen, wlo, whi, want):
             while qhead != qtail:
@@ -147,14 +158,8 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                     p = pos[u]
                     w = order[dest]
                     if jd is not None:
-                        if jd[JRN_ORDER, dest] == 0:
-                            jd[JRN_ORDER, dest] = 1
-                            jl[JRN_ORDER, jc[JRN_ORDER]] = dest
-                            jc[JRN_ORDER] += 1
-                        if jd[JRN_ORDER, p] == 0:
-                            jd[JRN_ORDER, p] = 1
-                            jl[JRN_ORDER, jc[JRN_ORDER]] = p
-                            jc[JRN_ORDER] += 1
+                        _log(jd, jl, jc, JRN_ORDER, dest)
+                        _log(jd, jl, jc, JRN_ORDER, p)
                     order[dest], order[p] = u, w
                     pos[u], pos[w] = dest, p
                 cnt[u] += 1
@@ -199,10 +204,8 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                 largest_start = -1
                 largest_size = -1
                 if t < csize:
-                    if jd is not None and jd[JRN_CLEN, c] == 0:
-                        jd[JRN_CLEN, c] = 1
-                        jl[JRN_CLEN, jc[JRN_CLEN]] = c
-                        jc[JRN_CLEN] += 1
+                    if jd is not None:
+                        _log(jd, jl, jc, JRN_CLEN, c)
                     clen[c] = csize - t
                     largest_start = c
                     largest_size = csize - t
@@ -214,17 +217,13 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                         j += 1
                     fstart = lo + k
                     fsize = j - k
-                    if jd is not None and jd[JRN_CLEN, fstart] == 0:
-                        jd[JRN_CLEN, fstart] = 1
-                        jl[JRN_CLEN, jc[JRN_CLEN]] = fstart
-                        jc[JRN_CLEN] += 1
+                    if jd is not None:
+                        _log(jd, jl, jc, JRN_CLEN, fstart)
                     clen[fstart] = fsize
                     for q in range(k, j):
                         w = scratch[q]
-                        if jd is not None and jd[JRN_COLOR, w] == 0:
-                            jd[JRN_COLOR, w] = 1
-                            jl[JRN_COLOR, jc[JRN_COLOR]] = w
-                            jc[JRN_COLOR] += 1
+                        if jd is not None:
+                            _log(jd, jl, jc, JRN_COLOR, w)
                         color[w] = fstart
                     if fsize > largest_size:
                         largest_size = fsize
@@ -245,21 +244,67 @@ def _refine_kernel(indptr, nbr, order, pos, color, clen,
                 cnt[order[idx]] = 0
 
 
-def _ptrs(*arrays):
-    return [a.ctypes.data for a in arrays]
+def _rollback_kernel(w_order, w_pos, w_color, w_clen, b_order, b_color,
+                     b_clen, jd, jl, jc, jstride):
+    # native.c's `rollback`, a row at a time
+    rows = ((w_order, b_order), (w_color, b_color), (w_clen, b_clen))
+    for a, (w, b) in enumerate(rows):
+        idx = jl[a, :jc[a]]
+        w[idx] = b[idx]
+        jd[a, idx] = 0
+    # a vertex whose pos was written has left its base slot, which the
+    # order row logged, so the logged slots give back all of pos
+    slots = jl[JRN_ORDER, :jc[JRN_ORDER]]
+    w_pos[b_order[slots]] = slots
+    jc[:] = 0
 
 
-def _is_int32_vector(a, size: int) -> bool:
-    return isinstance(a, np.ndarray) and a.dtype == np.int32 and \
-        a.shape == (size,) and a.flags.c_contiguous
+def _split_off(order, pos, color, clen, v, jd, jl, jc, jstride):
+    # native.c's `split_off`: v swaps into slot c, the front of its class
+    # c, and the rest of the class takes color c + 1; returns c
+    c = int(color[v])
+    size = int(clen[c])
+    if size == 1:
+        return c
+    p = int(pos[v])
+    other = int(order[c])
+    order[c], order[p] = v, other
+    pos[v], pos[other] = c, p
+    clen[c] = 1
+    clen[c + 1] = size - 1
+    rest = order[c + 1:c + size]
+    if jd is not None:
+        # v already heading its class gives c == p, which _log keeps once
+        for a, i in ((JRN_ORDER, c), (JRN_ORDER, p), (JRN_CLEN, c),
+                     (JRN_CLEN, c + 1)):
+            _log(jd, jl, jc, a, i)
+        for w in rest.tolist():
+            _log(jd, jl, jc, JRN_COLOR, w)
+    color[rest] = c + 1
+    return c
 
 
-def _is_ordered_partition(order, pos, color, clen) -> bool:
-    """`valid_coloring` of native.c in numpy, for the Python kernels:
-    order and pos are inverse permutations, each class is a run of
-    slots whose vertices' color is the run's first slot and whose length
-    is the clen entry at that slot, and clen is 0 at every other slot."""
-    n = len(order)
+def _session_push(indptr, nbr, queue, in_queue, cnt, scratch, bucket,
+                  cls_list, tcnt, qcap, order, pos, color, clen, b_order,
+                  b_color, b_clen, jd, jl, jc, jstride, v, reset, wlo, whi,
+                  want):
+    # native.c's `session_push`
+    if jc.max() > jstride:
+        return 1
+    if reset:
+        _rollback_kernel(order, pos, color, clen, b_order, b_color, b_clen,
+                         jd, jl, jc, jstride)
+    c = _split_off(order, pos, color, clen, v, jd, jl, jc, jstride)
+    queue[0] = c
+    in_queue[c] = 1
+    _refine_kernel(indptr, nbr, queue, in_queue, cnt, scratch, bucket,
+                   cls_list, tcnt, qcap, 0, 1, order, pos, color, clen,
+                   jd, jl, jc, jstride, wlo, whi, want)
+    return int(jc.max() > jstride)
+
+
+def _valid_coloring(n, order, pos, color, clen):
+    # native.c's `valid_coloring`, in numpy
     if n == 0:
         return True
     if order.min() < 0 or order.max() >= n or \
@@ -273,31 +318,51 @@ def _is_ordered_partition(order, pos, color, clen) -> bool:
                 np.array_equal(clen, sizes))
 
 
-def _check_coloring(coloring: Coloring, n: int, lib):
+def _ptrs(*arrays):
+    return [a.ctypes.data for a in arrays]
+
+
+def _kernels():
+    """The kernels to run and what each array argument passes as: the C
+    library and the arrays' addresses, or, where it does not load, the
+    Python twins under the C names and the arrays themselves."""
+    lib = native_kernel()
+    if lib is not None:
+        return lib, _ptrs
+    return SimpleNamespace(refine=_refine_kernel, session_push=_session_push,
+                           valid_coloring=_valid_coloring), \
+        lambda *arrays: arrays
+
+
+def _is_int32_vector(a, size: int) -> bool:
+    return isinstance(a, np.ndarray) and a.dtype == np.int32 and \
+        a.shape == (size,) and a.flags.c_contiguous
+
+
+def _check_coloring(coloring: Coloring, n: int):
     """Refuse a coloring that the C kernel could index out of bounds
     with, or that either kernel would refine into garbage: its arrays
     must be contiguous int32 of length n and form an ordered partition
-    (checked in C where the C kernel runs, else in numpy; O(n) either
-    way)."""
+    (`valid_coloring`, O(n))."""
     arrays = (coloring.order, coloring.pos, coloring.color, coloring.clen)
-    if all(_is_int32_vector(a, n) for a in arrays) and (
-            _is_ordered_partition(*arrays) if lib is None
-            else lib.valid_coloring(n, *_ptrs(*arrays))):
+    kernels, addr = _kernels()
+    if all(_is_int32_vector(a, n) for a in arrays) and \
+            kernels.valid_coloring(n, *addr(*arrays)):
         return
     raise ValueError(f"not an ordered-partition coloring of {n} vertices "
                      f"in contiguous int32 arrays")
 
 
 def _scratch_pool(graph: ColoredGraph):
-    """Per-graph reusable kernel workspace, with the addresses of it and
-    of the graph's CSR arrays for the C kernel.  `in_queue`, `cnt` and
-    `tcnt` are zero between runs: the kernel clears each entry it sets
-    before it returns, so the pool needs no cleaning.  The other arrays
-    are written before they are read (`bucket` is cleared before each
-    use).  The CSR arrays are checked once here, since the C kernel reads
-    them unchecked."""
-    cached = getattr(graph, "_refine_scratch", None)
-    if cached is None:
+    """The 9 leading arguments of every kernel: the graph's CSR arrays and
+    a per-graph reusable workspace.  `in_queue`, `cnt` and `tcnt` are
+    zero between runs: the kernel clears each entry it sets before it
+    returns, so the pool needs no cleaning.  The other arrays are
+    written before they are read (`bucket` is cleared before each use).
+    The queue holds n + 1 entries.  The CSR arrays are checked once
+    here, since the C kernel reads them unchecked."""
+    pool = getattr(graph, "_refine_scratch", None)
+    if pool is None:
         n = graph.vertex_count
         indptr, nbr = graph.indptr, graph.neighbors
         if not (_is_int32_vector(indptr, n + 1)
@@ -307,63 +372,36 @@ def _scratch_pool(graph: ColoredGraph):
                 and (len(nbr) == 0 or 0 <= nbr.min() <= nbr.max() < n)):
             raise ValueError("graph is not a contiguous int32 CSR "
                              "adjacency over its own vertices")
-        pool = (np.empty(n + 1, dtype=np.int32),          # queue
+        pool = (indptr, nbr,
+                np.empty(n + 1, dtype=np.int32),          # queue
                 np.zeros(n, dtype=np.int8),               # in_queue
                 np.zeros(n, dtype=np.int32),              # cnt
                 np.empty(n, dtype=np.int32),              # scratch
                 np.empty(graph.max_degree + 2, dtype=np.int32),  # bucket
                 np.empty(n, dtype=np.int32),              # cls_list
                 np.zeros(n, dtype=np.int32))              # tcnt
-        cached = pool, _ptrs(indptr, nbr, *pool)
-        graph._refine_scratch = cached
-    return cached
-
-
-def _enqueue(pool, classes) -> int:
-    """Queue each of `classes` once on the pool's empty worklist; the
-    queue's tail."""
-    queue, in_queue = pool[0], pool[1]
-    qtail = 0
-    for c in classes:
-        if not in_queue[c]:
-            queue[qtail] = c
-            qtail += 1
-            in_queue[c] = 1
-    return qtail
-
-
-def _python_refinement(graph: ColoredGraph, coloring: Coloring,
-                       initial_classes, journal=(None, None, None),
-                       stop=(0, 0, 0)):
-    """Refine `coloring` in place with the Python kernel from the
-    splitters `initial_classes`, unchecked: the caller has checked the
-    coloring, or made it by splits and refinements of a checked one,
-    which keep an ordered partition.  A session passes its journal
-    = (jd, jl, jc), which logs every write.  `stop` = (lo, hi, want)
-    with want > 0 ends the run before its next splitter once the slots
-    [lo, hi), a union of classes, hold want classes."""
-    pool, _ = _scratch_pool(graph)
-    qtail = _enqueue(pool, initial_classes)
-    _refine_kernel(graph.indptr, graph.neighbors,
-                   coloring.order, coloring.pos, coloring.color,
-                   coloring.clen, pool[0], pool[1], 0, qtail, *pool[2:],
-                   *journal, *stop)
+        graph._refine_scratch = pool
+    return pool
 
 
 def _run_refinement(graph: ColoredGraph, coloring: Coloring,
                     initial_classes):
     """Check `coloring`, then refine it in place from the splitters
-    `initial_classes`, in C where the library loads."""
+    `initial_classes`."""
     n = graph.vertex_count
-    lib = native_kernel()
-    _check_coloring(coloring, n, lib)
-    if lib is None:
-        _python_refinement(graph, coloring, initial_classes)
-        return
-    pool, pool_ptrs = _scratch_pool(graph)
-    lib.refine(*pool_ptrs, len(pool[0]), 0, _enqueue(pool, initial_classes),
-               *_ptrs(coloring.order, coloring.pos, coloring.color,
-                      coloring.clen), None, None, None, n, 0, 0, 0)
+    _check_coloring(coloring, n)
+    kernels, addr = _kernels()
+    pool = _scratch_pool(graph)
+    queue, in_queue = pool[2], pool[3]
+    qtail = 0
+    for c in initial_classes:
+        if not in_queue[c]:
+            queue[qtail] = c
+            qtail += 1
+            in_queue[c] = 1
+    kernels.refine(*addr(*pool), n + 1, 0, qtail,
+                   *addr(coloring.order, coloring.pos, coloring.color,
+                         coloring.clen), None, None, None, n, 0, 0, 0)
 
 
 @dataclass
@@ -413,37 +451,16 @@ def refine_stable(graph: ColoredGraph, pi: Coloring) -> RefinementReport:
     return RefinementReport(base=pi, coloring=refined)
 
 
-def _split_off(coloring: Coloring, v: int):
-    """Make v a fresh singleton at the front of its class, in place; the
-    rest of the class takes the next color id.
-
-    Returns the refinement worklist, the (journal row, index) pairs of the
-    order and clen entries written, and the recolored vertices (a view of
-    ``order``, valid until the next refinement)."""
-    c = int(coloring.color[v])
-    size = int(coloring.clen[c])
-    rest = c + 1
-    if size == 1:
-        return [c], (), coloring.order[rest:rest]
-    p = int(coloring.pos[v])
-    other = int(coloring.order[c])
-    coloring.order[c], coloring.order[p] = v, other
-    coloring.pos[v], coloring.pos[other] = c, p
-    coloring.clen[c] = 1
-    coloring.clen[rest] = size - 1
-    moved = coloring.order[rest:c + size]
-    coloring.color[moved] = rest
-    written = ((JRN_ORDER, c), (JRN_ORDER, p), (JRN_CLEN, c),
-               (JRN_CLEN, rest))
-    return [c, rest], written, moved
-
-
 def individualize_refine(graph: ColoredGraph, pi: Coloring,
                          v: int) -> RefinementReport:
     """Split v into a fresh singleton at the front of its class in a copy
     of pi, then refine; the report is taken against pi."""
     refined = pi.copy()
-    worklist, _, _ = _split_off(refined, v)
+    c = int(refined.color[v])
+    # other members of v's class take color c + 1 and split too
+    worklist = [c, c + 1] if refined.clen[c] > 1 else [c]
+    _split_off(refined.order, refined.pos, refined.color, refined.clen, v,
+               None, None, None, graph.vertex_count)
     _run_refinement(graph, refined, worklist)
     return RefinementReport(base=pi, coloring=refined)
 
@@ -464,14 +481,21 @@ def _dive(graph: ColoredGraph, pi: Coloring, rng) -> Coloring:
     than one member.  The chain runs on one copy of pi, unchecked:
     `dive_pairs` has checked pi, and a split and a refinement keep an
     ordered partition."""
+    n = graph.vertex_count
     leaf = pi.copy()
+    arrays = (leaf.order, leaf.pos, leaf.color, leaf.clen)
+    pool = _scratch_pool(graph)
+    queue, in_queue = pool[2], pool[3]
     # the classes before an individualized one are singletons and stay
     # so, as refinement splits a class only inside its own slots
     c = _next_nonsingleton(leaf.clen, 0)
     while c is not None:
         v = int(rng.choice(leaf.class_members(c)))
-        worklist, _, _ = _split_off(leaf, v)
-        _python_refinement(graph, leaf, worklist)
+        _split_off(*arrays, v, None, None, None, n)
+        queue[0], queue[1] = c, c + 1
+        in_queue[c] = in_queue[c + 1] = 1
+        _refine_kernel(*pool, n + 1, 0, 2, *arrays, None, None, None, n,
+                       0, 0, 0)
         c = _next_nonsingleton(leaf.clen, c)
     return leaf
 
@@ -489,7 +513,7 @@ def dive_pairs(graph: ColoredGraph, pi: Coloring, rng, rows: int):
     vertices."""
     n, nlit = graph.vertex_count, graph.num_literal_vertices
     lib = native_kernel()
-    _check_coloring(pi, n, lib)
+    _check_coloring(pi, n)
     table = np.empty((rows, nlit), dtype=np.int32)
     if lib is None:
         for row in table:
@@ -499,27 +523,12 @@ def dive_pairs(graph: ColoredGraph, pi: Coloring, rng, rows: int):
     version, mt, gauss_next = rng.getstate()
     mt = np.array(mt, dtype=np.uint32)
     work = np.empty((8, n), dtype=np.int32)  # two colorings' four arrays
-    pool, pool_ptrs = _scratch_pool(graph)
-    lib.dive_pairs(*pool_ptrs, len(pool[0]),
+    lib.dive_pairs(*_ptrs(*_scratch_pool(graph)), n + 1,
                    *_ptrs(pi.order, pi.pos, pi.color, pi.clen),
                    *_ptrs(*work), n, nlit, rows, table.ctypes.data,
                    mt.ctypes.data)
     rng.setstate((version, tuple(mt.tolist()), gauss_next))
     return table
-
-
-def _rollback_kernel(jd, jl, jc, w_order, w_pos, w_color, w_clen,
-                     b_order, b_color, b_clen):
-    rows = ((w_order, b_order), (w_color, b_color), (w_clen, b_clen))
-    for a, (w, b) in enumerate(rows):
-        idx = jl[a, :jc[a]]
-        w[idx] = b[idx]
-        jd[a, idx] = 0
-    # a vertex whose pos was written has left its base slot, which the
-    # order row logged, so the logged slots give back all of pos
-    slots = jl[JRN_ORDER, :jc[JRN_ORDER]]
-    w_pos[b_order[slots]] = slots
-    jc[:] = 0
 
 
 class IRSession:
@@ -532,9 +541,9 @@ class IRSession:
     current working coloring and refines; pushes stack, each logging
     against the base, and one rollback undoes them all.
     `individualize(v)` is a rollback followed by `push(v)`.  Either costs
-    O(touched) instead of O(vertices), and where the library loads is
-    one call of the C `session_push`.  `individualize(v, until)` may
-    stop the refinement early; see there.
+    O(touched) instead of O(vertices), and is one call of `session_push`,
+    in C or its Python twin.  `individualize(v, until)` may stop the
+    refinement early; see there.
 
     Every report is taken against the base, so after a chain of pushes
     its fragments of a base class are those of the whole chain.  Only
@@ -550,7 +559,7 @@ class IRSession:
 
     def __init__(self, graph: ColoredGraph, base: Coloring):
         n = graph.vertex_count
-        _check_coloring(base, n, native_kernel())
+        _check_coloring(base, n)
         self.graph = graph
         self.base = base
         self.work = work = base.copy()
@@ -560,22 +569,16 @@ class IRSession:
         self._journal = (self._jd, self._jl, self._jc)
         self._arrays = (work.order, work.pos, work.color, work.clen,
                         base.order, base.color, base.clen)
-        # none of these arrays is ever replaced, so the arguments of the
-        # C `session_push` up to v are taken once here
-        pool, pool_ptrs = _scratch_pool(graph)
-        self._push_args = (*pool_ptrs, len(pool[0]), *_ptrs(*self._arrays),
-                           *_ptrs(*self._journal), n)
+        # none of these arrays is ever replaced, so the arguments of
+        # `session_push` up to v are taken once here
+        self._kernel, addr = _kernels()
+        self._push_args = (*addr(*_scratch_pool(graph)), n + 1,
+                           *addr(*self._arrays), *addr(*self._journal), n)
         self._stopped = False
 
     def _rollback(self):
-        _rollback_kernel(*self._journal, *self._arrays)
-
-    def _log(self, a: int, i: int):
-        """Append index i to journal row a unless the row holds it."""
-        if not self._jd[a, i]:
-            self._jd[a, i] = 1
-            self._jl[a, self._jc[a]] = i
-            self._jc[a] += 1
+        _rollback_kernel(*self._arrays, *self._journal,
+                         self.graph.vertex_count)
 
     def individualize(self, v: int, until=None) -> RefinementReport:
         """A rollback, then `push(v)`.  With until = (sigma, k) the
@@ -610,43 +613,15 @@ class IRSession:
 
     def _push(self, v: int, reset: int, stop) -> RefinementReport:
         """Individualize v in the working coloring, after a rollback if
-        `reset`, and refine up to `stop` (see `_python_refinement`).
+        `reset`, and refine up to the stop (wlo, whi, want) of `refine`.
         Raises RuntimeError, before any write, when a journal row holds
         more entries than slots, as each row logs an index at most once;
         and after the refinement when one does then."""
-        n = self.graph.vertex_count
-        if not 0 <= v < n:
+        if not 0 <= v < self.graph.vertex_count:
             raise IndexError(f"vertex {v} out of range")
-        lib = native_kernel()
-        if lib is not None:
-            if lib.session_push(*self._push_args, v, reset, *stop):
-                raise self._overflow()
-            return RefinementReport(base=self.base, coloring=self.work)
-        if self._jc.max() > n:
+        if self._kernel.session_push(*self._push_args, v, reset, *stop):
             raise self._overflow()
-        if reset:
-            self._rollback()
-        refined = self.work
-        # rollback copies every logged index back from the base, so the
-        # split may write before its indices are logged
-        worklist, written, moved = _split_off(refined, v)
-        # v already heading its class gives c == p; _log keeps one copy
-        for a, i in written:
-            self._log(a, i)
-        # moved holds distinct vertices; log those the row lacks, in
-        # slot order
-        fresh = moved[self._jd[JRN_COLOR, moved] == 0]
-        k = int(self._jc[JRN_COLOR])
-        self._jd[JRN_COLOR, fresh] = 1
-        self._jl[JRN_COLOR, k:k + len(fresh)] = fresh
-        self._jc[JRN_COLOR] = k + len(fresh)
-        # the working coloring is equitable, so the new singleton alone
-        # is splitter enough (see the class docstring)
-        _python_refinement(self.graph, refined, worklist[:1],
-                           journal=self._journal, stop=stop)
-        if self._jc.max() > n:
-            raise self._overflow()
-        return RefinementReport(base=self.base, coloring=refined)
+        return RefinementReport(base=self.base, coloring=self.work)
 
 
 def initial_coloring(graph: ColoredGraph) -> Coloring:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import statistics
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -19,6 +20,7 @@ def test_run_instance_php6(tmp_path):
     (entry,) = ladder.run_instance("php", (6,), str(tmp_path))
     check_php6_entry(entry)
     assert entry["wall_s_runs"] == [entry["wall_s"]]
+    assert entry["peak_rss_mb_runs"] == [entry["peak_rss_mb"]]
 
 
 def test_run_instance_php6_against_a_baseline(tmp_path):
@@ -32,6 +34,9 @@ def test_run_instance_php6_against_a_baseline(tmp_path):
         check_php6_entry(entry)
         assert len(entry["wall_s_runs"]) == 2
         assert entry["wall_s"] in entry["wall_s_runs"]
+        assert len(entry["peak_rss_mb_runs"]) == 2
+        assert entry["peak_rss_mb"] == \
+            statistics.median(entry["peak_rss_mb_runs"])
     assert entries[0]["clauses_added"] == entries[1]["clauses_added"]
 
 

@@ -1,6 +1,7 @@
 """Refinement engine: equitability, invariance, and IR behavior."""
 
 import contextlib
+import inspect
 import os
 import random
 import re
@@ -460,13 +461,13 @@ class TestNativeKernel:
            st.sampled_from(["order", "pos", "color", "clen"]),
            st.integers(0, 11), st.integers(-2, 13))
     def test_numpy_coloring_check_matches_c(self, keys, array, slot, value):
-        """The numpy check of the Python kernels accepts exactly the
-        colorings that the C `valid_coloring` accepts."""
+        """The numpy twin `_valid_coloring` accepts exactly the colorings
+        that the C `valid_coloring` accepts."""
         c = Coloring.from_color_map(keys)
         n = len(keys)
         getattr(c, array)[slot % n] = value
         arrays = (c.order, c.pos, c.color, c.clen)
-        assert refine._is_ordered_partition(*arrays) == \
+        assert refine._valid_coloring(n, *arrays) == \
             bool(native.native_kernel().valid_coloring(
                 n, *refine._ptrs(*arrays)))
 
@@ -494,39 +495,23 @@ class TestNativeKernel:
     def test_one_kernel_call_per_probe(self):
         """Each session probe, a push or an individualize stopped or
         not, is one call of the C `session_push` and no other kernel
-        call."""
-        g = build_model_graph(gen_php(4))
-        base = refine_stable(g, initial_coloring(g)).coloring
-        session = IRSession(g, base)
-        sigma = int(base.color[0])
-        lib = native.native_kernel()
-        names = ("session_push", "refine", "valid_coloring", "dive_pairs")
-        one_push = {name: int(name == "session_push") for name in names}
-        with contextlib.ExitStack() as stack:
-            mocks = {name: stack.enter_context(mock.patch.object(
-                lib, name, wraps=getattr(lib, name))) for name in names}
-            for probe in (lambda: session.individualize(0),
-                          lambda: session.push(2),
-                          lambda: session.individualize(1,
-                                                        until=(sigma, 2))):
-                probe()
-                assert {name: m.call_count
-                        for name, m in mocks.items()} == one_push
-                for m in mocks.values():
-                    m.reset_mock()
+        call; with the Python kernels, one call of its twin
+        `_session_push` and no refinement or coloring check besides."""
+        assert_one_kernel_call_per_probe(native.native_kernel(), (
+            "session_push", "refine", "valid_coloring", "dive_pairs"))
+        with python_kernel():
+            assert_one_kernel_call_per_probe(refine, (
+                "_session_push", "_run_refinement", "_check_coloring"))
 
     def test_argtypes_match_kernel_signatures(self):
         """ctypes passes what argtypes says, unchecked against the C
         source; a count that drifts from the signature crashes or feeds
-        garbage to the kernel."""
-        src = native._KERNEL_SRC.read_text()
+        garbage to the kernel.  The Python twins' signatures are checked
+        by `test_python_twins_keep_c_signatures`."""
         lib = native.native_kernel()
         for name in ("refine", "session_push", "dive_pairs",
                      "valid_coloring", "parse", "ascending", "emit"):
-            m = re.search(rf"^(?:int|int64_t|void) {name}\(([^)]*)\)", src,
-                          re.MULTILINE)
-            assert m, f"no definition of {name}"
-            assert m.group(1).count(",") + 1 == \
+            assert len(c_parameters(name)) == \
                 len(getattr(lib, name).argtypes), name
 
     def test_build_into_private_cache(self, tmp_path, monkeypatch):
@@ -550,6 +535,49 @@ class TestNativeKernel:
         os.chmod(tmp_path / "symbreak", 0o777)
         with pytest.raises(OSError, match="not a private directory"):
             native._compiled_kernel()
+
+
+def assert_one_kernel_call_per_probe(owner, names):
+    """Each probe of a session makes one call of names[0], an attribute
+    of `owner`, and none of the rest."""
+    g = build_model_graph(gen_php(4))
+    base = refine_stable(g, initial_coloring(g)).coloring
+    sigma = int(base.color[0])
+    one_push = {name: int(name == names[0]) for name in names}
+    with contextlib.ExitStack() as stack:
+        mocks = {name: stack.enter_context(mock.patch.object(
+            owner, name, wraps=getattr(owner, name))) for name in names}
+        # the session takes its kernel when it is made
+        session = IRSession(g, base)
+        for probe in (lambda: session.individualize(0),
+                      lambda: session.push(2),
+                      lambda: session.individualize(1, until=(sigma, 2))):
+            for m in mocks.values():
+                m.reset_mock()
+            probe()
+            assert {name: m.call_count
+                    for name, m in mocks.items()} == one_push
+
+
+def c_parameters(name):
+    """The parameter names of the C function `name` in native.c."""
+    src = native._KERNEL_SRC.read_text()
+    m = re.search(rf"^(?:static )?(?:int|int32_t|int64_t|void) {name}\("
+                  rf"([^)]*)\)", src, re.MULTILINE)
+    assert m, f"no definition of {name}"
+    return [re.split(r"[\s*]+", p.strip())[-1] for p in m.group(1).split(",")]
+
+
+def test_python_twins_keep_c_signatures():
+    """Each Python twin takes its C kernel's parameters by name and in
+    order, so a change to one shows where the other must change."""
+    for c_name, twin in (("refine", refine._refine_kernel),
+                         ("session_push", refine._session_push),
+                         ("valid_coloring", refine._valid_coloring),
+                         ("rollback", refine._rollback_kernel),
+                         ("split_off", refine._split_off)):
+        assert list(inspect.signature(twin).parameters) == \
+            c_parameters(c_name), c_name
 
 
 def member_color_fragments(report, sigma):
@@ -602,9 +630,9 @@ def test_slot_walk_fragments_match_member_colors(g, picks):
 def assert_pool_clean(g):
     """The pool's zero-initialized arrays are zero again: a count the
     kernel leaves behind would be read by the next call on g."""
-    pool, _ = g._refine_scratch
-    for name, arr in (("in_queue", pool[1]), ("cnt", pool[2]),
-                      ("tcnt", pool[6])):
+    pool = g._refine_scratch
+    for name, arr in (("in_queue", pool[3]), ("cnt", pool[4]),
+                      ("tcnt", pool[8])):
         assert not arr.any(), f"{name} left nonzero"
 
 

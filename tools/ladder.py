@@ -10,8 +10,8 @@ then every run starts a new interpreter that imports symbreak and calls
 `symbreak.cli.main(["break", in, "-o", out, "--stats", stats])`.  A
 run's wall time covers interpreter start, import, parse, the pipeline
 and emit; its peak RSS is the child's own (`wait4`).  Each instance runs
-REPEAT times; its entry reports the run with the median wall time, plus
-every run's wall time.
+REPEAT times; its entry reports the run with the median wall time, the
+median peak RSS over the runs, and every run's wall time and peak.
 
     python3 tools/ladder.py -o BENCH.json --baseline ../parent/src
 
@@ -87,7 +87,8 @@ def run_instance(family: str, params: tuple, workdir: str,
     """The ladder entries of one instance, one per symbreak `src/`
     directory of `sources`: `repeat` fresh-process runs of `symbreak
     break` on each side, the sides alternating run by run, each side
-    reported by its run with the median wall time."""
+    reported by its run with the median wall time and by the median peak
+    RSS of its runs."""
     cnf = os.path.join(workdir, "in.cnf")
     gen = _child(["gen", family, *map(str, params), "-o", cnf])
     _, err = gen.communicate()
@@ -104,6 +105,7 @@ def run_instance(family: str, params: tuple, workdir: str,
 
 def _entry(family: str, params: tuple, runs: list) -> dict:
     walls = [r["wall_s"] for r in runs]
+    peaks = [r["peak_rss_mb"] for r in runs]
     mid = runs[walls.index(statistics.median_low(walls))]
     stats = mid["stats"]
     return {
@@ -112,7 +114,9 @@ def _entry(family: str, params: tuple, runs: list) -> dict:
         "clauses": stats["input"]["clauses"],
         "wall_s": mid["wall_s"],
         "wall_s_runs": walls,
-        "peak_rss_mb": mid["peak_rss_mb"],
+        # one run's heap layout moves its peak, so the median of all
+        "peak_rss_mb": statistics.median(peaks),
+        "peak_rss_mb_runs": peaks,
         "phase_times_ms": stats["phase_times_ms"],
         "structures": [[s["kind"], s["dims"]] for s in stats["structures"]],
         "remainder_generators": stats["remainder"]["generators"],
