@@ -6,6 +6,7 @@
  * is its reference and the fallback where no compiler is found:
  *   refine          `_refine_kernel`
  *   session_push    `_session_push`
+ *   dive_pairs      `_dive_pairs`
  *   valid_coloring  `_valid_coloring`
  *   rollback        `_rollback_kernel`  (static)
  *   split_off       `_split_off`        (static)
@@ -17,9 +18,8 @@
  * singleton.  `dive_pairs` runs a block of the remainder's dive pairs in
  * one call for refine.py's `dive_pairs`, splitting with the same
  * `split_off`; its random draws come from `genrand_uint32`, a port of
- * CPython's MT19937, so its leaves are those of refine.py's `_dive`, the
- * reference and fallback, drawing from a `random.Random` of the same
- * state.  `parse` and `emit` read and write DIMACS for cnf.py, whose
+ * CPython's MT19937, where its twin draws from a `random.Random` set to
+ * the same state words.  `parse` and `emit` read and write DIMACS for cnf.py, whose
  * Python `_parse_python` and `_clause_lines` are their references, and
  * `ascending` spares cnf.py's `_canonical_clauses` its sort, the
  * reference, for clauses that are canonical already.
@@ -403,13 +403,12 @@ static uint32_t randbelow(uint32_t *mt, uint32_t n)
     return r;
 }
 
-/* `rows` pairs of remainder dives, as refine.py's Python `dive_pairs`
- * runs them with its `_dive`.  Each dive resets a working coloring (w1,
- * then w2) from pi, then, until it is discrete, picks a random member v
- * of its first class c of more than one member, splits v off to slot c
- * with `split_off` and refines from [c, c + 1] without a journal.  Row
- * r of raw (rows x nlit) gets the pairing of the two leaves:
- * raw[r][l] = w2.order[w1.pos[l]].  The
+/* `rows` pairs of remainder dives, for refine.py's `dive_pairs`.  Each
+ * dive resets a working coloring (w1, then w2) from pi, then, until it
+ * is discrete, picks a random member v of its first class c of more
+ * than one member, splits v off to slot c with `split_off` and refines
+ * from [c, c + 1] without a journal.  Row r of raw (rows x nlit) gets
+ * the pairing of the two leaves: raw[r][l] = w2.order[w1.pos[l]].  The
  * graph and workspace come first, as for `refine`; pi must be a valid
  * coloring (`valid_coloring`) and the working colorings n entries each,
  * and mt advances in place. */

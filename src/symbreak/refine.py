@@ -11,19 +11,19 @@ largest are re-enqueued).  Each kernel of `native.c`, the library that
 `native.native_kernel` builds and loads, has a Python twin that takes
 the same parameters in the same order, arrays where C takes addresses:
 `_refine_kernel` is `refine`, `_session_push` is `session_push` (one
-call per `IRSession` probe), `_valid_coloring` is `valid_coloring`, and
-`_rollback_kernel`, `_split_off` and `_log` are the static `rollback`,
-`split_off` and `LOG` inside them.  `_kernels` picks one set: the C
-kernels whenever they can be built, else the twins, which are the
-reference the tests compare them against.  The remainder's dives keep
-their own choice: C's `dive_pairs` runs a block of them on a port of
-MT19937, and `_dive`, its reference, steps with the twins drawing from a
-`random.Random`.  This module alone calls the kernels: it owns their
-scratch pool and the coloring check.
+call per `IRSession` probe), `_dive_pairs` is `dive_pairs` (the
+remainder's dives, on a `random.Random` or C's port of its MT19937),
+`_valid_coloring` is `valid_coloring`, and `_rollback_kernel`,
+`_split_off` and `_log` are the static `rollback`, `split_off` and
+`LOG` inside them.  `_kernels` picks one set: the C kernels whenever
+they can be built, else the twins, which are the reference the tests
+compare them against.  This module alone calls the kernels: it owns
+their scratch pool and the coloring check.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -330,6 +330,7 @@ def _kernels():
     if lib is not None:
         return lib, _ptrs
     return SimpleNamespace(refine=_refine_kernel, session_push=_session_push,
+                           dive_pairs=_dive_pairs,
                            valid_coloring=_valid_coloring), \
         lambda *arrays: arrays
 
@@ -455,6 +456,8 @@ def individualize_refine(graph: ColoredGraph, pi: Coloring,
                          v: int) -> RefinementReport:
     """Split v into a fresh singleton at the front of its class in a copy
     of pi, then refine; the report is taken against pi."""
+    if not 0 <= v < graph.vertex_count:
+        raise IndexError(f"vertex {v} out of range")
     refined = pi.copy()
     c = int(refined.color[v])
     # other members of v's class take color c + 1 and split too
@@ -475,58 +478,55 @@ def _next_nonsingleton(clen, start: int):
     return start + k if big[k] else None
 
 
-def _dive(graph: ColoredGraph, pi: Coloring, rng) -> Coloring:
-    """The discrete leaf that a chain of `individualize_refine` calls
-    reaches from pi, each on a random member of the first class of more
-    than one member.  The chain runs on one copy of pi, unchecked:
-    `dive_pairs` has checked pi, and a split and a refinement keep an
-    ordered partition."""
-    n = graph.vertex_count
-    leaf = pi.copy()
-    arrays = (leaf.order, leaf.pos, leaf.color, leaf.clen)
-    pool = _scratch_pool(graph)
-    queue, in_queue = pool[2], pool[3]
-    # the classes before an individualized one are singletons and stay
-    # so, as refinement splits a class only inside its own slots
-    c = _next_nonsingleton(leaf.clen, 0)
-    while c is not None:
-        v = int(rng.choice(leaf.class_members(c)))
-        _split_off(*arrays, v, None, None, None, n)
-        queue[0], queue[1] = c, c + 1
-        in_queue[c] = in_queue[c + 1] = 1
-        _refine_kernel(*pool, n + 1, 0, 2, *arrays, None, None, None, n,
-                       0, 0, 0)
-        c = _next_nonsingleton(leaf.clen, c)
-    return leaf
+def _dive_pairs(indptr, nbr, queue, in_queue, cnt, scratch, bucket,
+                cls_list, tcnt, qcap, p_order, p_pos, p_color, p_clen,
+                order1, pos1, color1, clen1, order2, pos2, color2, clen2,
+                n, nlit, rows, raw, mt):
+    # native.c's `dive_pairs`, drawing from a random.Random set to the
+    # 625 state words of mt, which go back into mt; raw is rows x nlit
+    rng = random.Random()
+    rng.setstate((3, tuple(mt.tolist()), None))
+    for r in range(rows):
+        for w in ((order1, pos1, color1, clen1),
+                  (order2, pos2, color2, clen2)):
+            for a, b in zip(w, (p_order, p_pos, p_color, p_clen)):
+                a[:] = b
+            order, clen = w[0], w[3]
+            # the classes before an individualized one stay singletons
+            c = _next_nonsingleton(clen, 0)
+            while c is not None:
+                v = int(rng.choice(order[c:c + clen[c]]))
+                _split_off(*w, v, None, None, None, n)
+                queue[0], queue[1] = c, c + 1
+                in_queue[c] = in_queue[c + 1] = 1
+                _refine_kernel(indptr, nbr, queue, in_queue, cnt, scratch,
+                               bucket, cls_list, tcnt, qcap, 0, 2, *w,
+                               None, None, None, n, 0, 0, 0)
+                c = _next_nonsingleton(clen, c)
+        raw[r] = order2[pos1[:nlit]]
+    mt[:] = rng.getstate()[1]
 
 
 def dive_pairs(graph: ColoredGraph, pi: Coloring, rng, rows: int):
     """The rows x nlit int32 pairing table of `rows` pairs of random
-    dives from pi, nlit being the graph's literal vertex count.  A dive
-    is `_dive`; row r pairs the leaves d1, d2 of pair r positionally,
-    literal l going to the vertex that d2 holds in the slot where d1
-    holds l.  The dives draw from `rng`, a `random.Random`: where the C
-    kernel runs, its `dive_pairs` runs them all on a port of CPython's
-    MT19937 started from rng's state words, which go back into rng, so
-    both kernels leave rng alike.  Raises ValueError, before any
-    refinement, when pi is no ordered-partition coloring of the graph's
-    vertices."""
+    dives from pi (nlit literal vertices), in one `dive_pairs` kernel
+    call.  A dive is a chain of `individualize_refine` calls from pi to
+    a discrete leaf, each on a random member of the first class of more
+    than one member; row r sends literal l to the vertex that leaf d2 of
+    pair r holds in the slot where leaf d1 holds l.  The dives draw as
+    `rng.choice` would from `rng`, a `random.Random`, and leave its
+    state as they end it.  Raises ValueError, before any refinement,
+    when pi is no ordered-partition coloring of the graph's vertices."""
     n, nlit = graph.vertex_count, graph.num_literal_vertices
-    lib = native_kernel()
     _check_coloring(pi, n)
-    table = np.empty((rows, nlit), dtype=np.int32)
-    if lib is None:
-        for row in table:
-            d1, d2 = _dive(graph, pi, rng), _dive(graph, pi, rng)
-            np.take(d2.order, d1.pos[:nlit], out=row)
-        return table
+    kernels, addr = _kernels()
     version, mt, gauss_next = rng.getstate()
     mt = np.array(mt, dtype=np.uint32)
     work = np.empty((8, n), dtype=np.int32)  # two colorings' four arrays
-    lib.dive_pairs(*_ptrs(*_scratch_pool(graph)), n + 1,
-                   *_ptrs(pi.order, pi.pos, pi.color, pi.clen),
-                   *_ptrs(*work), n, nlit, rows, table.ctypes.data,
-                   mt.ctypes.data)
+    table = np.empty((rows, nlit), dtype=np.int32)
+    kernels.dive_pairs(*addr(*_scratch_pool(graph)), n + 1,
+                       *addr(pi.order, pi.pos, pi.color, pi.clen, *work),
+                       n, nlit, rows, *addr(table, mt))
     rng.setstate((version, tuple(mt.tolist()), gauss_next))
     return table
 

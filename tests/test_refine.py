@@ -138,6 +138,19 @@ class TestIndividualizeRefine:
         assert base.clen[base.color[[0, 1]]].min() > 1
         assert (refined.clen[refined.color[[0, 1]]] == 1).all()
 
+    @pytest.mark.parametrize("v", [-1, 5])
+    def test_vertex_out_of_range_is_refused(self, v):
+        """A vertex outside 0..n-1 is refused before pi is copied, on
+        either kernel: -1 would otherwise reach the copy's arrays through
+        numpy's negative indexing and be blamed on pi."""
+        g = cycle(5)
+        base = refine_stable(g, initial_coloring(g)).coloring
+        before = base.copy()
+        for kernel in (contextlib.nullcontext, python_kernel):
+            with kernel(), pytest.raises(IndexError, match="out of range"):
+                individualize_refine(g, base, v)
+            assert same_coloring(base, before)
+
     def test_fragments_unknown_color(self):
         g = cycle(4)
         rep = refine_stable(g, initial_coloring(g))
@@ -573,6 +586,7 @@ def test_python_twins_keep_c_signatures():
     order, so a change to one shows where the other must change."""
     for c_name, twin in (("refine", refine._refine_kernel),
                          ("session_push", refine._session_push),
+                         ("dive_pairs", refine._dive_pairs),
                          ("valid_coloring", refine._valid_coloring),
                          ("rollback", refine._rollback_kernel),
                          ("split_off", refine._split_off)):

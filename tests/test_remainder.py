@@ -1,5 +1,6 @@
 """Random-dive remainder search."""
 
+import contextlib
 import itertools
 import random
 from unittest import mock
@@ -20,6 +21,13 @@ from symbreak.testkit import formula_automorphisms, gen_cycle_coloring, gen_php
 
 import numpy as np
 import pytest
+
+from test_refine import HAVE_C, python_kernel
+
+NEEDS_C = pytest.mark.skipif(not HAVE_C, reason="no C kernel could be built")
+# the C kernels, where they build, and the Python twins
+KERNELS = [pytest.param(contextlib.nullcontext, id="c", marks=NEEDS_C),
+           pytest.param(python_kernel, id="python")]
 
 
 def prepared(formula):
@@ -233,38 +241,75 @@ DIVE_FORMULAS = [gen_cycle_coloring(9, 3), gen_php(4),
                  renamed(gen_cycle_coloring(20, 4), 3), torus_coloring(8, 3)]
 DIVE_IDS = ["c9-3coloring", "php4", "renamed-c20-4coloring",
             "torus8-3coloring"]
+# each dive formula on the C kernels, under its own id, and on the
+# Python twins, under its id and "-python"
+DIVE_CASES = [pytest.param(f, contextlib.nullcontext, id=i, marks=NEEDS_C)
+              for f, i in zip(DIVE_FORMULAS, DIVE_IDS)] + \
+    [pytest.param(f, python_kernel, id=f"{i}-python")
+     for f, i in zip(DIVE_FORMULAS, DIVE_IDS)]
 
 
-@pytest.mark.parametrize("formula", DIVE_FORMULAS, ids=DIVE_IDS)
-def test_in_place_dive_matches_copying_chain(formula):
-    """The dives of `dive_pairs`, in place in C where it runs, reach the
+def reference_table(graph, pi, rng, rows):
+    """The pairing table of `rows` pairs of `reference_dive` leaves."""
+    nlit = graph.num_literal_vertices
+    table = np.empty((rows, nlit), dtype=np.int32)
+    for row in table:
+        d1 = reference_dive(graph, pi, rng)
+        d2 = reference_dive(graph, pi, rng)
+        assert (d1.clen[d1.color] == 1).all()
+        row[:] = pairing(d1, d2, nlit)
+    return table
+
+
+@pytest.mark.parametrize("formula, kernel", DIVE_CASES)
+def test_in_place_dive_matches_copying_chain(formula, kernel):
+    """The dives of `dive_pairs`, in place in the kernel, reach the
     leaves of the chain of copying individualize_refine calls for the
     same random choices, and leave the same random state."""
     graph, pi = prepared(formula)
-    nlit = graph.num_literal_vertices
     ref_rng, rng = random.Random(9), random.Random(9)
-    want = []
-    for _ in range(3):
-        d1 = reference_dive(graph, pi, ref_rng)
-        d2 = reference_dive(graph, pi, ref_rng)
-        assert (d1.clen[d1.color] == 1).all()
-        want.append(pairing(d1, d2, nlit))
-    assert np.array_equal(dive_pairs(graph, pi, rng, 3), want)
+    want = reference_table(graph, pi, ref_rng, 3)
+    with kernel():
+        assert np.array_equal(dive_pairs(graph, pi, rng, 3), want)
     assert ref_rng.getstate() == rng.getstate()
 
 
-@pytest.mark.parametrize("formula", DIVE_FORMULAS, ids=DIVE_IDS)
-def test_dive_reset_is_complete(formula):
+@pytest.mark.parametrize("formula, kernel", DIVE_CASES)
+def test_dive_reset_is_complete(formula, kernel):
     """Each dive starts from pi, whatever leaf the dive before it left:
     the second row of a call equals the row that a fresh call gives from
     the random state the first row left."""
     graph, pi = prepared(formula)
-    both = dive_pairs(graph, pi, random.Random(4), 2)
-    rng = random.Random(4)
-    first = dive_pairs(graph, pi, rng, 1)
-    assert np.array_equal(both, np.vstack([first,
-                                           dive_pairs(graph, pi, rng, 1)]))
+    with kernel():
+        both = dive_pairs(graph, pi, random.Random(4), 2)
+        rng = random.Random(4)
+        first = dive_pairs(graph, pi, rng, 1)
+        second = dive_pairs(graph, pi, rng, 1)
+    assert np.array_equal(both, np.vstack([first, second]))
     assert not np.array_equal(both[0], both[1])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_one_kernel_call_per_dive_block(kernel):
+    """A `dive_pairs` call checks pi once and runs its whole block in
+    one call of the kernel `dive_pairs`: the C one, or its twin
+    `_dive_pairs`, with the C one never called."""
+    graph, pi = prepared(gen_cycle_coloring(9, 3))
+    lib = refine.native_kernel()
+    with contextlib.ExitStack() as stack:
+        def spy(owner, name):
+            return stack.enter_context(mock.patch.object(
+                owner, name, wraps=getattr(owner, name)))
+        check = spy(refine, "_check_coloring")
+        twin = spy(refine, "_dive_pairs")
+        c_dives = spy(lib, "dive_pairs") if lib is not None else None
+        stack.enter_context(kernel())
+        dive_pairs(graph, pi, random.Random(1), 3)
+    python = kernel is python_kernel
+    assert check.call_count == 1
+    assert twin.call_count == int(python)
+    if c_dives is not None:
+        assert c_dives.call_count == int(not python)
 
 
 @pytest.mark.parametrize("formula", DIVE_FORMULAS, ids=DIVE_IDS)
@@ -385,13 +430,6 @@ def test_search_blocks_do_not_change_the_result(monkeypatch, formula,
     assert find_remainder_generators(formula, graph, pi, config) == want
 
 
-HAVE_C = refine.native_kernel() is not None
-
-
-def python_kernel():
-    return mock.patch.object(refine, "native_kernel", lambda: None)
-
-
 class CountingRandom(random.Random):
     """A random.Random that counts its choices and the MT19937 words it
     draws: `choice` draws `getrandbits` until a value is below the
@@ -409,32 +447,39 @@ class CountingRandom(random.Random):
 
 
 def dive_tables(graph, pi, seed, rows, cuts):
-    """The pairing table of `rows` dive pairs from pi, once from one
-    `dive_pairs` call on the Python kernels and once from C calls over
-    the row blocks that `cuts` bound, both from `seed`; with the
-    reference's CountingRandom and the C calls' random.Random after."""
-    rng = CountingRandom(seed)
+    """The pairing table of `rows` dive pairs from pi, each from `seed`:
+    from the `reference_dive` chain on a CountingRandom, from one
+    `dive_pairs` call on the Python kernels and from C calls over the
+    row blocks that `cuts` bound; with the random state each leaves."""
+    ref_rng, py_rng, c_rng = (CountingRandom(seed), random.Random(seed),
+                              random.Random(seed))
+    want = reference_table(graph, pi, ref_rng, rows)
     with python_kernel():
-        want = dive_pairs(graph, pi, rng, rows)
-    c_rng = random.Random(seed)
+        py = dive_pairs(graph, pi, py_rng, rows)
     got = np.vstack([dive_pairs(graph, pi, c_rng, hi - lo)
                      for lo, hi in itertools.pairwise([0, *cuts, rows])])
-    return want, got, rng, c_rng
+    return (want, py, got), (ref_rng, py_rng, c_rng)
 
 
-@pytest.mark.skipif(not HAVE_C, reason="no C kernel could be built")
+def assert_tables_agree(tables, rngs):
+    """Every table and random state of `dive_tables` equals the first."""
+    want, state = tables[0], rngs[0].getstate()
+    for table, rng in zip(tables[1:], rngs[1:]):
+        assert np.array_equal(table, want)
+        assert rng.getstate() == state
+
+
+@NEEDS_C
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("formula", SEARCH_FORMULAS, ids=SEARCH_IDS)
 def test_c_dives_match_python_dives(formula, seed):
     """The C dive loop, its MT19937 state carried from block to block,
-    gives the Python loop's leaf pairings and leaves the random state
-    that the Python loop leaves; and the search, which runs the C loop
+    and the Python loop give the reference chain's leaf pairings and
+    leave the random state that it leaves; and the search, which runs the C loop
     where it can, finds the generators that it finds on the Python
     kernels, which run no C dive."""
     graph, pi = prepared(formula)
-    want, got, rng, c_rng = dive_tables(graph, pi, seed, 40, [1, 17])
-    assert np.array_equal(got, want)
-    assert c_rng.getstate() == rng.getstate()
+    assert_tables_agree(*dive_tables(graph, pi, seed, 40, [1, 17]))
     config = PipelineConfig(dive_pairs=4, seed=seed)
     native = find_remainder_generators(formula, graph, pi, config)
     # the switch to the Python kernels switches the dives too
@@ -445,15 +490,15 @@ def test_c_dives_match_python_dives(formula, seed):
     dives.assert_not_called()
 
 
-@pytest.mark.skipif(not HAVE_C, reason="no C kernel could be built")
+@NEEDS_C
 def test_c_dives_regenerate_the_state_and_reject_draws():
     """More than 624 words drawn makes the MT19937 state regenerate;
     classes whose size is no power of two make `randbelow` reject
-    draws.  The C loop matches the Python loop through both, in a row
-    block that straddles the regeneration."""
+    draws.  The C and Python loops match the reference chain through
+    both, the C loop in a row block that straddles the regeneration."""
     graph, pi = prepared(C6_2K3)
-    want, got, rng, c_rng = dive_tables(graph, pi, 2, 64, [30])
-    assert rng.draws > 624
-    assert rng.draws > rng.choices
-    assert np.array_equal(got, want)
-    assert c_rng.getstate() == rng.getstate()
+    tables, rngs = dive_tables(graph, pi, 2, 64, [30])
+    # counted on the reference chain, which draws what the kernels draw
+    assert rngs[0].draws > 624
+    assert rngs[0].draws > rngs[0].choices
+    assert_tables_agree(tables, rngs)

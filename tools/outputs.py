@@ -20,6 +20,12 @@ the interpreter first, since a pyenv `python3` shim itself needs bash
 on PATH:
 
     env PATH=/nonexistent "$(python3 -c 'import sys; print(sys.executable)')" tools/outputs.py
+
+Put a `timeout` before `env`, not after it: `env` looks its command up
+on the PATH it sets, finds no `timeout` there and runs nothing.  The
+script names the kernels it runs on stderr, `kernels: c` or `kernels:
+python`, so a diff shows which path it compared; stdout holds only the
+digest lines.
 """
 
 from __future__ import annotations
@@ -104,6 +110,9 @@ def main(argv=None) -> int:
                     help="directory holding the symbreak package")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
+    from symbreak.native import native_kernel
+    print(f"kernels: {'c' if native_kernel() else 'python'}",
+          file=sys.stderr)
     for line in digest_lines(instances()):
         print(line, flush=True)
     return 0
