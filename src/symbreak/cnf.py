@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .native import native_kernel
+from . import native
 
 
 class DimacsError(ValueError):
@@ -140,10 +140,10 @@ def _canonical_clauses(lens, lits, num_vars: int):
     """int32 (lens, lits) of the clauses with each one's literals sorted
     and repeats dropped, by one sort of (clause, literal) keys.  lens and
     lits are contiguous int64.  Clauses already strictly ascending, as
-    all DIMACS that symbreak writes is, need no sort: one pass of the C
-    `ascending` finds them."""
-    # bounded lengths cannot wrap the int64 sum, so the C check below
-    # reads only lits
+    all DIMACS that symbreak writes is, need no sort: one pass of the
+    kernel `ascending` finds them."""
+    # bounded lengths cannot wrap the int64 sum, so the `ascending`
+    # check below reads only lits
     if len(lens) and not 0 <= lens.min() <= lens.max() <= len(lits):
         raise ValueError("clause length negative or beyond the literal "
                          "count")
@@ -159,10 +159,9 @@ def _canonical_clauses(lens, lits, num_vars: int):
                              f"> num_vars {num_vars}")
         if top // 2 + 1 > MAX_VAR:
             raise ValueError(f"variable {top // 2 + 1} beyond {MAX_VAR}")
-    # the C check allocates nothing; without it every input is sorted
-    lib = native_kernel()
-    if lib is not None and lib.ascending(lens.ctypes.data, len(lens),
-                                         lits.ctypes.data):
+    kernels, addr = native.kernels()
+    lens_p, lits_p = addr(lens, lits)
+    if kernels.ascending(lens_p, len(lens), lits_p):
         return lens.astype(np.int32), lits.astype(np.int32)
     clause = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
     shift = clause * (top + 1)
@@ -176,6 +175,17 @@ def _canonical_clauses(lens, lits, num_vars: int):
         key = key[fresh]
         lens = np.bincount(clause[fresh], minlength=len(lens))
     return lens.astype(np.int32), key.astype(np.int32)
+
+
+def _ascending(lens, nlens, lits):
+    # native.c's `ascending`, in numpy: no literal, after the first of
+    # its clause, at most the one before it
+    lens = lens[:nlens]
+    lits = lits[:int(lens.sum())]
+    follows = np.ones(len(lits), dtype=bool)
+    starts = np.cumsum(lens) - lens
+    follows[starts[starts < len(lits)]] = False
+    return int((lits[1:] > lits[:-1])[follows[1:]].all())
 
 
 def _first_occurrences(lens, lits, starts):
@@ -227,11 +237,12 @@ def parse_dimacs(data) -> Formula:
     not checked against the body; the header is kept as
     ``Formula.declared``.
 
-    Plain input (see `parse` in native.c), which is what DIMACS writers
-    write, is read in one count pass and one fill pass of the compiled
-    library; any other input, and all input where the library cannot be
-    built, is read line by line in Python, which gives plain input the
-    same formula and the rest its result or its `DimacsError`.
+    The kernel `parse` (see native.c) reads the input in a count pass
+    and a fill pass.  The C `parse` takes plain input, which is what
+    DIMACS writers write; any other input is read line by line by
+    `_parse_python`, which gives plain input the same formula and the
+    rest its result or its `DimacsError`.  Where the library cannot be
+    built, the twin `_parse` runs `_parse_python` in both passes.
     """
     if hasattr(data, "read"):
         data = data.read()
@@ -239,27 +250,37 @@ def parse_dimacs(data) -> Formula:
     # surrogates, which become bytes above 127 like any non-ASCII text
     raw = (data.encode("utf-8", "surrogatepass") if isinstance(data, str)
            else bytes(data))
-    lib = native_kernel()
-    plain = None if lib is None else _parse_plain(lib, raw)
-    lens, lits, header, max_seen = plain or _parse_python(raw)
+    kernels, addr = native.kernels()
+    info = np.zeros(5, dtype=np.int64)
+    if kernels.parse(raw, len(raw), *addr(info, None, None)):
+        lens = np.empty(info[2], dtype=np.int64)
+        lits = np.empty(info[3], dtype=np.int64)
+        if not kernels.parse(raw, len(raw), *addr(info, lens, lits)):
+            raise RuntimeError("the parser counted and read the same "
+                               "bytes differently")
+        header, max_seen = (int(info[0]), int(info[1])), int(info[4])
+    else:
+        lens, lits, header, max_seen = _parse_python(raw)
     return Formula(max(header[0], max_seen), lens=lens, lits=lits,
                    declared=header)
 
 
-def _parse_plain(lib, raw: bytes):
-    """``(lens, lits, header, largest variable)`` of plain input, read by
-    the C `parse` in a count pass and a fill pass; None for input that is
-    not plain (see `parse` in native.c)."""
-    info = np.zeros(5, dtype=np.int64)
-    if not lib.parse(raw, len(raw), info.ctypes.data, None, None):
-        return None
-    lens = np.empty(info[2], dtype=np.int64)
-    lits = np.empty(info[3], dtype=np.int64)
-    if not lib.parse(raw, len(raw), info.ctypes.data, lens.ctypes.data,
-                     lits.ctypes.data):
-        raise RuntimeError("the C parse counted and read the same "
-                           "bytes differently")
-    return lens, lits, (int(info[0]), int(info[1])), int(info[4])
+def _parse(text, n, info, lens, lits):
+    # native.c's `parse` on `_parse_python`, which reads all n bytes in
+    # each pass and raises its DimacsError for input it refuses; 0, for
+    # `parse_dimacs` to read the input again, when int64 cannot hold
+    # the header
+    got_lens, got_lits, header, top = _parse_python(text[:n])
+    if lens is None:
+        if any(abs(x) >= 1 << 63 for x in header):
+            return 0
+        info[:] = (*header, len(got_lens), len(got_lits), top)
+        return 1
+    if (len(got_lens), len(got_lits)) != (info[2], info[3]):
+        return 0
+    lens[:] = got_lens
+    lits[:] = got_lits
+    return 1
 
 
 def _parse_python(raw: bytes):
@@ -326,9 +347,11 @@ def emit_dimacs(formula: Formula, added: Iterable[tuple] = (),
     follow.  ``added`` is either an iterable of literal-code tuples or an
     object holding them as CSR arrays ``lens`` and ``lits``, as
     ``breaking.BreakingClauses`` does, written as they are.
-    ``comments`` lines are prefixed with ``c symbreak: ``.  Raises
-    ValueError for more than ``MAX_VAR`` variables, as `parse_dimacs`
-    refuses such a header.
+    ``comments`` lines are prefixed with ``c symbreak: ``.  The clause
+    lines are written by the kernel `emit` (see native.c), in C or its
+    twin `_emit`.  Raises ValueError for more than ``MAX_VAR``
+    variables, as `parse_dimacs` refuses such a header, and for added
+    clause lengths that do not match the literals.
     """
     if hasattr(added, "lens"):
         add_lens, add_lits = added.lens, added.lits
@@ -344,41 +367,39 @@ def emit_dimacs(formula: Formula, added: Iterable[tuple] = (),
     top = int(add_lits.max()) // 2 + 1 if len(add_lits) else 0
     if len(add_lits) and (add_lits.min() < 0 or top > num_vars):
         raise ValueError("added clause exceeds declared variable range")
-    csr = ((formula.lens, formula.lits), (add_lens, add_lits))
-    lib = native_kernel()
-    if lib is None:
-        body = "".join(_clause_lines(lens, lits) for lens, lits in csr)
-    else:
-        body = _emit_native(lib, csr)
     return "".join([
         *(f"c symbreak: {line}\n" for line in comments),
         f"p cnf {num_vars} {formula.num_clauses + len(add_lens)}\n",
-        body])
+        _clause_text(((formula.lens, formula.lits), (add_lens, add_lits)))])
 
 
-def _emit_native(lib, csr) -> str:
-    """The text `_clause_lines` gives each (lens, lits) pair of `csr`, all
-    pairs back to back, written by the C `emit` into one buffer sized at
-    12 bytes a literal and 3 a clause and decoded once.  Every code is
+def _clause_text(csr) -> str:
+    """The DIMACS lines of each (lens, lits) pair of `csr`, all pairs back
+    to back, written by the kernel `emit` into one buffer sized at 12
+    bytes a literal and 3 a clause and decoded once.  Every code is
     below 2**31."""
     csr = [(np.ascontiguousarray(lens, dtype=np.int32),
             np.ascontiguousarray(lits, dtype=np.int32))
            for lens, lits in csr]
     buf = np.empty(sum(12 * len(lits) + 3 * len(lens) for lens, lits in csr),
                    dtype=np.uint8)
+    kernels, addr = native.kernels()
     k = 0
     for lens, lits in csr:
-        wrote = lib.emit(lens.ctypes.data, len(lens), lits.ctypes.data,
-                         len(lits), buf.ctypes.data + k)
+        lens_p, lits_p, out_p = addr(lens, lits, buf[k:])
+        wrote = kernels.emit(lens_p, len(lens), lits_p, len(lits), out_p)
         if wrote < 0:
             raise ValueError("clause lengths do not match the literals")
         k += wrote
     return str(memoryview(buf)[:k], "ascii")
 
 
-def _clause_lines(lens, lits) -> str:
-    """DIMACS lines of the clauses: each literal signed and followed by a
-    space, then ``0``; an empty clause is `` 0``."""
+def _emit(lens, nlens, lits, nlits, out):
+    # native.c's `emit`: each literal signed and followed by a space,
+    # then "0"; an empty clause is " 0"
+    lens, lits = lens[:nlens], lits[:nlits]
+    if (lens < 0).any() or (lits < 0).any() or int(lens.sum()) != nlits:
+        return -1
     var = lits // 2 + 1
     words = list(map(str, np.where(lits & 1, -var, var).tolist()))
     lines = []
@@ -386,7 +407,9 @@ def _clause_lines(lens, lits) -> str:
     for n in lens.tolist():
         lines.append(" ".join(words[at:at + n]) + " 0\n")
         at += n
-    return "".join(lines)
+    text = "".join(lines).encode("ascii")
+    out[:len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return len(text)
 
 
 class LiteralPermutation:

@@ -1,16 +1,21 @@
 /* Native kernels for symbreak: color refinement, the session probe, the
  * remainder's random dives and DIMACS I/O.
  *
- * Each refinement kernel has a Python twin in refine.py that takes the
+ * Each kernel has a Python twin, in refine.py or cnf.py, that takes the
  * same parameters in the same order, arrays where C takes addresses, and
- * is its reference and the fallback where no compiler is found:
- *   refine          `_refine_kernel`
+ * is its reference and the fallback where no compiler is found;
+ * native.py's `kernels` picks the library or the twins for the whole
+ * package:
+ *   refine          `_refine_kernel`    (refine.py)
  *   session_push    `_session_push`
  *   dive_pairs      `_dive_pairs`
  *   valid_coloring  `_valid_coloring`
  *   rollback        `_rollback_kernel`  (static)
  *   split_off       `_split_off`        (static)
  *   LOG             `_log`
+ *   parse           `_parse`            (cnf.py)
+ *   emit            `_emit`
+ *   ascending       `_ascending`
  * Kernel and twin must give identical colorings and identical journals,
  * and the tests compare them on random graphs.  `session_push` is one
  * probe of refine.py's `IRSession` in one call: the optional `rollback`,
@@ -19,10 +24,11 @@
  * one call for refine.py's `dive_pairs`, splitting with the same
  * `split_off`; its random draws come from `genrand_uint32`, a port of
  * CPython's MT19937, where its twin draws from a `random.Random` set to
- * the same state words.  `parse` and `emit` read and write DIMACS for cnf.py, whose
- * Python `_parse_python` and `_clause_lines` are their references, and
- * `ascending` spares cnf.py's `_canonical_clauses` its sort, the
- * reference, for clauses that are canonical already.
+ * the same state words.  `parse` and `emit` read and write DIMACS for
+ * cnf.py, and `ascending` spares cnf.py's `_canonical_clauses` its sort
+ * for clauses that are canonical already.  `_parse` runs cnf.py's
+ * line-by-line reader `_parse_python`, which reads every input the C
+ * `parse` refuses.
  *
  * All arrays are C-contiguous with the dtypes named in the signatures.
  * The journal arrays jd and jl hold 3 rows of `jstride` entries each
@@ -604,8 +610,8 @@ int ascending(const int64_t *lens, int64_t nlens, const int64_t *lits)
 }
 
 /* Write the DIMACS lines of the clauses `lens` over the literal codes
- * `lits` (CSR, nlits in all) to out, as cnf.py's `_clause_lines` writes
- * them: each literal signed and followed by a space, then "0\n"; an
+ * `lits` (CSR, nlits in all) to out: each literal signed and followed
+ * by a space, then "0\n"; an
  * empty clause is " 0\n".  A code is at most 2^31 - 1, so its text is at
  * most 12 bytes ("-1073741824 ") and out needs 12 * nlits + 3 * nlens
  * bytes.  Returns the bytes written, or -1, before writing past out, for

@@ -1,18 +1,21 @@
 """The compiled kernel library: `native.c`, built with `cc` on first use
-and loaded with ctypes.
+and loaded with ctypes, and `kernels`, the one place that chooses
+between it and the Python twins.
 
-It holds the kernels that `refine` runs: the refinement `refine`, the
-session probe `session_push` (rollback, split and journaled refinement
-in one call) and the remainder's dive loop `dive_pairs` with its port
-of CPython's MT19937 generator.  It also holds the DIMACS reader and
-writer and the canonical-clause check `ascending` that `cnf` runs.
-Each has a Python counterpart (for `refine`, `session_push`,
-`dive_pairs` and `valid_coloring`, the twins in `refine` that take the
-same parameters, `_dive_pairs` drawing from a `random.Random`; for
-`ascending`, the sort it skips), which is the reference the tests
-compare it against and the fallback where no compiler is found.  This
-module imports nothing else of symbreak, so `cnf` and `refine` can both
-import it.
+The library holds the kernels that `refine` runs: the refinement
+`refine`, the session probe `session_push` (rollback, split and
+journaled refinement in one call), the remainder's dive loop
+`dive_pairs` with its port of CPython's MT19937 generator, and the
+coloring check `valid_coloring`.  It also holds the DIMACS reader
+`parse`, the writer `emit` and the canonical-clause check `ascending`
+that `cnf` runs.  Each of these seven entry points has a Python twin
+that takes the same parameters in the same order, arrays where C takes
+addresses: `refine`'s `_refine_kernel`, `_session_push`, `_dive_pairs`
+(drawing from a `random.Random`) and `_valid_coloring`, and `cnf`'s
+`_parse`, `_emit` and `_ascending`.  The twins are the reference the
+tests compare the library against and the fallback where no compiler is
+found.  This module imports nothing else of symbreak at load time, so
+`cnf` and `refine` can both import it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 _KERNEL_SRC = Path(__file__).with_name("native.c")
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
@@ -83,17 +88,22 @@ def _compiled_kernel() -> Path:
 def native_kernel():
     """The C kernels loaded with ctypes, or None when they cannot be built
     here; then, after one RuntimeWarning, refinement, the remainder
-    dives and DIMACS I/O run their Python kernels."""
+    dives and DIMACS I/O run their Python kernels.  The warning names
+    the innermost line outside the symbreak package that led here."""
     try:
         lib = ctypes.CDLL(str(_compiled_kernel()))
     except (OSError, subprocess.SubprocessError) as exc:
         stderr = getattr(exc, "stderr", None) or b""
         reason = " ".join(filter(None, [
             str(exc), stderr.decode(errors="replace").strip()[-300:]]))
+        level, frame = 1, sys._getframe()
+        while frame is not None and \
+                frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            level, frame = level + 1, frame.f_back
         warnings.warn(f"symbreak: cannot build the C kernels ({reason}); "
                       f"using the much slower Python kernel for refinement, "
                       f"remainder dives and DIMACS I/O",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=level)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.refine.argtypes = [ptr] * 9 + [i64] * 3 + [ptr] * 7 + [i64] * 4
@@ -112,3 +122,27 @@ def native_kernel():
     lib.ascending.argtypes = [ptr, i64, ptr]
     lib.ascending.restype = ctypes.c_int
     return lib
+
+
+def _ptrs(*arrays):
+    """The arrays' addresses, None passing as a NULL pointer."""
+    return [None if a is None else a.ctypes.data for a in arrays]
+
+
+def kernels():
+    """The kernels to run and what each array argument passes as: the C
+    library and the arrays' addresses, or, where it does not load, the
+    Python twins under the C names and the arrays themselves."""
+    lib = native_kernel()
+    if lib is not None:
+        return lib, _ptrs
+    # imported here: both modules import this one, and the C path
+    # needs neither
+    from .cnf import _ascending, _emit, _parse
+    from .refine import (_dive_pairs, _refine_kernel, _session_push,
+                         _valid_coloring)
+    return SimpleNamespace(refine=_refine_kernel, session_push=_session_push,
+                           dive_pairs=_dive_pairs,
+                           valid_coloring=_valid_coloring, parse=_parse,
+                           emit=_emit, ascending=_ascending), \
+        lambda *arrays: arrays

@@ -7,30 +7,29 @@ neighbors in the splitter (ties keep their relative order), so color ids
 are isomorphism-invariant.
 
 The worklist kernel uses the smaller-half rule (all fragments but the
-largest are re-enqueued).  Each kernel of `native.c`, the library that
-`native.native_kernel` builds and loads, has a Python twin that takes
-the same parameters in the same order, arrays where C takes addresses:
-`_refine_kernel` is `refine`, `_session_push` is `session_push` (one
-call per `IRSession` probe), `_dive_pairs` is `dive_pairs` (the
-remainder's dives, on a `random.Random` or C's port of its MT19937),
-`_valid_coloring` is `valid_coloring`, and `_rollback_kernel`,
-`_split_off` and `_log` are the static `rollback`, `split_off` and
-`LOG` inside them.  `_kernels` picks one set: the C kernels whenever
-they can be built, else the twins, which are the reference the tests
-compare them against.  This module alone calls the kernels: it owns
-their scratch pool and the coloring check.
+largest are re-enqueued).  Each refinement kernel of `native.c` has a
+Python twin here that takes the same parameters in the same order,
+arrays where C takes addresses: `_refine_kernel` is `refine`,
+`_session_push` is `session_push` (one call per `IRSession` probe),
+`_dive_pairs` is `dive_pairs` (the remainder's dives, on a
+`random.Random` or C's port of its MT19937), `_valid_coloring` is
+`valid_coloring`, and `_rollback_kernel`, `_split_off` and `_log` are
+the static `rollback`, `split_off` and `LOG` inside them.
+`native.kernels` picks one set for the whole package: the C kernels
+whenever they can be built, else the twins, which are the reference the
+tests compare them against.  This module alone calls the refinement
+kernels: it owns their scratch pool and the coloring check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .modelgraph import ColoredGraph
-from .native import native_kernel
+from . import native
 
 
 class Coloring:
@@ -318,23 +317,6 @@ def _valid_coloring(n, order, pos, color, clen):
                 np.array_equal(clen, sizes))
 
 
-def _ptrs(*arrays):
-    return [a.ctypes.data for a in arrays]
-
-
-def _kernels():
-    """The kernels to run and what each array argument passes as: the C
-    library and the arrays' addresses, or, where it does not load, the
-    Python twins under the C names and the arrays themselves."""
-    lib = native_kernel()
-    if lib is not None:
-        return lib, _ptrs
-    return SimpleNamespace(refine=_refine_kernel, session_push=_session_push,
-                           dive_pairs=_dive_pairs,
-                           valid_coloring=_valid_coloring), \
-        lambda *arrays: arrays
-
-
 def _is_int32_vector(a, size: int) -> bool:
     return isinstance(a, np.ndarray) and a.dtype == np.int32 and \
         a.shape == (size,) and a.flags.c_contiguous
@@ -346,7 +328,7 @@ def _check_coloring(coloring: Coloring, n: int):
     must be contiguous int32 of length n and form an ordered partition
     (`valid_coloring`, O(n))."""
     arrays = (coloring.order, coloring.pos, coloring.color, coloring.clen)
-    kernels, addr = _kernels()
+    kernels, addr = native.kernels()
     if all(_is_int32_vector(a, n) for a in arrays) and \
             kernels.valid_coloring(n, *addr(*arrays)):
         return
@@ -391,7 +373,7 @@ def _run_refinement(graph: ColoredGraph, coloring: Coloring,
     `initial_classes`."""
     n = graph.vertex_count
     _check_coloring(coloring, n)
-    kernels, addr = _kernels()
+    kernels, addr = native.kernels()
     pool = _scratch_pool(graph)
     queue, in_queue = pool[2], pool[3]
     qtail = 0
@@ -519,7 +501,7 @@ def dive_pairs(graph: ColoredGraph, pi: Coloring, rng, rows: int):
     when pi is no ordered-partition coloring of the graph's vertices."""
     n, nlit = graph.vertex_count, graph.num_literal_vertices
     _check_coloring(pi, n)
-    kernels, addr = _kernels()
+    kernels, addr = native.kernels()
     version, mt, gauss_next = rng.getstate()
     mt = np.array(mt, dtype=np.uint32)
     work = np.empty((8, n), dtype=np.int32)  # two colorings' four arrays
@@ -571,7 +553,7 @@ class IRSession:
                         base.order, base.color, base.clen)
         # none of these arrays is ever replaced, so the arguments of
         # `session_push` up to v are taken once here
-        self._kernel, addr = _kernels()
+        self._kernel, addr = native.kernels()
         self._push_args = (*addr(*_scratch_pool(graph)), n + 1,
                            *addr(*self._arrays), *addr(*self._journal), n)
         self._stopped = False

@@ -14,6 +14,7 @@ from symbreak.cnf import (DimacsError, Formula, LiteralPermutation,
                           is_automorphism, neg_var, negate, parse_dimacs,
                           pos, transpose, var_of)
 from test_generator_differential import as_dict, formula_and_generator
+from test_refine import python_kernel
 
 
 def test_literal_codes():
@@ -40,10 +41,10 @@ def csr(clauses):
                          max_size=6), max_size=8),
        st.booleans(), st.randoms(use_true_random=False))
 def test_ascending_clauses_skip_the_sort(clauses, repeat, rnd):
-    """Strictly ascending clauses, which the C `ascending` lets skip the
-    sort, and the same clauses shuffled, with or without repeated
-    literals, give the arrays of the sort alone, which runs without the
-    C library."""
+    """Strictly ascending clauses, which the kernel `ascending` lets skip
+    the sort, and the same clauses shuffled, with or without repeated
+    literals, give the arrays of the sort alone, which runs on the Python
+    kernels with their `ascending` patched to find no clause ascending."""
     canon = [sorted(set(c)) for c in clauses]
     messy = []
     for c in canon:
@@ -52,7 +53,8 @@ def test_ascending_clauses_skip_the_sort(clauses, repeat, rnd):
         messy.append(c)
     want_lens, want_lits = csr(canon)
     for lens, lits in (csr(canon), csr(messy)):
-        with mock.patch.object(cnf, "native_kernel", lambda: None):
+        with python_kernel(), mock.patch.object(cnf, "_ascending",
+                                                lambda *args: 0):
             sorted_lens, sorted_lits = _canonical_clauses(lens, lits, 10)
         got_lens, got_lits = _canonical_clauses(lens, lits, 10)
         for a in (sorted_lens, sorted_lits, got_lens, got_lits):

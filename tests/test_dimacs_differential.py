@@ -6,32 +6,30 @@ formula (variables, clause lists, every `_clause_arrays` array with its
 dtype) and the same emitted text.  The parser reads a str or text file
 as its UTF-8 bytes, so the reference is given those bytes.
 
-Each case runs on both I/O paths: with the compiled library, which reads
-plain input and writes every output in C, and with the library patched
-away, where `_parse_python` and `_clause_lines` do it all."""
+Each case runs on both kernel sets that `native.kernels` chooses
+between: the compiled library, which reads plain input and writes every
+output in C, and its Python twins `_parse`, `_emit` and `_ascending`.
+The twins are also compared with the C entry points directly."""
 
 import contextlib
 import io
 from collections import Counter
-from unittest import mock
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symbreak import cnf
+from symbreak import cnf, native
 from symbreak.cnf import DimacsError, Formula, emit_dimacs, parse_dimacs
-
-HAVE_C = cnf.native_kernel() is not None
+from test_refine import HAVE_C, python_kernel
 
 
 def io_paths():
-    """Context managers for the two DIMACS I/O paths: the compiled
-    library where it is built, then Python with the library patched
-    away."""
-    python_only = mock.patch.object(cnf, "native_kernel", lambda: None)
-    return ([contextlib.nullcontext(), python_only] if HAVE_C
-            else [python_only])
+    """Context managers for the two kernel sets: the compiled library
+    where it is built, then the Python twins."""
+    return ([contextlib.nullcontext(), python_kernel()] if HAVE_C
+            else [python_kernel()])
 
 
 # ---- references ----------------------------------------------------------
@@ -452,6 +450,21 @@ BOUNDARY = {
 }
 
 
+def parse_passes(raw: bytes):
+    """What the kernel `parse` that `native.kernels` picks gives raw: the
+    count pass's return value and info, then, if it took the input, the
+    fill pass's return value and the lens and lits it wrote."""
+    kernels, addr = native.kernels()
+    info = np.zeros(5, dtype=np.int64)
+    took = kernels.parse(raw, len(raw), *addr(info, None, None))
+    if not took:
+        return took, info.tolist()
+    lens = np.empty(info[2], dtype=np.int64)
+    lits = np.empty(info[3], dtype=np.int64)
+    filled = kernels.parse(raw, len(raw), *addr(info, lens, lits))
+    return took, info.tolist(), filled, lens.tolist(), lits.tolist()
+
+
 @pytest.mark.parametrize("raw, plain", BOUNDARY.values(), ids=BOUNDARY)
 def test_plain_boundary_matches_numpy(raw, plain):
     """Each input gives the Python path's exact error or the same
@@ -460,7 +473,7 @@ def test_plain_boundary_matches_numpy(raw, plain):
         want, want_err = _outcome(parse_dimacs, raw)
     if not HAVE_C:
         pytest.skip("no compiled library")
-    assert (cnf._parse_plain(cnf.native_kernel(), raw) is not None) == plain
+    assert parse_passes(raw)[0] == plain
     new, err = _outcome(parse_dimacs, raw)
     assert err == want_err
     if err is None:
@@ -510,15 +523,97 @@ def clause_arrays(draw):
 
 
 @pytest.mark.skipif(not HAVE_C, reason="no compiled library")
+@pytest.mark.parametrize(
+    "raw", [raw for raw, plain in BOUNDARY.values() if plain],
+    ids=[name for name, (_, plain) in BOUNDARY.items() if plain])
+def test_parse_twin_matches_c(raw):
+    """The twin `_parse` fills info in its count pass, and lens and lits
+    in its fill pass, as the C `parse` does on plain input."""
+    want = parse_passes(raw)
+    assert want[0] == 1 and want[2] == 1
+    with python_kernel():
+        assert parse_passes(raw) == want
+
+
+def test_parse_twin_refuses_what_the_reader_refuses():
+    """The twin raises `_parse_python`'s error, and leaves a header that
+    int64 cannot hold for `parse_dimacs` to read with `_parse_python`."""
+    info = np.zeros(5, dtype=np.int64)
+    raw = b"p cnf 2 1\n1 x 0\n"
+    with pytest.raises(DimacsError, match="non-integer token 'x'"):
+        cnf._parse(raw, len(raw), info, None, None)
+    raw = b"p cnf 2 99999999999999999999\n1 -2 0\n"
+    assert cnf._parse(raw, len(raw), info, None, None) == 0
+    for path in io_paths():
+        with path:
+            formula = parse_dimacs(raw)
+        assert formula.declared == (2, 99999999999999999999)
+        assert formula.clauses == [(0, 3)]
+
+
+@st.composite
+def csr_arrays(draw):
+    """int64 CSR clauses of up to 4 literals over few codes: unsorted,
+    with repeated literals and empty clauses, or each clause sorted
+    without repeats."""
+    clauses = draw(st.lists(st.lists(st.integers(0, 9), max_size=4),
+                            max_size=8))
+    if draw(st.booleans()):
+        clauses = [sorted(set(c)) for c in clauses]
+    lens = np.array([len(c) for c in clauses], dtype=np.int64)
+    lits = np.array([l for c in clauses for l in c], dtype=np.int64)
+    return lens, lits
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no compiled library")
+@settings(max_examples=300, deadline=None)
+@given(csr_arrays())
+def test_ascending_twin_matches_c(csr):
+    lens, lits = csr
+    lib = native.native_kernel()
+    assert cnf._ascending(lens, len(lens), lits) == \
+        lib.ascending(*native._ptrs(lens), len(lens), *native._ptrs(lits))
+
+
+@st.composite
+def emit_arrays(draw):
+    """int32 CSR arrays for `emit`: those of `clause_arrays`, or lengths
+    and codes drawn apart, which may be negative or not add up."""
+    if draw(st.booleans()):
+        return draw(clause_arrays())
+    lens = draw(st.lists(st.integers(-1, 4), max_size=6))
+    lits = draw(st.lists(st.integers(-1, 2 * 120), max_size=12))
+    return np.array(lens, dtype=np.int32), np.array(lits, dtype=np.int32)
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no compiled library")
+@settings(max_examples=300, deadline=None)
+@given(emit_arrays())
+def test_emit_twin_matches_c(csr):
+    """The twin `_emit` returns what the C `emit` returns, -1 included,
+    and writes the same bytes when it writes."""
+    lens, lits = csr
+    size = 12 * len(lits) + 3 * len(lens)
+    lib = native.native_kernel()
+    c_out = np.zeros(size, dtype=np.uint8)
+    py_out = np.zeros(size, dtype=np.uint8)
+    wrote = lib.emit(*native._ptrs(lens), len(lens), *native._ptrs(lits),
+                     len(lits), *native._ptrs(c_out))
+    assert cnf._emit(lens, len(lens), lits, len(lits), py_out) == wrote
+    if wrote >= 0:
+        assert c_out.tobytes() == py_out.tobytes()
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no compiled library")
 @settings(max_examples=300, deadline=None)
 @given(st.lists(clause_arrays(), min_size=1, max_size=3))
 def test_native_emit_matches_clause_lines(csr):
-    """The C writer gives `_clause_lines`' text for empty, one-literal
+    """The C writer gives its twin's clause lines for empty, one-literal
     and widest-literal clauses, within its 12-bytes-a-literal and
     3-bytes-a-clause buffer."""
-    text = cnf._emit_native(cnf.native_kernel(), csr)
-    assert text == "".join(cnf._clause_lines(lens, lits)
-                           for lens, lits in csr)
+    text = cnf._clause_text(csr)
+    with python_kernel():
+        assert text == cnf._clause_text(csr)
     assert len(text) <= sum(12 * len(lits) + 3 * len(lens)
                             for lens, lits in csr)
 
@@ -529,20 +624,28 @@ def test_native_emit_fills_its_bound():
     one byte that a non-empty clause's end leaves."""
     lens = np.array([0, 0, 2, 0], dtype=np.int32)
     lits = np.array(WIDEST[1:] * 2, dtype=np.int32)
-    text = cnf._emit_native(cnf.native_kernel(), [(lens, lits)])
+    text = cnf._clause_text([(lens, lits)])
     assert text == " 0\n 0\n-1073741824 -1073741824 0\n 0\n"
     assert len(text) == 12 * 2 + 3 * 4 - 1
 
 
-@pytest.mark.skipif(not HAVE_C, reason="no compiled library")
 @pytest.mark.parametrize("lens, lits", [
     ([3], [0, 1]), ([1], [0, 1]), ([-1, 2], [0]), ([1], [-2])],
     ids=["short", "long", "negative-length", "negative-code"])
 def test_native_emit_refuses_malformed_arrays(lens, lits):
-    with pytest.raises(ValueError):
-        cnf._emit_native(cnf.native_kernel(),
-                         [(np.array(lens, dtype=np.int32),
-                           np.array(lits, dtype=np.int32))])
+    """Both kernels refuse clause lengths that do not match the
+    literals, and a negative length or code, and so does `emit_dimacs`
+    for such added clauses."""
+    lens = np.array(lens, dtype=np.int32)
+    lits = np.array(lits, dtype=np.int32)
+    added = SimpleNamespace(lens=lens, lits=lits)
+    for path in io_paths():
+        with path:
+            with pytest.raises(ValueError, match="do not match"):
+                cnf._clause_text([(lens, lits)])
+            with pytest.raises(ValueError, match="do not match"
+                               if lits.min() >= 0 else "exceeds"):
+                emit_dimacs(Formula(3, [(0, 2)]), added)
 
 
 @pytest.mark.skipif(not HAVE_C, reason="no compiled library")
@@ -553,14 +656,16 @@ def test_native_emit_refuses_malformed_arrays(lens, lits):
              max_size=8))), st.data())
 def test_emitted_dimacs_is_plain(case, draw):
     """What `emit_dimacs` writes, with the comments symbreak writes, is
-    read back by the C reader."""
+    read back by the C reader, and by the twin `_parse` alike."""
     nv, clauses = case
     formula = Formula(nv, clauses)
     added, aux = draw.draw(added_clauses(nv))
     text = emit_dimacs(formula, added, aux, ["structure row 3x2"])
-    plain = cnf._parse_plain(cnf.native_kernel(), text.encode())
-    assert plain is not None
-    lens, lits, header, _ = plain
-    assert header == (nv + aux, len(clauses) + len(added))
-    assert lens.tolist() == [len(c) for c in formula.clauses] + [
+    passes = parse_passes(text.encode())
+    assert passes[0] == 1 and passes[2] == 1
+    info, lens = passes[1], passes[3]
+    assert info[:2] == [nv + aux, len(clauses) + len(added)]
+    assert lens == [len(c) for c in formula.clauses] + [
         len(c) for c in added]
+    with python_kernel():
+        assert parse_passes(text.encode()) == passes

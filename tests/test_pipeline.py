@@ -1,7 +1,9 @@
 """Pipeline orchestration: detection order, marking, and output assembly."""
 
+import contextlib
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from symbreak.testkit import (brute_force_sat, dpll_count, gen_cliquecolor,
 import pytest
 from test_detectors import (attached_blocks_instance,
                             recorded_verifications, two_copy_instance)
+from test_refine import TWINS, python_kernel
 
 
 def augmented(formula, out):
@@ -76,12 +79,16 @@ def test_emitted_dimacs_is_pinned_without_compiler(make, digest,
     """Where no `cc` is found, refinement and DIMACS I/O run their
     Python kernels; a formula read back from its DIMACS breaks to the
     same bytes."""
+    source = make()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
     native.native_kernel.cache_clear()
     try:
-        with pytest.warns(RuntimeWarning, match="Python kernel"):
-            formula = parse_dimacs(emit_dimacs(make()))
+        with pytest.warns(RuntimeWarning, match="Python kernel") as record:
+            formula = parse_dimacs(emit_dimacs(source))
+        # the warning names this line, not the package line that first
+        # asked for the kernels
+        assert len(record) == 1 and record[0].filename == __file__
         assert native.native_kernel() is None
         out = run(formula, PipelineConfig(seed=3))
         text = emit_dimacs(formula, added=out.added_clauses,
@@ -89,6 +96,37 @@ def test_emitted_dimacs_is_pinned_without_compiler(make, digest,
     finally:
         native.native_kernel.cache_clear()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kernel", ["python", "c"])
+def test_one_kernel_switch_for_every_module(kernel):
+    """`native.kernels` alone picks the kernels: with the Python twins,
+    every C entry point raises, and with the library, every twin raises,
+    and still a pinned instance reads, breaks and writes to its pinned
+    digest, with each kernel that runs called."""
+    lib = native.native_kernel()
+    if kernel == "c" and lib is None:
+        pytest.skip("no compiled library")
+    barred = ArithmeticError("the other kernel set ran")
+    with contextlib.ExitStack() as stack:
+        if kernel == "python":
+            stack.enter_context(python_kernel())
+        ran = []
+        for name, (owner, attr) in TWINS.items():
+            use, bar = ((owner, attr), (lib, name)) if kernel == "python" \
+                else ((lib, name), (owner, attr))
+            ran.append(stack.enter_context(mock.patch.object(
+                *use, wraps=getattr(*use))))
+            if bar[0] is not None:
+                stack.enter_context(mock.patch.object(*bar,
+                                                      side_effect=barred))
+        formula = parse_dimacs(emit_dimacs(gen_cycle_coloring(9, 3)))
+        out = run(formula, PipelineConfig(seed=3))
+        text = emit_dimacs(formula, added=out.added_clauses,
+                           aux_vars=out.aux_count)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "4366483733512fb8b531a03cf4bf6fa6cc44a1a1845977f4730e77aeb73e7cce"
+    assert [spy.called for spy in ran] == [True] * len(TWINS)
 
 
 @pytest.mark.parametrize("make", [

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symbreak import native, refine, remainder
+from symbreak import cnf, native, refine, remainder
 from symbreak.cnf import emit_dimacs, parse_dimacs
 from symbreak.modelgraph import ColoredGraph, build_model_graph
 from symbreak.pipeline import PipelineConfig, run
@@ -379,10 +379,21 @@ def kernel_trace(g, vs):
 
 
 def python_kernel():
-    return mock.patch.object(refine, "native_kernel", lambda: None)
+    """The one switch to the Python twins, for every module at once."""
+    return mock.patch.object(native, "native_kernel", lambda: None)
 
 
-HAVE_C = refine.native_kernel() is not None
+HAVE_C = native.native_kernel() is not None
+
+
+# each entry point of native.c, whose argtypes `native_kernel` sets, and
+# the module and name of its Python twin
+TWINS = {"refine": (refine, "_refine_kernel"),
+         "session_push": (refine, "_session_push"),
+         "dive_pairs": (refine, "_dive_pairs"),
+         "valid_coloring": (refine, "_valid_coloring"),
+         "parse": (cnf, "_parse"), "emit": (cnf, "_emit"),
+         "ascending": (cnf, "_ascending")}
 
 
 INVALID_COLORINGS = [
@@ -482,7 +493,7 @@ class TestNativeKernel:
         arrays = (c.order, c.pos, c.color, c.clen)
         assert refine._valid_coloring(n, *arrays) == \
             bool(native.native_kernel().valid_coloring(
-                n, *refine._ptrs(*arrays)))
+                n, *native._ptrs(*arrays)))
 
     @pytest.mark.parametrize("array, slot, value", INVALID_COLORINGS)
     def test_remainder_search_refuses_invalid_coloring(self, array, slot,
@@ -522,8 +533,7 @@ class TestNativeKernel:
         garbage to the kernel.  The Python twins' signatures are checked
         by `test_python_twins_keep_c_signatures`."""
         lib = native.native_kernel()
-        for name in ("refine", "session_push", "dive_pairs",
-                     "valid_coloring", "parse", "ascending", "emit"):
+        for name in TWINS:
             assert len(c_parameters(name)) == \
                 len(getattr(lib, name).argtypes), name
 
@@ -584,14 +594,27 @@ def c_parameters(name):
 def test_python_twins_keep_c_signatures():
     """Each Python twin takes its C kernel's parameters by name and in
     order, so a change to one shows where the other must change."""
-    for c_name, twin in (("refine", refine._refine_kernel),
-                         ("session_push", refine._session_push),
-                         ("dive_pairs", refine._dive_pairs),
-                         ("valid_coloring", refine._valid_coloring),
+    for c_name, twin in (*((name, getattr(*twin))
+                           for name, twin in TWINS.items()),
                          ("rollback", refine._rollback_kernel),
                          ("split_off", refine._split_off)):
         assert list(inspect.signature(twin).parameters) == \
             c_parameters(c_name), c_name
+
+
+def test_fallback_holds_a_twin_for_each_entry_point():
+    """The Python kernels are the twins of exactly the library's entry
+    points, those whose argtypes `native_kernel` sets, so a new entry
+    point fails here until it has a twin; arrays pass as themselves."""
+    with python_kernel():
+        kernels, addr = native.kernels()
+    assert vars(kernels) == {name: getattr(*twin)
+                             for name, twin in TWINS.items()}
+    assert sorted(TWINS) == sorted(
+        re.findall(r"^    lib\.(\w+)\.argtypes", inspect.getsource(
+            native.native_kernel.__wrapped__), re.MULTILINE))
+    arrays = (np.zeros(2), None)
+    assert addr(*arrays) == arrays
 
 
 def member_color_fragments(report, sigma):
@@ -695,13 +718,15 @@ def test_failed_build_falls_back_with_one_warning(failure, tmp_path,
                             native._CFLAGS + ("-Werror=no-such-warning",))
     native.native_kernel.cache_clear()
     try:
-        with pytest.warns(RuntimeWarning, match="Python kernel"):
-            assert refine.native_kernel() is None
+        g = cycle(5)
+        # the warning names this file's line, not the package line that
+        # first asked for the kernels
+        with pytest.warns(RuntimeWarning, match="Python kernel") as record:
+            rep = individualize_refine(g, initial_coloring(g), 0)
+        assert len(record) == 1 and record[0].filename == __file__
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert refine.native_kernel() is None
-            g = cycle(5)
-            rep = individualize_refine(g, initial_coloring(g), 0)
+            assert native.native_kernel() is None
             formula = parse_dimacs(b"c x\np cnf 4 3\n-1 3 0\n4 -1 -4 0\n0\n")
             text = emit_dimacs(formula, [(0, 9)], aux_vars=1)
         assert rep.coloring.as_partition() == [frozenset({0}),

@@ -6,7 +6,7 @@ import random
 from unittest import mock
 
 import symbreak.cnf as cnf
-from symbreak import refine
+from symbreak import native, refine
 from symbreak.cnf import (Formula, LiteralPermutation,
                           clause_multiset_image_check, is_automorphism,
                           neg_var, pos)
@@ -295,7 +295,7 @@ def test_one_kernel_call_per_dive_block(kernel):
     one call of the kernel `dive_pairs`: the C one, or its twin
     `_dive_pairs`, with the C one never called."""
     graph, pi = prepared(gen_cycle_coloring(9, 3))
-    lib = refine.native_kernel()
+    lib = native.native_kernel()
     with contextlib.ExitStack() as stack:
         def spy(owner, name):
             return stack.enter_context(mock.patch.object(
@@ -481,12 +481,12 @@ def test_c_dives_match_python_dives(formula, seed):
     graph, pi = prepared(formula)
     assert_tables_agree(*dive_tables(graph, pi, seed, 40, [1, 17]))
     config = PipelineConfig(dive_pairs=4, seed=seed)
-    native = find_remainder_generators(formula, graph, pi, config)
+    found = find_remainder_generators(formula, graph, pi, config)
     # the switch to the Python kernels switches the dives too
-    with mock.patch.object(refine.native_kernel(), "dive_pairs") as dives, \
+    with mock.patch.object(native.native_kernel(), "dive_pairs") as dives, \
             python_kernel():
         assert find_remainder_generators(formula, graph, pi,
-                                         config) == native
+                                         config) == found
     dives.assert_not_called()
 
 
