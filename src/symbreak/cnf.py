@@ -17,7 +17,6 @@ pass; :func:`is_automorphism` is its one-row case.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import chain
 from typing import Iterable
@@ -40,9 +39,6 @@ def neg_var(var: int) -> int:
     """Negative literal of a 1-based variable."""
     return 2 * (var - 1) + 1
 
-
-def negate(code: int) -> int:
-    return code ^ 1
 
 def var_of(code: int) -> int:
     return code // 2 + 1
@@ -91,6 +87,8 @@ class Formula:
     def num_clauses(self) -> int:
         return len(self.lens)
 
+    # the package reads the arrays; the demos, the tests and
+    # `testkit.dpll_count` read these two lists
     @cached_property
     def clauses(self) -> list:
         return _clause_tuples(self.lens, self.lits)
@@ -299,13 +297,15 @@ def _parse_python(raw: bytes):
             if header is not None:
                 raise DimacsError("duplicate header line")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise DimacsError(f"malformed header: {line!r}")
             try:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise DimacsError(
                     f"non-integer header field: {line!r}") from None
+            if min(header) < 0:
+                raise DimacsError(f"malformed header: {line!r}")
             if header[0] > MAX_VAR:
                 raise DimacsError(f"header declares {header[0]} variables, "
                                   f"more than {MAX_VAR}")
@@ -493,7 +493,8 @@ class SwapError(ValueError):
 
 def transpose(a: list, b: list) -> LiteralPermutation:
     """Exchange a[i] with b[i], identity elsewhere, closed under
-    negation."""
+    negation.  The one-pair case of `transpositions`, kept for the
+    detectors' one-swap checks, the demos and the tests."""
     return transpositions([(a, b)])[0]
 
 
@@ -677,11 +678,3 @@ def is_automorphism(formula: Formula, phi: LiteralPermutation) -> bool:
     img = np.arange(n2, dtype=np.int32)
     img[phi.support[inside]] = phi.images[inside]
     return bool(automorphisms(formula, img[None])[0])
-
-
-def clause_multiset_image_check(formula: Formula, phi: LiteralPermutation) -> bool:
-    """Full oracle: image multiset of the unique clause set equals itself."""
-    image = dict(zip(phi.support.tolist(), phi.images.tolist()))
-    images = Counter(tuple(sorted(image.get(l, l) for l in c))
-                     for c in formula.unique_clauses)
-    return images == Counter(formula.unique_clauses)

@@ -58,17 +58,6 @@ def negation_class_of(pi: Coloring, sigma: int) -> int:
     return int(pi.color[int(members[0]) ^ 1])
 
 
-def _verified_swap(formula: Formula, a, b):
-    """``transpose(a, b)`` if it is an automorphism of `formula`, else
-    None; also None when a and b cannot be exchanged."""
-    try:
-        phi = transpose(a, b)
-    except ValueError:
-        return None
-    # looked up at call time, so a wrapper put in its place is what runs
-    return phi if is_automorphism(formula, phi) else None
-
-
 def _conjugating_product(swaps):
     """The product c = t_0 t_1 ... t_{m-2} of `swaps` (t_{m-2} applied
     first) if c t_i c^-1 = t_{i+1} for every i < m - 2, else None.
@@ -126,8 +115,11 @@ def _verified_factor(formula: Formula, pairs, t0=None):
         if len(swaps) == 1 or is_automorphism(formula, cycle):
             return swaps
     for i in range(len(verified), len(pairs)):
-        phi = _verified_swap(formula, *pairs[i])
-        if phi is None:
+        try:
+            phi = transpose(*pairs[i])
+        except ValueError:
+            return i
+        if not is_automorphism(formula, phi):
             return i
         verified.append(phi)
     return verified
@@ -189,9 +181,10 @@ def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,
         if len(seen) != len(row) * (i + 1):
             return DetectionFailure(f"overlapping rows at row {i}")
         if i == 1:
-            first_swap = _verified_swap(formula, rows[0], row)
-            if first_swap is None:
+            found = _verified_factor(formula, [(rows[0], row)])
+            if isinstance(found, int):
                 return DetectionFailure("verification failed at row 1")
+            first_swap = found[0]
         rows.append(row)
 
     generators = _verified_factor(formula, list(zip(rows, rows[1:])),

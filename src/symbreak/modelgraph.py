@@ -26,35 +26,8 @@ class ColoredGraph:
         self.num_literal_vertices = num_literal_vertices
         self.max_degree = int((indptr[1:] - indptr[:-1]).max()) if vertex_count else 0
 
-    @classmethod
-    def from_edges(cls, vertex_count: int, edges, color_keys=None,
-                   num_literal_vertices: int = 0) -> "ColoredGraph":
-        edges = list(edges)
-        for u, v in edges:
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-        if len(set(frozenset(e) for e in edges)) != len(edges):
-            raise ValueError("parallel edges are not allowed")
-        src = np.empty(2 * len(edges), dtype=np.int32)
-        dst = np.empty(2 * len(edges), dtype=np.int32)
-        for i, (u, v) in enumerate(edges):
-            src[2 * i], dst[2 * i] = u, v
-            src[2 * i + 1], dst[2 * i + 1] = v, u
-        order = np.argsort(src, kind="stable")
-        neighbors = dst[order]
-        counts = np.bincount(src, minlength=vertex_count)
-        indptr = np.zeros(vertex_count + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        if color_keys is None:
-            color_keys = np.zeros(vertex_count, dtype=np.int64)
-        else:
-            color_keys = np.asarray(color_keys, dtype=np.int64)
-        return cls(vertex_count, indptr, neighbors, color_keys,
-                   num_literal_vertices)
-
-    def neighbors_of(self, v: int):
-        return self.neighbors[self.indptr[v]:self.indptr[v + 1]]
-
+    # unused by the package; the graph hook of perfbench/tracing.py
+    # counts edges with it
     def edge_count(self) -> int:
         return len(self.neighbors) // 2
 

@@ -77,29 +77,6 @@ class Coloring:
         as it is exactly at class starts."""
         return np.flatnonzero(self.clen).tolist()
 
-    def as_partition(self) -> list:
-        """Ordered list of frozensets, one per class."""
-        return [frozenset(int(v) for v in self.class_members(c))
-                for c in self.classes()]
-
-    def is_equitable(self, graph: ColoredGraph) -> bool:
-        """Recount check: every vertex of a class has the same number of
-        neighbors in every class.  Test oracle; not used by the engine."""
-        for c in self.classes():
-            members = self.class_members(c)
-            sig = None
-            for v in members:
-                counts = {}
-                for u in graph.neighbors_of(int(v)):
-                    cu = int(self.color[u])
-                    counts[cu] = counts.get(cu, 0) + 1
-                fs = frozenset(counts.items())
-                if sig is None:
-                    sig = fs
-                elif fs != sig:
-                    return False
-        return True
-
 
 JRN_ORDER, JRN_COLOR, JRN_CLEN = 0, 1, 2
 
@@ -557,10 +534,6 @@ class IRSession:
         self._push_args = (*addr(*_scratch_pool(graph)), n + 1,
                            *addr(*self._arrays), *addr(*self._journal), n)
         self._stopped = False
-
-    def _rollback(self):
-        _rollback_kernel(*self._arrays, *self._journal,
-                         self.graph.vertex_count)
 
     def individualize(self, v: int, until=None) -> RefinementReport:
         """A rollback, then `push(v)`.  With until = (sigma, k) the

@@ -1,8 +1,11 @@
-"""Instance generators and brute-force oracles for the test suite.
+"""The instance families of `symbreak gen`, and a DPLL counter.
 
 The generators use fixed, documented variable numberings so detection
-results are comparable across runs.  The oracles are deliberately
-independent of the production code paths they check.
+results are comparable across runs.  `dpll_count` is the benchmark
+oracle's solver-effort counter: no path of `symbreak break` or `gen`
+runs it, but `perfbench/oracle.py` and `demos/demo_pigeonhole.py`
+import it from here.  The test suite's brute-force oracles are in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import itertools
 import time
 
 from .cnf import Formula, neg_var, pos
-from .modelgraph import ColoredGraph
 
 
 def edge_index(u: int, v: int, n: int) -> int:
@@ -129,49 +131,6 @@ def gen_cycle_coloring(n: int, k: int) -> Formula:
     return Formula(n * k, clauses)
 
 
-def brute_force_sat(formula: Formula, var_cap: int = 20) -> bool:
-    """Exact satisfiability: bitmask enumeration up to var_cap variables,
-    complete DPLL above."""
-    n = formula.num_vars
-    if n > var_cap:
-        status, _ = dpll_count(formula)
-        assert status in ("sat", "unsat")
-        return status == "sat"
-    clauses = formula.clauses
-    if any(len(c) == 0 for c in clauses):
-        return False
-    # per-clause (positive mask, negative mask) over variable bits
-    masks = []
-    for cl in clauses:
-        pm = nm = 0
-        for lit in cl:
-            if lit % 2 == 0:
-                pm |= 1 << (lit // 2)
-            else:
-                nm |= 1 << (lit // 2)
-        masks.append((pm, nm))
-    full = (1 << n) - 1
-    if n > 16:
-        import numpy as np
-
-        # chunked vectorized sweep; masks fit in uint64 since n <= 20
-        for lo in range(0, 1 << n, 1 << 16):
-            theta = np.arange(lo, lo + (1 << 16), dtype=np.uint64)
-            alive = np.ones(len(theta), dtype=bool)
-            for pm, nm in masks:
-                alive &= ((theta & np.uint64(pm)) != 0) | \
-                         ((~theta & np.uint64(full)) & np.uint64(nm) != 0)
-                if not alive.any():
-                    break
-            if alive.any():
-                return True
-        return False
-    for theta in range(1 << n):
-        if all(theta & pm or (~theta & full) & nm for pm, nm in masks):
-            return True
-    return False
-
-
 def dpll_count(formula: Formula, decision_limit: int = None,
                time_limit: float = None):
     """Plain DPLL with unit propagation and watched literals.
@@ -283,49 +242,3 @@ def dpll_count(formula: Formula, decision_limit: int = None,
             assign(frame[1])
             qhead = len(trail) - 1
         next_var = 0
-
-
-def brute_force_automorphisms(graph: ColoredGraph, cap: int = 8) -> list:
-    """All color- and adjacency-preserving vertex permutations, by
-    enumeration.  Oracle only; refuses graphs above the cap."""
-    n = graph.vertex_count
-    if n > cap:
-        raise ValueError(f"vertex count {n} exceeds cap {cap}")
-    adj = set()
-    for v in range(n):
-        for u in graph.neighbors_of(v):
-            adj.add((v, int(u)))
-    classes: dict = {}
-    for v in range(n):
-        classes.setdefault(int(graph.color_keys[v]), []).append(v)
-    groups = [classes[k] for k in sorted(classes)]
-    out = []
-    for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = [0] * n
-        for g, img in zip(groups, parts):
-            for v, w in zip(g, img):
-                perm[v] = w
-        if all(((perm[v], perm[u]) in adj) == ((v, u) in adj)
-               for v in range(n) for u in range(v + 1, n)):
-            out.append(tuple(perm))
-    return out
-
-
-def formula_automorphisms(formula: Formula, var_cap: int = 6) -> list:
-    """All automorphisms of a small formula, by enumerating signed
-    variable permutations.  Oracle only."""
-    from .cnf import LiteralPermutation, is_automorphism
-
-    n = formula.num_vars
-    if n > var_cap:
-        raise ValueError(f"variable count {n} exceeds cap {var_cap}")
-    out = []
-    lits = range(2 * n)
-    for vperm in itertools.permutations(range(n)):
-        for signs in itertools.product((0, 1), repeat=n):
-            phi = LiteralPermutation(lits, [2 * w + (sign ^ neg)
-                                            for w, sign in zip(vperm, signs)
-                                            for neg in (0, 1)])
-            if is_automorphism(formula, phi):
-                out.append(phi)
-    return out

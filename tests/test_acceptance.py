@@ -9,14 +9,15 @@ import random
 import time
 from functools import lru_cache
 
-from symbreak.cnf import (Formula, clause_multiset_image_check,
-                          is_automorphism, negate, pos, var_of)
-from symbreak.modelgraph import ColoredGraph, build_model_graph
+from symbreak.cnf import Formula, is_automorphism, pos, var_of
+from symbreak.modelgraph import build_model_graph
 from symbreak.pipeline import PipelineConfig, _polarity_split_base, run
 from symbreak.refine import individualize_refine, initial_coloring, refine_stable
-from symbreak.testkit import (brute_force_automorphisms, brute_force_sat,
-                              dpll_count, gen_cliquecolor, gen_php,
-                              gen_ramsey)
+from symbreak.testkit import dpll_count, gen_cliquecolor, gen_php, gen_ramsey
+
+from oracles import (brute_force_automorphisms, brute_force_sat,
+                     clause_multiset_image_check, from_edges, is_equitable,
+                     neighbors_of, partition)
 
 
 def augmented(formula, out):
@@ -160,7 +161,7 @@ def _encoded_prefix(mapping, order_vars, max_len=64):
         if p == pos(x):
             continue
         out.append((x, p))
-        if p == negate(pos(x)) or len(out) == max_len:
+        if p == pos(x) ^ 1 or len(out) == max_len:
             break
     return out
 
@@ -296,7 +297,7 @@ def _random_graph(rng, max_vertices):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     keys = [rng.randint(0, 2) for _ in range(n)]
-    return ColoredGraph.from_edges(n, sorted(edges), color_keys=keys)
+    return from_edges(n, sorted(edges), color_keys=keys)
 
 
 def test_acceptance_9_refinement_properties():
@@ -309,9 +310,9 @@ def test_acceptance_9_refinement_properties():
         g = _random_graph(rng, 8 if small else 64)
         base = initial_coloring(g)
         rep = refine_stable(g, base)
-        assert rep.coloring.is_equitable(g), f"graph {i}"
-        base_part = base.as_partition()
-        for cls in rep.coloring.as_partition():
+        assert is_equitable(rep.coloring, g), f"graph {i}"
+        base_part = partition(base)
+        for cls in partition(rep.coloring):
             assert any(cls <= b for b in base_part), f"graph {i}"
         # invariance under a random relabeling
         n = g.vertex_count
@@ -319,16 +320,16 @@ def test_acceptance_9_refinement_properties():
         rng.shuffle(rho)
         edges = set()
         for v in range(n):
-            for u in g.neighbors_of(v):
+            for u in neighbors_of(g, v):
                 if v < u:
                     edges.add((v, int(u)))
         keys2 = [0] * n
         for v in range(n):
             keys2[rho[v]] = int(g.color_keys[v])
-        g2 = ColoredGraph.from_edges(
+        g2 = from_edges(
             n, [(rho[u], rho[v]) for u, v in edges], color_keys=keys2)
-        p1 = rep.coloring.as_partition()
-        p2 = refine_stable(g2, initial_coloring(g2)).coloring.as_partition()
+        p1 = partition(rep.coloring)
+        p2 = partition(refine_stable(g2, initial_coloring(g2)).coloring)
         assert [frozenset(rho[v] for v in cls) for cls in p1] == p2, \
             f"graph {i}"
         if g.vertex_count <= 8:

@@ -10,7 +10,7 @@ from symbreak.breaking import (VariableOrder, binary_clause_heuristic,
                                build_order, lex_leader_encode,
                                structure_generators)
 from symbreak.cnf import (MAX_VAR, Formula, LiteralPermutation, neg_var,
-                          negate, pos, transpose, var_of)
+                          pos, transpose, var_of)
 from symbreak.detectors import Structure
 from test_generator_differential import as_dict
 
@@ -32,7 +32,7 @@ def encoded_prefix(phi, order, max_len=64):
         if p == pos(x):
             continue
         out.append((x, p))
-        if p == negate(pos(x)) or len(out) == max_len:
+        if p == pos(x) ^ 1 or len(out) == max_len:
             break
     return out
 
@@ -103,7 +103,7 @@ class TestLexLeaderEncode:
             (neg_var(2), pos(1)),
             (pos(1), a),
             (neg_var(2), a),
-            (negate(a), neg_var(1), pos(2)),
+            (a ^ 1, neg_var(1), pos(2)),
         ]
         assert sorted(tuple(sorted(c)) for c in out.clauses) == \
             sorted(tuple(sorted(c)) for c in expected)
@@ -256,7 +256,7 @@ def ref_binary_clause_heuristic(gens, order):
             break
         x = min(candidates, key=lambda l: rank[var_of(l)])
         for y in sorted(orbits[x] - {x}):
-            clauses.append((x,) if y == negate(x) else (x, negate(y)))
+            clauses.append((x,) if y == x ^ 1 else (x, y ^ 1))
         stabilized.append(var_of(x))
         gens = [g for g in gens if g.get(x, x) == x]
     head = order.variables[:order.structured_count]

@@ -13,8 +13,10 @@ import symbreak
 from symbreak import native
 from symbreak.cli import main
 from symbreak.cnf import emit_dimacs, parse_dimacs
-from symbreak.testkit import (brute_force_sat, dpll_count, gen_cycle_coloring,
-                              gen_php, gen_ramsey)
+from symbreak.testkit import (dpll_count, gen_cycle_coloring, gen_php,
+                              gen_ramsey)
+
+from oracles import brute_force_sat
 
 
 def run_cli(argv, capsys):
@@ -168,7 +170,12 @@ class TestBreak:
         ("p cnf 2 1\n1 4 0\n", "p cnf 4 1",
          {"declared_clauses": 1, "clauses": 1, "declared_vars": 2,
           "num_vars": 4}),
-    ], ids=["count-mismatch", "count-match", "vars-beyond-header"])
+        # -0 is a count of 0, not a negative one
+        ("p cnf -0 1\n1 0\n", "p cnf 1 1",
+         {"declared_clauses": 1, "clauses": 1, "declared_vars": 0,
+          "num_vars": 1}),
+    ], ids=["count-mismatch", "count-match", "vars-beyond-header",
+            "minus-zero-vars"])
     def test_header_counts_reported(self, tmp_path, capsys, text, header,
                                     report):
         src = tmp_path / "in.cnf"
@@ -303,6 +310,18 @@ class TestExitCodes:
         bad.write_text("p cnf 99999999999 1\n1 0\n")
         code, _, err = run_cli(["break", str(bad)], capsys)
         assert code == 2 and "parse error" in err
+
+    @pytest.mark.parametrize("text", [
+        "pfoo cnf 2 1\n1 2 0\n", "p cnf 2 -1\n1 2 0\n",
+        "p cnf -2 1\n1 2 0\n"],
+        ids=["header-word", "negative-clauses", "negative-vars"])
+    def test_malformed_header(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.cnf"
+        bad.write_text(text)
+        code, _, err = run_cli(["break", str(bad)], capsys)
+        header = text.splitlines()[0]
+        assert code == 2
+        assert err == f"parse error: malformed header: {header!r}\n"
 
     def test_negative_parameter(self, tmp_path, capsys):
         # refused with the config, before the input is read: a missing

@@ -98,12 +98,14 @@ def ref_parse_dimacs(data) -> RefFormula:
             if header is not None:
                 raise DimacsError("duplicate header line")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError(f"malformed header: {line!r}")
             try:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise DimacsError(f"non-integer header field: {line!r}")
+            if header[0] < 0 or header[1] < 0:
+                raise DimacsError(f"malformed header: {line!r}")
             continue
         if header is None:
             raise DimacsError("clause data before 'p cnf' header")
@@ -440,6 +442,8 @@ BOUNDARY = {
     "header-beyond-max-var": (b"p cnf 1073741825 1\n1 0\n", False),
     "header-at-max-var": (b"p cnf 1073741824 0\n", True),
     "header-word": (b"px cnf 2 1\n1 0\n", False),
+    "header-negative-vars": (b"p cnf -2 1\n1 2 0\n", False),
+    "header-negative-clauses": (b"p cnf 2 -1\n1 2 0\n", False),
     "header-signed": (b"p cnf +2 1\n1 0\n", False),
     "header-extra-field": (b"p cnf 2 1 9\n1 0\n", False),
     "header-only": (b"p cnf 2 0", True),
@@ -483,6 +487,19 @@ def test_plain_boundary_matches_numpy(raw, plain):
             assert got.dtype == expect.dtype
             assert np.array_equal(got, expect)
         assert new.clauses == ref_parse_dimacs(raw).clauses
+
+
+@pytest.mark.parametrize("name", ["header-word", "header-negative-vars",
+                                  "header-negative-clauses"])
+def test_malformed_header_is_refused(name):
+    """A header whose first word is not ``p``, or whose count is
+    negative, is refused on both kernel paths and by the reference."""
+    raw = BOUNDARY[name][0]
+    error = f"malformed header: {raw.decode().splitlines()[0]!r}"
+    assert _outcome(ref_parse_dimacs, raw) == (None, error)
+    for path in io_paths():
+        with path:
+            assert _outcome(parse_dimacs, raw) == (None, error)
 
 
 # inputs that break two rules at once, with the error raised: the header

@@ -13,8 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symbreak.breaking import VariableOrder, lex_leader_encode
 from symbreak.cnf import (Formula, LiteralPermutation, _row_keys,
-                          clause_multiset_image_check, is_automorphism,
-                          negate, neg_var, pos, transpose, var_of)
+                          is_automorphism, neg_var, pos, transpose, var_of)
+
+from oracles import clause_multiset_image_check
 
 
 def as_dict(phi: LiteralPermutation) -> dict:
@@ -118,7 +119,7 @@ def ref_lex_leader_encode(phi: RefLiteralPermutation, order: VariableOrder,
 
     # a phase flip ends the encodable prefix
     for i, (x, p) in enumerate(positions):
-        if p == negate(pos(x)):
+        if p == pos(x) ^ 1:
             positions = positions[:i + 1]
             break
 
@@ -127,18 +128,18 @@ def ref_lex_leader_encode(phi: RefLiteralPermutation, order: VariableOrder,
     prev_a = None  # literal code of a_{i-1}, None while a_0 is folded away
     for i, (x, p) in enumerate(positions):
         last = i == len(positions) - 1
-        prefix = [] if prev_a is None else [negate(prev_a)]
-        if p == negate(pos(x)):
+        prefix = [] if prev_a is None else [prev_a ^ 1]
+        if p == pos(x) ^ 1:
             clauses.append(tuple(prefix + [pos(x)]))
             break
         if last:
-            clauses.append(tuple(prefix + [negate(p), pos(x)]))
+            clauses.append(tuple(prefix + [p ^ 1, pos(x)]))
             break
         a = pos(next_aux + aux)
         aux += 1
-        clauses.append(tuple(prefix + [negate(p), pos(x)]))
+        clauses.append(tuple(prefix + [p ^ 1, pos(x)]))
         clauses.append(tuple(prefix + [pos(x), a]))
-        clauses.append(tuple(prefix + [negate(p), a]))
+        clauses.append(tuple(prefix + [p ^ 1, a]))
         prev_a = a
     return clauses, aux
 

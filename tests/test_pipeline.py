@@ -9,15 +9,16 @@ import numpy as np
 
 import symbreak.detectors as detectors
 from symbreak import native
-from symbreak.cnf import (Formula, clause_multiset_image_check, emit_dimacs,
-                          neg_var, parse_dimacs, pos, transpose)
+from symbreak.cnf import (Formula, emit_dimacs, neg_var, parse_dimacs, pos,
+                          transpose)
 from symbreak.modelgraph import build_model_graph
 from symbreak.pipeline import PipelineConfig, negation_class_of, run
 from symbreak.refine import initial_coloring, refine_stable
-from symbreak.testkit import (brute_force_sat, dpll_count, gen_cliquecolor,
+from symbreak.testkit import (dpll_count, gen_cliquecolor,
                               gen_cycle_coloring, gen_php, gen_ramsey)
 
 import pytest
+from oracles import brute_force_sat, clause_multiset_image_check
 from test_detectors import (attached_blocks_instance,
                             recorded_verifications, two_copy_instance)
 from test_refine import TWINS, python_kernel

@@ -20,16 +20,22 @@ from symbreak.pipeline import PipelineConfig, run
 from symbreak.refine import (Coloring, IRSession, RefinementReport,
                              individualize_refine, initial_coloring,
                              refine_stable)
-from symbreak.testkit import (brute_force_automorphisms, gen_cliquecolor,
-                              gen_cycle_coloring, gen_php, gen_ramsey)
+from symbreak.testkit import (gen_cliquecolor, gen_cycle_coloring, gen_php,
+                              gen_ramsey)
+
+from oracles import (brute_force_automorphisms, from_edges, is_equitable,
+                     neighbors_of, partition)
 
 
-def graph_from_edges(n, edges, keys=None):
-    return ColoredGraph.from_edges(n, edges, color_keys=keys)
+def rollback(session):
+    """Undo every push of `session`, by the Python twin of the kernel
+    `rollback`, whichever kernel wrote the journal."""
+    refine._rollback_kernel(*session._arrays, *session._journal,
+                            session.graph.vertex_count)
 
 
 def cycle(n):
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 @st.composite
@@ -41,7 +47,7 @@ def random_graphs(draw, max_vertices=64):
     ncolors = draw(st.integers(min_value=1, max_value=3))
     keys = draw(st.lists(st.integers(min_value=0, max_value=ncolors - 1),
                          min_size=n, max_size=n))
-    return graph_from_edges(n, edges, keys)
+    return from_edges(n, edges, keys)
 
 
 def from_color_map_loop(keys):
@@ -79,8 +85,8 @@ class TestColoring:
 
     def test_from_color_map_orders_classes_by_key(self):
         c = Coloring.from_color_map([2, 0, 0, 1])
-        assert c.as_partition() == [frozenset({1, 2}), frozenset({3}),
-                                    frozenset({0})]
+        assert partition(c) == [frozenset({1, 2}), frozenset({3}),
+                                frozenset({0})]
         assert c.color.tolist() == [3, 0, 0, 2]
 
     def test_class_ids_are_slot_starts(self):
@@ -99,28 +105,27 @@ class TestRefineStable:
     def test_regular_graph_stays_one_class(self):
         g = cycle(5)
         rep = refine_stable(g, initial_coloring(g))
-        assert rep.coloring.as_partition() == [frozenset(range(5))]
+        assert partition(rep.coloring) == [frozenset(range(5))]
 
     def test_path_splits_by_degree(self):
-        g = graph_from_edges(3, [(0, 1), (1, 2)])
+        g = from_edges(3, [(0, 1), (1, 2)])
         rep = refine_stable(g, initial_coloring(g))
-        assert rep.coloring.as_partition() == [frozenset({0, 2}),
-                                               frozenset({1})]
+        assert partition(rep.coloring) == [frozenset({0, 2}),
+                                           frozenset({1})]
 
     def test_cycle_with_individualized_vertex(self):
         g = cycle(5)
         rep = individualize_refine(g, initial_coloring(g), 0)
-        assert rep.coloring.as_partition() == [frozenset({0}),
-                                               frozenset({2, 3}),
-                                               frozenset({1, 4})]
+        assert partition(rep.coloring) == [frozenset({0}),
+                                           frozenset({2, 3}),
+                                           frozenset({1, 4})]
 
 
 class TestIndividualizeRefine:
     def test_discrete_coloring_is_fixed_point(self):
-        g = graph_from_edges(3, [(0, 1)], keys=[0, 1, 2])
+        g = from_edges(3, [(0, 1)], [0, 1, 2])
         rep = individualize_refine(g, initial_coloring(g), 0)
-        assert rep.coloring.as_partition() == \
-            initial_coloring(g).as_partition()
+        assert partition(rep.coloring) == partition(initial_coloring(g))
 
     def test_php5_pivot_fragment_sizes(self):
         g = build_model_graph(gen_php(5))
@@ -173,9 +178,9 @@ class TestProperties:
     def test_refinement_and_equitability(self, g):
         base = initial_coloring(g)
         rep = refine_stable(g, base)
-        assert rep.coloring.is_equitable(g)
-        base_part = base.as_partition()
-        for cls in rep.coloring.as_partition():
+        assert is_equitable(rep.coloring, g)
+        base_part = partition(base)
+        for cls in partition(rep.coloring):
             assert any(cls <= b for b in base_part)
 
     @settings(max_examples=120, deadline=None)
@@ -187,15 +192,15 @@ class TestProperties:
         rnd.shuffle(rho)
         edges = set()
         for v in range(n):
-            for u in g.neighbors_of(v):
+            for u in neighbors_of(g, v):
                 if v < u:
                     edges.add((v, int(u)))
         keys2 = [0] * n
         for v in range(n):
             keys2[rho[v]] = int(g.color_keys[v])
-        g2 = graph_from_edges(n, [(rho[u], rho[v]) for u, v in edges], keys2)
-        p1 = refine_stable(g, initial_coloring(g)).coloring.as_partition()
-        p2 = refine_stable(g2, initial_coloring(g2)).coloring.as_partition()
+        g2 = from_edges(n, [(rho[u], rho[v]) for u, v in edges], keys2)
+        p1 = partition(refine_stable(g, initial_coloring(g)).coloring)
+        p2 = partition(refine_stable(g2, initial_coloring(g2)).coloring)
         assert [frozenset(rho[v] for v in cls) for cls in p1] == p2
 
     @settings(max_examples=100, deadline=None)
@@ -214,10 +219,10 @@ class TestProperties:
         base = refine_stable(g, initial_coloring(g)).coloring
         v = 0
         rep = individualize_refine(g, base, v)
-        assert rep.coloring.is_equitable(g)
+        assert is_equitable(rep.coloring, g)
         assert rep.coloring.clen[rep.coloring.color[v]] == 1
-        base_part = base.as_partition()
-        for cls in rep.coloring.as_partition():
+        base_part = partition(base)
+        for cls in partition(rep.coloring):
             assert any(cls <= b for b in base_part)
 
 
@@ -242,7 +247,7 @@ class TestIRSession:
             for logged in journal_rows(session):
                 assert len(logged) <= n
                 assert len(np.unique(logged)) == len(logged)
-        session._rollback()
+        rollback(session)
         assert same_coloring(session.work, base)
         assert not session._jc.any() and not session._jd.any()
 
@@ -260,15 +265,15 @@ class TestIRSession:
         session = IRSession(g, base)
         full = session.individualize(v).coloring.copy()
         stopped = session.individualize(v, until=(sigma, want)).coloring
-        stopped_part = stopped.as_partition()
+        stopped_part = partition(stopped)
         for cls in stopped_part:
-            assert any(cls <= b for b in base.as_partition())
-        for cls in full.as_partition():
+            assert any(cls <= b for b in partition(base))
+        for cls in partition(full):
             assert any(cls <= c for c in stopped_part)
         end = sigma + int(base.clen[sigma])
         held = np.count_nonzero(stopped.clen[sigma:end])
         assert held >= want or same_coloring(stopped, full)
-        session._rollback()
+        rollback(session)
         assert same_coloring(session.work, base)
         assert not session._jc.any() and not session._jd.any()
 
@@ -361,8 +366,7 @@ def kernel_trace(g, vs):
         rep = session.push(v) if i else session.individualize(v)
         record(rep)
     if vs:
-        assert set(rep.coloring.as_partition()) == \
-            set(chained.as_partition())
+        assert set(partition(rep.coloring)) == set(partition(chained))
         copied = RefinementReport(base=base, coloring=chained)
         for sigma in base.classes():
             assert {frozenset(m.tolist()) for _, m in rep.fragments(sigma)} \
@@ -370,7 +374,7 @@ def kernel_trace(g, vs):
                     for _, m in copied.fragments(sigma)}
         # a reset that rolls back the whole stack of pushes
         record(session.individualize(vs[0]))
-    session._rollback()
+    rollback(session)
     assert same_coloring(session.work, base)
     assert not session._jc.any() and not session._jd.any()
     out.append(session.work.copy())
@@ -384,6 +388,47 @@ def python_kernel():
 
 
 HAVE_C = native.native_kernel() is not None
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(contextlib.nullcontext, id="c", marks=pytest.mark.skipif(
+        not HAVE_C, reason="no C kernel could be built")),
+    pytest.param(python_kernel, id="python")])
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(max_vertices=32),
+       st.lists(st.integers(min_value=0), max_size=5),
+       st.none() | st.tuples(st.integers(min_value=0),
+                             st.integers(min_value=1, max_value=4)),
+       st.integers(min_value=0))
+def test_rollback_before_a_stopped_split(kernel, g, picks, stopped, pick):
+    """The rollback inside a probe, on its own: after a stack of pushes,
+    and maybe a stopped probe, a probe of v stopped at two classes in
+    v's base class ends right after v's split, so its coloring is the
+    base with v split off, and its journal logs each index once."""
+    with kernel():
+        base = refine_stable(g, initial_coloring(g)).coloring
+        n = g.vertex_count
+        session = IRSession(g, base)
+        for p in picks:
+            session.push(p % n)
+        if stopped is not None:
+            w, want = stopped
+            w %= n
+            session.individualize(w, until=(int(base.color[w]), want))
+        big = [c for c in base.classes() if base.clen[c] > 1]
+        if not big:
+            return
+        c = big[pick % len(big)]
+        v = int(base.order[c + pick // len(big) % int(base.clen[c])])
+        session.individualize(v, until=(c, 2))
+        split = base.copy()
+        refine._split_off(split.order, split.pos, split.color, split.clen,
+                          v, None, None, None, n)
+        assert same_coloring(session.work, split)
+        for a, logged in enumerate(journal_rows(session)):
+            assert len(np.unique(logged)) == len(logged)
+            assert np.flatnonzero(session._jd[a]).tolist() == \
+                sorted(logged.tolist())
 
 
 # each entry point of native.c, whose argtypes `native_kernel` sets, and
@@ -427,7 +472,7 @@ def wide_splitter_graph(k):
     random.Random(k).shuffle(perm)
     edges = [(hub, 2 * i + 2 + hub) for i in perm for hub in (0, 1)]
     keys = [0, 0] + [i + 1 for i in range(k) for _ in range(2)]
-    return graph_from_edges(2 * k + 2, edges, keys)
+    return from_edges(2 * k + 2, edges, keys)
 
 
 @pytest.mark.skipif(not HAVE_C, reason="no C kernel could be built")
@@ -446,7 +491,7 @@ class TestNativeKernel:
         the queue and hence the journals."""
         g = wide_splitter_graph(k)
         base = refine_stable(g, initial_coloring(g)).coloring
-        touched = base.color[g.neighbors_of(0)].tolist()
+        touched = base.color[neighbors_of(g, 0)].tolist()
         assert len(set(touched)) == k and touched != sorted(touched)
         assert_kernels_agree(g, [0, 1, 3, 2 * k])
 
@@ -689,7 +734,7 @@ def check_pool_clean(g, vs):
         for w in vs[i:]:
             session.push(w)
             assert_pool_clean(g)
-    session._rollback()
+    rollback(session)
     assert_pool_clean(g)
 
 
@@ -729,9 +774,9 @@ def test_failed_build_falls_back_with_one_warning(failure, tmp_path,
             assert native.native_kernel() is None
             formula = parse_dimacs(b"c x\np cnf 4 3\n-1 3 0\n4 -1 -4 0\n0\n")
             text = emit_dimacs(formula, [(0, 9)], aux_vars=1)
-        assert rep.coloring.as_partition() == [frozenset({0}),
-                                               frozenset({2, 3}),
-                                               frozenset({1, 4})]
+        assert partition(rep.coloring) == [frozenset({0}),
+                                           frozenset({2, 3}),
+                                           frozenset({1, 4})]
         assert formula.lens.tolist() == [2, 3, 0]
         assert formula.lits.tolist() == [1, 4, 1, 6, 7]
         assert text == "p cnf 5 4\n-1 3 0\n-1 4 -4 0\n 0\n1 -5 0\n"

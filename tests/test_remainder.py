@@ -7,8 +7,7 @@ from unittest import mock
 
 import symbreak.cnf as cnf
 from symbreak import native, refine
-from symbreak.cnf import (Formula, LiteralPermutation,
-                          clause_multiset_image_check, is_automorphism,
+from symbreak.cnf import (Formula, LiteralPermutation, is_automorphism,
                           neg_var, pos)
 from symbreak.modelgraph import build_model_graph
 from symbreak.refine import (_next_nonsingleton, dive_pairs,
@@ -17,11 +16,12 @@ from symbreak.refine import (_next_nonsingleton, dive_pairs,
 from symbreak.pipeline import PipelineConfig, _remainder_coloring
 from symbreak.remainder import (_image_table, _permutation,
                                 find_remainder_generators)
-from symbreak.testkit import formula_automorphisms, gen_cycle_coloring, gen_php
+from symbreak.testkit import gen_cycle_coloring, gen_php
 
 import numpy as np
 import pytest
 
+from oracles import clause_multiset_image_check, formula_automorphisms
 from test_refine import HAVE_C, python_kernel
 
 NEEDS_C = pytest.mark.skipif(not HAVE_C, reason="no C kernel could be built")

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from symbreak.cnf import Formula, LiteralPermutation, neg_var, pos
-from symbreak.modelgraph import ColoredGraph
-from symbreak.testkit import (brute_force_automorphisms, brute_force_sat,
-                              dpll_count, edge_index, formula_automorphisms,
-                              gen_cliquecolor, gen_php, gen_ramsey)
+from symbreak.testkit import (dpll_count, edge_index, gen_cliquecolor,
+                              gen_php, gen_ramsey)
+from oracles import (brute_force_automorphisms, brute_force_sat,
+                     formula_automorphisms, from_edges)
 from test_generator_differential import as_dict
 
 
@@ -138,20 +138,19 @@ class TestDpllCount:
 
 class TestBruteForceAutomorphisms:
     def test_five_cycle_dihedral(self):
-        g = ColoredGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        g = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
         assert len(brute_force_automorphisms(g)) == 10
 
     def test_discrete_coloring_identity_only(self):
-        g = ColoredGraph.from_edges(3, [(0, 1), (1, 2)],
-                                    color_keys=[0, 1, 2])
+        g = from_edges(3, [(0, 1), (1, 2)], color_keys=[0, 1, 2])
         assert brute_force_automorphisms(g) == [(0, 1, 2)]
 
     def test_two_isolated_vertices(self):
-        g = ColoredGraph.from_edges(2, [])
+        g = from_edges(2, [])
         assert len(brute_force_automorphisms(g)) == 2
 
     def test_cap_enforced(self):
-        g = ColoredGraph.from_edges(9, [(i, i + 1) for i in range(8)])
+        g = from_edges(9, [(i, i + 1) for i in range(8)])
         with pytest.raises(ValueError):
             brute_force_automorphisms(g)
 

@@ -12,10 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import symbreak.cnf as cnf
 from symbreak.cnf import (Formula, LiteralPermutation, SwapError,
-                          automorphisms, clause_multiset_image_check,
-                          is_automorphism, pos, transpose, transpositions)
+                          automorphisms, is_automorphism, pos, transpose,
+                          transpositions)
 from symbreak.detectors import _conjugating_product
-from symbreak.testkit import formula_automorphisms
+
+from oracles import clause_multiset_image_check, formula_automorphisms
 
 # a variable far beyond every formula below
 FAR = 1 << 20
