@@ -15,6 +15,16 @@ from .testkit import (gen_cliquecolor, gen_cycle_coloring, gen_php,
                       gen_ramsey)
 
 
+# `gen`'s families: the generator, the parameter counts it takes and
+# their usage, which the help and the count check both read
+_FAMILIES = {
+    "php": (gen_php, (1, 2), "n [m]"),
+    "ramsey": (gen_ramsey, (3,), "k s n"),
+    "cliquecolor": (gen_cliquecolor, (3,), "n k c"),
+    "coloring": (gen_cycle_coloring, (2,), "n k"),
+}
+
+
 def _read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
@@ -65,11 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="write a stats JSON report")
 
     gen = sub.add_parser("gen", help="generate a benchmark instance")
-    gen.add_argument("family",
-                     choices=["php", "ramsey", "cliquecolor", "coloring"])
+    gen.add_argument("family", choices=_FAMILIES)
+    usages = [f"{family}: {usage}"
+              for family, (_, _, usage) in _FAMILIES.items()]
     gen.add_argument("params", type=int, nargs="+",
-                     help="php: n [m] | ramsey: k s n | cliquecolor: n k c "
-                          "| coloring: n k (k-coloring of the cycle C_n)")
+                     help=" | ".join(usages)
+                     + " (k-coloring of the cycle C_n)")
     gen.add_argument("-o", "--output", default="-")
     return parser
 
@@ -139,24 +150,11 @@ def _cmd_break(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    family, params = args.family, args.params
+    make, counts, usage = _FAMILIES[args.family]
     try:
-        if family == "php":
-            if len(params) not in (1, 2):
-                raise ValueError("php takes n [m]")
-            formula = gen_php(*params)
-        elif family == "ramsey":
-            if len(params) != 3:
-                raise ValueError("ramsey takes k s n")
-            formula = gen_ramsey(*params)
-        elif family == "cliquecolor":
-            if len(params) != 3:
-                raise ValueError("cliquecolor takes n k c")
-            formula = gen_cliquecolor(*params)
-        else:
-            if len(params) != 2:
-                raise ValueError("coloring takes n k")
-            formula = gen_cycle_coloring(*params)
+        if len(args.params) not in counts:
+            raise ValueError(f"{args.family} takes {usage}")
+        formula = make(*args.params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

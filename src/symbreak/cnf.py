@@ -138,8 +138,9 @@ def _canonical_clauses(lens, lits, num_vars: int):
     """int32 (lens, lits) of the clauses with each one's literals sorted
     and repeats dropped, by one sort of (clause, literal) keys.  lens and
     lits are contiguous int64.  Clauses already strictly ascending, as
-    all DIMACS that symbreak writes is, need no sort: one pass of the
-    kernel `ascending` finds them."""
+    all DIMACS that symbreak writes is, need no sort: one pass of the C
+    `ascending` finds them.  Its twin `_ascending` finds none, so
+    without the library every input is sorted."""
     # bounded lengths cannot wrap the int64 sum, so the `ascending`
     # check below reads only lits
     if len(lens) and not 0 <= lens.min() <= lens.max() <= len(lits):
@@ -176,14 +177,9 @@ def _canonical_clauses(lens, lits, num_vars: int):
 
 
 def _ascending(lens, nlens, lits):
-    # native.c's `ascending`, in numpy: no literal, after the first of
-    # its clause, at most the one before it
-    lens = lens[:nlens]
-    lits = lits[:int(lens.sum())]
-    follows = np.ones(len(lits), dtype=bool)
-    starts = np.cumsum(lens) - lens
-    follows[starts[starts < len(lits)]] = False
-    return int((lits[1:] > lits[:-1])[follows[1:]].all())
+    # native.c's `ascending` declining every input: the sort in
+    # `_canonical_clauses` is the one Python canonicalizer
+    return 0
 
 
 def _first_occurrences(lens, lits, starts):
@@ -237,10 +233,11 @@ def parse_dimacs(data) -> Formula:
 
     The kernel `parse` (see native.c) reads the input in a count pass
     and a fill pass.  The C `parse` takes plain input, which is what
-    DIMACS writers write; any other input is read line by line by
+    DIMACS writers write; any other input is read once, line by line, by
     `_parse_python`, which gives plain input the same formula and the
     rest its result or its `DimacsError`.  Where the library cannot be
-    built, the twin `_parse` runs `_parse_python` in both passes.
+    built, the twin `_parse` declines every input, so `_parse_python`
+    reads them all.
     """
     if hasattr(data, "read"):
         data = data.read()
@@ -264,21 +261,9 @@ def parse_dimacs(data) -> Formula:
 
 
 def _parse(text, n, info, lens, lits):
-    # native.c's `parse` on `_parse_python`, which reads all n bytes in
-    # each pass and raises its DimacsError for input it refuses; 0, for
-    # `parse_dimacs` to read the input again, when int64 cannot hold
-    # the header
-    got_lens, got_lits, header, top = _parse_python(text[:n])
-    if lens is None:
-        if any(abs(x) >= 1 << 63 for x in header):
-            return 0
-        info[:] = (*header, len(got_lens), len(got_lits), top)
-        return 1
-    if (len(got_lens), len(got_lits)) != (info[2], info[3]):
-        return 0
-    lens[:] = got_lens
-    lits[:] = got_lits
-    return 1
+    # native.c's `parse` declining every input: `parse_dimacs` reads it
+    # once with `_parse_python`
+    return 0
 
 
 def _parse_python(raw: bytes):
@@ -493,8 +478,9 @@ class SwapError(ValueError):
 
 def transpose(a: list, b: list) -> LiteralPermutation:
     """Exchange a[i] with b[i], identity elsewhere, closed under
-    negation.  The one-pair case of `transpositions`, kept for the
-    detectors' one-swap checks, the demos and the tests."""
+    negation.  The one-pair case of `transpositions`, kept for the demos
+    and the tests only: the package builds its swaps with
+    `transpositions`."""
     return transpositions([(a, b)])[0]
 
 

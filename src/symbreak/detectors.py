@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import (Formula, LiteralPermutation, is_automorphism, transpose,
+from .cnf import (Formula, LiteralPermutation, SwapError, is_automorphism,
                   transpositions)
 from .modelgraph import ColoredGraph
 from .refine import Coloring, IRSession, individualize_refine
@@ -85,26 +85,30 @@ def _conjugating_product(swaps):
 
 
 def _verified_factor(formula: Formula, pairs, t0=None):
-    """The transpositions t_i = transpose(a_i, b_i) of the m - 1 line
-    pairs (a_i, b_i) in `pairs`, which generate one symmetric factor, if
-    every one is an automorphism of `formula`; else the index i of the
-    first that is not or cannot be built.  `t0`, if given, is t_0
-    verified already; the others are built in one batch.
+    """The transpositions t_i of the m - 1 line pairs (a_i, b_i) in
+    `pairs`, which generate one symmetric factor, if every one is an
+    automorphism of `formula`; else the index i of the first that is not
+    or cannot be built.  `t0`, if given, is t_0 verified already; the
+    others are built in one `transpositions` batch.
 
     When c = t_0 ... t_{m-2} conjugates each t_i to t_{i+1}, every t_i
     is c^i t_0 c^-i, so all are automorphisms exactly when t_0 and c
     are, and only those two are verified (one for a single pair, where
     c is t_0).  A failed c is located by verifying t_1, t_2, ... in
     turn, which is also the fallback when the relations do not hold or
-    a t_i cannot be built; so a failure costs at most one call more
-    than verifying each t_i in turn.
+    a t_i cannot be built, up to that t_i; so a failure costs at most
+    one call more than verifying each t_i in turn.
     """
     verified = [] if t0 is None else [t0]
+    rest = pairs[len(verified):]
     try:
-        swaps = verified + transpositions(pairs[len(verified):])
-    except ValueError:
-        swaps = None
-    cycle = None if swaps is None else _conjugating_product(swaps)
+        swaps = verified + transpositions(rest)
+    except SwapError as exc:
+        # the swaps before the first pair that cannot be exchanged
+        swaps = verified + transpositions(rest[:exc.index])
+        cycle = None
+    else:
+        cycle = _conjugating_product(swaps)
     if cycle is not None:
         if not verified:
             # looked up at call time, so a wrapper put in its place is
@@ -114,15 +118,11 @@ def _verified_factor(formula: Formula, pairs, t0=None):
             verified = swaps[:1]
         if len(swaps) == 1 or is_automorphism(formula, cycle):
             return swaps
-    for i in range(len(verified), len(pairs)):
-        try:
-            phi = transpose(*pairs[i])
-        except ValueError:
-            return i
+    for phi in swaps[len(verified):]:
         if not is_automorphism(formula, phi):
-            return i
+            break
         verified.append(phi)
-    return verified
+    return verified if len(verified) == len(pairs) else len(verified)
 
 
 def detect_row_blocks(formula: Formula, graph: ColoredGraph, pi: Coloring,

@@ -13,9 +13,9 @@
  *   rollback        `_rollback_kernel`  (static)
  *   split_off       `_split_off`        (static)
  *   LOG             `_log`
- *   parse           `_parse`            (cnf.py)
+ *   parse           `_parse`            (cnf.py, declines)
  *   emit            `_emit`
- *   ascending       `_ascending`
+ *   ascending       `_ascending`        (declines)
  * Kernel and twin must give identical colorings and identical journals,
  * and the tests compare them on random graphs.  `session_push` is one
  * probe of refine.py's `IRSession` in one call: the optional `rollback`,
@@ -26,9 +26,10 @@
  * CPython's MT19937, where its twin draws from a `random.Random` set to
  * the same state words.  `parse` and `emit` read and write DIMACS for
  * cnf.py, and `ascending` spares cnf.py's `_canonical_clauses` its sort
- * for clauses that are canonical already.  `_parse` runs cnf.py's
- * line-by-line reader `_parse_python`, which reads every input the C
- * `parse` refuses.
+ * for clauses that are canonical already.  Both `parse` and `ascending`
+ * may decline an input, and their twins decline every one: cnf.py then
+ * reads it with its line-by-line reader `_parse_python`, or sorts it,
+ * and those are the references the tests compare the two kernels with.
  *
  * All arrays are C-contiguous with the dtypes named in the signatures.
  * The journal arrays jd and jl hold 3 rows of `jstride` entries each

@@ -12,10 +12,14 @@ that `cnf` runs.  Each of these seven entry points has a Python twin
 that takes the same parameters in the same order, arrays where C takes
 addresses: `refine`'s `_refine_kernel`, `_session_push`, `_dive_pairs`
 (drawing from a `random.Random`) and `_valid_coloring`, and `cnf`'s
-`_parse`, `_emit` and `_ascending`.  The twins are the reference the
-tests compare the library against and the fallback where no compiler is
-found.  This module imports nothing else of symbreak at load time, so
-`cnf` and `refine` can both import it.
+`_parse`, `_emit` and `_ascending`.  The twins are the fallback where no
+compiler is found, and the refinement twins and `_emit` are the
+reference the tests compare the library against.  `parse` and
+`ascending` may decline an input, and their twins decline every one:
+`cnf` then reads it with `_parse_python` and sorts its clauses, the
+references the tests compare those two C kernels against.  This module
+imports nothing else of symbreak at load time, so `cnf` and `refine`
+can both import it.
 """
 
 from __future__ import annotations

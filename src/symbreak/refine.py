@@ -72,6 +72,14 @@ class Coloring:
     def class_members(self, c: int) -> np.ndarray:
         return self.order[c:c + self.clen[c]]
 
+    def class_end(self, c: int) -> int:
+        """The slot after the class that starts at slot c; KeyError when
+        c starts no class, whatever its value."""
+        if not (0 <= c < len(self.clen) and self.clen[c] > 0
+                and self.color[self.order[c]] == c):
+            raise KeyError(f"unknown base color {c}")
+        return c + int(self.clen[c])
+
     def classes(self) -> list:
         """Class ids in partition order: the slots where clen is nonzero,
         as it is exactly at class starts."""
@@ -383,12 +391,10 @@ class RefinementReport:
         tile the base class's slot range: a walk over their starts finds
         them without reading a member's color.  Raises ValueError when
         they do not tile it, which means the base is no ancestor."""
-        base, refined = self.base, self.coloring
         sigma = int(base_color)
-        if base.clen[sigma] == 0 or base.color[base.order[sigma]] != sigma:
-            raise KeyError(f"unknown base color {base_color}")
+        end = self.base.class_end(sigma)
+        refined = self.coloring
         order, color, clen = refined.order, refined.color, refined.clen
-        end = sigma + int(base.clen[sigma])
         out = []
         s = sigma
         while s < end:
@@ -546,12 +552,7 @@ class IRSession:
         stop = (0, 0, 0)
         if until is not None:
             sigma, want = until
-            base = self.base
-            if not (0 <= sigma < self.graph.vertex_count
-                    and base.clen[sigma] > 0
-                    and base.color[base.order[sigma]] == sigma):
-                raise KeyError(f"unknown base color {sigma}")
-            stop = (sigma, sigma + int(base.clen[sigma]), want)
+            stop = (sigma, self.base.class_end(sigma), want)
         report = self._push(v, 1, stop)
         self._stopped = until is not None
         return report

@@ -1,8 +1,9 @@
 """Reference oracles for the test suite.
 
-Brute-force satisfiability and automorphism enumeration, the clause
-multiset image check, and the partition and equitability checks of a
-coloring, together with an edge-list constructor for hand-built graphs.
+Brute-force satisfiability, automorphism and admitted-model
+enumeration, the clause multiset image check, and the partition and
+equitability checks of a coloring, together with an edge-list
+constructor for hand-built graphs.
 They are deliberately independent of the production code paths they
 check, and no path of `symbreak break` or `symbreak gen` runs them, so
 they live here rather than in the package.  Tests import them as
@@ -173,3 +174,37 @@ def clause_multiset_image_check(formula: Formula,
     images = Counter(tuple(sorted(image.get(l, l) for l in c))
                      for c in formula.unique_clauses)
     return images == Counter(formula.unique_clauses)
+
+
+def admitted_models(formula: Formula, out) -> tuple:
+    """(models of `formula`, those that the clauses `out` adds admit), by
+    enumerating every assignment of the input's variables; only
+    input-variable models are counted.  Every breaking clause holds at
+    most one positive aux literal, so a model is admitted exactly when,
+    after unit propagation of the added clauses from it, the assignment
+    with every aux variable it does not force set false satisfies every
+    added clause."""
+    n = formula.num_vars
+    if n > 20:
+        raise ValueError(f"variable count {n} exceeds cap 20")
+    value = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    alive = np.ones(1 << n, dtype=bool)
+    for clause in formula.clauses:
+        lits = np.array(clause, dtype=np.int64)
+        alive &= (value[:, lits >> 1] != (lits & 1)).any(axis=1)
+    added = out.added_clauses
+    admitted = 0
+    for row in value[alive].tolist():
+        assign = dict(enumerate(row))
+        changed = True
+        while changed:
+            changed = False
+            for clause in added:
+                free = [l for l in clause if l >> 1 not in assign]
+                if len(free) == 1 and not any(
+                        assign.get(l >> 1) == 1 - (l & 1) for l in clause):
+                    assign[free[0] >> 1] = 1 - (free[0] & 1)
+                    changed = True
+        admitted += all(any(assign.get(l >> 1, 0) == 1 - (l & 1)
+                            for l in clause) for clause in added)
+    return int(alive.sum()), admitted

@@ -3,12 +3,14 @@
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import symbreak.detectors as detectors
+from symbreak import cnf
 from symbreak.cnf import Formula, is_automorphism, neg_var, pos, transpose
 from symbreak.detectors import (DetectionFailure, Structure, _triangular_n,
                                 _verified_factor, detect_johnson,
@@ -485,6 +487,22 @@ class TestVerifiedFactor:
         monkeypatch.setattr(detectors, "_conjugating_product", recorded)
         return seen
 
+    def built(self, monkeypatch):
+        """The lists of swaps `transpositions` returns to the detectors,
+        as they are made; `cnf.transpose` must not be called."""
+        assert not hasattr(detectors, "transpose")
+        lists = []
+        build = detectors.transpositions
+
+        def recorded(pairs):
+            lists.append(build(pairs))
+            return lists[-1]
+
+        monkeypatch.setattr(detectors, "transpositions", recorded)
+        monkeypatch.setattr(cnf, "transpose", mock.Mock(
+            side_effect=AssertionError("a swap built again")))
+        return lists
+
     def test_two_verifications_for_a_symmetric_factor(self, monkeypatch):
         f = row_instance(5)
         checked = recorded_verifications(monkeypatch)
@@ -507,8 +525,17 @@ class TestVerifiedFactor:
         f = Formula(f.num_vars, f.clauses + [[pos(7)]])
         seen = self.spied(monkeypatch)
         pairs = adjacent(rows_of(f, 2))
-        assert _verified_factor(f, pairs) == ref_verified_factor(f, pairs) == 2
+        assert ref_verified_factor(f, pairs) == 2
+        lists = self.built(monkeypatch)
+        checked = recorded_verifications(monkeypatch)
+        assert _verified_factor(f, pairs) == 2
         assert seen[0] is not None
+        # t_0, the cycle, then t_1 and t_2 in turn, each t_i the one the
+        # batch built
+        [swaps] = lists
+        assert len(checked) == 4 and checked[1] is seen[0]
+        assert all(phi is t for phi, t in zip(checked[:1] + checked[2:],
+                                               swaps))
 
     def test_broken_relations_fall_back(self, monkeypatch):
         """With row 1 repeated after a reversed row 2, t_1 t_2 is the
@@ -530,8 +557,15 @@ class TestVerifiedFactor:
         pairs = adjacent([rows[0], rows[1], [rows[2][0], rows[2][0] ^ 1],
                           rows[3]])
         seen = self.spied(monkeypatch)
-        assert _verified_factor(f, pairs) == ref_verified_factor(f, pairs) == 1
+        assert ref_verified_factor(f, pairs) == 1
+        lists = self.built(monkeypatch)
+        checked = recorded_verifications(monkeypatch)
+        assert _verified_factor(f, pairs) == 1
         assert seen == []
+        # the batch fails at pair 1; the swap before it is built once
+        # more and verified, and no later pair is tried
+        [swaps] = lists
+        assert len(swaps) == 1 and len(checked) == 1 and checked[0] is swaps[0]
 
     def test_given_first_swap_is_not_verified_again(self, monkeypatch):
         f = row_instance(4)

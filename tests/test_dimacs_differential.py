@@ -9,12 +9,16 @@ as its UTF-8 bytes, so the reference is given those bytes.
 Each case runs on both kernel sets that `native.kernels` chooses
 between: the compiled library, which reads plain input and writes every
 output in C, and its Python twins `_parse`, `_emit` and `_ascending`.
-The twins are also compared with the C entry points directly."""
+The twins `_parse` and `_ascending` decline every input, so the C
+`parse` is compared directly with `_parse_python`, which then reads the
+input, and the C `ascending` with numpy; the twin `_emit` is compared
+with the C `emit`."""
 
 import contextlib
 import io
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -441,6 +445,8 @@ BOUNDARY = {
     "header-after-data": (b"p cnf 2 2\n1 0\np cnf 2 1\n", False),
     "header-beyond-max-var": (b"p cnf 1073741825 1\n1 0\n", False),
     "header-at-max-var": (b"p cnf 1073741824 0\n", True),
+    "header-beyond-int64": (b"p cnf 2 99999999999999999999\n1 -2 0\n",
+                            False),
     "header-word": (b"px cnf 2 1\n1 0\n", False),
     "header-negative-vars": (b"p cnf -2 1\n1 2 0\n", False),
     "header-negative-clauses": (b"p cnf 2 -1\n1 2 0\n", False),
@@ -467,6 +473,19 @@ def parse_passes(raw: bytes):
     lits = np.empty(info[3], dtype=np.int64)
     filled = kernels.parse(raw, len(raw), *addr(info, lens, lits))
     return took, info.tolist(), filled, lens.tolist(), lits.tolist()
+
+
+def assert_c_parse_matches_reader(raw: bytes):
+    """Both passes of the C `parse` take raw and give what
+    `_parse_python` reads from it: the header, the clause and literal
+    counts and the largest variable in info, then lens and lits.
+    Returns the passes."""
+    passes = parse_passes(raw)
+    assert passes[0] == 1 and passes[2] == 1
+    lens, lits, header, top = cnf._parse_python(raw)
+    assert passes[1] == [*header, len(lens), len(lits), top]
+    assert passes[3] == lens.tolist() and passes[4] == lits.tolist()
+    return passes
 
 
 @pytest.mark.parametrize("raw, plain", BOUNDARY.values(), ids=BOUNDARY)
@@ -544,28 +563,22 @@ def clause_arrays(draw):
     "raw", [raw for raw, plain in BOUNDARY.values() if plain],
     ids=[name for name, (_, plain) in BOUNDARY.items() if plain])
 def test_parse_twin_matches_c(raw):
-    """The twin `_parse` fills info in its count pass, and lens and lits
-    in its fill pass, as the C `parse` does on plain input."""
-    want = parse_passes(raw)
-    assert want[0] == 1 and want[2] == 1
-    with python_kernel():
-        assert parse_passes(raw) == want
+    """On plain input the C `parse` gives, in its count pass and its
+    fill pass, what `_parse_python` reads; that reader is what the twin
+    `_parse`, declining, leaves every input to."""
+    assert_c_parse_matches_reader(raw)
 
 
-def test_parse_twin_refuses_what_the_reader_refuses():
-    """The twin raises `_parse_python`'s error, and leaves a header that
-    int64 cannot hold for `parse_dimacs` to read with `_parse_python`."""
-    info = np.zeros(5, dtype=np.int64)
-    raw = b"p cnf 2 1\n1 x 0\n"
-    with pytest.raises(DimacsError, match="non-integer token 'x'"):
-        cnf._parse(raw, len(raw), info, None, None)
-    raw = b"p cnf 2 99999999999999999999\n1 -2 0\n"
-    assert cnf._parse(raw, len(raw), info, None, None) == 0
-    for path in io_paths():
-        with path:
-            formula = parse_dimacs(raw)
-        assert formula.declared == (2, 99999999999999999999)
-        assert formula.clauses == [(0, 3)]
+@pytest.mark.parametrize("raw", [raw for raw, _ in BOUNDARY.values()],
+                         ids=BOUNDARY)
+def test_python_kernels_read_each_input_once(raw):
+    """Without the library `parse_dimacs` reads each input, plain or
+    not, with one call of `_parse_python`, whose result or error it
+    gives."""
+    with python_kernel(), mock.patch.object(
+            cnf, "_parse_python", wraps=cnf._parse_python) as reader:
+        _outcome(parse_dimacs, raw)
+    assert reader.call_count == 1
 
 
 @st.composite
@@ -585,11 +598,15 @@ def csr_arrays(draw):
 @pytest.mark.skipif(not HAVE_C, reason="no compiled library")
 @settings(max_examples=300, deadline=None)
 @given(csr_arrays())
-def test_ascending_twin_matches_c(csr):
+def test_c_ascending_matches_numpy(csr):
+    """The C `ascending` finds every clause strictly ascending exactly
+    when numpy does."""
     lens, lits = csr
     lib = native.native_kernel()
-    assert cnf._ascending(lens, len(lens), lits) == \
-        lib.ascending(*native._ptrs(lens), len(lens), *native._ptrs(lits))
+    want = all((np.diff(c) > 0).all()
+               for c in np.split(lits, np.cumsum(lens)[:-1]))
+    assert lib.ascending(*native._ptrs(lens), len(lens),
+                         *native._ptrs(lits)) == want
 
 
 @st.composite
@@ -673,16 +690,13 @@ def test_native_emit_refuses_malformed_arrays(lens, lits):
              max_size=8))), st.data())
 def test_emitted_dimacs_is_plain(case, draw):
     """What `emit_dimacs` writes, with the comments symbreak writes, is
-    read back by the C reader, and by the twin `_parse` alike."""
+    read back by the C reader as `_parse_python` reads it."""
     nv, clauses = case
     formula = Formula(nv, clauses)
     added, aux = draw.draw(added_clauses(nv))
     text = emit_dimacs(formula, added, aux, ["structure row 3x2"])
-    passes = parse_passes(text.encode())
-    assert passes[0] == 1 and passes[2] == 1
+    passes = assert_c_parse_matches_reader(text.encode())
     info, lens = passes[1], passes[3]
     assert info[:2] == [nv + aux, len(clauses) + len(added)]
     assert lens == [len(c) for c in formula.clauses] + [
         len(c) for c in added]
-    with python_kernel():
-        assert parse_passes(text.encode()) == passes

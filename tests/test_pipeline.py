@@ -18,7 +18,8 @@ from symbreak.testkit import (dpll_count, gen_cliquecolor,
                               gen_cycle_coloring, gen_php, gen_ramsey)
 
 import pytest
-from oracles import brute_force_sat, clause_multiset_image_check
+from oracles import (admitted_models, brute_force_sat,
+                     clause_multiset_image_check)
 from test_detectors import (attached_blocks_instance,
                             recorded_verifications, two_copy_instance)
 from test_refine import TWINS, python_kernel
@@ -234,6 +235,24 @@ def test_johnson_structure_verified_by_two_calls(make, n, monkeypatch):
     out = run(make())
     assert [(s.kind, s.dims) for s in out.structures] == [("johnson", (n,))]
     assert len(checked) == 2
+
+
+# (models of the input, models the default output admits): how strongly
+# the default output breaks each satisfiable instance.  Byte-identity
+# guards the clauses only against change; these counts say how much
+# they reduce, so a change of output must restate them and must not
+# raise them without cause.
+@pytest.mark.parametrize("make, models, admitted", [
+    (lambda: gen_php(3, 3), 6, 1),
+    (lambda: gen_php(4, 4), 24, 1),
+    (lambda: gen_cycle_coloring(5, 3), 30, 2),
+    (lambda: gen_ramsey(3, 3, 5), 12, 1),
+], ids=["php33", "php44", "c5-3coloring", "ramsey335"])
+def test_admitted_models_are_pinned(make, models, admitted):
+    f = make()
+    got = admitted_models(f, run(f))
+    assert got == (models, admitted)
+    assert got[1] >= 1
 
 
 class TestNegationClassOf:

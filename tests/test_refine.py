@@ -157,10 +157,18 @@ class TestIndividualizeRefine:
             assert same_coloring(base, before)
 
     def test_fragments_unknown_color(self):
+        """An id that starts no base class, inside a class, past the
+        last slot or negative, is refused with KeyError by `fragments`
+        and by a stopped probe alike, never read through numpy's
+        indexing."""
         g = cycle(4)
         rep = refine_stable(g, initial_coloring(g))
-        with pytest.raises(KeyError):
-            rep.fragments(1)
+        session = IRSession(g, rep.coloring)
+        for sigma in (1, g.vertex_count, 10 ** 6, -1):
+            with pytest.raises(KeyError, match="unknown base color"):
+                rep.fragments(sigma)
+            with pytest.raises(KeyError, match="unknown base color"):
+                session.individualize(0, until=(sigma, 2))
 
     def test_fragments_read_only_refined_class_starts(self):
         """A class length left at a slot that starts no refined class is
